@@ -1102,7 +1102,7 @@ let table_t16 () =
   header
     "T16 Parallel backend (lib/runtime Domains + lib/parallel): the pure\n\
     \    protocol cores driven on OCaml 5 domains — one domain per process,\n\
-    \    mutex-protected registers, real preemption — measured end to end\n\
+    \    atomic registers, real preemption — measured end to end\n\
     \    in operations per wall-clock second. Every run's history is\n\
     \    re-checked by the spec-level acceptance used by the differential\n\
     \    conformance suite; a rejected run fails the bench. All workloads\n\

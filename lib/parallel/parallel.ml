@@ -1,7 +1,7 @@
 (* Driver #2: the OCaml 5 domains backend, wired to the pure cores.
 
    Executes the same Diff.work workloads as the simulator, but on
-   Lnd_runtime.Domains: one domain per process over mutex-protected
+   Lnd_runtime.Domains: one domain per process over atomic
    register cells, real preemption, and a global atomic clock stamping
    the operation history. The protocol logic is exactly the pure
    Sticky_core / Verifiable_core / Testorset_core / Byz_script_core

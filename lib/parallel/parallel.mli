@@ -1,7 +1,7 @@
 (** Driver #2: the OCaml 5 domains backend.
 
     Executes {!Diff.work} workloads on {!Lnd_runtime.Domains} — one
-    domain per process, mutex-protected registers, real preemption — by
+    domain per process, atomic registers, real preemption — by
     driving the very same pure cores ([Sticky_core], [Verifiable_core],
     [Testorset_core], [Byz_script_core]) the simulator drives. The run
     folds into a {!Lnd_history.History.t} stamped by the backend's

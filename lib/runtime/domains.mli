@@ -2,16 +2,20 @@
 
     Runs the same pure {!Lnd_support.Machine} programs the simulator
     drives, but with real preemption: one domain per process, shared
-    registers as mutex-protected cells ({!Dcell}), and a global atomic
-    logical clock stamping operation intervals for the history. Within a
-    domain the process's machines (current operation + background
-    daemons) interleave cooperatively at Yield points; across domains
-    the interleaving is whatever the hardware produces. See DESIGN.md,
-    "Pure cores and drivers". *)
+    registers as atomic cells ({!Dcell}), and a global atomic logical
+    clock stamping operation intervals for the history. Within a domain
+    the process's machines (current operation + background daemons)
+    interleave cooperatively at Yield points; across domains the
+    interleaving is whatever the hardware produces. A machine whose turn
+    ends in a yield is parked until some register write happens after
+    that turn started (wake-on-write); a domain whose machines are all
+    parked blocks instead of spinning. See DESIGN.md, "Pure cores and
+    drivers". *)
 
 open Lnd_support
 
-(** Mutex-protected shared register. *)
+(** Shared register: one [Atomic.t], so reads and writes are lock-free
+    and sequentially consistent. *)
 module Dcell : sig
   type t
 
@@ -81,5 +85,7 @@ val add_process : t -> pid:int -> ?daemons:daemon list -> job list -> unit
 val run : t -> (int, string) result
 (** Spawns one domain per registered process, joins them all. [Ok steps]
     (total machine steps across domains) once every job completed;
-    [Error _] if a correct machine raised, a budget was exhausted, or
-    jobs were left incomplete. *)
+    [Error _] if a correct machine raised, a budget was exhausted, jobs
+    were left incomplete, or the run stalled: every live domain blocked
+    with all its machines parked, so no register write can ever come.
+    A stall error names each parked machine with its pid. *)

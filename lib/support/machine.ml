@@ -17,7 +17,7 @@
    deterministic effects-based simulator maps A_read/A_write to
    Cell.read/Cell.write (one scheduler step each) and A_yield to
    Sched.yield, reproducing the pre-refactor effect sequences exactly;
-   the OCaml 5 domains backend maps them to mutex-protected shared
+   the OCaml 5 domains backend maps them to atomic shared
    registers with real preemption. Notes carry protocol-level
    annotations (which askers a helper is serving) so the sim driver can
    emit the same Obs spans the inlined implementations used to. *)

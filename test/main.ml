@@ -32,6 +32,7 @@ let () =
       ("trace-invariants", Test_trace_invariants.tests);
       ("observability", Test_obs.tests);
       ("multi-domain observability", Test_obs_domains.tests);
+      ("domains driver", Test_domains.tests);
       ("audit", Test_audit.tests);
       ("composition", Test_composition.tests);
       ("policies", Test_policies.tests);
