@@ -56,7 +56,7 @@ let fanout sinks =
   { emit = (fun e -> List.iter (fun s -> s.emit e) sinks) }
 
 (* The sink and clock hook are installed once, from the driving domain,
-   before any worker domain spawns, and then read from every domain —
+   before any worker domain runs a body, and then read from every domain —
    so both live in Atomic cells (publication is a release/acquire
    pair, never a data race). *)
 let sink_r : sink option Atomic.t = Atomic.make None
@@ -88,7 +88,7 @@ let ctx_key =
 
 let ctx () = Domain.DLS.get ctx_key
 
-let reset_ctx () =
+let reset_domain () =
   let c = ctx () in
   c.ambient_span <- 0;
   c.ambient_pid <- -1;
@@ -100,13 +100,13 @@ let install ?clock s =
   Atomic.set sink_r (Some s);
   (match clock with Some c -> Atomic.set clock_r c | None -> ());
   Atomic.set next_span 1;
-  reset_ctx ()
+  reset_domain ()
 
 let uninstall () =
   Atomic.set sink_r None;
   Atomic.set clock_r (fun () -> 0);
   Atomic.set next_span 1;
-  reset_ctx ()
+  reset_domain ()
 
 let set_clock c = Atomic.set clock_r c
 let now () = (Atomic.get clock_r) ()

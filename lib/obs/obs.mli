@@ -16,7 +16,7 @@
     interleave without stealing each other's children.
 
     Domain safety: the sink and clock hook live in [Atomic] cells
-    (installed by the driving domain before workers spawn, read
+    (installed by the driving domain before workers run, read
     everywhere), span ids come from one fetch-and-add counter so they
     are unique across domains, and the ambient span/pid plus the
     parent links of open spans are per-domain state in [Domain.DLS] —
@@ -131,6 +131,13 @@ val uninstall : unit -> unit
     hook, the span counter and the calling domain's ambient/parent
     context, so install/uninstall cycles within one process do not leak
     span ids or parent links into the next trace. *)
+
+val reset_domain : unit -> unit
+(** Reset the calling domain's ambient span/pid and parent links, as
+    {!install} does for the installing domain. A pooled worker domain
+    calls this before each body, so span state left by a previous run
+    (say, spans an aborted run never closed) cannot leak into the
+    next. *)
 
 val enabled : unit -> bool
 (** Cheap guard for call sites: skip argument construction when no sink

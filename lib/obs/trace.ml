@@ -5,7 +5,7 @@ module Univ = Lnd_support.Univ
 (* One preallocated buffer owned by exactly one domain: the owner is the
    only writer of [len]/[dropped], so the record hot path touches no
    shared state and allocates no heap words. The merge reads the slots
-   after the worker domains have joined. *)
+   after the run that filled them has returned. *)
 type slot = {
   buf : Obs.event array;
   mutable len : int;
@@ -45,7 +45,9 @@ let create ?(keep = fun _ -> true) ?(capacity = default_capacity) () =
    never takes the lock. A domain interleaving two live traces thrashes
    the cache through the registration lock but never duplicates slots
    (the slot registered for this domain is found and reused); memory
-   pinned by stale cache entries is bounded by one buffer per domain. *)
+   pinned by stale cache entries is bounded by one buffer per domain,
+   and a pooled worker domain drops its entry ([release_domain]) after
+   each body. *)
 type cache = { mutable owner : int; mutable cached : slot option }
 
 let cache_key = Domain.DLS.new_key (fun () -> { owner = -1; cached = None })
@@ -76,6 +78,11 @@ let slot_for t =
       c.owner <- t.id;
       c.cached <- Some s;
       s
+
+let release_domain () =
+  let c = Domain.DLS.get cache_key in
+  c.owner <- -1;
+  c.cached <- None
 
 let record t (e : Obs.event) =
   let s = slot_for t in

@@ -41,11 +41,18 @@ val sink : t -> Obs.sink
 (** The sink to pass to {!Obs.install}. Safe for concurrent emission
     from multiple domains: each domain records into its own arena. *)
 
+val release_domain : unit -> unit
+(** Drop the calling domain's cached arena, so a long-lived domain that
+    has stopped recording pins no buffer and never records into a stale
+    one. Recording again re-finds (or registers) its arena. The domains
+    driver calls this on a pooled worker after each body. *)
+
 val finish : t -> unit
 (** Close every span still open, deepest first, with synthetic
     [Span_close { aborted = true }] events stamped at the last recorded
-    time. Idempotent. Call after the run — and after worker domains have
-    joined — before export. *)
+    time. Idempotent. Call after the run — once every recording domain has
+    stopped (the domains driver's [run] has returned) — before
+    export. *)
 
 val events : t -> Obs.event list
 (** Recorded events, merged across arenas into clock order (see the

@@ -37,8 +37,9 @@ open Machine
 let broken_value : Value.t = "zzz"
 
 (* Entries land in a per-pid accumulator: each slot is written only by
-   its own domain, and Domain.join orders those writes before the merge
-   below reads them. *)
+   its own worker domain, and the run's completion latch (Domains.run
+   returns only after every worker counted it down under its mutex)
+   orders those writes before the merge below reads them. *)
 let merge_history (recs : ('op, 'res) History.entry list array) :
     ('op, 'res) History.t =
   { History.entries = List.concat (Array.to_list recs) }

@@ -26,10 +26,14 @@
    run has completed (they are just values — nothing to clean up). A run
    in which every live domain is blocked with no writer left, a per-domain
    step budget running out, or a correct machine raising all end in
-   [Error] instead of a hang. *)
+   [Error] instead of a hang.
+
+   Worker pool: a process body runs on a pooled worker domain that
+   outlives the run, so a session pays no domain spawn or join. *)
 
 open Lnd_support
 module Obs = Lnd_obs.Obs
+module Trace = Lnd_obs.Trace
 
 (* ---------------- Shared registers ---------------- *)
 
@@ -242,6 +246,99 @@ let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
 
 let runnable v (Run m) = (not m.dead) && m.parked <> v
 
+(* ---------------- Worker pool ---------------- *)
+
+(* Spawning and joining 4 domains cost 1.6–1.9 ms on 2 vCPUs, about half
+   of an 8-op session, so worker domains outlive runs. Domains are a process
+   resource (the runtime caps them at 128): the pool is process-wide and
+   lazy, a process that never runs spawns nothing, and it grows to the
+   largest number of processes run at once. Idle workers block in
+   [Condition.wait], which does not keep the process from exiting. All
+   per-run state stays in [t]. *)
+type worker = {
+  wmu : Mutex.t;
+  wcond : Condition.t;
+  mutable task : (unit -> unit) option;
+}
+
+(* LIFO, so a run reuses the workers the previous run handed back. *)
+let pool_mu = Mutex.create ()
+let idle : worker list ref = ref []
+
+let rec serve w =
+  Mutex.lock w.wmu;
+  while Option.is_none w.task do
+    Condition.wait w.wcond w.wmu
+  done;
+  let f = Option.get w.task in
+  w.task <- None;
+  Mutex.unlock w.wmu;
+  f ();
+  serve w
+
+let borrow () =
+  Mutex.lock pool_mu;
+  let w = match !idle with w :: rest -> idle := rest; Some w | [] -> None in
+  Mutex.unlock pool_mu;
+  match w with
+  | Some w -> w
+  | None ->
+      let w =
+        { wmu = Mutex.create (); wcond = Condition.create (); task = None }
+      in
+      ignore (Domain.spawn (fun () -> serve w) : unit Domain.t);
+      w
+
+let hand_back w =
+  Mutex.lock pool_mu;
+  idle := w :: !idle;
+  Mutex.unlock pool_mu
+
+(* Runs each body on its own borrowed worker and returns once all have
+   ended, with [Domain.join]'s semantics:
+   - a body's exception is caught on its worker, which survives, and the
+     first one in list order is re-raised here after every body ended;
+   - the latch's mutex orders every worker's writes before the caller's
+     reads, as joining did.
+   A worker goes back on the idle list before it counts the latch down:
+   otherwise the next run could find it still busy and spawn a
+   replacement, growing the pool every session. A reused worker starts
+   each body with a fresh Obs context and ends it pinning no trace
+   arena. *)
+let run_pooled (bodies : (unit -> unit) list) : unit =
+  let n = List.length bodies in
+  let mu = Mutex.create () and cond = Condition.create () in
+  let pending = ref n in
+  let failed = Array.make n None in
+  List.iteri
+    (fun i body ->
+      let w = borrow () in
+      let task () =
+        Obs.reset_domain ();
+        (try body ()
+         with e -> failed.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+        Trace.release_domain ();
+        hand_back w;
+        Mutex.lock mu;
+        decr pending;
+        if !pending = 0 then Condition.signal cond;
+        Mutex.unlock mu
+      in
+      Mutex.lock w.wmu;
+      w.task <- Some task;
+      Condition.signal w.wcond;
+      Mutex.unlock w.wmu)
+    bodies;
+  Mutex.lock mu;
+  while !pending > 0 do
+    Condition.wait cond mu
+  done;
+  Mutex.unlock mu;
+  Array.iter
+    (function
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+    failed
+
 (* Spins on the write version before a domain with nothing runnable
    blocks. On a 2-vCPU host, 20 and 200 spins gave the same
    dom-sticky-read throughput and 2,000 about 10% less. *)
@@ -353,7 +450,8 @@ let run (t : t) : (int, string) result =
           else Some (Printf.sprintf "%s (pid %d)" m.label p.pid))
         (Option.to_list !current @ daemons)
     in
-    (try
+    let raised =
+     try
        let continue () =
          (match Atomic.get aborted with Some _ -> false | None -> true)
          && (has_current () || has_jobs ()
@@ -421,10 +519,23 @@ let run (t : t) : (int, string) result =
              end)
            daemons;
          if not !ran then await ~pid:p.pid ~v ~parked
-       done
-     with Abort m ->
-       ignore (Atomic.compare_and_set aborted None (Some m));
-       bump t);
+       done;
+       None
+     with
+     | Abort m ->
+         ignore (Atomic.compare_and_set aborted None (Some m));
+         bump t;
+         None
+     | e ->
+         (* Anything else (a job's program builder raising) is re-raised
+            by [run] once every body has ended: abort the run so the
+            other domains end too instead of waiting on this one. *)
+         let bt = Printexc.get_raw_backtrace () in
+         ignore
+           (Atomic.compare_and_set aborted None (Some (Printexc.to_string e)));
+         bump t;
+         Some (e, bt)
+    in
     (* Close the domain root span on a clean exit; an aborted run leaves
        it (and any open operation span) dangling for Trace.finish to
        abort-close, so the incomplete run is visible in the trace. *)
@@ -437,10 +548,10 @@ let run (t : t) : (int, string) result =
     Mutex.lock t.mu;
     t.live <- t.live - 1;
     check_stall ();
-    Mutex.unlock t.mu
+    Mutex.unlock t.mu;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) raised
   in
-  let spawned = List.map (fun p -> Domain.spawn (body p)) procs in
-  List.iter Domain.join spawned;
+  run_pooled (List.map body procs);
   match Atomic.get aborted with
   | Some m -> Error m
   | None ->

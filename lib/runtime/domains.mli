@@ -83,7 +83,14 @@ val clock : t -> clock
 val add_process : t -> pid:int -> ?daemons:daemon list -> job list -> unit
 
 val run : t -> (int, string) result
-(** Spawns one domain per registered process, joins them all. [Ok steps]
+(** Runs each registered process on its own pooled worker domain — one
+    worker per process per run — and returns once every process body has
+    ended. Workers outlive the run: the pool is process-wide, spawns a
+    domain only when it has too few idle workers, and never shrinks, so
+    it holds as many domains as the largest run so far. A body's
+    exception is re-raised here after all bodies ended (the first in pid
+    order), and every write a body made happens before [run] returns.
+    [Ok steps]
     (total machine steps across domains) once every job completed;
     [Error _] if a correct machine raised, a budget was exhausted, jobs
     were left incomplete, or the run stalled: every live domain blocked

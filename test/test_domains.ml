@@ -2,7 +2,9 @@
    that can never progress must end in an [Error] naming its parked
    machines, quickly, instead of burning its step budget; and a run whose
    processes hand off through register writes must complete without lost
-   wakeups and without spinning through idle re-polls. *)
+   wakeups and without spinning through idle re-polls. Its worker pool
+   must reuse workers across runs, survive failed runs, and serve
+   concurrent callers. *)
 
 open Lnd_support
 module Domains = Lnd_runtime.Domains
@@ -66,10 +68,12 @@ let test_stall_is_error () =
    after seeing k-1 in B, p1 the even ones into B after seeing k-1 in A. *)
 let handoffs = 1_000
 
-let test_ping_pong () =
+(* A 2-process ping-pong run of [handoffs] hand-offs; [finish] runs on
+   each process's worker once its job completes. *)
+let ping_pong ?(finish = fun _pid -> ()) handoffs =
   let a = int_cell "A" and b = int_cell "B" in
   let cell = function A -> a | B -> b in
-  let side ~mine ~theirs ~first =
+  let side ~pid ~mine ~theirs ~first =
     let rec go k =
       Machine.(
         if k > handoffs then ret ()
@@ -78,19 +82,151 @@ let test_ping_pong () =
           let* () = write mine (Univ.inj Univ.int k) in
           go (k + 2))
     in
-    Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> ()) (fun () -> go first)
+    Domains.job ~cell
+      ~finish:(fun ~inv:_ ~ret:_ () -> finish pid)
+      (fun () -> go first)
   in
   let d = Domains.create () in
-  Domains.add_process d ~pid:0 [ side ~mine:A ~theirs:B ~first:1 ];
-  Domains.add_process d ~pid:1 [ side ~mine:B ~theirs:A ~first:2 ];
-  match Domains.run d with
-  | Error m -> Alcotest.failf "ping-pong failed: %s" m
-  | Ok steps ->
+  Domains.add_process d ~pid:0 [ side ~pid:0 ~mine:A ~theirs:B ~first:1 ];
+  Domains.add_process d ~pid:1 [ side ~pid:1 ~mine:B ~theirs:A ~first:2 ];
+  (Domains.run d, b)
+
+let test_ping_pong () =
+  match ping_pong handoffs with
+  | Error m, _ -> Alcotest.failf "ping-pong failed: %s" m
+  | Ok steps, b ->
       Alcotest.(check int) "last hand-off landed" handoffs
         (Univ.prj_default Univ.int ~default:(-1) (Dcell.read b));
       if steps > 20 * handoffs then
         Alcotest.failf "%d machine steps for %d hand-offs (> 20 each)" steps
           handoffs
+
+(* ---------------- Worker pool ---------------- *)
+
+let self_id () = (Domain.self () :> int)
+
+(* Records each process's worker id into its own slot: every slot is
+   written by one worker and read after [run] returned. *)
+let recorder n =
+  let ids = Array.make n (-1) in
+  (ids, fun pid -> ids.(pid) <- self_id ())
+
+let distinct l = List.sort_uniq compare l
+
+(* A worker that counted the run down before going back to the pool
+   could still look busy to the next run, which would spawn a
+   replacement: 300 back-to-back runs would then see more than the two
+   workers the idle stack hands back every time. *)
+let test_pool_reuse () =
+  let seen = ref [] in
+  for _ = 1 to 300 do
+    let ids, note = recorder 2 in
+    (match ping_pong ~finish:note 6 with
+    | Ok _, _ -> ()
+    | Error m, _ -> Alcotest.failf "ping-pong run failed: %s" m);
+    seen := Array.to_list ids @ !seen
+  done;
+  let pair = distinct !seen in
+  if List.length pair <> 2 then
+    Alcotest.failf "300 runs of 2 processes used %d workers, not 2"
+      (List.length pair);
+  (* One 7-process run: pid k hands off to pid k+1 through register k. *)
+  let n = 7 in
+  let cells = Array.init n (fun i -> int_cell (Printf.sprintf "R%d" i)) in
+  let cell i = cells.(i) in
+  let ids, note = recorder n in
+  let d = Domains.create () in
+  for pid = 0 to n - 1 do
+    let prog () =
+      Machine.(
+        let* () = if pid = 0 then ret () else await_value (pid - 1) 1 in
+        write pid (Univ.inj Univ.int 1))
+    in
+    Domains.add_process d ~pid
+      [ Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> note pid) prog ]
+  done;
+  (match Domains.run d with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "7-process run failed: %s" m);
+  let all = distinct (Array.to_list ids @ !seen) in
+  if List.mem (-1) all then Alcotest.fail "a finish callback never ran";
+  if List.length all > n then
+    Alcotest.failf "%d distinct worker domains for runs of at most %d"
+      (List.length all) n;
+  if List.mem (self_id ()) all then
+    Alcotest.fail "a process body ran on the calling domain"
+
+(* A stalled run, a run whose job's [finish] raises, and a run whose
+   job's program builder raises (re-raised by [run], as [Domain.join]
+   did) must each hand their workers back intact: a normal run afterwards
+   returns [Ok] on the same workers. The ids are recorded where each
+   job's program is built, which runs on the worker in every case. *)
+let test_pool_failure_leaks_nothing () =
+  let a = int_cell "A" in
+  let cell (A | B) = a in
+  let run_recorded ?(finish_raises = false) mk =
+    let ids, note = recorder 2 in
+    let d = Domains.create () in
+    for pid = 0 to 1 do
+      let prog () =
+        note pid;
+        mk pid
+      in
+      Domains.add_process d ~pid
+        [
+          Domains.job ~cell
+            ~finish:(fun ~inv:_ ~ret:_ () ->
+              if finish_raises && pid = 1 then failwith "finish boom")
+            prog;
+        ]
+    done;
+    let r = try Ok (Domains.run d) with e -> Error e in
+    (r, distinct (Array.to_list ids))
+  in
+  let stalled, w1 = run_recorded (fun _ -> await_value A 1) in
+  (match stalled with
+  | Ok (Error m) when Test_obs.contains ~sub:"stalled" m -> ()
+  | _ -> Alcotest.fail "a never-written poll did not stall");
+  let raised, w2 =
+    run_recorded ~finish_raises:true (fun _ -> Machine.ret ())
+  in
+  (match raised with
+  | Ok (Error m) when Test_obs.contains ~sub:"correct machine p1-op failed" m
+    ->
+      ()
+  | _ -> Alcotest.fail "a raising finish did not fail the run");
+  let thrown, w3 =
+    run_recorded (fun pid ->
+        if pid = 0 then failwith "prog boom" else Machine.ret ())
+  in
+  (match thrown with
+  | Error (Failure m) when m = "prog boom" -> ()
+  | _ -> Alcotest.fail "a raising program builder was not re-raised");
+  let ids, note = recorder 2 in
+  (match ping_pong ~finish:note 10 with
+  | Ok _, _ -> ()
+  | Error m, _ -> Alcotest.failf "run after failures: %s" m);
+  let w4 = distinct (Array.to_list ids) in
+  if List.length w4 <> 2 || List.mem (-1) w4 then
+    Alcotest.fail "the normal run did not record two workers";
+  (* An aborted run may end a process before it builds its program, so
+     only the ids that were recorded are compared. *)
+  List.iter
+    (fun (what, w) ->
+      if List.exists (fun id -> id <> -1 && not (List.mem id w4)) w then
+        Alcotest.failf "the %s run used other workers than the normal run"
+          what)
+    [ ("stalled", w1); ("raising-finish", w2); ("raising-program", w3) ]
+
+let test_pool_concurrent_callers () =
+  let caller () = fst (ping_pong 200) in
+  let c1 = Domain.spawn caller and c2 = Domain.spawn caller in
+  List.iter
+    (fun c ->
+      match Domain.join c with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "concurrent caller failed: %s" m)
+    [ c1; c2 ]
 
 let tests =
   [
@@ -99,4 +235,12 @@ let tests =
       test_stall_is_error;
     Alcotest.test_case "1,000 ping-pong hand-offs: no lost wakeup, no spinning"
       `Quick test_ping_pong;
+    Alcotest.test_case
+      "pool: 300 runs of 2 then one of 7 use at most 7 workers" `Quick
+      test_pool_reuse;
+    Alcotest.test_case
+      "pool: stalled and raising runs hand their workers back" `Quick
+      test_pool_failure_leaks_nothing;
+    Alcotest.test_case "pool: two concurrent callers both complete" `Quick
+      test_pool_concurrent_callers;
   ]
