@@ -1026,8 +1026,8 @@ let table_t15 () =
   let module M = Lnd_fuzz.Mcheck in
   let module E = Lnd_runtime.Explore in
   let max_steps = 600 in
-  (* Explore one config, accumulating register accesses across runs via
-     the Space observer (instance.last_accesses is per-run). *)
+  (* Explore one config, summing register accesses over its runs
+     (instance.last_accesses counts one run, off its Space's counters). *)
   let measure cfg ~mode ~max_runs =
     let i = M.instance cfg in
     let total = ref 0 in
@@ -1318,8 +1318,9 @@ let table_t17 () =
 
 (* Per-table tolerance rules, documented in the report and in
    EXPERIMENTS.md:
-   - T12, T13: every field exact (0%) — WAL cadences and chaos traces
-     replay deterministically in the simulator.
+   - T12, T13, T15: every field exact (0%) — WAL cadences, chaos traces
+     and DPOR / naive-DFS explorations replay deterministically in the
+     simulator.
    - T16: "ops" and structure exact (the workloads are pinned), but
      machine_steps / seconds / ops_per_sec are wall-clock artifacts of
      real preemption — ignored.
@@ -1355,6 +1356,7 @@ let check_tables () =
     [
       ("T12", "BENCH_T12.json", table_t12);
       ("T13", "BENCH_T13.json", table_t13);
+      ("T15", "BENCH_T15.json", table_t15);
       ("T16", "BENCH_T16.json", table_t16);
       ("T17", "BENCH_T17.json", table_t17);
     ]
@@ -1374,7 +1376,7 @@ let check_tables () =
   let bpf fmt = Printf.ksprintf (fun s -> Buffer.add_string report s) fmt in
   bpf "bench regression gate: fresh tables vs committed BENCH_*.json\n";
   bpf
-    "tolerances: T12/T13 exact; T16 ops exact, wall-clock fields ignored; \
+    "tolerances: T12/T13/T15 exact; T16 ops exact, wall-clock fields ignored; \
      T17 arena record path exactly 0.00 words/event, other rows \
      informational\n\n";
   let failures = ref 0 in

@@ -22,9 +22,10 @@
      correct pid is itself a violation (zero false blame must hold on
      every schedule, not just the sampled ones).
 
-   The per-run event trace (audit mode) and a Space-observer access
-   counter are exposed so the synthesiser can derive fitness metrics
-   and the T15 benchmark can report work per schedule. *)
+   The per-run event trace (audit mode) and the run's register access
+   count (the Space's own read and write counters) are exposed so the
+   synthesiser can derive fitness metrics and the T15 benchmark can
+   report work per schedule. *)
 
 open Lnd_support
 module Sched = Lnd_runtime.Sched
@@ -323,17 +324,16 @@ let instance (c : config) : instance =
         invalid_arg "Mcheck: scripted pid must be listed as byzantine")
     c.scripts;
   let state : runstate option ref = ref None in
-  let accesses = ref 0 in
+  let last_space : Space.t option ref = ref None in
   let installed = ref false in
   let make policy =
-    accesses := 0;
     let space, sched, correct, check_protocol =
       match c.model with
       | Sticky -> make_sticky c policy
       | Verifiable -> make_verifiable c policy
       | Testorset -> make_testorset c policy
     in
-    Space.set_observer space (Some (fun _ -> incr accesses));
+    last_space := Some space;
     let trace, audit =
       if not c.audit then (None, None)
       else begin
@@ -391,7 +391,13 @@ let instance (c : config) : instance =
         match !state with
         | Some { rs_trace = Some tr; _ } -> Trace.events tr
         | _ -> []);
-    last_accesses = (fun () -> !accesses);
+    last_accesses =
+      (fun () ->
+        match !last_space with
+        | None -> 0
+        | Some space ->
+            let st = Space.stats space in
+            st.Space.reads + st.Space.writes);
     teardown = (fun () -> if !installed then Obs.uninstall ());
   }
 

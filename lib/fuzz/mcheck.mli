@@ -58,7 +58,8 @@ type instance = {
   last_events : unit -> Lnd_obs.Obs.event list;
       (** the last run's event trace; empty unless [audit] *)
   last_accesses : unit -> int;
-      (** register accesses in the last run (Space observer) *)
+      (** register accesses in the last run: the reads plus writes
+          that its Space counted ({!Lnd_shm.Space.stats}) *)
   teardown : unit -> unit;
       (** detach the Obs sink, if one was installed *)
 }

@@ -99,19 +99,20 @@ type daemon =
 let daemon ~label ?(critical = true) ?(on_note = fun _ -> ()) ~cell prog =
   Daemon { label; critical; prog; cell; on_note }
 
-(* A machine in flight. [ospan] is the machine's ambient Obs span, saved
-   across turns the way Sched saves it across fiber switches: jobs start
-   under their operation span, daemons at top level, and note callbacks
-   (HELP rounds) may push/pop spans in between. [parked] is the write
-   version read when the machine's last turn started if that turn ended
-   in a yield, and [-1] otherwise: the machine is skipped while the
-   version still equals it. *)
+(* A machine in flight. [resume] gives the program its next turn starts
+   from: the machine's whole program before its first turn, afterwards
+   the continuation of the Yield its last turn ended at. [ospan] is the
+   machine's ambient Obs span, saved across turns the way Sched saves it
+   across fiber switches: jobs start under their operation span, daemons
+   at top level, and note callbacks (HELP rounds) may push/pop spans in
+   between. [parked] is the write version read when the machine's last
+   turn started if that turn ended in a yield, and [-1] otherwise: the
+   machine is skipped while the version still equals it. *)
 type runnable =
   | Run : {
       label : string;
       critical : bool;
-      mutable st : ('reg, 'a) Machine.prog;
-      mutable ev : Machine.event;
+      mutable resume : unit -> ('reg, 'a) Machine.prog;
       cell : 'reg -> Dcell.t;
       onote : Machine.note -> unit;
       mutable ospan : int;
@@ -186,7 +187,9 @@ let bump (t : t) =
 (* Advance one machine to its next Yield (one "turn"), answering reads
    inline: on the domains backend a register read never blocks, so the
    only preemption points *within* a domain are the cores' explicit
-   yields — between domains, every shared access races for real. *)
+   yields — between domains, every shared access races for real. A turn
+   counts one step when it starts and one per read, against the
+   domain's step budget. *)
 let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
   if m.dead then `Dead
   else begin
@@ -201,34 +204,35 @@ let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
        after (note callbacks may have pushed/popped HELP spans). *)
     if Obs.enabled () then Obs.set_ambient ~span:m.ospan ~pid;
     let save () = if Obs.enabled () then m.ospan <- Obs.ambient () in
+    let count () =
+      incr steps;
+      if !steps > t.step_budget then
+        raise (Abort (Printf.sprintf "p%d: domain step budget exhausted" pid))
+    in
+    let read r =
+      let v = Dcell.read (m.cell r) in
+      count ();
+      v
+    in
+    let write r u =
+      Dcell.write (m.cell r) u;
+      bump t
+    in
     try
-      let rec go () =
-        incr steps;
-        if !steps > t.step_budget then
-          raise
-            (Abort (Printf.sprintf "p%d: domain step budget exhausted" pid));
-        let st, acts = Machine.step m.st m.ev in
-        m.st <- st;
-        let out = ref `Continue in
-        List.iter
-          (fun a ->
-            match a with
-            | Machine.A_write (r, u) ->
-                Dcell.write (m.cell r) u;
-                bump t
-            | Machine.A_note n -> m.onote n
-            | Machine.A_read r -> m.ev <- Machine.Got (Dcell.read (m.cell r))
-            | Machine.A_yield ->
-                m.ev <- Machine.Ack;
-                out := `Yielded
-            | Machine.A_done ->
-                m.fin (Option.get (Machine.result m.st));
-                out := `Done)
-          acts;
-        match !out with `Continue -> go () | (`Yielded | `Done) as r -> r
+      count ();
+      let r =
+        match Machine.advance ~read ~write ~note:m.onote (m.resume ()) with
+        | Machine.Yield k ->
+            m.resume <- k;
+            m.parked <- snap;
+            `Yielded
+        | Machine.Ret a ->
+            m.fin a;
+            m.parked <- -1;
+            `Done
+        | Machine.Read _ | Machine.Write _ | Machine.Note _ ->
+            invalid_arg "Domains.turn: Machine.advance stopped short of a yield"
       in
-      let r = go () in
-      m.parked <- (match r with `Yielded -> snap | `Done -> -1);
       save ();
       r
     with
@@ -427,8 +431,7 @@ let run (t : t) : (int, string) result =
             {
               label = d.label;
               critical = d.critical;
-              st = d.prog;
-              ev = Machine.Start;
+              resume = (fun () -> d.prog);
               cell = d.cell;
               onote = d.on_note;
               ospan = 0;
@@ -476,14 +479,14 @@ let run (t : t) : (int, string) result =
                else dspan
              in
              let inv = tick t.clock in
+             let prog = j.prog () in
              current :=
                Some
                  (Run
                     {
                       label = Printf.sprintf "p%d-op" p.pid;
                       critical = true;
-                      st = j.prog ();
-                      ev = Machine.Start;
+                      resume = (fun () -> prog);
                       cell = j.cell;
                       onote = j.on_note;
                       ospan;

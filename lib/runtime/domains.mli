@@ -3,9 +3,12 @@
     Runs the same pure {!Lnd_support.Machine} programs the simulator
     drives, but with real preemption: one domain per process, shared
     registers as atomic cells ({!Dcell}), and a global atomic logical
-    clock stamping operation intervals for the history. Within a domain
-    the process's machines (current operation + background daemons)
-    interleave cooperatively at Yield points; across domains the
+    clock stamping operation intervals for the history. Each machine
+    runs in turns: one {!Lnd_support.Machine.advance} call from its last
+    [Yield] to its next, reading and writing {!Dcell}s directly. Within
+    a domain the process's machines (current operation + background
+    daemons) interleave cooperatively at those Yield points; across
+    domains the
     interleaving is whatever the hardware produces. A machine whose turn
     ends in a yield is parked until some register write happens after
     that turn started (wake-on-write); a domain whose machines are all
@@ -68,8 +71,9 @@ val daemon :
 type t
 
 val create : ?step_budget:int -> unit -> t
-(** [step_budget] bounds Machine steps per domain, turning deadlock or
-    divergence into [Error] instead of a hang. *)
+(** [step_budget] bounds machine steps per domain, turning deadlock or
+    divergence into [Error] instead of a hang. A turn counts one step
+    when it starts and one per register read. *)
 
 val now : t -> int
 

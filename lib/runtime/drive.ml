@@ -1,36 +1,29 @@
 (* Driver #1: interpret a pure protocol core (Lnd_support.Machine) on the
    deterministic effects-based simulator.
 
-   The driver is a strict event loop over Machine.step: every A_read /
-   A_write becomes exactly one Cell.read / Cell.write (one scheduler step
-   each, in program order) and every A_yield one Sched.yield, so a core
-   driven here performs the same effect sequence — and therefore the same
-   schedules, logical clocks, traces and DPOR exploration — as the
-   pre-refactor inlined implementation it was extracted from. Notes are
-   handed to the caller (protocol drivers map them to Obs HELP spans);
-   they are not scheduler steps, exactly like the Obs calls they
-   replace. *)
+   The driver is a loop over Machine.advance: every register read or
+   write the program makes becomes exactly one Cell.read / Cell.write
+   (one scheduler step each, in program order) and every Yield one
+   Sched.yield, so a core driven here performs the same effect sequence
+   — and therefore the same schedules, logical clocks, traces and DPOR
+   exploration — as the pre-refactor inlined implementation it was
+   extracted from. Notes are handed to the caller (protocol drivers map
+   them to Obs HELP spans); they are not scheduler steps, exactly like
+   the Obs calls they replace. *)
 
 open Lnd_support
 
 let run ?(on_note : Machine.note -> unit = fun _ -> ())
     ~(cell : 'reg -> Cell.t) (p : ('reg, 'a) Machine.prog) : 'a =
-  let state = ref p in
-  let ev = ref Machine.Start in
-  let result = ref None in
-  while !result = None do
-    let st, acts = Machine.step !state !ev in
-    state := st;
-    List.iter
-      (fun (a : 'reg Machine.action) ->
-        match a with
-        | Machine.A_write (r, u) -> Cell.write (cell r) u
-        | Machine.A_note n -> on_note n
-        | Machine.A_read r -> ev := Machine.Got (Cell.read (cell r))
-        | Machine.A_yield ->
-            Sched.yield ();
-            ev := Machine.Ack
-        | Machine.A_done -> result := Machine.result !state)
-      acts
-  done;
-  Option.get !result
+  let read r = Cell.read (cell r) in
+  let write r u = Cell.write (cell r) u in
+  let rec loop p =
+    match Machine.advance ~read ~write ~note:on_note p with
+    | Machine.Yield k ->
+        Sched.yield ();
+        loop (k ())
+    | Machine.Ret a -> a
+    | Machine.Read _ | Machine.Write _ | Machine.Note _ ->
+        invalid_arg "Drive.run: Machine.advance stopped short of a yield"
+  in
+  loop p

@@ -1,10 +1,11 @@
 (** Driver #1: run a pure protocol core ({!Lnd_support.Machine}) on the
     deterministic effects-based simulator.
 
-    One [A_read]/[A_write] action is one {!Cell.read}/{!Cell.write} (one
-    scheduler step each, in program order); one [A_yield] is one
-    {!Sched.yield}. A core driven here performs exactly the effect
-    sequence of the inlined implementation it was extracted from. *)
+    A loop over {!Lnd_support.Machine.advance}: one register read or
+    write is one {!Cell.read}/{!Cell.write} (one scheduler step each, in
+    program order); one [Yield] is one {!Sched.yield}. A core driven
+    here performs exactly the effect sequence of the inlined
+    implementation it was extracted from. *)
 
 open Lnd_support
 

@@ -33,8 +33,6 @@
 
 open Lnd_shm
 module Obs = Lnd_obs.Obs
-module IntSet = Set.Make (Int)
-module IntMap = Map.Make (Int)
 
 (* ---------------- Counterexamples ---------------- *)
 
@@ -154,17 +152,12 @@ let exhaustive ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
    one of them writes it. Yields and spawn prefixes ([A_none]) conflict
    with nothing; steps of the same fiber are always dependent through
    program order (handled separately). *)
-let is_read = function Sched.A_read _ -> true | _ -> false
-
-let reg_of = function
-  | Sched.A_none -> None
-  | Sched.A_read r | Sched.A_write r | Sched.A_update r -> Some r
-
 let conflict (a : Sched.footprint) (b : Sched.footprint) : bool =
-  match (reg_of a, reg_of b) with
-  | None, _ | _, None -> false
-  | Some ra, Some rb ->
-      ra.Register.id = rb.Register.id && not (is_read a && is_read b)
+  match (a, b) with
+  | Sched.A_none, _ | _, Sched.A_none | Sched.A_read _, Sched.A_read _ -> false
+  | ( (Sched.A_read ra | Sched.A_write ra | Sched.A_update ra),
+      (Sched.A_read rb | Sched.A_write rb | Sched.A_update rb) ) ->
+      ra.Register.id = rb.Register.id
 
 (* Raised by the DPOR policy when every enabled fiber is in the sleep
    set: the continuation of this schedule only commutes with already
@@ -176,40 +169,133 @@ exception Sleep_blocked
    lies outside the bounded space, so the run counts as pruned. *)
 exception Preempt_blocked
 
+(* Sets of fibers are [int] bitsets: bit [q] stands for fid [q], so fids
+   0 .. [max_fibers - 1] fit in one non-negative int. *)
+let max_fibers = 62
+
+let bit q = 1 lsl q
+let mem q s = s land (1 lsl q) <> 0
+
+(* The smallest fid in [s] that is at least [q], or -1. Choices walk
+   their sets upwards, in the ascending-fid order the explorer has
+   always used: which fiber the rotation picks and which backtrack
+   candidate goes first decide the order schedules are explored in. *)
+let rec next_fid s q =
+  if s lsr q = 0 then -1 else if mem q s then q else next_fid s (q + 1)
+
+let rec popcount s = if s = 0 then 0 else 1 + popcount (s land (s - 1))
+
+(* Vector clocks are fid-indexed [int array]s: entry [q] is the latest
+   step of fiber [q] that happens-before the holder, [-1] if none. A
+   clock is never mutated once stored. Clocks built earlier in a run may
+   be shorter than later ones (fibers spawn as the run goes); missing
+   entries read as [-1]. *)
+let clock_at (vc : int array) q = if q < Array.length vc then vc.(q) else -1
+
+(* [dst] := [dst] ⊔ [src] over their common prefix. *)
+let join_into (dst : int array) (src : int array) =
+  for q = 0 to min (Array.length dst) (Array.length src) - 1 do
+    if src.(q) > dst.(q) then dst.(q) <- src.(q)
+  done
+
+(* An earlier access, step [i] of fiber [q], happens-before the pending
+   step of fiber [c] whose clock is [cp]. *)
+let hb_before cp c i q = q = c || clock_at cp q >= i
+
+(* One register's race candidates in the current run: its last write and
+   the reads since that write. Any two conflicting accesses to one
+   register are ordered by happens-before, so these are exactly the
+   steps a new access can race with. [rd_join] is the join of those
+   reads' clocks, kept up to date in place so that a write joins one
+   array instead of every read's. *)
+type reg_state = {
+  mutable lw_step : int; (* -1: no write yet in this run *)
+  mutable lw_fid : int;
+  mutable lw_clock : int array;
+  mutable rd : int array; (* the reads' (step, fid) pairs, flattened *)
+  mutable rd_count : int;
+  rd_join : int array; (* all [-1] while [rd_count = 0] *)
+}
+
+let fresh_reg () =
+  { lw_step = -1; lw_fid = -1; lw_clock = [||]; rd = Array.make 16 0;
+    rd_count = 0; rd_join = Array.make max_fibers (-1) }
+
+let reset_reg rs =
+  rs.lw_step <- -1;
+  rs.lw_clock <- [||];
+  if rs.rd_count > 0 then begin
+    rs.rd_count <- 0;
+    Array.fill rs.rd_join 0 max_fibers (-1)
+  end
+
+let add_read rs ~step ~fid (vc : int array) =
+  let k = 2 * rs.rd_count in
+  if k = Array.length rs.rd then begin
+    let bigger = Array.make (2 * k) 0 in
+    Array.blit rs.rd 0 bigger 0 k;
+    rs.rd <- bigger
+  end;
+  rs.rd.(k) <- step;
+  rs.rd.(k + 1) <- fid;
+  rs.rd_count <- rs.rd_count + 1;
+  join_into rs.rd_join vc
+
+(* Every read since the last write had a clock no wider than the
+   writer's [vc], so clearing that prefix clears [rd_join]. *)
+let set_write rs ~step ~fid (vc : int array) =
+  rs.lw_step <- step;
+  rs.lw_fid <- fid;
+  rs.lw_clock <- vc;
+  if rs.rd_count > 0 then begin
+    rs.rd_count <- 0;
+    Array.fill rs.rd_join 0 (Array.length vc) (-1)
+  end
+
 (* One node per step of the current execution prefix. [nd_backtrack] is
    the set of fiber ids scheduled for exploration from this state (seeded
    with the first choice, grown by race detection); [nd_done] the ones
    whose subtrees are complete; [nd_sleep] the sleep set on entry for the
    current run. [nd_enabled] is recorded for the "else add all enabled"
-   arm of the backtrack rule. *)
+   arm of the backtrack rule. All four are fid bitsets. *)
 type node = {
   mutable nd_chosen : int;
-  mutable nd_backtrack : IntSet.t;
-  mutable nd_done : IntSet.t;
-  mutable nd_sleep : IntSet.t;
-  mutable nd_enabled : int list;
+  mutable nd_backtrack : int;
+  mutable nd_done : int;
+  mutable nd_sleep : int;
+  mutable nd_enabled : int;
   mutable nd_alpha : Sched.footprint; (* footprint the chosen step executed *)
   mutable nd_preempts : int; (* preemptions consumed up to and incl. this step *)
 }
 
+let fresh_node () =
+  { nd_chosen = -1; nd_backtrack = 0; nd_done = 0; nd_sleep = 0;
+    nd_enabled = 0; nd_alpha = Sched.A_none; nd_preempts = 0 }
+
 let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     ?(max_steps = 2_000) ?(max_runs = 200_000) ?max_preempts ?(note = "") () :
     result =
-  let dummy =
-    { nd_chosen = -1; nd_backtrack = IntSet.empty; nd_done = IntSet.empty;
-      nd_sleep = IntSet.empty; nd_enabled = []; nd_alpha = Sched.A_none;
-      nd_preempts = 0 }
-  in
-  let stack = ref (Array.make 256 dummy) in
+  (* The execution prefix is [!stack.(0 .. !len - 1)]; the records past
+     [!len] are spares that the next pushes overwrite. *)
+  let stack = ref (Array.init 256 (fun _ -> fresh_node ())) in
   let len = ref 0 in
-  let push nd =
+  let push c ~sleep ~enabled =
     if !len = Array.length !stack then begin
-      let bigger = Array.make (2 * !len) dummy in
-      Array.blit !stack 0 bigger 0 !len;
-      stack := bigger
+      let old = !stack in
+      stack :=
+        Array.init (2 * !len) (fun i ->
+            if i < !len then old.(i) else fresh_node ())
     end;
-    !stack.(!len) <- nd;
-    incr len
+    let nd = !stack.(!len) in
+    nd.nd_chosen <- c;
+    nd.nd_backtrack <- bit c;
+    nd.nd_done <- 0;
+    nd.nd_sleep <- sleep;
+    nd.nd_enabled <- enabled;
+    nd.nd_alpha <- Sched.A_none;
+    nd.nd_preempts <- 0;
+    incr len;
+    nd
   in
   let plan_len = ref 0 in
   (* forced prefix: nodes [0, plan_len) replay their recorded choice *)
@@ -225,7 +311,7 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       let involuntary =
         match pv.nd_alpha with Sched.A_none -> false | _ -> true
       in
-      if c <> pv.nd_chosen && involuntary && List.mem pv.nd_chosen enabled
+      if c <> pv.nd_chosen && involuntary && mem pv.nd_chosen enabled
       then pv.nd_preempts + 1
       else pv.nd_preempts
     end
@@ -233,195 +319,175 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   let afford d c enabled =
     match max_preempts with None -> true | Some p -> cost d c enabled <= p
   in
+  (* The smallest fid of [s] at least [q] that [d] can afford, or -1. *)
+  let rec first_affordable d s enabled q =
+    let q = next_fid s q in
+    if q < 0 || afford d q enabled then q
+    else first_affordable d s enabled (q + 1)
+  in
   let runs = ref 0 and pruned = ref 0 and blocked = ref 0 in
   let races = ref 0 in
   let max_depth = ref 0 in
   let exhausted = ref false in
   let continue_ = ref true in
+  (* Race detection: an earlier conflicting access, step [i] of fiber
+     [q], not ordered before this step of [c] is a reversible race — the
+     pre-state of step [i] must also try running [c] (or, if [c] was not
+     enabled there, every enabled fiber). *)
+  let race cp c i q =
+    if not (hb_before cp c i q) then begin
+      let ni = !stack.(i) in
+      let want = if mem c ni.nd_enabled then bit c else ni.nd_enabled in
+      let fresh = want land lnot ni.nd_backtrack in
+      ni.nd_backtrack <- ni.nd_backtrack lor fresh;
+      races := !races + popcount fresh
+    end
+  in
+  (* Per-run dependency state, reset before every run. *)
+  let depth = ref 0 in
+  let cur_sleep = ref 0 in
+  let last_rot = ref (-1) in
+  let width = ref 0 in (* clock width: 1 + the largest fid seen this run *)
+  let slot = Array.make max_fibers 0 in (* fid -> index in [ready] *)
+  let clocks = Array.make max_fibers [||] in (* fid -> its clock *)
+  let regs = ref [||] in (* Register.id -> its race candidates *)
+  let reg_state (r : Register.t) =
+    let id = r.Register.id in
+    let n = Array.length !regs in
+    if id >= n then begin
+      let old = !regs in
+      regs :=
+        Array.init (max (id + 1) (2 * n)) (fun i ->
+            if i < n then old.(i) else fresh_reg ())
+    end;
+    !regs.(id)
+  in
+  let rotate s =
+    let q = next_fid s (!last_rot + 1) in
+    if q >= 0 then q else next_fid s 0
+  in
+  let choose (_sched : Sched.t) (ready : Sched.fiber array) : int =
+    let d = !depth in
+    let enabled = ref 0 in
+    for i = 0 to Array.length ready - 1 do
+      let q = ready.(i).Sched.fid in
+      if q >= max_fibers then
+        invalid_arg
+          (Printf.sprintf
+             "Explore.dpor: fiber id %d is beyond the %d-fiber limit (fids \
+              0-%d)"
+             q max_fibers (max_fibers - 1));
+      if q >= !width then width := q + 1;
+      slot.(q) <- i;
+      enabled := !enabled lor bit q
+    done;
+    let enabled = !enabled in
+    (* sleep members that got disabled are dropped (conservative:
+       re-exploring them elsewhere is sound, just redundant) *)
+    let sleep_in = !cur_sleep land enabled in
+    let nd =
+      if d < !plan_len then begin
+        let nd = !stack.(d) in
+        (* replaying a committed prefix: refresh the volatile fields
+           (deterministic replay recomputes the same values, except
+           that done/backtrack sets have grown since) *)
+        nd.nd_sleep <- sleep_in;
+        nd.nd_enabled <- enabled;
+        nd
+      end
+      else begin
+        let free = enabled land lnot sleep_in in
+        if free = 0 then raise Sleep_blocked;
+        let c =
+          match max_preempts with
+          | None ->
+              (* default choice: rotate over the non-sleeping enabled
+                 fibers so base runs are fair and reach quiescence *)
+              rotate free
+          | Some _ ->
+              let affordable = ref 0 in
+              let q = ref (first_affordable d free enabled 0) in
+              while !q >= 0 do
+                affordable := !affordable lor bit !q;
+                q := first_affordable d free enabled (!q + 1)
+              done;
+              let affordable = !affordable in
+              if affordable = 0 then raise Preempt_blocked;
+              (* prefer running the previous fiber on (preemptions
+                 cost budget); rotate freely at voluntary points *)
+              let pv =
+                if d = 0 then -1
+                else
+                  let pv = !stack.(d - 1) in
+                  match pv.nd_alpha with
+                  | Sched.A_none -> -1
+                  | _ -> pv.nd_chosen
+              in
+              if pv >= 0 && mem pv affordable then pv else rotate affordable
+        in
+        push c ~sleep:sleep_in ~enabled
+      end
+    in
+    let c = nd.nd_chosen in
+    last_rot := c;
+    if not (mem c enabled) then
+      raise (Replay_diverged { at = d; reason = "planned fiber not ready" });
+    let alpha = ready.(slot.(c)).Sched.next_access in
+    nd.nd_alpha <- alpha;
+    nd.nd_preempts <- cost d c nd.nd_enabled;
+    (* Check the step against the register's race candidates, then give
+       [c] a fresh clock past everything this step depends on and record
+       the access for later steps. *)
+    let cp = clocks.(c) in
+    let nvc = Array.make !width (-1) in
+    Array.blit cp 0 nvc 0 (Array.length cp);
+    (match alpha with
+    | Sched.A_none -> nvc.(c) <- d
+    | Sched.A_read r ->
+        let rs = reg_state r in
+        if rs.lw_step >= 0 then begin
+          race cp c rs.lw_step rs.lw_fid;
+          join_into nvc rs.lw_clock
+        end;
+        nvc.(c) <- d;
+        add_read rs ~step:d ~fid:c nvc
+    | Sched.A_write r | Sched.A_update r ->
+        let rs = reg_state r in
+        if rs.lw_step >= 0 then begin
+          race cp c rs.lw_step rs.lw_fid;
+          join_into nvc rs.lw_clock
+        end;
+        if rs.rd_count > 0 then begin
+          for k = 0 to rs.rd_count - 1 do
+            race cp c rs.rd.(2 * k) rs.rd.((2 * k) + 1)
+          done;
+          join_into nvc rs.rd_join
+        end;
+        nvc.(c) <- d;
+        set_write rs ~step:d ~fid:c nvc);
+    clocks.(c) <- nvc;
+    (* Sleep-set propagation: siblings already explored from this node
+       join the sleep set; fibers whose pending step depends on the
+       executed one wake up. *)
+    let out = (sleep_in lor nd.nd_done) land enabled in
+    let sleep = ref 0 in
+    let q = ref (next_fid out 0) in
+    while !q >= 0 do
+      if not (conflict alpha ready.(slot.(!q)).Sched.next_access) then
+        sleep := !sleep lor bit !q;
+      q := next_fid out (!q + 1)
+    done;
+    cur_sleep := !sleep;
+    depth := d + 1;
+    slot.(c)
+  in
   while !continue_ do
-    (* Per-run dependency state. Vector clocks map fiber id -> the
-       latest step index of that fiber that happens-before the holder;
-       each register carries its last write and the reads since (any two
-       conflicting accesses to one register are totally ordered by
-       happens-before, so these are exactly the race candidates). *)
-    let depth = ref 0 in
-    let cur_sleep = ref IntSet.empty in
-    let clocks : (int, int IntMap.t) Hashtbl.t = Hashtbl.create 16 in
-    let reg_lw : (int, int * int * int IntMap.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let reg_rd : (int, (int * int * int IntMap.t) list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let last_rot = ref (-1) in
-    let choose (_sched : Sched.t) (ready : Sched.fiber array) : int =
-      let d = !depth in
-      let m = Array.length ready in
-      let fid_of i = ready.(i).Sched.fid in
-      let fiber_of_fid q =
-        let rec go i =
-          if i >= m then None
-          else if fid_of i = q then Some ready.(i)
-          else go (i + 1)
-        in
-        go 0
-      in
-      let enabled = List.sort compare (List.init m fid_of) in
-      (* sleep members that got disabled are dropped (conservative:
-         re-exploring them elsewhere is sound, just redundant) *)
-      let sleep_in =
-        IntSet.filter (fun q -> fiber_of_fid q <> None) !cur_sleep
-      in
-      let nd =
-        if d < !plan_len then begin
-          let nd = !stack.(d) in
-          (* replaying a committed prefix: refresh the volatile fields
-             (deterministic replay recomputes the same values, except
-             that done/backtrack sets have grown since) *)
-          nd.nd_sleep <- sleep_in;
-          nd.nd_enabled <- enabled;
-          nd
-        end
-        else begin
-          let free =
-            List.filter (fun q -> not (IntSet.mem q sleep_in)) enabled
-          in
-          if free = [] then raise Sleep_blocked;
-          let c =
-            match max_preempts with
-            | None -> (
-                (* default choice: rotate over the non-sleeping enabled
-                   fibers so base runs are fair and reach quiescence *)
-                match List.find_opt (fun q -> q > !last_rot) free with
-                | Some q -> q
-                | None -> List.hd free)
-            | Some _ -> (
-                let affordable =
-                  List.filter (fun q -> afford d q enabled) free
-                in
-                if affordable = [] then raise Preempt_blocked;
-                (* prefer running the previous fiber on (preemptions
-                   cost budget); rotate freely at voluntary points *)
-                let continuation =
-                  if d = 0 then None
-                  else
-                    let pv = !stack.(d - 1) in
-                    match pv.nd_alpha with
-                    | Sched.A_none -> None
-                    | _ ->
-                        if List.mem pv.nd_chosen affordable then
-                          Some pv.nd_chosen
-                        else None
-                in
-                match continuation with
-                | Some q -> q
-                | None -> (
-                    match
-                      List.find_opt (fun q -> q > !last_rot) affordable
-                    with
-                    | Some q -> q
-                    | None -> List.hd affordable))
-          in
-          let nd =
-            { nd_chosen = c; nd_backtrack = IntSet.singleton c;
-              nd_done = IntSet.empty; nd_sleep = sleep_in;
-              nd_enabled = enabled; nd_alpha = Sched.A_none;
-              nd_preempts = 0 }
-          in
-          push nd;
-          nd
-        end
-      in
-      let c = nd.nd_chosen in
-      last_rot := c;
-      let fb =
-        match fiber_of_fid c with
-        | Some f -> f
-        | None ->
-            raise (Replay_diverged { at = d; reason = "planned fiber not ready" })
-      in
-      let alpha = fb.Sched.next_access in
-      nd.nd_alpha <- alpha;
-      nd.nd_preempts <- cost d c nd.nd_enabled;
-      let cp =
-        match Hashtbl.find_opt clocks c with
-        | Some v -> v
-        | None -> IntMap.empty
-      in
-      (* Race detection: an earlier conflicting access (i, q, _) not
-         ordered before this step is a reversible race — the pre-state
-         of step i must also try running [c] (or, if [c] was not enabled
-         there, every enabled fiber). *)
-      let hb_before (i, q, _vc) =
-        q = c
-        || (match IntMap.find_opt q cp with Some s -> s >= i | None -> false)
-      in
-      let add_backtrack i =
-        let ni = !stack.(i) in
-        let grow q =
-          if not (IntSet.mem q ni.nd_backtrack) then begin
-            ni.nd_backtrack <- IntSet.add q ni.nd_backtrack;
-            incr races
-          end
-        in
-        if List.mem c ni.nd_enabled then grow c
-        else List.iter grow ni.nd_enabled
-      in
-      let race ((i, _, _) as cand) =
-        if not (hb_before cand) then add_backtrack i
-      in
-      let lw r =
-        Hashtbl.find_opt reg_lw r.Register.id
-      in
-      let rds r =
-        match Hashtbl.find_opt reg_rd r.Register.id with
-        | Some l -> l
-        | None -> []
-      in
-      (match alpha with
-      | Sched.A_none -> ()
-      | Sched.A_read r -> Option.iter race (lw r)
-      | Sched.A_write r | Sched.A_update r ->
-          Option.iter race (lw r);
-          List.iter race (rds r));
-      (* Advance [c]'s clock past everything this step depends on, then
-         record the access for future race checks. *)
-      let join = IntMap.union (fun _ x y -> Some (max x y)) in
-      let base =
-        match alpha with
-        | Sched.A_none -> cp
-        | Sched.A_read r -> (
-            match lw r with Some (_, _, vc) -> join cp vc | None -> cp)
-        | Sched.A_write r | Sched.A_update r ->
-            let b =
-              match lw r with Some (_, _, vc) -> join cp vc | None -> cp
-            in
-            List.fold_left (fun acc (_, _, vc) -> join acc vc) b (rds r)
-      in
-      let nvc = IntMap.add c d base in
-      Hashtbl.replace clocks c nvc;
-      (match alpha with
-      | Sched.A_none -> ()
-      | Sched.A_read r ->
-          Hashtbl.replace reg_rd r.Register.id ((d, c, nvc) :: rds r)
-      | Sched.A_write r | Sched.A_update r ->
-          Hashtbl.replace reg_lw r.Register.id (d, c, nvc);
-          Hashtbl.replace reg_rd r.Register.id []);
-      (* Sleep-set propagation: siblings already explored from this node
-         join the sleep set; fibers whose pending step depends on the
-         executed one wake up. *)
-      let out = IntSet.union sleep_in nd.nd_done in
-      cur_sleep :=
-        IntSet.filter
-          (fun q ->
-            match fiber_of_fid q with
-            | None -> false
-            | Some fq -> not (conflict alpha fq.Sched.next_access))
-          out;
-      depth := d + 1;
-      let rec idx i = if fid_of i = c then i else idx (i + 1) in
-      idx 0
-    in
+    depth := 0;
+    cur_sleep := 0;
+    last_rot := -1;
+    width := 0;
+    Array.fill clocks 0 max_fibers [||];
+    Array.iter reset_reg !regs;
     let sched = make choose in
     Sched.set_park_on_yield sched true;
     (match Sched.run ~max_steps sched with
@@ -459,21 +525,20 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       end
       else begin
         let ndd = !stack.(d) in
-        ndd.nd_done <- IntSet.add ndd.nd_chosen ndd.nd_done;
+        ndd.nd_done <- ndd.nd_done lor bit ndd.nd_chosen;
         let cands =
-          IntSet.filter
-            (fun c -> afford d c ndd.nd_enabled)
-            (IntSet.diff (IntSet.diff ndd.nd_backtrack ndd.nd_done)
-               ndd.nd_sleep)
+          ndd.nd_backtrack land lnot ndd.nd_done land lnot ndd.nd_sleep
         in
-        match IntSet.min_elt_opt cands with
-        | Some c ->
-            ndd.nd_chosen <- c;
-            len := d + 1;
-            plan_len := d + 1
-        | None ->
-            len := d;
-            back (d - 1)
+        let c = first_affordable d cands ndd.nd_enabled 0 in
+        if c >= 0 then begin
+          ndd.nd_chosen <- c;
+          len := d + 1;
+          plan_len := d + 1
+        end
+        else begin
+          len := d;
+          back (d - 1)
+        end
       end
     in
     back (!len - 1);

@@ -89,7 +89,12 @@ val dpor :
 
     [make] must build a fresh, deterministic system on every call — the
     explorer replays committed prefixes and relies on them reaching the
-    same states. *)
+    same states.
+
+    The explorer keeps its fiber sets as [int] bitsets over fiber ids,
+    so it handles fids 0-61 (62 fibers per run): it raises
+    [Invalid_argument], naming the limit, as soon as a ready fiber has a
+    larger id. *)
 
 val swarm :
   make:(Policy.t -> Sched.t) ->

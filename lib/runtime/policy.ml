@@ -2,7 +2,12 @@
 
    A policy picks the next fiber to step among the ready ones. All
    policies are deterministic functions of their construction arguments, so
-   a whole run replays from (program, policy). *)
+   a whole run replays from (program, policy).
+
+   Sched.run hands every call the same reused buffer, refilled on the
+   next step: the ready array is valid only until the policy returns, so
+   a policy reads it and never keeps it. None of the policies below
+   does. *)
 
 open Lnd_support
 

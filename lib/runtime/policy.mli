@@ -5,6 +5,9 @@
     so a whole run replays from (program, policy). *)
 
 type t = Sched.t -> Sched.fiber array -> int
+(** [policy sched ready] returns an index into [ready]. {!Sched.run}
+    reuses the [ready] array from step to step, so a policy must not
+    keep it after returning. *)
 
 val round_robin : unit -> t
 (** Strict rotation over fiber ids: every ready fiber is stepped within

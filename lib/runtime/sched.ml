@@ -80,6 +80,9 @@ type t = {
   mutable clock : int; (* logical time: advanced by steps and by E_clock *)
   mutable enabled : fiber -> bool; (* scheduling mask, used by targeted scenarios *)
   mutable choose : t -> fiber array -> int; (* policy: pick among ready fibers *)
+  mutable ready_bufs : fiber array array;
+      (* [run]'s ready arrays, indexed by length and refilled every step.
+         Owned by this scheduler, so they die with it. *)
   mutable on_failure : (fiber -> exn -> unit) option;
       (* invoked the moment any fiber dies with an exception other than
          Killed — so harnesses surface failures loudly instead of
@@ -99,6 +102,7 @@ let create ~space ~choose =
       clock = 0;
       enabled = (fun _ -> true);
       choose;
+      ready_bufs = [||];
       on_failure = None;
       last_fid = -1;
     }
@@ -228,10 +232,8 @@ let kill (f : fiber) : unit =
 let runnable t f =
   (match f.state with Ready _ -> true | _ -> false) && t.enabled f
 
-let ready_fibers t =
-  List.filter
-    (fun f -> runnable t f && (f.parked_at < 0 || t.writes > f.parked_at))
-    t.fibers
+let parked t f = f.parked_at >= 0 && t.writes <= f.parked_at
+let is_ready t f = runnable t f && not (parked t f)
 
 (* Run one step of one chosen fiber. Raises nothing: fiber exceptions are
    captured in the fiber's outcome. *)
@@ -263,6 +265,41 @@ let step_fiber t (f : fiber) : unit =
 
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
+(* The number of ready fibers in [fs], or -1 once no client fiber is
+   runnable any more. *)
+let rec count_ready t fs n pending =
+  match fs with
+  | [] -> if pending then n else -1
+  | f :: rest ->
+      if not (runnable t f) then count_ready t rest n pending
+      else
+        count_ready t rest
+          (if parked t f then n else n + 1)
+          (pending || not f.daemon)
+
+let rec fill_ready t buf i = function
+  | [] -> ()
+  | f :: rest ->
+      if is_ready t f then begin
+        buf.(i) <- f;
+        fill_ready t buf (i + 1) rest
+      end
+      else fill_ready t buf i rest
+
+(* The ready array handed to the policy: the cached buffer of length
+   [n], refilled in spawn order. *)
+let ready_array t n =
+  if n >= Array.length t.ready_bufs then begin
+    let bigger = Array.make (n + 1) [||] in
+    Array.blit t.ready_bufs 0 bigger 0 (Array.length t.ready_bufs);
+    t.ready_bufs <- bigger
+  end;
+  if Array.length t.ready_bufs.(n) <> n then
+    t.ready_bufs.(n) <- Array.make n (List.hd t.fibers);
+  let buf = t.ready_bufs.(n) in
+  fill_ready t buf 0 t.fibers;
+  buf
+
 (* Run until every enabled non-daemon fiber has finished, the predicate
    [until] holds, or [max_steps] elapse. Daemons keep getting scheduled
    while clients run, but never keep the run alive on their own. *)
@@ -271,20 +308,17 @@ let run ?(max_steps = 1_000_000) ?(until = fun (_ : t) -> false) (t : t) :
   let rec loop () =
     if until t then Condition_met
     else
-      let ready = ready_fibers t in
-      let clients_pending =
-        List.exists (fun (f : fiber) -> (not f.daemon) && runnable t f) t.fibers
-      in
-      if not clients_pending then Quiescent
-      else if ready = [] then
+      let n = count_ready t t.fibers 0 false in
+      if n < 0 then Quiescent
+      else if n = 0 then
         (* park-on-yield livelock: every runnable fiber waits for a write
            that can never come. Inconclusive, like a blown step budget. *)
         Budget_exhausted
       else if t.steps >= max_steps then Budget_exhausted
       else begin
-        let arr = Array.of_list ready in
-        let i = t.choose t arr in
-        step_fiber t arr.(i);
+        let ready = ready_array t n in
+        let i = t.choose t ready in
+        step_fiber t ready.(i);
         loop ()
       end
   in

@@ -61,7 +61,11 @@ type t = {
   mutable enabled : fiber -> bool;
       (** scheduling mask, used by targeted phase scenarios *)
   mutable choose : t -> fiber array -> int;
-      (** the policy: pick the index of the next fiber among the ready *)
+      (** the policy: pick the index of the next fiber among the ready.
+          {!run} reuses the ready array from step to step: it is valid
+          only until [choose] returns, so a policy must not keep it. *)
+  mutable ready_bufs : fiber array array;
+      (** {!run}'s reused ready arrays, one per length *)
   mutable on_failure : (fiber -> exn -> unit) option;
       (** failure hook, see {!set_on_failure} *)
   mutable last_fid : int;
@@ -132,9 +136,6 @@ val spawn : t -> pid:int -> name:string -> ?daemon:bool -> (unit -> unit) -> fib
 val kill : fiber -> unit
 (** Deliberate termination; not reported by {!failures}. *)
 
-val ready_fibers : t -> fiber list
-(** Ready fibers that pass the [enabled] mask. *)
-
 val step_fiber : t -> fiber -> unit
 (** Run one step of one ready fiber (exposed for custom drivers). *)
 
@@ -144,7 +145,9 @@ val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
 (** Run until every enabled non-daemon fiber has finished ([Quiescent]),
     the predicate holds ([Condition_met]), or [max_steps] elapse.
     Daemons keep getting scheduled while clients run but never keep the
-    run alive on their own. *)
+    run alive on their own. Each step hands [choose] the ready fibers in
+    spawn order, in a buffer of exactly that length that [t] keeps and
+    refills on later steps (see [choose]). *)
 
 val failures : t -> (fiber * exn) list
 (** Fibers that terminated with an exception (other than {!kill}). *)

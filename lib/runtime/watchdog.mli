@@ -29,7 +29,8 @@ val touch : t -> entry -> timeout:int -> unit
 
 val stalled : t -> entry list
 (** Entries whose fiber is unfinished past its deadline, in arm order.
-    Pure — safe to call every scheduler step. *)
+    Pure — safe to call every scheduler step — and allocation-free
+    while no entry is stalled. *)
 
 val emit_stalled : t -> unit
 (** Publish the current {!stalled} diagnosis as typed

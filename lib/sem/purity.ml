@@ -1,7 +1,7 @@
 (* Analysis 3: the machine-checked gate behind ROADMAP item 1's
    pure-core/driver split. A function annotated [@lnd.pure] — the
-   contract intended for the emerging `step : state -> event -> state *
-   action list` protocol cores — may not:
+   contract of the protocol cores, the Machine programs every driver
+   runs — may not:
 
      - mutate state it did not allocate itself (field assignment, [:=],
        [Hashtbl.replace], [Array.set], ... on anything but a

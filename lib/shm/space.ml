@@ -37,10 +37,6 @@ type t = {
      accesses); enable with [set_trace]. *)
   mutable trace : access array option;
   mutable trace_next : int;
-  (* Optional push-based access stream; enable with [set_observer].
-     Called synchronously from [read]/[write], inside the accessing
-     fiber's step, so the callback must not perform scheduler effects. *)
-  mutable observer : (access -> unit) option;
 }
 
 let create ~n =
@@ -55,7 +51,6 @@ let create ~n =
     writes_by = Array.make n 0;
     trace = None;
     trace_next = 0;
-    observer = None;
   }
 
 (* Keep the last [capacity] accesses. *)
@@ -68,21 +63,15 @@ let set_trace t ~capacity =
            acc_value = Univ.inj Univ.unit () });
   t.trace_next <- 0
 
-let set_observer t f = t.observer <- f
-
 let record_access t ~pid ~kind ~(reg : Register.t) ~value =
-  if t.trace <> None || t.observer <> None then begin
-    let seq = t.trace_next in
-    let a =
-      { acc_seq = seq; acc_pid = pid; acc_kind = kind;
-        acc_reg = reg.Register.name; acc_value = value }
-    in
-    (match t.trace with
-    | None -> ()
-    | Some ring -> ring.(seq mod Array.length ring) <- a);
-    t.trace_next <- seq + 1;
-    match t.observer with None -> () | Some f -> f a
-  end
+  match t.trace with
+  | None -> ()
+  | Some ring ->
+      let seq = t.trace_next in
+      ring.(seq mod Array.length ring) <-
+        { acc_seq = seq; acc_pid = pid; acc_kind = kind;
+          acc_reg = reg.Register.name; acc_value = value };
+      t.trace_next <- seq + 1
 
 (* The recorded accesses, oldest first. *)
 let trace t : access list =

@@ -34,13 +34,6 @@ val set_trace : t -> capacity:int -> unit
 val trace : t -> access list
 (** The recorded accesses, oldest first; empty when tracing is off. *)
 
-val set_observer : t -> (access -> unit) option -> unit
-(** Push-based access stream: [f] is called synchronously on every
-    read/write, inside the accessing fiber's step. The callback must not
-    perform scheduler effects (no yields, no register accesses through
-    {!Lnd_runtime.Sched}); it is meant for counters and footprint
-    cross-checks in the model-checking harness. [None] disables it. *)
-
 val alloc :
   t ->
   name:string ->

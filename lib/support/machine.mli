@@ -2,11 +2,10 @@
 
     A protocol core is a resumable program over abstract register names
     with no scheduler, transport, or Obs calls inside. The residual
-    program is the machine state, and {!step} exposes the uniform
-    [state -> event -> state * action list] shape; drivers interpret the
-    actions against a concrete substrate (the deterministic simulator,
-    or the OCaml 5 domains backend). See DESIGN.md, "Pure cores and
-    drivers". *)
+    program is the machine state. Every driver (the deterministic
+    simulator, the OCaml 5 domains backend) runs it through the one
+    callback-style interpreter {!advance}, supplying the substrate's
+    register read and write. See DESIGN.md, "Pure cores and drivers". *)
 
 type note = Serving of int list | Served
     (** Protocol-level annotations: a helper starts serving the listed
@@ -34,27 +33,17 @@ val map_reg : ('r1 -> 'r2) -> ('r1, 'a) prog -> ('r2, 'a) prog
 (** Rename registers — used to compose cores (test-or-set runs a sticky
     or verifiable core under an injected register namespace). *)
 
-(** {2 The step function} *)
+(** {2 The interpreter} *)
 
-type 'reg action =
-  | A_write of 'reg * Univ.t
-  | A_note of note
-  | A_read of 'reg  (** blocking: answer with [Got value] *)
-  | A_yield  (** blocking: answer with [Ack] after rescheduling *)
-  | A_done  (** the program returned; {!result} is now [Some _] *)
-
-type event = Start | Got of Univ.t | Ack
-
-exception Protocol_error of string
-(** A driver delivered an event the state cannot consume (answered a
-    yield with a value, resumed a finished machine, ...). *)
-
-val step : ('reg, 'a) prog -> event -> ('reg, 'a) prog * 'reg action list
-(** [step st ev] consumes the pending event and runs the machine to its
-    next blocking point. The action list is zero or more non-blocking
-    actions ([A_write]/[A_note]), in program order, followed by exactly
-    one blocking action ([A_read r] — answer with [Got v]; [A_yield] —
-    answer with [Ack]; or [A_done]). The first call uses [Start]. *)
-
-val result : ('reg, 'a) prog -> 'a option
-(** [Some a] once the machine has returned. *)
+val advance :
+  read:('reg -> Univ.t) ->
+  write:('reg -> Univ.t -> unit) ->
+  note:(note -> unit) ->
+  ('reg, 'a) prog ->
+  ('reg, 'a) prog
+(** [advance ~read ~write ~note p] runs [p] to its next [Yield] or [Ret]
+    and returns that node. Each [Read r] on the way is answered with
+    [read r]; each [Write] and [Note] is handed to [write] / [note]; all
+    three in program order. A [p] that already is a [Yield] or [Ret]
+    comes back unchanged, so a driver resumes a [Yield k] by calling
+    [k ()] itself, after rescheduling. *)

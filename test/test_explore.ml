@@ -226,6 +226,33 @@ let test_replay_diverged () =
   | exception Explore.Replay_diverged { at; _ } ->
       Alcotest.(check int) "diverged at step 1" 1 at
 
+(* ---------------- The fiber limit ------------------------------------ *)
+
+(* DPOR keeps its fiber sets in one int, which holds fids 0-61: [k]
+   readers of one register explore fine up to 62 and are refused, by
+   name of the limit, from 63 on. *)
+let readers k policy =
+  let space = Space.create ~n:1 in
+  let sched = Sched.create ~space ~choose:policy in
+  let r = int_reg space ~name:"x" ~owner:0 in
+  for i = 1 to k do
+    ignore
+      (Sched.spawn sched ~pid:0 ~name:(Printf.sprintf "r%d" i) (fun () ->
+           ignore (read_int r)))
+  done;
+  sched
+
+let test_dpor_fiber_limit () =
+  let check _sched = () in
+  let r = Explore.dpor ~make:(readers 62) ~check ~max_steps:1_000 () in
+  Alcotest.(check bool) "62 fibers: exhausted" true r.Explore.exhausted;
+  match Explore.dpor ~make:(readers 63) ~check ~max_steps:1_000 () with
+  | _ -> Alcotest.fail "63 fibers: expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "the message names the limit"
+        "Explore.dpor: fiber id 62 is beyond the 62-fiber limit (fids 0-61)"
+        msg
+
 let tests =
   [
     Alcotest.test_case "dpor agrees with naive DFS on outcomes" `Quick
@@ -242,4 +269,6 @@ let tests =
       test_scripted_degree_mismatch;
     Alcotest.test_case "replay: fid trail divergence is loud" `Quick
       test_replay_diverged;
+    Alcotest.test_case "dpor refuses fibers beyond its 62-fiber limit" `Quick
+      test_dpor_fiber_limit;
   ]

@@ -4,36 +4,74 @@
    on the same config, and every counterexample survives the full
    serialise → parse → replay loop — including the scenario fixtures
    committed under test/fixtures/scenarios/, which the suite re-runs on
-   every build. Plus the Space observer hook the harness counts
-   accesses with, and the adversary synthesiser mutating an honest
+   every build. Plus the access count the harness reads off the
+   Space's counters, and the adversary synthesiser mutating an honest
    script into a violating one. *)
 
-open Lnd_support
 open Lnd_shm
 module Explore = Lnd_runtime.Explore
+module Sched = Lnd_runtime.Sched
+module Policy = Lnd_runtime.Policy
 module M = Lnd_fuzz.Mcheck
 module Scenario = Lnd_fuzz.Scenario
 module Synth = Lnd_fuzz.Synth
 
 (* ---------------- Exhaustive coverage of the small configs ----------- *)
 
+(* The explorer's exact results. Every count is pinned: a change to the
+   explorer's bookkeeping must explore the same schedules in the same
+   order, so it must reproduce each of them. *)
+let result =
+  Alcotest.testable
+    (fun fmt (r : Explore.result) ->
+      Format.fprintf fmt
+        "runs %d / pruned %d / blocked %d / races %d / exhausted %b / max \
+         depth %d"
+        r.Explore.runs r.Explore.pruned r.Explore.blocked r.Explore.races
+        r.Explore.exhausted r.Explore.max_depth)
+    ( = )
+
+let pinned ~runs ~pruned ~blocked ~races ~exhausted ~max_depth =
+  { Explore.runs; pruned; blocked; races; exhausted; max_depth }
+
 let test_dpor_exhausts_default () =
   let r = M.explore ~max_steps:600 ~max_preempts:0 M.default in
-  Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
-  Alcotest.(check bool) "explored real runs" true (r.Explore.runs > 0);
-  Alcotest.(check int) "no inconclusive runs" 0 r.Explore.pruned
+  Alcotest.check result "sticky, bound 0"
+    (pinned ~runs:260 ~pruned:0 ~blocked:95 ~races:6_763 ~exhausted:true
+       ~max_depth:335)
+    r
 
 let test_dpor_exhausts_verifiable () =
   let cfg = { M.default with M.model = M.Verifiable; reads = 2 } in
   let r = M.explore ~max_steps:600 ~max_preempts:0 cfg in
-  Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
-  Alcotest.(check bool) "explored real runs" true (r.Explore.runs > 0)
+  Alcotest.check result "verifiable with two reads, bound 0"
+    (pinned ~runs:2_306 ~pruned:0 ~blocked:564 ~races:30_340 ~exhausted:true
+       ~max_depth:237)
+    r
 
 let test_dpor_exhausts_testorset () =
   let cfg = { M.default with M.model = M.Testorset } in
   let r = M.explore ~max_steps:600 ~max_preempts:0 cfg in
-  Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
-  Alcotest.(check bool) "explored real runs" true (r.Explore.runs > 0)
+  Alcotest.check result "test-or-set, bound 0"
+    (pinned ~runs:260 ~pruned:0 ~blocked:95 ~races:6_763 ~exhausted:true
+       ~max_depth:335)
+    r
+
+(* The two other paths of the DPOR choice, on a budget: the
+   preemption-bounded one past bound 0, and the unbounded rotation. *)
+let test_dpor_pins_bound_1 () =
+  let r = M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:1 M.default in
+  Alcotest.check result "sticky, bound 1, 2,000 runs"
+    (pinned ~runs:1_708 ~pruned:0 ~blocked:292 ~races:27_136 ~exhausted:false
+       ~max_depth:383)
+    r
+
+let test_dpor_pins_unbounded () =
+  let r = M.explore ~max_steps:600 ~max_runs:2_000 M.default in
+  Alcotest.check result "sticky, unbounded, 2,000 runs"
+    (pinned ~runs:1_414 ~pruned:122 ~blocked:464 ~races:4_870
+       ~exhausted:false ~max_depth:257)
+    r
 
 let test_dpor_beats_naive () =
   let budget = 1_000 in
@@ -150,20 +188,30 @@ let test_synth_finds_violating_adversary () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "synthesised scenario: %s" e)
 
-(* ---------------- Space observer ------------------------------------- *)
+(* ---------------- Access counting ------------------------------------ *)
 
-let test_space_observer_counts () =
-  let space = Space.create ~n:2 in
-  let r = Space.alloc space ~name:"x" ~owner:0 ~init:(Univ.inj Univ.int 0) () in
-  let count = ref 0 in
-  Space.set_observer space (Some (fun _ -> incr count));
-  Space.write space ~by:0 r (Univ.inj Univ.int 1);
-  ignore (Space.read space ~by:1 r);
-  ignore (Space.read space ~by:0 r);
-  Alcotest.(check int) "three observed accesses" 3 !count;
-  Space.set_observer space None;
-  ignore (Space.read space ~by:1 r);
-  Alcotest.(check int) "detached observer sees nothing" 3 !count
+(* [last_accesses] is the last run's Space read and write counters; the
+   Space's own access trace, recording every access of that run, must
+   agree with it. *)
+let test_last_accesses_counts () =
+  let i = M.instance M.default in
+  Fun.protect ~finally:i.M.teardown (fun () ->
+      Alcotest.(check int) "nothing before the first run" 0
+        (i.M.last_accesses ());
+      let sched = i.M.make (Policy.round_robin ()) in
+      let space = Sched.space sched in
+      Space.set_trace space ~capacity:100_000;
+      ignore (Sched.run ~max_steps:10_000 sched);
+      let st = Space.stats space in
+      let counted = st.Space.reads + st.Space.writes in
+      Alcotest.(check bool) "the run accessed registers" true (counted > 0);
+      Alcotest.(check int) "last_accesses = reads + writes" counted
+        (i.M.last_accesses ());
+      Alcotest.(check int) "every access was traced" counted
+        (List.length (Space.trace space));
+      ignore (i.M.make (Policy.round_robin ()));
+      Alcotest.(check int) "a fresh run starts from zero" 0
+        (i.M.last_accesses ()))
 
 let tests =
   [
@@ -173,6 +221,10 @@ let tests =
       test_dpor_exhausts_verifiable;
     Alcotest.test_case "dpor exhausts the test-or-set config" `Quick
       test_dpor_exhausts_testorset;
+    Alcotest.test_case "dpor pins a budgeted run at preemption bound 1"
+      `Quick test_dpor_pins_bound_1;
+    Alcotest.test_case "dpor pins a budgeted unbounded run" `Quick
+      test_dpor_pins_unbounded;
     Alcotest.test_case "dpor beats the naive DFS on the same budget" `Quick
       test_dpor_beats_naive;
     Alcotest.test_case "dpor finds the weakened-quorum violation" `Quick
@@ -187,6 +239,6 @@ let tests =
       test_fixture_scenarios_replay;
     Alcotest.test_case "synthesis mutates an honest adversary into a violator"
       `Quick test_synth_finds_violating_adversary;
-    Alcotest.test_case "space observer counts accesses" `Quick
-      test_space_observer_counts;
+    Alcotest.test_case "last_accesses reads the Space counters" `Quick
+      test_last_accesses_counts;
   ]
