@@ -1318,9 +1318,9 @@ let table_t17 () =
 
 (* Per-table tolerance rules, documented in the report and in
    EXPERIMENTS.md:
-   - T12, T13, T15: every field exact (0%) — WAL cadences, chaos traces
-     and DPOR / naive-DFS explorations replay deterministically in the
-     simulator.
+   - T12, T13, T14, T15: every field exact (0%) — WAL cadences, chaos
+     traces, audited chaos batches (zero false blame) and DPOR / naive-DFS
+     explorations replay deterministically in the simulator.
    - T16: "ops" and structure exact (the workloads are pinned), but
      machine_steps / seconds / ops_per_sec are wall-clock artifacts of
      real preemption — ignored.
@@ -1356,6 +1356,7 @@ let check_tables () =
     [
       ("T12", "BENCH_T12.json", table_t12);
       ("T13", "BENCH_T13.json", table_t13);
+      ("T14", "BENCH_T14.json", table_t14);
       ("T15", "BENCH_T15.json", table_t15);
       ("T16", "BENCH_T16.json", table_t16);
       ("T17", "BENCH_T17.json", table_t17);
@@ -1376,8 +1377,8 @@ let check_tables () =
   let bpf fmt = Printf.ksprintf (fun s -> Buffer.add_string report s) fmt in
   bpf "bench regression gate: fresh tables vs committed BENCH_*.json\n";
   bpf
-    "tolerances: T12/T13/T15 exact; T16 ops exact, wall-clock fields ignored; \
-     T17 arena record path exactly 0.00 words/event, other rows \
+    "tolerances: T12/T13/T14/T15 exact; T16 ops exact, wall-clock fields \
+     ignored; T17 arena record path exactly 0.00 words/event, other rows \
      informational\n\n";
   let failures = ref 0 in
   List.iter

@@ -238,30 +238,42 @@ let broadcast (p : port) (payload : Univ.t) : unit =
 
 (* Messages from [src] whose delivery stamp has been reached, ordered by
    (stamp, arrival); later-stamped messages stay pending until a later
-   poll — the delay queue that realises reordering. *)
+   poll — the delay queue that realises reordering. The clock is read
+   before the channel: that read is a scheduling point, and the stamp
+   must be the one the poll started at. *)
 let poll_from (p : port) ~(src : int) : Univ.t list =
   let now = Sched.now () in
-  List.iter
-    (fun u ->
-      let at, payload =
-        match Univ.prj fenv_key u with
-        | Some e -> e
-        | None -> (0, u) (* raw Byzantine traffic: deliver immediately *)
+  match (Net.poll_from p.nport ~src, !(p.pending.(src))) with
+  | [], [] -> [] (* nothing new, nothing held *)
+  | fresh, _ ->
+      List.iter
+        (fun u ->
+          let at, payload =
+            match Univ.prj fenv_key u with
+            | Some e -> e
+            | None -> (0, u) (* raw Byzantine traffic: deliver immediately *)
+          in
+          p.arrivals <- p.arrivals + 1;
+          p.pending.(src) :=
+            { h_at = at; h_arr = p.arrivals; h_payload = payload }
+            :: !(p.pending.(src)))
+        fresh;
+      let due, later =
+        List.partition (fun h -> h.h_at <= now) !(p.pending.(src))
       in
-      p.arrivals <- p.arrivals + 1;
-      p.pending.(src) :=
-        { h_at = at; h_arr = p.arrivals; h_payload = payload }
-        :: !(p.pending.(src)))
-    (Net.poll_from p.nport ~src);
-  let due, later = List.partition (fun h -> h.h_at <= now) !(p.pending.(src)) in
-  p.pending.(src) := later;
-  List.sort (fun a b -> compare (a.h_at, a.h_arr) (b.h_at, b.h_arr)) due
-  |> List.map (fun h -> h.h_payload)
+      p.pending.(src) := later;
+      List.sort (fun a b -> compare (a.h_at, a.h_arr) (b.h_at, b.h_arr)) due
+      |> List.map (fun h -> h.h_payload)
+
+(* [(src, m)] for every [m] of [ms], reversed onto [acc]. *)
+let rec tag_rev src acc = function
+  | [] -> acc
+  | m :: rest -> tag_rev src ((src, m) :: acc) rest
 
 let poll_all (p : port) : (int * Univ.t) list =
   let acc = ref [] in
   for src = 0 to p.fnet.net.Net.n - 1 do
-    List.iter (fun m -> acc := (src, m) :: !acc) (poll_from p ~src)
+    acc := tag_rev src !acc (poll_from p ~src)
   done;
   List.rev !acc
 

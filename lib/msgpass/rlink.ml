@@ -11,7 +11,12 @@
    backoff timer expired; the timer is measured in logical-clock ticks
    (the scheduler clock advances once per step, so ticks are the
    simulator's notion of time) and doubles on every retransmission up to
-   a cap.
+   a cap. Finding them takes a sorted pass over the unacked table, so
+   the layer keeps the earliest retransmission deadline: every send and
+   every retransmission lowers it, a poll before it skips the pass, and
+   only a pass that finds nothing due raises it, to the earliest
+   deadline that pass saw. It never exceeds a live entry's deadline, so
+   a skipped pass is one that would have retransmitted nothing.
 
    INCARNATION EPOCHS. Dedup state keyed only by pid collides across
    restarts: a recovered peer restarting its sequence space at 0 would
@@ -96,6 +101,10 @@ type t = {
   epoch : int; (* this incarnation's epoch, stamped into every DATA *)
   wal : Wal.t option; (* journal for delivery state; None = volatile *)
   out : (int * int, out_entry) Hashtbl.t; (* (dst, seq) -> in flight *)
+  mutable next_due : int;
+      (* no entry of [out] is due before this clock: lowered by every
+         send and retransmission, raised only by a sorted pass that
+         finds nothing due *)
   next_seq : int array; (* per destination *)
   peer_epoch : int array; (* per source: highest epoch seen *)
   seen_upto : int array; (* per source: all seq < this delivered *)
@@ -133,6 +142,7 @@ let create ?(cfg = default_cfg) ?(epoch = 0) ?wal (tr : Transport.t) : t =
     epoch;
     wal;
     out = Hashtbl.create 64;
+    next_due = max_int;
     next_seq = Array.make tr.Transport.n 0;
     peer_epoch = Array.make tr.Transport.n 0;
     seen_upto = Array.make tr.Transport.n 0;
@@ -189,6 +199,7 @@ let send (t : t) ~(dst : int) (payload : Univ.t) : unit =
     }
   in
   Hashtbl.replace t.out (dst, seq) e;
+  t.next_due <- Int.min t.next_due (e.o_last_tx + e.o_backoff);
   t.st_data <- t.st_data + 1;
   if Obs.enabled () then
     Obs.emit ~pid:t.tr.Transport.pid (Obs.Link_data { dst; seq; retrans = false });
@@ -293,6 +304,37 @@ let seen_records t : string list =
   in
   (Printf.sprintf "E %d" t.epoch :: prefixes) @ ahead
 
+(* Retransmit every unacked entry whose backoff expired, in the table's
+   key order (dst, seq); nothing is due before [next_due]. *)
+let retransmit_due (t : t) =
+  let now = Sched.now () in
+  if now >= t.next_due then begin
+    let entries = Tables.sorted_bindings t.out in
+    match
+      List.filter_map
+        (fun (_, e) -> if now - e.o_last_tx >= e.o_backoff then Some e else None)
+        entries
+    with
+    | [] ->
+        t.next_due <-
+          List.fold_left
+            (fun m (_, e) -> Int.min m (e.o_last_tx + e.o_backoff))
+            max_int entries
+    | due ->
+        List.iter
+          (fun e ->
+            e.o_last_tx <- now;
+            e.o_backoff <- min (2 * e.o_backoff) t.cfg.max_backoff;
+            t.next_due <- Int.min t.next_due (now + e.o_backoff);
+            t.st_retrans <- t.st_retrans + 1;
+            if Obs.enabled () then
+              Obs.emit ~pid:t.tr.Transport.pid
+                (Obs.Link_data { dst = e.o_dst; seq = e.o_seq; retrans = true });
+            t.tr.Transport.send ~dst:e.o_dst
+              (Univ.inj renv_key (Data (t.epoch, e.o_seq, e.o_payload))))
+          due
+  end
+
 (* One pump: flush deferred acks behind a WAL barrier, classify
    incoming, ack (or defer), retransmit due entries, maybe snapshot.
    Every transport send is a scheduling point, so all table reads are
@@ -381,25 +423,7 @@ let poll_all (t : t) : (int * Univ.t) list =
         Obs.emit ~pid:t.tr.Transport.pid (Obs.Link_ack { dst = src; seq });
       t.tr.Transport.send ~dst:src (Univ.inj renv_key (Ack (e, seq))))
     (List.rev !to_ack);
-  let now = Sched.now () in
-  (* [sorted_bindings] orders by the table key (dst, seq) — exactly the
-     retransmission order the explicit sort used to impose. *)
-  let due =
-    Tables.sorted_bindings t.out
-    |> List.filter_map (fun (_, e) ->
-           if now - e.o_last_tx >= e.o_backoff then Some e else None)
-  in
-  List.iter
-    (fun e ->
-      e.o_last_tx <- now;
-      e.o_backoff <- min (2 * e.o_backoff) t.cfg.max_backoff;
-      t.st_retrans <- t.st_retrans + 1;
-      if Obs.enabled () then
-        Obs.emit ~pid:t.tr.Transport.pid
-          (Obs.Link_data { dst = e.o_dst; seq = e.o_seq; retrans = true });
-      t.tr.Transport.send ~dst:e.o_dst
-        (Univ.inj renv_key (Data (t.epoch, e.o_seq, e.o_payload))))
-    due;
+  retransmit_due t;
   List.rev !delivered
 
 let as_transport (t : t) : Transport.t =

@@ -35,7 +35,10 @@
     unsequenced and unacked.
 
     Retransmission is driven by {!poll_all} — the owner must pump it
-    regularly (protocol daemons poll in a loop, so they do). *)
+    regularly (protocol daemons poll in a loop, so they do). A poll
+    scans the unacked messages only once the clock has reached the
+    earliest retransmission deadline, which every send and
+    retransmission lowers and a scan that finds nothing due raises. *)
 
 open Lnd_support
 

@@ -52,6 +52,7 @@ type fiber = {
   pid : int;
   fname : string;
   daemon : bool; (* daemons (Help loops) never block quiescence *)
+  sched : t; (* the scheduler that spawned this fiber *)
   mutable state : state;
   mutable next_access : footprint;
       (* footprint of the next step; maintained by the effect handlers *)
@@ -67,7 +68,7 @@ type fiber = {
 
 and state = Ready of (unit -> unit) | Finished of outcome
 
-type t = {
+and t = {
   space : Space.t;
   mutable fibers : fiber list; (* in spawn order, oldest first *)
   mutable next_fid : int;
@@ -80,9 +81,21 @@ type t = {
   mutable clock : int; (* logical time: advanced by steps and by E_clock *)
   mutable enabled : fiber -> bool; (* scheduling mask, used by targeted scenarios *)
   mutable choose : t -> fiber array -> int; (* policy: pick among ready fibers *)
+  mutable ready : fiber array;
+      (* the ready fibers in spawn order, kept from step to step and
+         rebuilt only once [stale] is set *)
+  mutable stale : bool;
+      (* readiness may have changed since [ready] was built: a spawn, a
+         kill, a mask change, or a step that finished or parked its
+         fiber or wrote while a fiber was parked *)
+  mutable client_left : bool;
+      (* some runnable fiber is not a daemon (as of the last rebuild) *)
+  mutable any_parked : bool;
+      (* some runnable fiber is parked (as of the last rebuild), so the
+         next write changes readiness *)
   mutable ready_bufs : fiber array array;
-      (* [run]'s ready arrays, indexed by length and refilled every step.
-         Owned by this scheduler, so they die with it. *)
+      (* the arrays [ready] is built in, one per length. Owned by this
+         scheduler, so they die with it. *)
   mutable on_failure : (fiber -> exn -> unit) option;
       (* invoked the moment any fiber dies with an exception other than
          Killed — so harnesses surface failures loudly instead of
@@ -102,6 +115,10 @@ let create ~space ~choose =
       clock = 0;
       enabled = (fun _ -> true);
       choose;
+      ready = [||];
+      stale = true;
+      client_left = false;
+      any_parked = false;
       ready_bufs = [||];
       on_failure = None;
       last_fid = -1;
@@ -114,6 +131,10 @@ let create ~space ~choose =
 
 let set_on_failure t h = t.on_failure <- h
 let set_park_on_yield t b = t.park_on_yield <- b
+
+let set_enabled t mask =
+  t.enabled <- mask;
+  t.stale <- true
 
 let space t = t.space
 let steps t = t.steps
@@ -134,15 +155,29 @@ let rmw (r : Register.t) (f : Univ.t -> Univ.t) : Univ.t = Effect.perform (E_rmw
 let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
   if pid < 0 || pid >= Space.n t.space then invalid_arg "Sched.spawn: bad pid";
   let fiber =
-    { fid = t.next_fid; pid; fname = name; daemon; state = Finished Completed;
-      next_access = A_none; parked_at = -1; ospan = 0 }
+    { fid = t.next_fid; pid; fname = name; daemon; sched = t;
+      state = Finished Completed; next_access = A_none; parked_at = -1;
+      ospan = 0 }
   in
   t.next_fid <- t.next_fid + 1;
   if Obs.enabled () then
     Obs.emit ~pid
       (Obs.Sched_spawn { fid = fiber.fid; fname = name; daemon });
+  let open Effect.Deep in
+  (* The handlers of the effects that are not scheduling points carry no
+     per-effect state, so each fiber builds them once instead of on every
+     perform: [Sched.now] runs before every channel poll. *)
+  let on_clock =
+    Some
+      (fun (k : (int, unit) continuation) ->
+        t.clock <- t.clock + 1;
+        continue k t.clock)
+  in
+  let on_now = Some (fun (k : (int, unit) continuation) -> continue k t.clock) in
+  let on_self =
+    Some (fun (k : (int, unit) continuation) -> continue k fiber.pid)
+  in
   let start () =
-    let open Effect.Deep in
     match_with body ()
       {
         retc =
@@ -189,17 +224,9 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
                     fiber.next_access <- A_none;
                     if t.park_on_yield then fiber.parked_at <- t.writes;
                     fiber.state <- Ready (fun () -> continue k ()))
-            | E_clock ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    t.clock <- t.clock + 1;
-                    continue k t.clock)
-            | E_now ->
-                Some
-                  (fun (k : (a, unit) continuation) -> continue k t.clock)
-            | E_self ->
-                Some
-                  (fun (k : (a, unit) continuation) -> continue k fiber.pid)
+            | E_clock -> on_clock
+            | E_now -> on_now
+            | E_self -> on_self
             | E_rmw (r, f) ->
                 Some
                   (fun (k : (a, unit) continuation) ->
@@ -220,11 +247,14 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
   in
   fiber.state <- Ready start;
   t.fibers <- t.fibers @ [ fiber ];
+  t.stale <- true;
   fiber
 
 let kill (f : fiber) : unit =
   match f.state with
-  | Ready _ -> f.state <- Finished (Failed Killed)
+  | Ready _ ->
+      f.state <- Finished (Failed Killed);
+      f.sched.stale <- true
   | Finished _ -> ()
 
 (* Runnable = Ready + passing the scenario mask; parked fibers (see
@@ -245,7 +275,10 @@ let step_fiber t (f : fiber) : unit =
       f.state <- Finished Completed;
       f.parked_at <- -1;
       (match f.next_access with
-      | A_write _ | A_update _ -> t.writes <- t.writes + 1
+      | A_write _ | A_update _ ->
+          t.writes <- t.writes + 1;
+          (* a write re-enables every parked fiber *)
+          if t.any_parked then t.stale <- true
       | A_none | A_read _ -> ());
       t.steps <- t.steps + 1;
       t.clock <- t.clock + 1;
@@ -261,21 +294,29 @@ let step_fiber t (f : fiber) : unit =
         f.ospan <- Obs.ambient ();
         Obs.set_ambient ~span:0 ~pid:(-1)
       end
-      else go ()
+      else go ();
+      (* the fiber left the ready set if it finished or parked *)
+      match f.state with
+      | Finished _ -> t.stale <- true
+      | Ready _ -> if f.parked_at >= 0 then t.stale <- true
 
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
-(* The number of ready fibers in [fs], or -1 once no client fiber is
-   runnable any more. *)
-let rec count_ready t fs n pending =
+(* Count the ready fibers in [fs] and note whether a client is still
+   runnable and whether any runnable fiber is parked. *)
+let rec count_ready t fs n =
   match fs with
-  | [] -> if pending then n else -1
+  | [] -> n
   | f :: rest ->
-      if not (runnable t f) then count_ready t rest n pending
-      else
-        count_ready t rest
-          (if parked t f then n else n + 1)
-          (pending || not f.daemon)
+      if not (runnable t f) then count_ready t rest n
+      else begin
+        if not f.daemon then t.client_left <- true;
+        if parked t f then begin
+          t.any_parked <- true;
+          count_ready t rest n
+        end
+        else count_ready t rest (n + 1)
+      end
 
 let rec fill_ready t buf i = function
   | [] -> ()
@@ -286,9 +327,12 @@ let rec fill_ready t buf i = function
       end
       else fill_ready t buf i rest
 
-(* The ready array handed to the policy: the cached buffer of length
-   [n], refilled in spawn order. *)
-let ready_array t n =
+(* Rebuild [t.ready] in the scheduler's buffer of that length, in spawn
+   order. *)
+let refresh t =
+  t.client_left <- false;
+  t.any_parked <- false;
+  let n = count_ready t t.fibers 0 in
   if n >= Array.length t.ready_bufs then begin
     let bigger = Array.make (n + 1) [||] in
     Array.blit t.ready_bufs 0 bigger 0 (Array.length t.ready_bufs);
@@ -298,29 +342,32 @@ let ready_array t n =
     t.ready_bufs.(n) <- Array.make n (List.hd t.fibers);
   let buf = t.ready_bufs.(n) in
   fill_ready t buf 0 t.fibers;
-  buf
+  t.ready <- buf;
+  t.stale <- false
 
 (* Run until every enabled non-daemon fiber has finished, the predicate
    [until] holds, or [max_steps] elapse. Daemons keep getting scheduled
    while clients run, but never keep the run alive on their own. *)
 let run ?(max_steps = 1_000_000) ?(until = fun (_ : t) -> false) (t : t) :
     stop_reason =
+  (* a run that an exception ended (a raising failure hook or policy)
+     may have left [ready] behind *)
+  t.stale <- true;
   let rec loop () =
     if until t then Condition_met
-    else
-      let n = count_ready t t.fibers 0 false in
-      if n < 0 then Quiescent
-      else if n = 0 then
+    else begin
+      if t.stale then refresh t;
+      if not t.client_left then Quiescent
+      else if Array.length t.ready = 0 then
         (* park-on-yield livelock: every runnable fiber waits for a write
            that can never come. Inconclusive, like a blown step budget. *)
         Budget_exhausted
       else if t.steps >= max_steps then Budget_exhausted
       else begin
-        let ready = ready_array t n in
-        let i = t.choose t ready in
-        step_fiber t ready.(i);
+        step_fiber t t.ready.(t.choose t t.ready);
         loop ()
       end
+    end
   in
   loop ()
 

@@ -10,9 +10,11 @@
     Scheduling is driven by a pluggable deterministic policy; runs replay
     exactly from (program, policy) because all randomness is seeded.
 
-    The records below are deliberately transparent: scenario harnesses
-    (the impossibility construction, the ablation tests) script phases by
-    reading fiber states and setting the [enabled] mask directly. *)
+    The records below are readable but private: scenario harnesses (the
+    impossibility construction, the ablation tests) script phases by
+    reading fiber states, and change them only through {!spawn},
+    {!kill} and {!set_enabled}, which tell {!run} to recompute the ready
+    fibers. *)
 
 exception Killed
 (** Carried by fibers terminated with {!kill}. *)
@@ -32,12 +34,15 @@ type footprint =
   | A_write of Lnd_shm.Register.t
   | A_update of Lnd_shm.Register.t
 
-type fiber = {
+type fiber = private {
   fid : int;
   pid : int; (** the simulated process this fiber belongs to *)
   fname : string;
   daemon : bool; (** daemons (Help loops) never block quiescence *)
+  sched : t; (** the scheduler that spawned this fiber *)
   mutable state : state;
+      (** [Ready k] while the fiber can take a step, [Finished] for good
+          once it returned, raised or was killed *)
   mutable next_access : footprint;
       (** footprint of the next step, maintained by the effect handlers *)
   mutable parked_at : int;
@@ -49,7 +54,7 @@ type fiber = {
 
 and state = Ready of (unit -> unit) | Finished of outcome
 
-type t = {
+and t = private {
   space : Lnd_shm.Space.t;
   mutable fibers : fiber list; (** in spawn order, oldest first *)
   mutable next_fid : int;
@@ -59,13 +64,23 @@ type t = {
   mutable park_on_yield : bool;  (** see {!set_park_on_yield} *)
   mutable clock : int; (** logical time: steps plus {!tick} stamps *)
   mutable enabled : fiber -> bool;
-      (** scheduling mask, used by targeted phase scenarios *)
+      (** scheduling mask, used by targeted phase scenarios; set it with
+          {!set_enabled} *)
   mutable choose : t -> fiber array -> int;
       (** the policy: pick the index of the next fiber among the ready.
-          {!run} reuses the ready array from step to step: it is valid
-          only until [choose] returns, so a policy must not keep it. *)
+          {!run} hands it the same array from step to step and rebuilds
+          it in place: it is valid only until [choose] returns, so a
+          policy must neither keep nor modify it. *)
+  mutable ready : fiber array;
+      (** the ready fibers {!run} last computed, in spawn order *)
+  mutable stale : bool;
+      (** readiness may have changed since [ready] was computed *)
+  mutable client_left : bool;
+      (** some runnable fiber was not a daemon, as of that computation *)
+  mutable any_parked : bool;
+      (** some runnable fiber was parked, as of that computation *)
   mutable ready_bufs : fiber array array;
-      (** {!run}'s reused ready arrays, one per length *)
+      (** the arrays [ready] is built in, one per length *)
   mutable on_failure : (fiber -> exn -> unit) option;
       (** failure hook, see {!set_on_failure} *)
   mutable last_fid : int;
@@ -96,6 +111,14 @@ val set_park_on_yield : t -> bool -> unit
     every runnable fiber ends up parked the run is a livelock and {!run}
     returns [Budget_exhausted] (inconclusive). Off by default: normal
     runs keep the paper's fully asynchronous semantics. *)
+
+val set_enabled : t -> (fiber -> bool) -> unit
+(** Replace the scheduling mask: from the next step on, {!run} steps
+    only fibers the mask accepts, and a run is quiescent once no
+    accepted non-daemon fiber is left. The mask must be a fixed
+    predicate on fibers — {!run} consults it only when it recomputes the
+    ready fibers — so change it only through this function, which makes
+    the next step recompute them. *)
 
 val space : t -> Lnd_shm.Space.t
 val steps : t -> int
@@ -134,10 +157,15 @@ val rmw : Lnd_shm.Register.t -> (Lnd_support.Univ.t -> Lnd_support.Univ.t) -> Ln
 val spawn : t -> pid:int -> name:string -> ?daemon:bool -> (unit -> unit) -> fiber
 
 val kill : fiber -> unit
-(** Deliberate termination; not reported by {!failures}. *)
+(** Deliberate termination; not reported by {!failures}. Killing a
+    ready fiber makes its scheduler's next step recompute the ready
+    fibers, so a kill from inside a fiber, a policy or an [until]
+    predicate takes effect at once. *)
 
 val step_fiber : t -> fiber -> unit
-(** Run one step of one ready fiber (exposed for custom drivers). *)
+(** Run one step of one ready fiber (exposed for custom drivers). It
+    marks the ready fibers for recomputation when the step finished or
+    parked its fiber, or wrote while another fiber was parked. *)
 
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
@@ -145,9 +173,17 @@ val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
 (** Run until every enabled non-daemon fiber has finished ([Quiescent]),
     the predicate holds ([Condition_met]), or [max_steps] elapse.
     Daemons keep getting scheduled while clients run but never keep the
-    run alive on their own. Each step hands [choose] the ready fibers in
-    spawn order, in a buffer of exactly that length that [t] keeps and
-    refills on later steps (see [choose]). *)
+    run alive on their own. Each step hands [choose] the ready fibers —
+    [Ready], accepted by the mask, not parked — in spawn order, in an
+    array of exactly that length (see [choose]).
+
+    The ready fibers are computed at entry and then kept from step to
+    step. They are recomputed from [fibers] only before
+    a step that follows a change to readiness: a {!spawn}, a {!kill}, a
+    {!set_enabled}, a step whose fiber finished or parked, or a write
+    while some fiber was parked. Everything else a step does leaves
+    readiness as it was, so a run takes the same decisions as one that
+    recomputed them before every step. *)
 
 val failures : t -> (fiber * exn) list
 (** Fibers that terminated with an exception (other than {!kill}). *)

@@ -122,8 +122,7 @@ let run_attack ?(seed = 7) ?(max_steps_per_phase = 2_000_000)
   in
   (* Scheduling masks per phase. *)
   let enable (pids : int list) (extra : Sched.fiber list) =
-    sched.Sched.enabled <-
-      (fun fb ->
+    Sched.set_enabled sched (fun fb ->
         List.mem fb.Sched.pid pids
         && (fb.Sched.daemon || List.exists (fun x -> x == fb) extra))
   in

@@ -258,8 +258,7 @@ let a3_run ~lax =
   ignore
     (Sched.spawn sched ~pid:2 ~name:"asker" (fun () ->
          Cell.write regs.St.c.(2) (Univ.inj Codecs.counter 1)));
-  sched.Sched.enabled <-
-    (fun fb -> fb.Sched.pid <> 3 || not fb.Sched.daemon);
+  Sched.set_enabled sched (fun fb -> fb.Sched.pid <> 3 || not fb.Sched.daemon);
   run_until sched "phase a" (fun st ->
       fiber_done w1 st
       && (not lax)
@@ -269,7 +268,7 @@ let a3_run ~lax =
     Sched.spawn sched ~pid:0 ~name:"byz-b" (fun () ->
         Cell.write regs.St.e.(0) (Univ.inj Codecs.value_opt (Some "b")))
   in
-  sched.Sched.enabled <- (fun _ -> true);
+  Sched.set_enabled sched (fun _ -> true);
   run_until sched "flip" (fiber_done w2);
   (* let the system settle for a while *)
   ignore

@@ -355,6 +355,45 @@ let test_chaos_replayable () =
         b.Chaos.retransmissions
   | _ -> Alcotest.fail "seed 9 must pass"
 
+(* The chaos reports of two fixed batches, summed field by field. Every
+   field is a pure function of the seed, so a change that moves a
+   delivery, a retransmission or the scheduler's ready order shows here
+   as a drift. *)
+let test_chaos_report_sums () =
+  let sums gen =
+    let acc = Array.make 10 0 in
+    for seed = 1 to 30 do
+      match Chaos.run (gen seed) with
+      | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+      | Ok r ->
+          let ns = r.Chaos.net_stats in
+          List.iteri
+            (fun i v -> acc.(i) <- acc.(i) + v)
+            [
+              r.Chaos.steps; ns.Faultnet.sent; ns.Faultnet.dropped;
+              ns.Faultnet.cut; ns.Faultnet.duplicated; ns.Faultnet.delayed;
+              r.Chaos.data_sent; r.Chaos.retransmissions; r.Chaos.redundant;
+              r.Chaos.fsyncs;
+            ]
+    done;
+    List.combine
+      [
+        "steps"; "sent"; "dropped"; "cut"; "duplicated"; "delayed"; "data";
+        "retransmissions"; "redundant"; "fsyncs";
+      ]
+      (Array.to_list acc)
+  in
+  let pin name gen expected =
+    List.iter2
+      (fun (field, got) want ->
+        Alcotest.(check int) (Printf.sprintf "%s seeds 1-30: %s" name field) want got)
+      (sums gen) expected
+  in
+  pin "link" Chaos.generate
+    [ 373_451; 15_983; 4_838; 410; 2_876; 4_704; 5_213; 4_710; 1_919; 0 ];
+  pin "crash" Chaos.generate_crash
+    [ 975_269; 15_022; 2_536; 0; 2_316; 2_443; 4_882; 3_710; 1_504; 631 ]
+
 let tests =
   [
     Alcotest.test_case "net: two ports, independent cursors" `Quick
@@ -378,4 +417,6 @@ let tests =
     Alcotest.test_case "chaos: 60-seed protocol sweep" `Quick test_chaos_sweep;
     Alcotest.test_case "chaos: replayable from seed" `Quick
       test_chaos_replayable;
+    Alcotest.test_case "chaos: report sums pinned (seeds 1-30)" `Quick
+      test_chaos_report_sums;
   ]

@@ -116,7 +116,7 @@ let test_enabled_mask () =
            ignore (Sched.read r);
            ran.(pid) <- true))
   done;
-  sched.Sched.enabled <- (fun f -> f.Sched.pid <> 1);
+  Sched.set_enabled sched (fun f -> f.Sched.pid <> 1);
   (match Sched.run ~max_steps:1000 sched with
   | Sched.Quiescent -> ()
   | _ -> Alcotest.fail "expected quiescence of enabled fibers");
@@ -260,6 +260,192 @@ let test_swarm_sticky_uniqueness () =
   Alcotest.(check int) "all 50 schedules ran" 50 r.Explore.runs;
   Alcotest.(check int) "none pruned" 0 r.Explore.pruned
 
+(* The ready-array oracle. [Sched.run] keeps its ready array from step
+   to step and rebuilds it only when readiness can change; the recording
+   policy below copies every array it is handed and compares it with a
+   from-scratch filter over [t.fibers] (Ready, accepted by the mask, not
+   parked, in spawn order), then lets a seeded random policy choose. *)
+let reference_ready (t : Sched.t) =
+  List.filter
+    (fun (f : Sched.fiber) ->
+      (match f.Sched.state with Sched.Ready _ -> true | Sched.Finished _ -> false)
+      && t.Sched.enabled f
+      && not (f.Sched.parked_at >= 0 && t.Sched.writes <= f.Sched.parked_at))
+    t.Sched.fibers
+
+type oracle = { mutable changes : int; mutable bad : string list }
+
+let oracle_policy ~seed =
+  let o = { changes = 0; bad = [] } in
+  let inner = Policy.random ~seed in
+  let last = ref [] in
+  let fids fs = List.map (fun (f : Sched.fiber) -> f.Sched.fid) fs in
+  let show l = String.concat "," (List.map string_of_int l) in
+  let choose t ready =
+    let got = fids (Array.to_list ready) in
+    let want = fids (reference_ready t) in
+    if got <> !last then o.changes <- o.changes + 1;
+    last := got;
+    if got <> want then
+      o.bad <-
+        Printf.sprintf "step %d: handed [%s], ready [%s]" (Sched.steps t)
+          (show got) (show want)
+        :: o.bad;
+    inner t ready
+  in
+  (o, choose)
+
+let check_oracle ?(min_changes = 2) name o =
+  Alcotest.(check (list string)) (name ^ ": ready arrays") [] (List.rev o.bad);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: readiness changed mid-run (%d times)" name o.changes)
+    true (o.changes >= min_changes)
+
+let oracle_sys ~seed =
+  let o, choose = oracle_policy ~seed in
+  let space = Space.create ~n:3 in
+  let sched = Sched.create ~space ~choose in
+  (o, space, sched)
+
+let test_ready_oracle_spawn_finish () =
+  for seed = 1 to 20 do
+    let o, space, sched = oracle_sys ~seed in
+    let r = int_reg space ~owner:0 in
+    let reads k () =
+      for _ = 1 to k do
+        ignore (Sched.read r)
+      done
+    in
+    ignore
+      (Sched.spawn sched ~pid:0 ~name:"parent" (fun () ->
+           reads 2 ();
+           (* spawns from inside a running fiber *)
+           ignore (Sched.spawn sched ~pid:1 ~name:"child" (reads 3));
+           reads 1 ();
+           ignore (Sched.spawn sched ~pid:2 ~name:"late" (reads 5));
+           reads 2 ()));
+    for k = 1 to 4 do
+      ignore (Sched.spawn sched ~pid:(k mod 3) ~name:"short" (reads k))
+    done;
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence");
+    check_oracle ~min_changes:6 "spawn/finish" o
+  done
+
+let test_ready_oracle_kill_mask () =
+  for seed = 1 to 20 do
+    let o, space, sched = oracle_sys ~seed in
+    let r = int_reg space ~owner:0 in
+    let spin () =
+      while true do
+        ignore (Sched.read r)
+      done
+    in
+    let a = Sched.spawn sched ~pid:0 ~name:"a" spin in
+    let b = Sched.spawn sched ~pid:1 ~name:"b" spin in
+    let c = Sched.spawn sched ~pid:2 ~name:"c" spin in
+    ignore
+      (Sched.spawn sched ~pid:1 ~name:"killer" (fun () ->
+           for _ = 1 to 3 do
+             ignore (Sched.read r)
+           done;
+           (* a kill from inside a fiber takes effect at the next step *)
+           Sched.kill c;
+           (* so does a mask change *)
+           Sched.set_enabled sched (fun f -> f.Sched.fid <> b.Sched.fid)));
+    let stop_after k = Sched.run ~until:(fun t -> Sched.steps t >= k) sched in
+    ignore (stop_after 30);
+    (* kills and mask changes between runs *)
+    Sched.kill a;
+    ignore (stop_after 40);
+    Sched.set_enabled sched (fun _ -> true);
+    ignore (stop_after 50);
+    Sched.set_enabled sched (fun f -> f.Sched.pid = 0);
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence: every client left is masked");
+    Sched.kill b;
+    Sched.set_enabled sched (fun _ -> true);
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence once every client ended");
+    check_oracle ~min_changes:3 "kill/mask" o
+  done
+
+let test_ready_oracle_park () =
+  for seed = 1 to 20 do
+    let o, space, sched = oracle_sys ~seed in
+    Sched.set_park_on_yield sched true;
+    let r = int_reg space ~owner:0 in
+    (* pollers park after every read-only pass until the writer's last
+       value shows up; the writer writes twice in a row, so a write
+       that re-enables them is not always a step that parks or
+       finishes *)
+    for pid = 1 to 2 do
+      ignore
+        (Sched.spawn sched ~pid ~name:"poll" (fun () ->
+             while read_int r < 6 do
+               Sched.yield ()
+             done))
+    done;
+    ignore
+      (Sched.spawn sched ~pid:0 ~name:"writer" (fun () ->
+           for v = 1 to 6 do
+             ignore (Sched.read r);
+             Sched.write r (Univ.inj Univ.int v);
+             Sched.write r (Univ.inj Univ.int v)
+           done));
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence");
+    check_oracle ~min_changes:6 "park-on-yield" o;
+    (* every runnable fiber parked: the run is a livelock *)
+    let o, space, sched = oracle_sys ~seed in
+    Sched.set_park_on_yield sched true;
+    let r = int_reg space ~owner:0 in
+    ignore
+      (Sched.spawn sched ~pid:1 ~name:"stuck" (fun () ->
+           while read_int r = 0 do
+             Sched.yield ()
+           done));
+    (match Sched.run sched with
+    | Sched.Budget_exhausted -> ()
+    | _ -> Alcotest.fail "expected a park-on-yield livelock");
+    check_oracle ~min_changes:1 "livelock" o
+  done
+
+let test_ready_oracle_daemons () =
+  for seed = 1 to 20 do
+    let o, space, sched = oracle_sys ~seed in
+    let r = int_reg space ~owner:0 in
+    for pid = 0 to 2 do
+      ignore
+        (Sched.spawn sched ~pid ~name:"help" ~daemon:true (fun () ->
+             while true do
+               ignore (Sched.read r);
+               Sched.yield ()
+             done))
+    done;
+    for pid = 0 to 1 do
+      ignore
+        (Sched.spawn sched ~pid ~name:"client" (fun () ->
+             for _ = 1 to 4 + pid do
+               ignore (Sched.read r)
+             done))
+    done;
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence once the clients finished");
+    (* daemons alone: quiescent before any step *)
+    let steps = Sched.steps sched in
+    (match Sched.run sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "daemons alone must be quiescent");
+    Alcotest.(check int) "no step without a client" steps (Sched.steps sched);
+    check_oracle ~min_changes:2 "daemons" o
+  done
+
 let tests =
   [
     Alcotest.test_case "basic run" `Quick test_basic_run;
@@ -281,4 +467,12 @@ let tests =
     Alcotest.test_case "self pid" `Quick test_self;
     Alcotest.test_case "explorer covers interleavings" `Quick
       test_explore_race;
+    Alcotest.test_case "ready oracle: spawns and finishing fibers" `Quick
+      test_ready_oracle_spawn_finish;
+    Alcotest.test_case "ready oracle: kills and masks" `Quick
+      test_ready_oracle_kill_mask;
+    Alcotest.test_case "ready oracle: park-on-yield and writes" `Quick
+      test_ready_oracle_park;
+    Alcotest.test_case "ready oracle: daemon-only quiescence" `Quick
+      test_ready_oracle_daemons;
   ]
