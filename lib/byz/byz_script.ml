@@ -11,11 +11,15 @@
 
    Gene decoding is total: any int is reduced mod 3, so random mutation
    never produces an invalid script. Genomes cycle once exhausted; the
-   empty genome behaves as all-zeroes. The scripted space covers the
-   named adversaries of Byz_sticky/Byz_verifiable that matter for
-   safety: all-zero replies is a naysayer, all-one a false witness,
-   all-two an honest-but-slow helper, and mixed genes express the
-   support-then-retract colluders behind the weakened-quorum attacks. *)
+   empty genome behaves as all-zeroes. Two named strategies are genomes
+   on both registers: the naysayer is [0] and the false witness [1]
+   (Byz_sticky, Byz_verifiable). All-two is an honest-but-slow helper,
+   and mixed genes express the support-then-retract colluders behind
+   the weakened-quorum attacks. The other named strategies need what
+   the genes cannot say (ill-typed writes, a frozen read, askers told
+   apart, replies that do not follow the posture genes' cycle, postures
+   rewritten later) and are their own parameterisations of
+   Byz_script_core.responder. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -24,10 +28,6 @@ type t = { pid : int; genome : int array; value : Value.t }
 
 let make ~pid ~genome ~value : t = { pid; genome = Array.of_list genome; value }
 let genome (sc : t) : int list = Array.to_list sc.genome
-
-let describe (sc : t) : string =
-  Printf.sprintf "p%d:%s[%s]" sc.pid sc.value
-    (String.concat "," (List.map string_of_int (genome sc)))
 
 let mutate rng (sc : t) : t =
   let len = Array.length sc.genome in
@@ -42,29 +42,22 @@ let mutate rng (sc : t) : t =
     { sc with genome = g }
   end
 
-(* ---------------- Sticky register (Algorithm 2) ---------------- *)
+(* How every lnd_byz adversary runs on the simulator: one daemon fiber
+   driving a responder program over the register map. *)
+let spawn sched ~pid ~name ~cell prog : Sched.fiber =
+  Sched.spawn sched ~pid ~name ~daemon:true (fun () -> Drive.run ~cell prog)
+
+let name (sc : t) = Printf.sprintf "byz-script%d" sc.pid
 
 let spawn_sticky sched (regs : Lnd_sticky.Sticky.regs) (sc : t) : Sched.fiber =
-  let n = regs.Lnd_sticky.Sticky.cfg.Lnd_sticky.Sticky.n in
-  Sched.spawn sched ~pid:sc.pid
-    ~name:(Printf.sprintf "byz-script%d" sc.pid)
-    ~daemon:true
-    (fun () ->
-      Drive.run
-        ~cell:(Lnd_sticky.Sticky.cell_of regs)
-        (Byz_script_core.sticky_prog ~n ~pid:sc.pid ~genome:sc.genome
-           ~value:sc.value))
-
-(* ---------------- Verifiable register (Algorithm 1) ---------------- *)
+  let open Lnd_sticky.Sticky in
+  spawn sched ~pid:sc.pid ~name:(name sc) ~cell:regs.cell
+    (Byz_script_core.sticky_prog ~n:regs.cfg.n ~pid:sc.pid ~genome:sc.genome
+       ~value:sc.value)
 
 let spawn_verifiable sched (regs : Lnd_verifiable.Verifiable.regs) (sc : t) :
     Sched.fiber =
-  let n = regs.Lnd_verifiable.Verifiable.cfg.Lnd_verifiable.Verifiable.n in
-  Sched.spawn sched ~pid:sc.pid
-    ~name:(Printf.sprintf "byz-script%d" sc.pid)
-    ~daemon:true
-    (fun () ->
-      Drive.run
-        ~cell:(Lnd_verifiable.Verifiable.cell_of regs)
-        (Byz_script_core.verifiable_prog ~n ~pid:sc.pid ~genome:sc.genome
-           ~value:sc.value))
+  let open Lnd_verifiable.Verifiable in
+  spawn sched ~pid:sc.pid ~name:(name sc) ~cell:regs.cell
+    (Byz_script_core.verifiable_prog ~n:regs.cfg.n ~pid:sc.pid
+       ~genome:sc.genome ~value:sc.value)

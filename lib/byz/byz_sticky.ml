@@ -1,149 +1,130 @@
-(* Byzantine strategies against the sticky register (Algorithm 2). *)
+(* Byzantine strategies against the sticky register (Algorithm 2).
+
+   Each strategy is a pure program over Sticky_core's register names:
+   writes to the registers it owns, then Byz_script_core.responder
+   parameterised by its per-round side effects and its claims. The
+   naysayer and the false witness are the genomes [0] and [1].
+   Byz_script.spawn runs each as a daemon fiber. *)
 
 open Lnd_support
 open Lnd_runtime
-open Lnd_sticky.Sticky
+open Lnd_sticky.Sticky_core
+open Machine
+module Sticky = Lnd_sticky.Sticky
 
-let vopt v = Univ.inj Codecs.value_opt v
-let stamped u c = Univ.inj Codecs.vopt_stamped (u, c)
+let[@lnd.pure] respond ~n ~pid =
+  Byz_script_core.responder ~n ~pid
+    ~counter:(fun k -> C k)
+    ~mailbox:(fun k -> Rjk (pid, k))
 
-(* Responder answering askers with [payload]. *)
-let responder (regs : regs) ~pid
-    ~(payload : asker:int -> round:int -> Value.t option)
-    ?(each_round = fun () -> ()) () : unit =
-  let n = regs.cfg.n in
-  let prev = Array.make n 0 in
-  while true do
-    each_round ();
-    let answered = ref false in
-    for k = 1 to n - 1 do
-      if k <> pid then begin
-        let ck =
-          Univ.prj_default Codecs.counter ~default:0 (Cell.read regs.c.(k))
-        in
-        if ck > prev.(k) then begin
-          Cell.write regs.rjk.(pid).(k) (stamped (payload ~asker:k ~round:ck) ck);
-          prev.(k) <- ck;
-          answered := true
-        end
-      end
-    done;
-    if not !answered then Sched.yield ()
-  done
+let[@lnd.pure] claim s payload round = ret (s, enc_stamped payload round)
+let junk = Univ.inj Univ.garbage "junk"
 
-(* The equivocating Byzantine WRITER: writes [va] into its echo register,
-   waits a few of its own steps, then overwrites it with [vb], claiming
-   both values to different askers. Uniqueness (Observation 18) must
-   survive: correct readers never return two different non-⊥ values. *)
-let spawn_equivocating_writer sched (regs : regs) ~(va : Value.t)
-    ~(vb : Value.t) ?(flip_after = 3) () : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-equivocating-writer" ~daemon:true
-    (fun () ->
-      Cell.write regs.e.(0) (vopt (Some va));
-      Cell.write regs.r.(0) (vopt (Some va));
-      let rounds = ref 0 in
-      responder regs ~pid:0
-        ~payload:(fun ~asker ~round:_ ->
-          if asker mod 2 = 0 then Some va else Some vb)
-        ~each_round:(fun () ->
-          incr rounds;
-          if !rounds = flip_after then begin
-            Cell.write regs.e.(0) (vopt (Some vb));
-            Cell.write regs.r.(0) (vopt (Some vb))
-          end)
-        ())
+let spawn sched (regs : Sticky.regs) ~pid ~name (prog : n:int -> _) :
+    Sched.fiber =
+  Byz_script.spawn sched ~pid ~name ~cell:regs.Sticky.cell
+    (prog ~n:regs.Sticky.cfg.Sticky.n)
 
-(* A writer that writes, lets the system settle, then erases its echo
-   register and pretends it never wrote ("deny"). Stickiness must keep the
-   value alive among the correct processes. *)
-let spawn_denying_writer sched (regs : regs) ~(v : Value.t)
-    ?(deny_after = 4) () : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-denying-writer" ~daemon:true (fun () ->
-      Cell.write regs.e.(0) (vopt (Some v));
-      Cell.write regs.r.(0) (vopt (Some v));
-      let rounds = ref 0 in
-      let denied = ref false in
-      responder regs ~pid:0
-        ~payload:(fun ~asker:_ ~round:_ -> if !denied then None else Some v)
-        ~each_round:(fun () ->
-          incr rounds;
-          if (not !denied) && !rounds >= deny_after then begin
-            denied := true;
-            Cell.write regs.e.(0) (vopt None);
-            Cell.write regs.r.(0) (vopt None)
-          end)
-        ())
+(* Claim [va] and [vb] to different askers, and after [flip_after]
+   rounds overwrite the echo and witness registers with [vb].
+   Uniqueness (Observation 18) must survive: correct readers never
+   return two different non-⊥ values. *)
+let[@lnd.pure] equivocating_writer ~va ~vb ~flip_after ~n =
+  let* () = write (E 0) (enc_vopt (Some va)) in
+  let* () = write (R 0) (enc_vopt (Some va)) in
+  respond ~n ~pid:0
+    ~posture:(fun rounds ->
+      let rounds = rounds + 1 in
+      if rounds = flip_after then
+        let* () = write (E 0) (enc_vopt (Some vb)) in
+        let* () = write (R 0) (enc_vopt (Some vb)) in
+        ret rounds
+      else ret rounds)
+    ~reply:(fun rounds ~asker ~round ->
+      claim rounds (Some (if asker mod 2 = 0 then va else vb)) round)
+    0
 
-(* A colluder that claims to witness [v] nobody echoed. *)
-let spawn_false_witness sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-falsewitness%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.e.(pid) (vopt (Some v));
-      Cell.write regs.r.(pid) (vopt (Some v));
-      responder regs ~pid ~payload:(fun ~asker:_ ~round:_ -> Some v) ())
+let spawn_equivocating_writer sched regs ~va ~vb ?(flip_after = 3) () =
+  spawn sched regs ~pid:0 ~name:"byz-equivocating-writer"
+    (equivocating_writer ~va ~vb ~flip_after)
 
-(* A colluder that answers ⊥ forever, instantly (pressures readers toward
-   returning ⊥). *)
-let spawn_naysayer sched (regs : regs) ~pid : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-naysayer%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid ~payload:(fun ~asker:_ ~round:_ -> None) ())
+(* Write, let the value spread, then erase the echo and witness
+   registers and pretend never to have written ("deny"). Stickiness must
+   keep the value alive among the correct processes. *)
+let[@lnd.pure] denying_writer ~v ~deny_after ~n =
+  let* () = write (E 0) (enc_vopt (Some v)) in
+  let* () = write (R 0) (enc_vopt (Some v)) in
+  respond ~n ~pid:0
+    ~posture:(fun (rounds, denied) ->
+      let rounds = rounds + 1 in
+      if (not denied) && rounds >= deny_after then
+        let* () = write (E 0) (enc_vopt None) in
+        let* () = write (R 0) (enc_vopt None) in
+        ret (rounds, true)
+      else ret (rounds, denied))
+    ~reply:(fun ((_, denied) as s) ~asker:_ ~round ->
+      claim s (if denied then None else Some v) round)
+    (0, false)
 
-(* A colluder whose claim flips on every reply. *)
-let spawn_flipflop sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  let count = ref 0 in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-flipflop%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          incr count;
-          if !count mod 2 = 0 then Some v else None)
-        ())
+let spawn_denying_writer sched regs ~v ?(deny_after = 4) () =
+  spawn sched regs ~pid:0 ~name:"byz-denying-writer"
+    (denying_writer ~v ~deny_after)
 
-(* Ill-typed garbage everywhere. *)
-let spawn_garbage sched (regs : regs) ~pid : Sched.fiber =
-  let n = regs.cfg.n in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-garbage%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.e.(pid) (Univ.inj Univ.garbage "junk");
-      Cell.write regs.r.(pid) (Univ.inj Univ.garbage "junk");
-      let prev = Array.make n 0 in
-      while true do
-        let answered = ref false in
-        for k = 1 to n - 1 do
-          if k <> pid then begin
-            let ck =
-              Univ.prj_default Codecs.counter ~default:0
-                (Cell.read regs.c.(k))
-            in
-            if ck > prev.(k) then begin
-              if ck mod 2 = 0 then
-                Cell.write regs.rjk.(pid).(k) (Univ.inj Univ.garbage "junk")
-              else Cell.write regs.rjk.(pid).(k) (stamped None ck);
-              prev.(k) <- ck;
-              answered := true
-            end
-          end
-        done;
-        if not !answered then Sched.yield ()
-      done)
+(* Echo and witness [v] nobody echoed, and claim it to every asker. *)
+let spawn_false_witness sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-falsewitness%d" pid)
+    (Byz_script_core.sticky_prog ~pid ~genome:[| 1 |] ~value:v)
 
-(* A colluder that replays its FIRST observation of the writer's echo
-   register forever, with fresh timestamps — stale evidence against the
-   freshness handshake. *)
-let spawn_stale_replayer sched (regs : regs) ~pid : Sched.fiber =
-  let frozen = ref None in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-stale%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          match !frozen with
-          | Some u -> u
-          | None ->
-              let u =
-                Univ.prj_default Codecs.value_opt ~default:None
-                  (Cell.read regs.e.(0))
-              in
-              frozen := Some u;
-              u)
-        ())
+(* Answer ⊥ forever, instantly (pressures readers toward ⊥). *)
+let spawn_naysayer sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-naysayer%d" pid)
+    (Byz_script_core.sticky_prog ~pid ~genome:[| 0 |] ~value:Value.v0)
+
+(* Flip the claim on every reply: ⊥, v, ⊥, v, ... *)
+let[@lnd.pure] flipflop ~pid ~v ~n =
+  respond ~n ~pid
+    ~reply:(fun count ~asker:_ ~round ->
+      let count = count + 1 in
+      claim count (if count mod 2 = 0 then Some v else None) round)
+    0
+
+let spawn_flipflop sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-flipflop%d" pid)
+    (flipflop ~pid ~v)
+
+(* Ill-typed garbage everywhere it owns; replies alternate between
+   garbage and a well-typed ⊥ with a fresh stamp. *)
+let[@lnd.pure] garbage ~pid ~n =
+  let* () = write (E pid) junk in
+  let* () = write (R pid) junk in
+  respond ~n ~pid
+    ~reply:(fun () ~asker:_ ~round ->
+      if round mod 2 = 0 then ret ((), junk) else claim () None round)
+    ()
+
+let spawn_garbage sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-garbage%d" pid)
+    (garbage ~pid)
+
+(* Replay the first observation of the writer's echo register forever,
+   with fresh timestamps — stale evidence against the freshness
+   handshake. *)
+let[@lnd.pure] stale_replayer ~pid ~n =
+  respond ~n ~pid
+    ~reply:(fun frozen ~asker:_ ~round ->
+      match frozen with
+      | Some u -> claim frozen u round
+      | None ->
+          let* e0 = read (E 0) in
+          let u = dec_vopt e0 in
+          claim (Some u) u round)
+    None
+
+let spawn_stale_replayer sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-stale%d" pid)
+    (stale_replayer ~pid)

@@ -1,20 +1,13 @@
 (** Byzantine strategies against the sticky register (Algorithm 2).
     See [Byz_verifiable] for the ground rules — the register space gives
-    these adversaries exactly the model's Byzantine power. *)
+    these adversaries exactly the model's Byzantine power. Each is a
+    pure program parameterising {!Byz_script_core.responder}, spawned as
+    a daemon fiber by {!Byz_script.spawn}; the naysayer and the false
+    witness are the genomes [[0]] and [[1]]. *)
 
 open Lnd_support
 open Lnd_runtime
 open Lnd_sticky.Sticky
-
-val responder :
-  regs ->
-  pid:int ->
-  payload:(asker:int -> round:int -> Value.t option) ->
-  ?each_round:(unit -> unit) ->
-  unit ->
-  unit
-(** Answer askers through R_pid,k with whatever claim [payload]
-    fabricates; runs forever. *)
 
 val spawn_equivocating_writer :
   Sched.t ->
@@ -31,8 +24,8 @@ val spawn_equivocating_writer :
 
 val spawn_denying_writer :
   Sched.t -> regs -> v:Value.t -> ?deny_after:int -> unit -> Sched.fiber
-(** Writes, lets the value spread, then erases its echo register and
-    pretends it never wrote. *)
+(** Writes, lets the value spread, then erases its echo and witness
+    registers and pretends it never wrote. *)
 
 val spawn_false_witness :
   Sched.t -> regs -> pid:int -> v:Value.t -> Sched.fiber

@@ -1,212 +1,170 @@
 (* Byzantine strategies against the verifiable register (Algorithm 1).
 
-   Every strategy is ordinary fiber code: it can read whatever is readable
-   and write only registers owned by its pid — [Lnd_shm.Space] enforces
-   exactly the model's restriction, so these adversaries have precisely the
-   power the paper grants Byzantine processes. *)
+   Each strategy is a pure program over Verifiable_core's register names:
+   writes to the registers it owns, then Byz_script_core.responder
+   parameterised by its per-round side effects and its claims. It can
+   read whatever is readable and write only registers owned by its pid —
+   [Lnd_shm.Space] enforces exactly the model's restriction, so these
+   adversaries have precisely the power the paper grants Byzantine
+   processes. The naysayer and the false witness are the genomes [0]
+   and [1]. Byz_script.spawn runs each as a daemon fiber. *)
 
 open Lnd_support
 open Lnd_runtime
-open Lnd_verifiable.Verifiable
+open Lnd_verifiable.Verifiable_core
+open Machine
+module Verifiable = Lnd_verifiable.Verifiable
+module VSet = Value.Set
 
-let vset_of = Univ.inj Codecs.vset
-let stamped s c = Univ.inj Codecs.vset_stamped (s, c)
+let[@lnd.pure] respond ~n ~pid =
+  Byz_script_core.responder ~n ~pid
+    ~counter:(fun k -> C k)
+    ~mailbox:(fun k -> Rjk (pid, k))
 
-(* Core of every responder: watch the round counters C_k and answer each
-   asker through R_{pid,k}. [payload] decides what witness set to claim,
-   per asker and per round — a correct Help would claim its real witness
-   set; a liar claims whatever serves the attack. [each_round] runs once
-   per iteration for side effects on owned registers. *)
-let responder (regs : regs) ~pid ~(payload : asker:int -> round:int -> Value.Set.t)
-    ?(each_round = fun () -> ()) () : unit =
-  let n = regs.cfg.n in
-  let prev = Array.make n 0 in
-  while true do
-    each_round ();
-    let answered = ref false in
-    for k = 1 to n - 1 do
-      if k <> pid then begin
-        let ck =
-          Univ.prj_default Codecs.counter ~default:0 (Cell.read regs.c.(k))
-        in
-        if ck > prev.(k) then begin
-          Cell.write regs.rjk.(pid).(k) (stamped (payload ~asker:k ~round:ck) ck);
-          prev.(k) <- ck;
-          answered := true
-        end
-      end
-    done;
-    if not !answered then Sched.yield ()
-  done
+let[@lnd.pure] claim s set round = ret (s, enc_stamped set round)
+let junk = Univ.inj Univ.garbage "junk"
 
-(* A colluder that flips its vote about [v] on every reply: the §5.1
-   scenario meant to trap a reader between f < |yes| < 2f+1. *)
-let spawn_flipflop sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  let count = ref 0 in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-flipflop%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          incr count;
-          if !count mod 2 = 0 then Value.Set.singleton v else Value.Set.empty)
-        ())
+let spawn sched (regs : Verifiable.regs) ~pid ~name (prog : n:int -> _) :
+    Sched.fiber =
+  Byz_script.spawn sched ~pid ~name ~cell:regs.Verifiable.cell
+    (prog ~n:regs.Verifiable.cfg.Verifiable.n)
 
-(* A colluder that claims to witness [v] (which the correct writer never
-   signed) to every asker, and advertises it in its witness register:
-   the unforgeability attack. *)
-let spawn_false_witness sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-falsewitness%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.r.(pid) (vset_of (Value.Set.singleton v));
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ -> Value.Set.singleton v)
-        ())
+(* Flip the vote about [v] on every reply: the §5.1 scenario meant to
+   trap a reader between f < |yes| < 2f+1. *)
+let[@lnd.pure] flipflop ~pid ~v ~n =
+  respond ~n ~pid
+    ~reply:(fun count ~asker:_ ~round ->
+      let count = count + 1 in
+      claim count (if count mod 2 = 0 then VSet.singleton v else VSet.empty)
+        round)
+    0
 
-(* A process that always answers "no witness of anything", instantly. *)
-let spawn_naysayer sched (regs : regs) ~pid : Sched.fiber =
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-naysayer%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid ~payload:(fun ~asker:_ ~round:_ -> Value.Set.empty) ())
+let spawn_flipflop sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-flipflop%d" pid)
+    (flipflop ~pid ~v)
 
-(* A process that writes ill-typed garbage everywhere it owns, then keeps
-   answering askers with garbage payloads carrying valid timestamps. *)
-let spawn_garbage sched (regs : regs) ~pid : Sched.fiber =
-  let n = regs.cfg.n in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-garbage%d" pid)
-    ~daemon:true (fun () ->
-      Cell.write regs.r.(pid) (Univ.inj Univ.garbage "junk");
-      if pid >= 1 then Cell.write regs.c.(pid) (Univ.inj Univ.garbage "junk");
-      let prev = Array.make n 0 in
-      while true do
-        let answered = ref false in
-        for k = 1 to n - 1 do
-          if k <> pid then begin
-            let ck =
-              Univ.prj_default Codecs.counter ~default:0
-                (Cell.read regs.c.(k))
-            in
-            if ck > prev.(k) then begin
-              (* Garbage payload but a *valid-looking* fresh stamp would
-                 require the right type; alternate between both shapes. *)
-              if ck mod 2 = 0 then
-                Cell.write regs.rjk.(pid).(k) (Univ.inj Univ.garbage "junk")
-              else Cell.write regs.rjk.(pid).(k) (stamped Value.Set.empty ck);
-              prev.(k) <- ck;
-              answered := true
-            end
-          end
-        done;
-        if not !answered then Sched.yield ()
-      done)
+(* Advertise [v] (which the correct writer never signed) in the witness
+   register and claim it to every asker: the unforgeability attack. *)
+let spawn_false_witness sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-falsewitness%d" pid)
+    (Byz_script_core.verifiable_prog ~pid ~genome:[| 1 |] ~value:v)
 
-(* The "lie but then try to deny" Byzantine WRITER: it writes and "signs"
-   [v] like a correct writer, answers askers affirmatively until
+(* Always answer "no witness of anything", instantly. *)
+let spawn_naysayer sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-naysayer%d" pid)
+    (Byz_script_core.verifiable_prog ~pid ~genome:[| 0 |] ~value:Value.v0)
+
+(* Ill-typed garbage in every register it owns, then replies alternating
+   between garbage and a well-typed empty set with a fresh stamp. *)
+let[@lnd.pure] garbage ~pid ~n =
+  let* () = write (R pid) junk in
+  let* () = if pid >= 1 then write (C pid) junk else ret () in
+  respond ~n ~pid
+    ~reply:(fun () ~asker:_ ~round ->
+      if round mod 2 = 0 then ret ((), junk) else claim () VSet.empty round)
+    ()
+
+let spawn_garbage sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-garbage%d" pid)
+    (garbage ~pid)
+
+(* The "lie but then try to deny" Byzantine WRITER: it writes and
+   "signs" [v] like a correct writer, answers askers affirmatively until
    [deny_after] replies have been sent, then erases all its registers
    (resets R*, R_0 and its mailboxes) and denies ever having signed v.
-   The paper's point: once one correct reader verified v, denial must not
-   flip any later VERIFY back to false. *)
-let spawn_denying_writer sched (regs : regs) ~(v : Value.t)
-    ?(deny_after = 2) () : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-denying-writer" ~daemon:true (fun () ->
-      Cell.write regs.rstar (Univ.inj Codecs.value v);
-      Cell.write regs.r.(0) (vset_of (Value.Set.singleton v));
-      let replies = ref 0 in
-      let denied = ref false in
-      responder regs ~pid:0
-        ~payload:(fun ~asker:_ ~round:_ ->
-          incr replies;
-          if !denied then Value.Set.empty else Value.Set.singleton v)
-        ~each_round:(fun () ->
-          if (not !denied) && !replies >= deny_after then begin
-            denied := true;
-            (* the "deny": erase every trace from owned registers *)
-            Cell.write regs.rstar (Univ.inj Codecs.value Value.v0);
-            Cell.write regs.r.(0) (vset_of Value.Set.empty);
-            for k = 1 to regs.cfg.n - 1 do
-              Cell.write regs.rjk.(0).(k) (stamped Value.Set.empty 0)
-            done
-          end)
-        ())
+   The paper's point: once one correct reader verified v, denial must
+   not flip any later VERIFY back to false. *)
+let[@lnd.pure] denying_writer ~v ~deny_after ~n =
+  let rec erase k =
+    if k >= n then ret ()
+    else
+      let* () = write (Rjk (0, k)) (enc_stamped VSet.empty 0) in
+      erase (k + 1)
+  in
+  let* () = write Rstar (enc_value v) in
+  let* () = write (R 0) (enc_vset (VSet.singleton v)) in
+  respond ~n ~pid:0
+    ~posture:(fun ((replies, denied) as s) ->
+      if (not denied) && replies >= deny_after then
+        let* () = write Rstar (enc_value Value.v0) in
+        let* () = write (R 0) (enc_vset VSet.empty) in
+        let* () = erase 1 in
+        ret (replies, true)
+      else ret s)
+    ~reply:(fun (replies, denied) ~asker:_ ~round ->
+      claim (replies + 1, denied)
+        (if denied then VSet.empty else VSet.singleton v)
+        round)
+    (0, false)
 
-(* A Byzantine writer that "signs" a value it never wrote to R*: it puts
-   [v] straight into its witness register. Readers may verify v; Byzantine
-   linearizability still holds because a history in which the writer did
+let spawn_denying_writer sched regs ~v ?(deny_after = 2) () =
+  spawn sched regs ~pid:0 ~name:"byz-denying-writer"
+    (denying_writer ~v ~deny_after)
+
+(* "Sign" [v] without writing it to R*: put it straight into the
+   witness register. Readers may verify v; Byzantine linearizability
+   still holds because a history in which the writer did
    WRITE(v);SIGN(v) explains every correct observation. *)
-let spawn_sign_without_write sched (regs : regs) ~(v : Value.t) : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-sign-no-write" ~daemon:true (fun () ->
-      Cell.write regs.r.(0) (vset_of (Value.Set.singleton v));
-      responder regs ~pid:0
-        ~payload:(fun ~asker:_ ~round:_ -> Value.Set.singleton v)
-        ())
+let[@lnd.pure] sign_without_write ~v ~n =
+  let* () = write (R 0) (enc_vset (VSet.singleton v)) in
+  respond ~n ~pid:0
+    ~reply:(fun () ~asker:_ ~round -> claim () (VSet.singleton v) round)
+    ()
 
-(* A writer colluding with vote-flippers: equivocates between two values,
-   claiming to different askers that different values are signed. *)
-let spawn_equivocating_writer sched (regs : regs) ~(va : Value.t)
-    ~(vb : Value.t) : Sched.fiber =
-  Sched.spawn sched ~pid:0 ~name:"byz-equivocating-writer" ~daemon:true
-    (fun () ->
-      Cell.write regs.r.(0) (vset_of (Value.Set.singleton va));
-      responder regs ~pid:0
-        ~payload:(fun ~asker ~round:_ ->
-          if asker mod 2 = 0 then Value.Set.singleton va
-          else Value.Set.singleton vb)
-        ~each_round:(fun () ->
-          (* keep rewriting R_0 back and forth *)
-          let cur =
-            Univ.prj_default Codecs.vset ~default:Value.Set.empty
-              (Cell.read regs.r.(0))
-          in
-          let next =
-            if Value.Set.mem va cur then Value.Set.singleton vb
-            else Value.Set.singleton va
-          in
-          Cell.write regs.r.(0) (vset_of next))
-        ())
+let spawn_sign_without_write sched regs ~v =
+  spawn sched regs ~pid:0 ~name:"byz-sign-no-write" (sign_without_write ~v)
 
-(* A colluder that replays STALE witness information with fresh
-   timestamps: it answers every asker with the witness set it saw at its
-   first reply, forever — probing whether old evidence with new stamps
+(* A writer colluding with vote-flippers: claims to different askers
+   that different values are signed, rewriting R_0 back and forth every
+   round. *)
+let[@lnd.pure] equivocating_writer ~va ~vb ~n =
+  let* () = write (R 0) (enc_vset (VSet.singleton va)) in
+  respond ~n ~pid:0
+    ~posture:(fun () ->
+      let* u = read (R 0) in
+      let next = if VSet.mem va (dec_vset u) then vb else va in
+      write (R 0) (enc_vset (VSet.singleton next)))
+    ~reply:(fun () ~asker ~round ->
+      claim () (VSet.singleton (if asker mod 2 = 0 then va else vb)) round)
+    ()
+
+let spawn_equivocating_writer sched regs ~va ~vb =
+  spawn sched regs ~pid:0 ~name:"byz-equivocating-writer"
+    (equivocating_writer ~va ~vb)
+
+(* Replay the witness set R_0 showed at the first reply, with fresh
+   timestamps, forever — probing whether old evidence with new stamps
    can confuse the round protocol. *)
-let spawn_stale_replayer sched (regs : regs) ~pid : Sched.fiber =
-  let frozen = ref None in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-stale%d" pid)
-    ~daemon:true (fun () ->
-      responder regs ~pid
-        ~payload:(fun ~asker:_ ~round:_ ->
-          match !frozen with
-          | Some s -> s
-          | None ->
-              (* freeze whatever the writer's register shows right now *)
-              let s =
-                Univ.prj_default Codecs.vset ~default:Value.Set.empty
-                  (Cell.read regs.r.(0))
-              in
-              frozen := Some s;
-              s)
-        ())
+let[@lnd.pure] stale_replayer ~pid ~n =
+  respond ~n ~pid
+    ~reply:(fun frozen ~asker:_ ~round ->
+      match frozen with
+      | Some set -> claim frozen set round
+      | None ->
+          let* u = read (R 0) in
+          let set = dec_vset u in
+          claim (Some set) set round)
+    None
 
-(* A colluder that answers only some askers (here: even-numbered ones)
-   and starves the rest — a targeted-starvation attempt. Verify must
-   still terminate for everyone via the correct helpers. *)
-let spawn_selective sched (regs : regs) ~pid ~(v : Value.t) : Sched.fiber =
-  let n = regs.cfg.n in
-  Sched.spawn sched ~pid ~name:(Printf.sprintf "byz-selective%d" pid)
-    ~daemon:true (fun () ->
-      let prev = Array.make n 0 in
-      while true do
-        let answered = ref false in
-        for k = 1 to n - 1 do
-          if k <> pid && k mod 2 = 0 then begin
-            let ck =
-              Univ.prj_default Codecs.counter ~default:0 (Cell.read regs.c.(k))
-            in
-            if ck > prev.(k) then begin
-              Cell.write regs.rjk.(pid).(k)
-                (stamped (Value.Set.singleton v) ck);
-              prev.(k) <- ck;
-              answered := true
-            end
-          end
-        done;
-        if not !answered then Sched.yield ()
-      done)
+let spawn_stale_replayer sched regs ~pid =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-stale%d" pid)
+    (stale_replayer ~pid)
+
+(* Answer only even-numbered askers (claiming [v]) and starve the rest —
+   a targeted-starvation attempt. VERIFY must still terminate for
+   everyone via the correct helpers. *)
+let[@lnd.pure] selective ~pid ~v ~n =
+  respond ~n ~pid
+    ~asks:(fun k -> k mod 2 = 0)
+    ~reply:(fun () ~asker:_ ~round -> claim () (VSet.singleton v) round)
+    ()
+
+let spawn_selective sched regs ~pid ~v =
+  spawn sched regs ~pid
+    ~name:(Printf.sprintf "byz-selective%d" pid)
+    (selective ~pid ~v)

@@ -1,26 +1,16 @@
 (** Byzantine strategies against the verifiable register (Algorithm 1).
 
-    Every strategy is ordinary fiber code: it can read whatever is
-    readable and write only registers owned by its pid —
-    [Lnd_shm.Space] enforces exactly the model's restriction, so these
-    adversaries have precisely the power the paper grants Byzantine
-    processes. All are spawned as daemon fibers. *)
+    Every strategy is a pure program parameterising
+    {!Byz_script_core.responder}: it can read whatever is readable and
+    write only registers owned by its pid — [Lnd_shm.Space] enforces
+    exactly the model's restriction, so these adversaries have precisely
+    the power the paper grants Byzantine processes. All are spawned as
+    daemon fibers by {!Byz_script.spawn}; the naysayer and the false
+    witness are the genomes [[0]] and [[1]]. *)
 
 open Lnd_support
 open Lnd_runtime
 open Lnd_verifiable.Verifiable
-
-val responder :
-  regs ->
-  pid:int ->
-  payload:(asker:int -> round:int -> Value.Set.t) ->
-  ?each_round:(unit -> unit) ->
-  unit ->
-  unit
-(** Core of every strategy: watch the round counters C_k and answer each
-    asker through R_pid,k with whatever witness set [payload] fabricates.
-    [each_round] runs once per iteration for side effects on owned
-    registers. Runs forever. *)
 
 val spawn_flipflop : Sched.t -> regs -> pid:int -> v:Value.t -> Sched.fiber
 (** A colluder that flips its vote about [v] on every reply — the §5.1

@@ -63,6 +63,12 @@ let help_note () : Machine.note -> unit =
   | Machine.Served ->
       if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
 
+(* The domains backend's allocator for the cores' layouts; Dcell does
+   not enforce ownership, so it ignores each register's owner and single
+   reader. *)
+let dcell : Dcell.t Machine.allocator =
+ fun ~name ~owner:_ ?single_reader:_ ~init () -> Dcell.make ~name ~init
+
 let correct_of (w : Diff.work) : bool array =
   let correct = Array.make w.Diff.n true in
   List.iter (fun pid -> correct.(pid) <- false) (Diff.byzantine_pids w);
@@ -91,44 +97,11 @@ let finish_run (type o r) ~correct
 
 (* ---------------- Sticky ---------------- *)
 
-let sticky_cells n : S_core.reg -> Dcell.t =
-  let vopt_init = Univ.inj Codecs.value_opt None in
-  let e =
-    Array.init n (fun i ->
-        Dcell.make ~name:(Printf.sprintf "E_%d" i) ~init:vopt_init)
-  in
-  let r =
-    Array.init n (fun i ->
-        Dcell.make ~name:(Printf.sprintf "R_%d" i) ~init:vopt_init)
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then e.(0) (* placeholder, never used *)
-            else
-              Dcell.make
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~init:(Univ.inj Codecs.vopt_stamped (None, 0))))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then e.(0) (* placeholder, never used *)
-        else
-          Dcell.make
-            ~name:(Printf.sprintf "C_%d" k)
-            ~init:(Univ.inj Codecs.counter 0))
-  in
-  function
-  | S_core.E i -> e.(i)
-  | S_core.R i -> r.(i)
-  | S_core.Rjk (j, k) -> rjk.(j).(k)
-  | S_core.C k -> c.(k)
-
 let run_sticky ~broken (w : Diff.work) : Diff.run =
   let module S = Spec.Sticky_spec in
   let n = w.Diff.n in
   let q = Quorum.make_relaxed ~n ~f:w.Diff.f in
-  let cell = sticky_cells n in
+  let cell = S_core.layout ~n dcell in
   let correct = correct_of w in
   let recs : (S.op, S.res) History.entry list array = Array.make n [] in
   let record pid op ~inv ~ret res =
@@ -194,42 +167,11 @@ let run_sticky ~broken (w : Diff.work) : Diff.run =
 
 (* ---------------- Verifiable ---------------- *)
 
-let verifiable_cells n : V_core.reg -> Dcell.t =
-  let rstar = Dcell.make ~name:"R*" ~init:(Univ.inj Codecs.value Value.v0) in
-  let r =
-    Array.init n (fun i ->
-        Dcell.make
-          ~name:(Printf.sprintf "R_%d" i)
-          ~init:(Univ.inj Codecs.vset VSet.empty))
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then r.(0) (* placeholder, never used *)
-            else
-              Dcell.make
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~init:(Univ.inj Codecs.vset_stamped (VSet.empty, 0))))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then rstar (* placeholder, never used *)
-        else
-          Dcell.make
-            ~name:(Printf.sprintf "C_%d" k)
-            ~init:(Univ.inj Codecs.counter 0))
-  in
-  function
-  | V_core.Rstar -> rstar
-  | V_core.R i -> r.(i)
-  | V_core.Rjk (j, k) -> rjk.(j).(k)
-  | V_core.C k -> c.(k)
-
 let run_verifiable ~broken (w : Diff.work) : Diff.run =
   let module V = Spec.Verifiable_spec in
   let n = w.Diff.n in
   let q = Quorum.make_relaxed ~n ~f:w.Diff.f in
-  let cell = verifiable_cells n in
+  let cell = V_core.layout ~n dcell in
   let correct = correct_of w in
   let recs : (V.op, V.res) History.entry list array = Array.make n [] in
   let record pid op ~inv ~ret res =
@@ -331,7 +273,7 @@ let run_testorset ~broken (w : Diff.work) : Diff.run =
      own namespace directly. *)
   let cell, help_prog, set_job, test_prog, byz_daemon =
     if w.Diff.tos_verifiable then begin
-      let vcell = verifiable_cells n in
+      let vcell = V_core.layout ~n dcell in
       let cell : T_core.reg -> Dcell.t = function
         | T_core.Vreg r -> vcell r
         | T_core.Sreg _ -> invalid_arg "Parallel: sticky reg in verifiable tos"
@@ -359,7 +301,7 @@ let run_testorset ~broken (w : Diff.work) : Diff.run =
       )
     end
     else begin
-      let scell = sticky_cells n in
+      let scell = S_core.layout ~n dcell in
       let cell : T_core.reg -> Dcell.t = function
         | T_core.Sreg r -> scell r
         | T_core.Vreg _ -> invalid_arg "Parallel: verifiable reg in sticky tos"

@@ -23,10 +23,8 @@ type t = {
 
 let read (c : t) : Univ.t = c.cell_read ()
 let write (c : t) (v : Univ.t) : unit = c.cell_write v
-let name (c : t) : string = c.cell_name
 
-type allocator =
-  name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> t
+type allocator = t Machine.allocator
 
 let of_register (r : Register.t) : t =
   {

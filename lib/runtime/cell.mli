@@ -25,14 +25,9 @@ val write : t -> Univ.t -> unit
 (** Must be invoked from within a fiber; ownership is enforced by the
     backing implementation. *)
 
-val name : t -> string
-
-type allocator =
-  name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> t
-(** How register layouts are built; see [Verifiable.alloc_with] and
-    [Sticky.alloc_with]. *)
-
-val of_register : Lnd_shm.Register.t -> t
+type allocator = t Machine.allocator
+(** What [Sticky_core.layout] and [Verifiable_core.layout] allocate
+    through; the backing implementation enforces owner and reader. *)
 
 val shm_allocator : Lnd_shm.Space.t -> allocator
 (** The base model: one shared-memory register per cell. *)

@@ -27,6 +27,7 @@
 open Lnd_support
 open Lnd_runtime
 module Vr = Lnd_verifiable.Verifiable
+module Vr_core = Lnd_verifiable.Verifiable_core
 
 type segment = {
   seg_owner : int;
@@ -100,11 +101,11 @@ let collect (t : t) ~pid : Value.t array =
            i.e. iff it is in my witness register R_0 *)
         let v =
           Univ.prj_default Codecs.value ~default:Value.v0
-            (Cell.read seg.seg_regs.Vr.rstar)
+            (Cell.read (seg.seg_regs.Vr.cell Vr_core.Rstar))
         in
         let signed =
           Univ.prj_default Codecs.vset ~default:Value.Set.empty
-            (Cell.read seg.seg_regs.Vr.r.(0))
+            (Cell.read (seg.seg_regs.Vr.cell (Vr_core.R 0)))
         in
         if Value.Set.mem v signed then v else Value.v0
       end

@@ -1,21 +1,21 @@
 (* Algorithm 2 — signature-free SWMR sticky register, writable by p0 (the
    paper's p1) and readable by p1..p(n-1), for n >= 3f + 1.
 
-   Register layout:
-     e.(i)        E_i   SWMR, owner p_i: "echo" register  (init ⊥)
-     r.(i)        R_i   SWMR, owner p_i: "witness" register (init ⊥)
-     rjk.(j).(k)  R_jk  SWSR, owner p_j, reader p_k (k >= 1):
-                        ⟨witnessed value or ⊥, timestamp⟩
-     c.(k)        C_k   SWMR, owner p_k (k >= 1): round counter
+   Register layout (declared once, in Sticky_core.layout):
+     E_i    SWMR, owner p_i: "echo" register  (init ⊥)
+     R_i    SWMR, owner p_i: "witness" register (init ⊥)
+     R_jk   SWSR, owner p_j, reader p_k (k >= 1): ⟨witnessed value or ⊥,
+            timestamp⟩
+     C_k    SWMR, owner p_k (k >= 1): round counter
 
    Once any correct process reads v ≠ ⊥, every later read returns v, even
    if the writer is Byzantine (Observation 18). Correct processes must run
    [help] in the background.
 
    The protocol itself lives in Sticky_core as pure state-machine
-   programs; this module owns the register layout and drives those
-   programs on the deterministic simulator (Lnd_runtime.Drive), emitting
-   the Obs spans around them. *)
+   programs; this module allocates the core's layout through a cell
+   allocator and drives those programs on the deterministic simulator
+   (Lnd_runtime.Drive), emitting the Obs spans around them. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -26,67 +26,18 @@ type config = { n : int; f : int }
 let[@lnd.pure] check_config { n; f } =
   if f < 0 || n < 2 then invalid_arg "Sticky: need n >= 2, f >= 0"
 
-type regs = {
-  cfg : config;
-  q : Quorum.t;
-  e : Cell.t array;
-  r : Cell.t array;
-  rjk : Cell.t array array; (* rjk.(j).(k); column k = 0 unused *)
-  c : Cell.t array; (* c.(0) unused *)
-}
+type regs = { cfg : config; q : Quorum.t; cell : Sticky_core.reg -> Cell.t }
 
-(* Allocate the register layout through an arbitrary cell allocator: the
+(* Allocate the core's layout through an arbitrary cell allocator: the
    shared-memory one (the base model) or an emulated one (Section 9).
    [Quorum.make_relaxed]: the Section 8 experiments instantiate the
    algorithm outside its safe zone (n <= 3f) on purpose. *)
 let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
   check_config cfg;
-  let n = cfg.n in
   let q = Quorum.make_relaxed ~n:cfg.n ~f:cfg.f in
-  let vopt_init = Univ.inj Codecs.value_opt None in
-  let e =
-    Array.init n (fun i ->
-        mk ~name:(Printf.sprintf "E_%d" i) ~owner:i ~init:vopt_init ())
-  in
-  let r =
-    Array.init n (fun i ->
-        mk ~name:(Printf.sprintf "R_%d" i) ~owner:i ~init:vopt_init ())
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then e.(0) (* placeholder, never used *)
-            else
-              mk
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~owner:j ~single_reader:k
-                ~init:(Univ.inj Codecs.vopt_stamped (None, 0))
-                ()))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then e.(0) (* placeholder, never used *)
-        else
-          mk
-            ~name:(Printf.sprintf "C_%d" k)
-            ~owner:k
-            ~init:(Univ.inj Codecs.counter 0)
-            ())
-  in
-  { cfg; q; e; r; rjk; c }
+  { cfg; q; cell = Sticky_core.layout ~n:cfg.n mk }
 
 let alloc space (cfg : config) : regs = alloc_with (Cell.shm_allocator space) cfg
-
-let value_with_quorum = Sticky_core.value_with_quorum
-
-(* Map the core's abstract register names onto this layout (shared by
-   every sim-side driver of Sticky_core programs, including the scripted
-   adversaries in Lnd_byz). *)
-let cell_of (rg : regs) : Sticky_core.reg -> Cell.t = function
-  | Sticky_core.E i -> rg.e.(i)
-  | Sticky_core.R i -> rg.r.(i)
-  | Sticky_core.Rjk (j, k) -> rg.rjk.(j).(k)
-  | Sticky_core.C k -> rg.c.(k)
 
 (* ---------------- Writer (p0): WRITE(v), lines 1-6 ---------------- *)
 
@@ -99,7 +50,7 @@ let write (w : writer) (v : Value.t) : unit =
   let sp =
     if Obs.enabled () then Obs.span_open ~name:"WRITE" ~arg:v () else 0
   in
-  Drive.run ~cell:(cell_of rg) (Sticky_core.write_prog ~n:rg.cfg.n ~q:rg.q v);
+  Drive.run ~cell:rg.cell (Sticky_core.write_prog ~n:rg.cfg.n ~q:rg.q v);
   if Obs.enabled () then Obs.span_close ~result:"done" ~name:"WRITE" sp
 
 (* ---------------- Readers: READ(), lines 7-22 ---------------- *)
@@ -114,7 +65,7 @@ let read (rd : reader) : Value.t option =
   let rg = rd.rd_regs in
   let sp = if Obs.enabled () then Obs.span_open ~name:"READ" () else 0 in
   let result, ck =
-    Drive.run ~cell:(cell_of rg)
+    Drive.run ~cell:rg.cell
       (Sticky_core.read_prog ~n:rg.cfg.n ~q:rg.q ~pid:rd.rd_pid ~ck:rd.ck)
   in
   rd.ck <- ck;
@@ -141,5 +92,5 @@ let help (rg : regs) ~pid : unit =
     | Machine.Served ->
         if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
   in
-  Drive.run ~on_note ~cell:(cell_of rg)
+  Drive.run ~on_note ~cell:rg.cell
     (Sticky_core.help_prog ~n:rg.cfg.n ~q:rg.q ~pid)

@@ -2,13 +2,10 @@
     (the paper's p1) and readable by p1..p(n-1), for n >= 3f + 1
     (Theorem 19).
 
-    Register layout:
-    {ul
-    {- [e.(i)] — E_i, SWMR, owner p_i: "echo" register (init ⊥);}
-    {- [r.(i)] — R_i, SWMR, owner p_i: "witness" register (init ⊥);}
-    {- [rjk.(j).(k)] — R_jk, SWSR, owner p_j, reader p_k (k >= 1):
-       ⟨witnessed value or ⊥, timestamp⟩ mailboxes;}
-    {- [c.(k)] — C_k, SWMR, owner p_k (k >= 1): round counter.}}
+    The registers are declared once, by {!Sticky_core.layout}: echo
+    registers E_i and witness registers R_i (owner p_i), SWSR mailboxes
+    R_{j,k} (owner p_j, reader p_k, k >= 1) holding ⟨witnessed value or
+    ⊥, timestamp⟩, and round counters C_k (owner p_k, k >= 1).
 
     Once any correct process reads v ≠ ⊥, every later read returns v,
     even if the writer is Byzantine (Observation 18). Correct processes
@@ -23,26 +20,14 @@ type config = { n : int; f : int }
 type regs = {
   cfg : config;
   q : Quorum.t;  (** the thresholds derived from [cfg] (central arithmetic) *)
-  e : Cell.t array;
-  r : Cell.t array;
-  rjk : Cell.t array array; (** [rjk.(j).(k)]; column k = 0 unused *)
-  c : Cell.t array; (** [c.(0)] unused *)
+  cell : Sticky_core.reg -> Cell.t;  (** the {!Sticky_core.layout} map *)
 }
 
 val alloc_with : Cell.allocator -> config -> regs
-(** Allocate through an arbitrary cell allocator (shared memory,
-    emulated, or regular — see [Lnd_runtime.Cell]). *)
+(** Allocate {!Sticky_core.layout} through an arbitrary cell allocator
+    (shared memory, emulated, or regular — see [Lnd_runtime.Cell]). *)
 
 val alloc : Lnd_shm.Space.t -> config -> regs
-
-val value_with_quorum : Value.t option array -> threshold:int -> Value.t option
-(** The (unique, by quorum-intersection counting) value reaching
-    [threshold] copies, if any. Exposed for the ablation variants. *)
-
-val cell_of : regs -> Sticky_core.reg -> Cell.t
-(** Map the pure core's abstract register names onto this layout (used
-    by every driver that runs {!Sticky_core} programs over these
-    cells). *)
 
 (** {2 Writer (p0)} *)
 

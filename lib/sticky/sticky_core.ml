@@ -51,6 +51,41 @@ let[@lnd.pure] value_with_quorum (arr : Value.t option array) ~threshold :
     arr;
   !found
 
+(* ---------------- Register layout ---------------- *)
+
+(* Allocate one instance's registers through the driver's [alloc] and
+   map the names onto them. The allocation order — E_i, R_i, R_{j,k}
+   (row-major, k >= 1), C_k — fixes the simulator's register ids, which
+   DPOR indexes; the map is an array lookup that allocates nothing. *)
+let[@lnd.pure] layout ~n (alloc : 'c allocator) : reg -> 'c =
+  let bot = enc_vopt None in
+  let e =
+    Array.init n (fun i ->
+        alloc ~name:(Printf.sprintf "E_%d" i) ~owner:i ~init:bot ())
+  in
+  let r =
+    Array.init n (fun i ->
+        alloc ~name:(Printf.sprintf "R_%d" i) ~owner:i ~init:bot ())
+  in
+  let rjk =
+    Array.init n (fun j ->
+        Array.init n (fun k ->
+            if k = 0 then e.(0) (* placeholder, never used *)
+            else
+              alloc
+                ~name:(Printf.sprintf "R_{%d,%d}" j k)
+                ~owner:j ~single_reader:k ~init:(enc_stamped None 0) ()))
+  in
+  let c =
+    Array.init n (fun k ->
+        if k = 0 then e.(0) (* placeholder, never used *)
+        else
+          alloc ~name:(Printf.sprintf "C_%d" k) ~owner:k ~init:(enc_counter 0)
+            ())
+  in
+  function
+  | E i -> e.(i) | R i -> r.(i) | Rjk (j, k) -> rjk.(j).(k) | C k -> c.(k)
+
 (* Read registers [mk 0 .. mk (n-1)] in ascending order. *)
 let[@lnd.pure] read_all ~n (mk : int -> reg) (dec : Univ.t -> 'b) :
     (reg, 'b array) prog =

@@ -13,22 +13,20 @@ type reg =
   | Rjk of int * int  (** R_{j,k}: owner p_j, single reader p_k (k >= 1) *)
   | C of int  (** round counter C_k, owner p_k (k >= 1) *)
 
-(** {2 Pure helpers (shared with ablation experiments)} *)
-
-val count_eq : Value.t option array -> Value.t -> int
-
-val value_with_quorum :
-  Value.t option array -> threshold:int -> Value.t option
+val layout : n:int -> 'c Machine.allocator -> reg -> 'c
+(** The one declaration of an instance's registers: allocate them
+    through [alloc] — E_i and R_i (owner p_i, init ⊥), R_{j,k} (owner
+    p_j, single reader p_k, init ⟨⊥, 0⟩; row-major, k >= 1), then C_k
+    (owner p_k, init 0), in that order, which fixes the simulator's
+    register ids — and return the name-to-cell map, an array lookup.
+    Both drivers allocate through it. *)
 
 (** {2 Decoders/encoders (defensive: ill-typed content reads as the
     initial value)} *)
 
 val dec_vopt : Univ.t -> Value.t option
-val dec_stamped : Univ.t -> Value.t option * int
-val dec_counter : Univ.t -> int
 val enc_vopt : Value.t option -> Univ.t
 val enc_stamped : Value.t option -> int -> Univ.t
-val enc_counter : int -> Univ.t
 
 (** {2 The protocol programs} *)
 

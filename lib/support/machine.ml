@@ -29,6 +29,9 @@ type ('reg, 'a) prog =
   | Yield of (unit -> ('reg, 'a) prog)
   | Note of note * (unit -> ('reg, 'a) prog)
 
+type 'c allocator =
+  name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c
+
 (* ---------------- Combinators ---------------- *)
 
 let[@lnd.pure] ret a = Ret a

@@ -19,6 +19,13 @@ type ('reg, 'a) prog =
   | Yield of (unit -> ('reg, 'a) prog)
   | Note of note * (unit -> ('reg, 'a) prog)
 
+type 'c allocator =
+  name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c
+(** How a driver supplies a core's registers: one call per register, with
+    its name, owner, optional single reader and initial content. A
+    core's [layout ~n alloc] makes these calls in a fixed order and
+    returns the map from its register names to the cells. *)
+
 (** {2 Combinators} *)
 
 val ret : 'a -> ('reg, 'a) prog

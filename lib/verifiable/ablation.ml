@@ -19,8 +19,10 @@
 open Lnd_support
 open Lnd_runtime
 
-let read_vset reg =
-  Univ.prj_default Codecs.vset ~default:Value.Set.empty (Cell.read reg)
+(* The witness set in R_j. *)
+let read_vset (rg : Verifiable.regs) j =
+  Univ.prj_default Codecs.vset ~default:Value.Set.empty
+    (Cell.read (rg.Verifiable.cell (Verifiable_core.R j)))
 
 (* One-shot strawman verify, runnable by any process. *)
 let naive_verify (rg : Verifiable.regs) (v : Value.t) : bool =
@@ -28,7 +30,7 @@ let naive_verify (rg : Verifiable.regs) (v : Value.t) : bool =
   let replies = min (Quorum.n q) (Quorum.byz_quorum q) in
   let yes = ref 0 in
   for j = 0 to replies - 1 do
-    if Value.Set.mem v (read_vset rg.r.(j)) then incr yes
+    if Value.Set.mem v (read_vset rg j) then incr yes
   done;
   Quorum.has_one_correct q !yes
 
@@ -38,6 +40,6 @@ let naive_verify_all (rg : Verifiable.regs) (v : Value.t) : bool =
   let q = rg.Verifiable.q in
   let yes = ref 0 in
   for j = 0 to Quorum.n q - 1 do
-    if Value.Set.mem v (read_vset rg.r.(j)) then incr yes
+    if Value.Set.mem v (read_vset rg j) then incr yes
   done;
   Quorum.has_one_correct q !yes

@@ -2,12 +2,12 @@
    writable by process p0 (the paper's p1) and readable by p1..p(n-1),
    for n >= 3f + 1.
 
-   Register layout (one [regs] per verifiable register instance):
-     rstar        R*    SWMR, owner p0, holds the current value (init v0)
-     r.(i)        R_i   SWMR, owner p_i, set of values p_i witnesses
-     rjk.(j).(k)  R_jk  SWSR, owner p_j, reader p_k (k >= 1),
-                        holds ⟨witness set, timestamp⟩
-     c.(k)        C_k   SWMR, owner p_k (k >= 1), round counter
+   Register layout (declared once, in Verifiable_core.layout):
+     R*     SWMR, owner p0, holds the current value (init v0)
+     R_i    SWMR, owner p_i, set of values p_i witnesses
+     R_jk   SWSR, owner p_j, reader p_k (k >= 1), holds ⟨witness set,
+            timestamp⟩
+     C_k    SWMR, owner p_k (k >= 1), round counter
 
    Every correct process must run [help] as a background fiber; operations
    are called from the owner process's operation fiber. All register reads
@@ -15,9 +15,9 @@
    treated as the register's initial value.
 
    The protocol itself lives in Verifiable_core as pure state-machine
-   programs; this module owns the register layout and drives those
-   programs on the deterministic simulator (Lnd_runtime.Drive), emitting
-   the Obs spans around them. *)
+   programs; this module allocates the core's layout through a cell
+   allocator and drives those programs on the deterministic simulator
+   (Lnd_runtime.Drive), emitting the Obs spans around them. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -35,61 +35,19 @@ let[@lnd.pure] check_config { n; f } =
 type regs = {
   cfg : config;
   q : Quorum.t;
-  rstar : Cell.t;
-  r : Cell.t array;
-  rjk : Cell.t array array; (* rjk.(j).(k); row k = 0 unused *)
-  c : Cell.t array; (* c.(0) unused *)
+  cell : Verifiable_core.reg -> Cell.t;
 }
 
 module VSet = Value.Set
 
-(* Allocate the register layout through an arbitrary cell allocator: the
+(* Allocate the core's layout through an arbitrary cell allocator: the
    shared-memory one (the base model) or an emulated one (Section 9). *)
 let alloc_with (mk : Cell.allocator) (cfg : config) : regs =
   check_config cfg;
-  let n = cfg.n in
-  (* [make_relaxed]: Section 8 deliberately instantiates n <= 3f. *)
   let q = Quorum.make_relaxed ~n:cfg.n ~f:cfg.f in
-  let rstar = mk ~name:"R*" ~owner:0 ~init:(Univ.inj Codecs.value Value.v0) () in
-  let r =
-    Array.init n (fun i ->
-        mk
-          ~name:(Printf.sprintf "R_%d" i)
-          ~owner:i
-          ~init:(Univ.inj Codecs.vset VSet.empty)
-          ())
-  in
-  let rjk =
-    Array.init n (fun j ->
-        Array.init n (fun k ->
-            if k = 0 then r.(0) (* placeholder, never used *)
-            else
-              mk
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~owner:j ~single_reader:k
-                ~init:(Univ.inj Codecs.vset_stamped (VSet.empty, 0))
-                ()))
-  in
-  let c =
-    Array.init n (fun k ->
-        if k = 0 then rstar (* placeholder, never used *)
-        else
-          mk
-            ~name:(Printf.sprintf "C_%d" k)
-            ~owner:k
-            ~init:(Univ.inj Codecs.counter 0)
-            ())
-  in
-  { cfg; q; rstar; r; rjk; c }
+  { cfg; q; cell = Verifiable_core.layout ~n:cfg.n mk }
 
 let alloc space (cfg : config) : regs = alloc_with (Cell.shm_allocator space) cfg
-
-(* Map the core's abstract register names onto this layout. *)
-let cell_of (rg : regs) : Verifiable_core.reg -> Cell.t = function
-  | Verifiable_core.Rstar -> rg.rstar
-  | Verifiable_core.R i -> rg.r.(i)
-  | Verifiable_core.Rjk (j, k) -> rg.rjk.(j).(k)
-  | Verifiable_core.C k -> rg.c.(k)
 
 (* ---------------- Writer (p0) ---------------- *)
 
@@ -102,7 +60,7 @@ let write (w : writer) (v : Value.t) : unit =
   let sp =
     if Obs.enabled () then Obs.span_open ~name:"WRITE" ~arg:v () else 0
   in
-  Drive.run ~cell:(cell_of w.w_regs) (Verifiable_core.write_prog v);
+  Drive.run ~cell:w.w_regs.cell (Verifiable_core.write_prog v);
   w.written <- VSet.add v w.written;
   if Obs.enabled () then Obs.span_close ~result:"done" ~name:"WRITE" sp
 
@@ -112,7 +70,7 @@ let sign (w : writer) (v : Value.t) : bool =
     if Obs.enabled () then Obs.span_open ~name:"SIGN" ~arg:v () else 0
   in
   let res =
-    Drive.run ~cell:(cell_of w.w_regs)
+    Drive.run ~cell:w.w_regs.cell
       (Verifiable_core.sign_prog ~written:w.written v)
   in
   if Obs.enabled () then
@@ -130,7 +88,7 @@ let reader (rg : regs) ~pid : reader =
 (* READ(): lines 9-10. *)
 let read (rd : reader) : Value.t =
   let sp = if Obs.enabled () then Obs.span_open ~name:"READ" () else 0 in
-  let v = Drive.run ~cell:(cell_of rd.rd_regs) Verifiable_core.read_prog in
+  let v = Drive.run ~cell:rd.rd_regs.cell Verifiable_core.read_prog in
   if Obs.enabled () then Obs.span_close ~result:("v:" ^ v) ~name:"READ" sp;
   v
 
@@ -143,7 +101,7 @@ let verify (rd : reader) (v : Value.t) : bool =
     if Obs.enabled () then Obs.span_open ~name:"VERIFY" ~arg:v () else 0
   in
   let res, ck =
-    Drive.run ~cell:(cell_of rg)
+    Drive.run ~cell:rg.cell
       (Verifiable_core.verify_prog ~n:rg.cfg.n ~q:rg.q ~pid:rd.rd_pid
          ~ck:rd.ck v)
   in
@@ -171,5 +129,5 @@ let help (rg : regs) ~pid : unit =
     | Machine.Served ->
         if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
   in
-  Drive.run ~on_note ~cell:(cell_of rg)
+  Drive.run ~on_note ~cell:rg.cell
     (Verifiable_core.help_prog ~n:rg.cfg.n ~q:rg.q ~pid)

@@ -2,13 +2,11 @@
     writable by process p0 (the paper's p1) and readable by p1..p(n-1),
     for n >= 3f + 1 (Theorem 14).
 
-    Register layout (one {!regs} per verifiable-register instance):
-    {ul
-    {- [rstar] — R*, SWMR, owner p0: the current value (init {!Lnd_support.Value.v0});}
-    {- [r.(i)] — R_i, SWMR, owner p_i: the set of values p_i witnesses;}
-    {- [rjk.(j).(k)] — R_jk, SWSR, owner p_j, reader p_k (k >= 1):
-       ⟨witness set, timestamp⟩ mailboxes;}
-    {- [c.(k)] — C_k, SWMR, owner p_k (k >= 1): round counter.}}
+    The registers are declared once, by {!Verifiable_core.layout}: R*
+    (owner p0) holding the current value (init
+    {!Lnd_support.Value.v0}), witness-set registers R_i (owner p_i), SWSR
+    mailboxes R_{j,k} (owner p_j, reader p_k, k >= 1) holding ⟨witness
+    set, timestamp⟩, and round counters C_k (owner p_k, k >= 1).
 
     Every correct process must run {!help} as a background (daemon)
     fiber; operations are called from fibers of the owning process. All
@@ -17,7 +15,7 @@
 
     The [regs] record is transparent so that adversaries
     ([Lnd_byz.Byz_verifiable]) and scenario harnesses can aim at specific
-    registers — Byzantine code is ordinary fiber code here. *)
+    registers through its map. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -27,28 +25,22 @@ type config = { n : int; f : int }
 type regs = {
   cfg : config;
   q : Quorum.t;  (** the thresholds derived from [cfg] (central arithmetic) *)
-  rstar : Cell.t;
-  r : Cell.t array;
-  rjk : Cell.t array array; (** [rjk.(j).(k)]; column k = 0 unused *)
-  c : Cell.t array; (** [c.(0)] unused *)
+  cell : Verifiable_core.reg -> Cell.t;
+      (** the {!Verifiable_core.layout} map *)
 }
 
 module VSet = Value.Set
 
 val alloc_with : Cell.allocator -> config -> regs
-(** Allocate the register layout through an arbitrary cell allocator: the
-    shared-memory one (the base model), an emulated one (Section 9), or
-    a regular-register one (E13). [alloc_with] deliberately does not
-    insist on n > 3f: the Section 8 optimality experiments instantiate
-    the algorithm outside its safe zone on purpose. *)
+(** Allocate {!Verifiable_core.layout} through an arbitrary cell
+    allocator: the shared-memory one (the base model), an emulated one
+    (Section 9), or a regular-register one (E13). [alloc_with]
+    deliberately does not insist on n > 3f: the Section 8 optimality
+    experiments instantiate the algorithm outside its safe zone on
+    purpose. *)
 
 val alloc : Lnd_shm.Space.t -> config -> regs
 (** [alloc_with (Cell.shm_allocator space)]. *)
-
-val cell_of : regs -> Verifiable_core.reg -> Cell.t
-(** Map the pure core's abstract register names onto this layout (used
-    by every driver that runs {!Verifiable_core} programs over these
-    cells). *)
 
 (** {2 Writer (p0)} *)
 

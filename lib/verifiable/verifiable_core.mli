@@ -13,17 +13,21 @@ type reg =
   | Rjk of int * int  (** R_{j,k}: owner p_j, single reader p_k (k >= 1) *)
   | C of int  (** round counter C_k, owner p_k (k >= 1) *)
 
+val layout : n:int -> 'c Machine.allocator -> reg -> 'c
+(** The one declaration of an instance's registers: allocate them
+    through [alloc] — R* (owner p0, init v0), R_i (owner p_i, init ∅),
+    R_{j,k} (owner p_j, single reader p_k, init ⟨∅, 0⟩; row-major,
+    k >= 1), then C_k (owner p_k, init 0), in that order, which fixes
+    the simulator's register ids — and return the name-to-cell map, an
+    array lookup. Both drivers allocate through it. *)
+
 (** {2 Decoders/encoders (defensive: ill-typed content reads as the
     initial value)} *)
 
-val dec_value : Univ.t -> Value.t
 val dec_vset : Univ.t -> Value.Set.t
-val dec_stamped : Univ.t -> Value.Set.t * int
-val dec_counter : Univ.t -> int
 val enc_value : Value.t -> Univ.t
 val enc_vset : Value.Set.t -> Univ.t
 val enc_stamped : Value.Set.t -> int -> Univ.t
-val enc_counter : int -> Univ.t
 
 (** {2 The protocol programs} *)
 

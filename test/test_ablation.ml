@@ -12,8 +12,10 @@ open Lnd_support
 open Lnd_shm
 open Lnd_runtime
 module Vr = Lnd_verifiable.Verifiable
+module Vcore = Lnd_verifiable.Verifiable_core
 module Vabl = Lnd_verifiable.Ablation
 module St = Lnd_sticky.Sticky
+module Score = Lnd_sticky.Sticky_core
 module Sabl = Lnd_sticky.Ablation
 
 (* Peek at a register's committed value by name (test-only introspection). *)
@@ -70,11 +72,13 @@ let a1_setup () =
   (* coalition plants v *)
   let plant0 =
     Sched.spawn sched ~pid:0 ~name:"byz-plant0" (fun () ->
-        Cell.write regs.Vr.r.(0) (Univ.inj Codecs.vset (Value.Set.singleton "v")))
+        Cell.write (regs.Vr.cell (Vcore.R 0))
+          (Univ.inj Codecs.vset (Value.Set.singleton "v")))
   in
   let plant6 =
     Sched.spawn sched ~pid:6 ~name:"byz-plant6" (fun () ->
-        Cell.write regs.Vr.r.(6) (Univ.inj Codecs.vset (Value.Set.singleton "v")))
+        Cell.write (regs.Vr.cell (Vcore.R 6))
+          (Univ.inj Codecs.vset (Value.Set.singleton "v")))
   in
   run_until sched "plant" (fun st ->
       fiber_done plant0 st && fiber_done plant6 st);
@@ -82,7 +86,7 @@ let a1_setup () =
      adopt v from R_0 *)
   ignore
     (Sched.spawn sched ~pid:5 ~name:"asker" (fun () ->
-         Cell.write regs.Vr.c.(5) (Univ.inj Codecs.counter 1)));
+         Cell.write (regs.Vr.cell (Vcore.C 5)) (Univ.inj Codecs.counter 1)));
   run_until sched "adopt" (fun _ ->
       Value.Set.mem "v" (peek_vset space ~name:"R_1"));
   (space, sched, regs)
@@ -100,11 +104,13 @@ let test_a1_naive_breaks_relay () =
   (* the coalition erases its registers ("denies") *)
   let erase0 =
     Sched.spawn sched ~pid:0 ~name:"byz-erase0" (fun () ->
-        Cell.write regs.Vr.r.(0) (Univ.inj Codecs.vset Value.Set.empty))
+        Cell.write (regs.Vr.cell (Vcore.R 0))
+          (Univ.inj Codecs.vset Value.Set.empty))
   in
   let erase6 =
     Sched.spawn sched ~pid:6 ~name:"byz-erase6" (fun () ->
-        Cell.write regs.Vr.r.(6) (Univ.inj Codecs.vset Value.Set.empty))
+        Cell.write (regs.Vr.cell (Vcore.R 6))
+          (Univ.inj Codecs.vset Value.Set.empty))
   in
   run_until sched "erase" (fun st -> fiber_done erase0 st && fiber_done erase6 st);
   (* later naive verify: only R_1 ∋ v -> 1 < f+1 -> FALSE: relay broken *)
@@ -131,8 +137,10 @@ let test_a1_algorithm1_survives () =
   done;
   let plant =
     Sched.spawn sched ~pid:0 ~name:"byz-plant" (fun () ->
-        Cell.write regs.Vr.r.(0) (Univ.inj Codecs.vset (Value.Set.singleton "v"));
-        Cell.write regs.Vr.r.(6) (Univ.inj Codecs.vset (Value.Set.singleton "v")))
+        Cell.write (regs.Vr.cell (Vcore.R 0))
+          (Univ.inj Codecs.vset (Value.Set.singleton "v"));
+        Cell.write (regs.Vr.cell (Vcore.R 6))
+          (Univ.inj Codecs.vset (Value.Set.singleton "v")))
   in
   (* note: p0 cannot write R_6; expect the plant fiber to fail on the
      second write — only its own register is planted *)
@@ -146,7 +154,8 @@ let test_a1_algorithm1_survives () =
   (* erase *)
   let erase =
     Sched.spawn sched ~pid:0 ~name:"byz-erase" (fun () ->
-        Cell.write regs.Vr.r.(0) (Univ.inj Codecs.vset Value.Set.empty))
+        Cell.write (regs.Vr.cell (Vcore.R 0))
+          (Univ.inj Codecs.vset Value.Set.empty))
   in
   run_until sched "erase" (fiber_done erase);
   let second = ref false in
@@ -253,11 +262,12 @@ let a3_run ~lax =
   (* phase 1: E_0 = a, only p1 awake; give it an asker so it answers *)
   let w1 =
     Sched.spawn sched ~pid:0 ~name:"byz-a" (fun () ->
-        Cell.write regs.St.e.(0) (Univ.inj Codecs.value_opt (Some "a")))
+        Cell.write (regs.St.cell (Score.E 0))
+          (Univ.inj Codecs.value_opt (Some "a")))
   in
   ignore
     (Sched.spawn sched ~pid:2 ~name:"asker" (fun () ->
-         Cell.write regs.St.c.(2) (Univ.inj Codecs.counter 1)));
+         Cell.write (regs.St.cell (Score.C 2)) (Univ.inj Codecs.counter 1)));
   Sched.set_enabled sched (fun fb -> fb.Sched.pid <> 3 || not fb.Sched.daemon);
   run_until sched "phase a" (fun st ->
       fiber_done w1 st
@@ -266,7 +276,8 @@ let a3_run ~lax =
   (* phase 2: flip E_0 to b, wake everyone *)
   let w2 =
     Sched.spawn sched ~pid:0 ~name:"byz-b" (fun () ->
-        Cell.write regs.St.e.(0) (Univ.inj Codecs.value_opt (Some "b")))
+        Cell.write (regs.St.cell (Score.E 0))
+          (Univ.inj Codecs.value_opt (Some "b")))
   in
   Sched.set_enabled sched (fun _ -> true);
   run_until sched "flip" (fiber_done w2);

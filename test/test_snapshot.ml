@@ -67,7 +67,9 @@ let test_unsigned_invisible () =
   ignore
     (Sched.spawn s.sched ~pid:3 ~name:"byz" (fun () ->
          let seg = s.snap.Snap.segments.(3) in
-         Cell.write seg.Snap.seg_regs.Lnd_verifiable.Verifiable.rstar
+         Cell.write
+           (seg.Snap.seg_regs.Lnd_verifiable.Verifiable.cell
+              Lnd_verifiable.Verifiable_core.Rstar)
            (Univ.inj Codecs.value "unsigned")));
   ignore
     (Sched.spawn s.sched ~pid:0 ~name:"u0" (fun () ->
