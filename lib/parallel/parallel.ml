@@ -1,9 +1,9 @@
 (* Driver #2: the OCaml 5 domains backend, wired to the pure cores.
 
    Executes the same Diff.work workloads as the simulator, but on
-   Lnd_runtime.Domains: one domain per process over atomic
-   register cells, real preemption, and a global atomic clock stamping
-   the operation history. The protocol logic is exactly the pure
+   Lnd_runtime.Domains: the processes spread over at most one domain per
+   core, atomic register cells, real preemption, and a global atomic
+   clock stamping the operation history. The protocol logic is exactly the pure
    Sticky_core / Verifiable_core / Testorset_core / Byz_script_core
    machines the simulator drives — this module only owns register
    allocation and history bookkeeping, so any verdict disagreement
@@ -37,9 +37,9 @@ open Machine
 let broken_value : Value.t = "zzz"
 
 (* Entries land in a per-pid accumulator: each slot is written only by
-   its own worker domain, and the run's completion latch (Domains.run
-   returns only after every worker counted it down under its mutex)
-   orders those writes before the merge below reads them. *)
+   the worker domain hosting its pid, and the run's completion latch
+   (Domains.run returns only after every worker counted it down under its
+   mutex) orders those writes before the merge below reads them. *)
 let merge_history (recs : ('op, 'res) History.entry list array) :
     ('op, 'res) History.t =
   { History.entries = List.concat (Array.to_list recs) }

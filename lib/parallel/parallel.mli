@@ -1,9 +1,10 @@
 (** Driver #2: the OCaml 5 domains backend.
 
-    Executes {!Diff.work} workloads on {!Lnd_runtime.Domains} — one
-    domain per process, atomic registers, real preemption — by
-    driving the very same pure cores ([Sticky_core], [Verifiable_core],
-    [Testorset_core], [Byz_script_core]) the simulator drives. The run
+    Executes {!Diff.work} workloads on {!Lnd_runtime.Domains} — the
+    processes spread over at most one domain per core, atomic registers,
+    real preemption — by driving the very same pure cores
+    ([Sticky_core], [Verifiable_core], [Testorset_core],
+    [Byz_script_core]) the simulator drives. The run
     folds into a {!Lnd_history.History.t} stamped by the backend's
     atomic clock and is judged by the spec-level checkers of {!Diff}. *)
 

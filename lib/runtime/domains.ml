@@ -1,17 +1,22 @@
 (* Driver #2: OCaml 5 domains.
 
    The same pure Machine programs the simulator drives (Drive.run) are
-   executed here with real preemption: one domain per process, shared
-   registers as atomic cells, and a global atomic logical clock stamping
-   operation invocations/responses for the history.
+   executed here with real preemption: shared registers as atomic cells,
+   a global atomic logical clock stamping operation invocations/responses
+   for the history, and a run's processes spread over at most
+   [Domain.recommended_domain_count ()] domains, so busy domains never
+   outnumber the cores.
 
-   Within a domain, the process's machines — the current client
-   operation plus its background daemons (help, scripted adversaries) —
-   are interleaved cooperatively at their Yield points, mirroring the
-   per-process fiber structure of the simulator. Across domains there is
-   no schedule at all: interleavings are whatever the hardware and the
-   OS produce, which is exactly what the differential conformance suite
-   wants to confront the cores with.
+   Grouping: process i in pid order runs on domain i mod g, where g is
+   the smaller of the process count and the recommended domain count.
+   Within a domain, the machines of every process it hosts — each one's
+   current client operation plus its background daemons (help, scripted
+   adversaries) — are interleaved cooperatively at their Yield points,
+   mirroring the fiber structure of the simulator. The processes are
+   asynchronous, so any interleaving of their turns is a legal execution.
+   Across domains there is no schedule at all: interleavings are whatever
+   the hardware and the OS produce, which is exactly what the differential
+   conformance suite wants to confront the cores with.
 
    Wake-on-write: the simulator's park-on-yield rule (DESIGN §4i), ported
    to real parallelism. Every core's Yield ends a poll pass whose outcome
@@ -28,7 +33,7 @@
    step budget running out, or a correct machine raising all end in
    [Error] instead of a hang.
 
-   Worker pool: a process body runs on a pooled worker domain that
+   Worker pool: a domain's body runs on a pooled worker domain that
    outlives the run, so a session pays no domain spawn or join. *)
 
 open Lnd_support
@@ -124,14 +129,24 @@ type runnable =
 
 type proc = { pid : int; jobs : job list; daemons : daemon list }
 
+(* A process as the domain hosting it runs it: the jobs it has not
+   started, its current operation, its daemons and its root span. *)
+type host = {
+  proc : proc;
+  mutable queue : job list;
+  mutable current : runnable option;
+  background : runnable list;
+  root : int;
+}
+
 (* The wake-on-write state lives in the run, next to its clock:
    - [version] is bumped after every register write, every completed job
      and an abort; writers broadcast [cond] only when [waiters] > 0;
    - under [mu]: [live] counts domains that have not exited, and
-     [blocked] holds, for each domain waiting on [cond], its pid, the
-     version it waits on and its parked machines. An entry whose version
-     is no longer current belongs to a domain that was woken but has not
-     yet re-taken [mu]; it is not stalled. *)
+     [blocked] holds, for each domain waiting on [cond], the version it
+     waits on and the (pid, label) of each machine it parked. An entry
+     whose version is no longer current belongs to a domain that was
+     woken but has not yet re-taken [mu]; it is not stalled. *)
 type t = {
   clock : clock;
   step_budget : int;
@@ -141,7 +156,7 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   mutable live : int;
-  mutable blocked : (int * int * string list) list;
+  mutable blocked : (int * (int * string) list) list;
 }
 
 let default_step_budget = 50_000_000
@@ -189,7 +204,7 @@ let bump (t : t) =
    only preemption points *within* a domain are the cores' explicit
    yields — between domains, every shared access races for real. A turn
    counts one step when it starts and one per read, against the
-   domain's step budget. *)
+   domain's step budget, which the processes it hosts share. *)
 let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
   if m.dead then `Dead
   else begin
@@ -256,9 +271,10 @@ let runnable v (Run m) = (not m.dead) && m.parked <> v
    of an 8-op session, so worker domains outlive runs. Domains are a process
    resource (the runtime caps them at 128): the pool is process-wide and
    lazy, a process that never runs spawns nothing, and it grows to the
-   largest number of processes run at once. Idle workers block in
-   [Condition.wait], which does not keep the process from exiting. All
-   per-run state stays in [t]. *)
+   largest number of domains run at once, which is at most
+   [Domain.recommended_domain_count ()] per concurrent run. Idle workers
+   block in [Condition.wait], which does not keep the process from
+   exiting. All per-run state stays in [t]. *)
 type worker = {
   wmu : Mutex.t;
   wcond : Condition.t;
@@ -361,17 +377,27 @@ let run (t : t) : (int, string) result =
   let remaining = Atomic.make total_jobs in
   let aborted : string option Atomic.t = Atomic.make None in
   let steps_total = Atomic.make 0 in
-  t.live <- List.length procs;
+  (* More busy domains than cores would only add OS sleeps and wakeups;
+     processes sharing a domain interleave at their yields instead, which
+     is still a legal asynchronous schedule. *)
+  let g = min (List.length procs) (Domain.recommended_domain_count ()) in
+  let groups =
+    List.init g (fun k -> List.filteri (fun i _ -> i mod g = k) procs)
+  in
+  t.live <- g;
   t.blocked <- [];
   (* Under [mu]. If every live domain waits on the current version, no
-     write can ever come: abort, naming each parked machine, and wake
-     every blocked domain. *)
+     write can ever come: abort, naming each parked machine in pid order,
+     and wake every blocked domain. *)
   let check_stall () =
     let v = Atomic.get t.version in
-    match List.filter (fun (_, w, _) -> w = v) t.blocked with
+    match List.filter (fun (w, _) -> w = v) t.blocked with
     | stuck when t.live > 0 && List.length stuck = t.live ->
         let parked =
-          List.concat_map (fun (_, _, ms) -> ms) (List.sort compare stuck)
+          List.concat_map snd stuck
+          |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.map (fun (pid, label) ->
+                 Printf.sprintf "%s (pid %d)" label pid)
         in
         let m =
           "domains run stalled: every live domain is parked with no write \
@@ -383,8 +409,8 @@ let run (t : t) : (int, string) result =
     | _ -> ()
   in
   (* Returns once the write version differs from [v]: spin, then block.
-     [parked] names the domain's machines for a stall report. *)
-  let await ~pid ~v ~parked =
+     [parked] lists the domain's machines for a stall report. *)
+  let await ~v ~parked =
     let rec spin i =
       if Atomic.get t.version <> v then ()
       else if i > 0 then begin
@@ -392,7 +418,7 @@ let run (t : t) : (int, string) result =
         spin (i - 1)
       end
       else begin
-        let me = (pid, v, parked ()) in
+        let me = (v, parked ()) in
         Mutex.lock t.mu;
         Atomic.incr t.waiters;
         if Atomic.get t.version = v then begin
@@ -409,22 +435,21 @@ let run (t : t) : (int, string) result =
     in
     spin idle_spins
   in
-  let body (p : proc) () =
-    let steps = ref 0 in
-    (* Per-domain root span: every operation span of this process nests
-       under it, so a merged multi-domain trace keeps one subtree per
-       domain. Daemons stay at top level (parent 0), mirroring the
-       simulator's daemon fibers — they are abandoned at teardown and
-       their dangling spans are abort-closed by Trace.finish. *)
-    let dspan =
+  (* Per-process root span: every operation span of the process nests
+     under it, so a merged multi-domain trace keeps one subtree per
+     process. Daemons stay at top level (parent 0), mirroring the
+     simulator's daemon fibers — they are abandoned at teardown and
+     their dangling spans are abort-closed by Trace.finish. *)
+  let host (p : proc) =
+    let root =
       if Obs.enabled () then begin
         Obs.set_ambient ~span:0 ~pid:p.pid;
-        Obs.span_open ~pid:p.pid ~name:"domain"
+        Obs.span_open ~pid:p.pid ~name:"process"
           ~arg:(Printf.sprintf "p%d" p.pid) ()
       end
       else 0
     in
-    let daemons =
+    let background =
       List.map
         (fun (Daemon d) ->
           Run
@@ -441,87 +466,100 @@ let run (t : t) : (int, string) result =
             })
         p.daemons
     in
-    let jobs = ref p.jobs in
-    let current : runnable option ref = ref None in
-    let has_current () = match !current with Some _ -> true | None -> false in
-    let has_jobs () = match !jobs with [] -> false | _ :: _ -> true in
-    let has_daemons = match daemons with [] -> false | _ :: _ -> true in
+    { proc = p; queue = p.jobs; current = None; background; root }
+  in
+  let start h (Job j) =
+    let pid = h.proc.pid in
+    let name, arg = j.span in
+    (* The operation span must BRACKET the [inv, ret] interval: open
+       before the inv tick, close after the ret tick. The trace-derived
+       precedence order is then a subset of the direct history's, so
+       folding the trace back into a history can never add precedence
+       pairs the checkers didn't already judge. *)
+    let ospan =
+      if name <> "" && Obs.enabled () then begin
+        Obs.set_ambient ~span:h.root ~pid;
+        Obs.span_open ~pid ~name ?arg ()
+      end
+      else h.root
+    in
+    let inv = tick t.clock in
+    let prog = j.prog () in
+    Run
+      {
+        label = Printf.sprintf "p%d-op" pid;
+        critical = true;
+        resume = (fun () -> prog);
+        cell = j.cell;
+        onote = j.on_note;
+        ospan;
+        fin =
+          (fun a ->
+            let ret = tick t.clock in
+            j.finish ~inv ~ret a;
+            if name <> "" && ospan <> h.root then
+              Obs.span_close ~pid
+                ?result:(Option.map (fun r -> r a) j.render)
+                ~name ospan;
+            Atomic.decr remaining;
+            bump t);
+        dead = false;
+        parked = -1;
+      }
+  in
+  let busy h =
+    Option.is_some h.current || h.queue <> []
+    || (h.background <> [] && Atomic.get remaining > 0)
+  in
+  let body (group : proc list) () =
+    let steps = ref 0 in
+    let hosts = List.map host group in
     let parked () =
-      List.filter_map
-        (fun (Run m) ->
-          if m.dead then None
-          else Some (Printf.sprintf "%s (pid %d)" m.label p.pid))
-        (Option.to_list !current @ daemons)
+      List.concat_map
+        (fun h ->
+          List.filter_map
+            (fun (Run m) -> if m.dead then None else Some (h.proc.pid, m.label))
+            (Option.to_list h.current @ h.background))
+        hosts
     in
     let raised =
      try
-       let continue () =
+       while
          (match Atomic.get aborted with Some _ -> false | None -> true)
-         && (has_current () || has_jobs ()
-            || (has_daemons && Atomic.get remaining > 0))
-       in
-       while continue () do
-         (match (!current, !jobs) with
-         | None, Job j :: rest ->
-             jobs := rest;
-             let name, arg = j.span in
-             (* The operation span must BRACKET the [inv, ret] interval:
-                open before the inv tick, close after the ret tick. The
-                trace-derived precedence order is then a subset of the
-                direct history's, so folding the trace back into a
-                history can never add precedence pairs the checkers
-                didn't already judge. *)
-             let ospan =
-               if name <> "" && Obs.enabled () then begin
-                 Obs.set_ambient ~span:dspan ~pid:p.pid;
-                 Obs.span_open ~pid:p.pid ~name ?arg ()
-               end
-               else dspan
-             in
-             let inv = tick t.clock in
-             let prog = j.prog () in
-             current :=
-               Some
-                 (Run
-                    {
-                      label = Printf.sprintf "p%d-op" p.pid;
-                      critical = true;
-                      resume = (fun () -> prog);
-                      cell = j.cell;
-                      onote = j.on_note;
-                      ospan;
-                      fin =
-                        (fun a ->
-                          let ret = tick t.clock in
-                          j.finish ~inv ~ret a;
-                          if name <> "" && ospan <> dspan then
-                            Obs.span_close ~pid:p.pid
-                              ?result:(Option.map (fun r -> r a) j.render)
-                              ~name ospan;
-                          Atomic.decr remaining;
-                          bump t);
-                      dead = false;
-                      parked = -1;
-                    })
-         | _ -> ());
-         (* One pass: every machine not parked on [v] takes a turn. *)
+         && List.exists busy hosts
+       do
+         (* One pass: every machine not parked on [v] takes a turn, process
+            by process in pid order, current operation first. A process
+            that looks finished is offered its turns all the same: the last
+            job's completion bumps the version, and a pass that read the
+            new version but ran nothing would block on a version no one
+            will move. *)
          let v = Atomic.get t.version in
          let ran = ref false in
-         (match !current with
-         | Some r when runnable v r -> (
-             ran := true;
-             match turn t ~steps ~pid:p.pid r with
-             | `Done | `Dead -> current := None
-             | `Yielded -> ())
-         | _ -> ());
          List.iter
-           (fun d ->
-             if runnable v d then begin
-               ran := true;
-               ignore (turn t ~steps ~pid:p.pid d)
-             end)
-           daemons;
-         if not !ran then await ~pid:p.pid ~v ~parked
+           (fun h ->
+             let pid = h.proc.pid in
+             (match (h.current, h.queue) with
+             | None, j :: rest ->
+                 h.queue <- rest;
+                 h.current <- Some (start h j)
+             | _ -> ());
+             (match h.current with
+             | Some r when runnable v r -> (
+                 ran := true;
+                 match turn t ~steps ~pid r with
+                 | `Done | `Dead -> h.current <- None
+                 | `Yielded -> ())
+             | _ -> ());
+             List.iter
+               (fun d ->
+                 if runnable v d then begin
+                   ran := true;
+                   ignore (turn t ~steps ~pid d)
+                 end)
+               h.background)
+           hosts;
+         if not !ran then await ~v ~parked
        done;
        None
      with
@@ -539,13 +577,16 @@ let run (t : t) : (int, string) result =
          bump t;
          Some (e, bt)
     in
-    (* Close the domain root span on a clean exit; an aborted run leaves
-       it (and any open operation span) dangling for Trace.finish to
+    (* Close each root span on a clean exit; an aborted run leaves them
+       (and any open operation span) dangling for Trace.finish to
        abort-close, so the incomplete run is visible in the trace. *)
-    (match !current with
-    | None when dspan <> 0 && Atomic.get aborted = None ->
-        Obs.span_close ~pid:p.pid ~name:"domain" dspan
-    | _ -> ());
+    List.iter
+      (fun h ->
+        match h.current with
+        | None when h.root <> 0 && Atomic.get aborted = None ->
+            Obs.span_close ~pid:h.proc.pid ~name:"process" h.root
+        | _ -> ())
+      hosts;
     ignore (Atomic.fetch_and_add steps_total !steps);
     (* The domains still waiting may have been waiting on this one. *)
     Mutex.lock t.mu;
@@ -554,7 +595,7 @@ let run (t : t) : (int, string) result =
     Mutex.unlock t.mu;
     Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) raised
   in
-  run_pooled (List.map body procs);
+  run_pooled (List.map body groups);
   match Atomic.get aborted with
   | Some m -> Error m
   | None ->

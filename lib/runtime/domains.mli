@@ -1,19 +1,19 @@
 (** Driver #2: OCaml 5 domains.
 
     Runs the same pure {!Lnd_support.Machine} programs the simulator
-    drives, but with real preemption: one domain per process, shared
-    registers as atomic cells ({!Dcell}), and a global atomic logical
-    clock stamping operation intervals for the history. Each machine
-    runs in turns: one {!Lnd_support.Machine.advance} call from its last
-    [Yield] to its next, reading and writing {!Dcell}s directly. Within
-    a domain the process's machines (current operation + background
-    daemons) interleave cooperatively at those Yield points; across
-    domains the
-    interleaving is whatever the hardware produces. A machine whose turn
-    ends in a yield is parked until some register write happens after
-    that turn started (wake-on-write); a domain whose machines are all
-    parked blocks instead of spinning. See DESIGN.md, "Pure cores and
-    drivers". *)
+    drives, but with real preemption: shared registers as atomic cells
+    ({!Dcell}), a global atomic logical clock stamping operation
+    intervals for the history, and a run's processes spread over at most
+    [Domain.recommended_domain_count ()] domains. Each machine runs in
+    turns: one {!Lnd_support.Machine.advance} call from its last [Yield]
+    to its next, reading and writing {!Dcell}s directly. Within a domain
+    the machines of the processes it hosts (each one's current operation
+    + background daemons) interleave cooperatively at those Yield
+    points; across domains the interleaving is whatever the hardware
+    produces. A machine whose turn ends in a yield is parked until some
+    register write happens after that turn started (wake-on-write); a
+    domain whose machines are all parked blocks instead of spinning. See
+    DESIGN.md, "Pure cores and drivers". *)
 
 open Lnd_support
 
@@ -71,9 +71,10 @@ val daemon :
 type t
 
 val create : ?step_budget:int -> unit -> t
-(** [step_budget] bounds machine steps per domain, turning deadlock or
-    divergence into [Error] instead of a hang. A turn counts one step
-    when it starts and one per register read. *)
+(** [step_budget] bounds machine steps per domain, shared by the
+    processes the domain hosts, turning deadlock or divergence into
+    [Error] instead of a hang. A turn counts one step when it starts and
+    one per register read. *)
 
 val now : t -> int
 
@@ -87,16 +88,20 @@ val clock : t -> clock
 val add_process : t -> pid:int -> ?daemons:daemon list -> job list -> unit
 
 val run : t -> (int, string) result
-(** Runs each registered process on its own pooled worker domain — one
-    worker per process per run — and returns once every process body has
-    ended. Workers outlive the run: the pool is process-wide, spawns a
-    domain only when it has too few idle workers, and never shrinks, so
-    it holds as many domains as the largest run so far. A body's
-    exception is re-raised here after all bodies ended (the first in pid
-    order), and every write a body made happens before [run] returns.
-    [Ok steps]
-    (total machine steps across domains) once every job completed;
-    [Error _] if a correct machine raised, a budget was exhausted, jobs
-    were left incomplete, or the run stalled: every live domain blocked
-    with all its machines parked, so no register write can ever come.
-    A stall error names each parked machine with its pid. *)
+(** Runs the n registered processes on g pooled worker domains, where
+    g = min(n, [Domain.recommended_domain_count ()]): the i-th process in
+    pid order runs on domain i mod g, whose loop gives every runnable
+    machine of every process it hosts one turn per pass, in pid order,
+    and blocks only when none of them ran. [run] returns once every
+    domain's body has ended. Workers outlive the run: the pool is
+    process-wide, spawns a domain only when it has too few idle workers,
+    and never shrinks, so it holds at most
+    [Domain.recommended_domain_count ()] workers per concurrent run. No
+    body runs on the calling domain. A body's exception is re-raised
+    here after all bodies ended (the first in domain order), and every
+    write a body made happens before [run] returns. [Ok steps] (total
+    machine steps across domains) once every job completed; [Error _] if
+    a correct machine raised, a budget was exhausted, jobs were left
+    incomplete, or the run stalled: every live domain blocked with all
+    its machines parked, so no register write can ever come. A stall
+    error names each parked machine with its pid, in pid order. *)

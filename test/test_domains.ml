@@ -2,9 +2,10 @@
    that can never progress must end in an [Error] naming its parked
    machines, quickly, instead of burning its step budget; and a run whose
    processes hand off through register writes must complete without lost
-   wakeups and without spinning through idle re-polls. Its worker pool
-   must reuse workers across runs, survive failed runs, and serve
-   concurrent callers. *)
+   wakeups and without spinning through idle re-polls. Processes that
+   share a domain must still pass a barrier they all wait at. Its worker
+   pool must reuse workers across runs, survive failed runs, and serve
+   concurrent callers, with at most one worker per core per run. *)
 
 open Lnd_support
 module Domains = Lnd_runtime.Domains
@@ -113,10 +114,13 @@ let recorder n =
 
 let distinct l = List.sort_uniq compare l
 
+(* A run uses one worker per process, up to one per core. *)
+let cores = Domain.recommended_domain_count ()
+
 (* A worker that counted the run down before going back to the pool
    could still look busy to the next run, which would spawn a
-   replacement: 300 back-to-back runs would then see more than the two
-   workers the idle stack hands back every time. *)
+   replacement: 300 back-to-back runs would then see more than the
+   min(2, cores) workers the idle stack hands back every time. *)
 let test_pool_reuse () =
   let seen = ref [] in
   for _ = 1 to 300 do
@@ -127,9 +131,9 @@ let test_pool_reuse () =
     seen := Array.to_list ids @ !seen
   done;
   let pair = distinct !seen in
-  if List.length pair <> 2 then
-    Alcotest.failf "300 runs of 2 processes used %d workers, not 2"
-      (List.length pair);
+  if List.length pair <> min 2 cores then
+    Alcotest.failf "300 runs of 2 processes used %d workers, not %d"
+      (List.length pair) (min 2 cores);
   (* One 7-process run: pid k hands off to pid k+1 through register k. *)
   let n = 7 in
   let cells = Array.init n (fun i -> int_cell (Printf.sprintf "R%d" i)) in
@@ -150,9 +154,11 @@ let test_pool_reuse () =
   | Error m -> Alcotest.failf "7-process run failed: %s" m);
   let all = distinct (Array.to_list ids @ !seen) in
   if List.mem (-1) all then Alcotest.fail "a finish callback never ran";
-  if List.length all > n then
-    Alcotest.failf "%d distinct worker domains for runs of at most %d"
-      (List.length all) n;
+  if List.length all > min n cores then
+    Alcotest.failf
+      "%d distinct worker domains for runs of at most %d processes on %d \
+       cores"
+      (List.length all) n cores;
   if List.mem (self_id ()) all then
     Alcotest.fail "a process body ran on the calling domain"
 
@@ -207,8 +213,8 @@ let test_pool_failure_leaks_nothing () =
   | Ok _, _ -> ()
   | Error m, _ -> Alcotest.failf "run after failures: %s" m);
   let w4 = distinct (Array.to_list ids) in
-  if List.length w4 <> 2 || List.mem (-1) w4 then
-    Alcotest.fail "the normal run did not record two workers";
+  if List.length w4 <> min 2 cores || List.mem (-1) w4 then
+    Alcotest.failf "the normal run did not record %d workers" (min 2 cores);
   (* An aborted run may end a process before it builds its program, so
      only the ids that were recorded are compared. *)
   List.iter
@@ -217,6 +223,68 @@ let test_pool_failure_leaks_nothing () =
         Alcotest.failf "the %s run used other workers than the normal run"
           what)
     [ ("stalled", w1); ("raising-finish", w2); ("raising-program", w3) ]
+
+(* One more process than cores, so by pigeonhole two of them share a
+   domain. Each writes its own flag, then waits for all n flags: the run
+   completes only if co-located processes interleave at their yields.
+   Each process gets an idle daemon, as help daemons would be. With
+   [silent], that process never writes its flag and the run must stall,
+   naming every parked machine in pid order. *)
+let barrier ?silent ~finish n =
+  let cells = Array.init n (fun i -> int_cell (Printf.sprintf "F%d" i)) in
+  let cell i = cells.(i) in
+  let rec await_all k =
+    Machine.(
+      if k = n then ret ()
+      else
+        let* () = await_value k 1 in
+        await_all (k + 1))
+  in
+  let d = Domains.create () in
+  for pid = 0 to n - 1 do
+    let prog () =
+      Machine.(
+        let* () =
+          if silent = Some pid then ret () else write pid (Univ.inj Univ.int 1)
+        in
+        await_all 0)
+    in
+    let idle =
+      Domains.daemon ~label:(Printf.sprintf "idle%d" pid) ~cell (idle_poll pid)
+    in
+    Domains.add_process d ~pid ~daemons:[ idle ]
+      [ Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> finish pid) prog ]
+  done;
+  Domains.run d
+
+let test_colocated_barrier () =
+  let n = cores + 1 in
+  let ids, note = recorder n in
+  (match barrier ~finish:note n with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%d-process barrier failed: %s" n m);
+  let ws = distinct (Array.to_list ids) in
+  if List.mem (-1) ws then Alcotest.fail "a finish callback never ran";
+  if List.length ws > cores then
+    Alcotest.failf "%d processes ran on %d workers, more than the %d cores" n
+      (List.length ws) cores;
+  if List.mem (self_id ()) ws then
+    Alcotest.fail "a process body ran on the calling domain";
+  match barrier ~silent:1 ~finish:(fun _ -> ()) n with
+  | Ok steps -> Alcotest.failf "a barrier missing a flag returned Ok %d" steps
+  | Error m ->
+      let expected =
+        "parked: "
+        ^ String.concat ", "
+            (List.init n (fun pid ->
+                 Printf.sprintf "p%d-op (pid %d), idle%d (pid %d)" pid pid pid
+                   pid))
+      in
+      if
+        not
+          (Test_obs.contains ~sub:"stalled" m
+          && Test_obs.contains ~sub:expected m)
+      then Alcotest.failf "stall error does not read %S: %s" expected m
 
 let test_pool_concurrent_callers () =
   let caller () = fst (ping_pong 200) in
@@ -236,11 +304,15 @@ let tests =
     Alcotest.test_case "1,000 ping-pong hand-offs: no lost wakeup, no spinning"
       `Quick test_ping_pong;
     Alcotest.test_case
-      "pool: 300 runs of 2 then one of 7 use at most 7 workers" `Quick
-      test_pool_reuse;
+      "pool: 300 runs of 2 then one of 7 use at most min(7, cores) workers"
+      `Quick test_pool_reuse;
     Alcotest.test_case
       "pool: stalled and raising runs hand their workers back" `Quick
       test_pool_failure_leaks_nothing;
     Alcotest.test_case "pool: two concurrent callers both complete" `Quick
       test_pool_concurrent_callers;
+    Alcotest.test_case
+      "cores + 1 processes pass a barrier on at most cores workers, and stall \
+       without one flag"
+      `Quick test_colocated_barrier;
   ]
