@@ -421,8 +421,9 @@ let profile_cmd_run seed proto_s backend_s out metrics_json =
   let w = Diff.generate ~proto seed in
   (* The sim records everything (bounded and deterministic: the folded
      output is byte-identical across replays of the same seed); the
-     domains backend records operation spans only — its spinning help
-     daemons make the raw shared-memory event volume unbounded. *)
+     domains backend records operation spans only (Diff.parity_keep):
+     the parity fold reads nothing else, and recording its register
+     accesses is an open ROADMAP item. *)
   let r, ti =
     match backend_s with
     | "sim" -> Diff.sim_traced ~keep:(fun _ -> true) w

@@ -46,18 +46,3 @@ let mutate rng (sc : t) : t =
    driving a responder program over the register map. *)
 let spawn sched ~pid ~name ~cell prog : Sched.fiber =
   Sched.spawn sched ~pid ~name ~daemon:true (fun () -> Drive.run ~cell prog)
-
-let name (sc : t) = Printf.sprintf "byz-script%d" sc.pid
-
-let spawn_sticky sched (regs : Lnd_sticky.Sticky.regs) (sc : t) : Sched.fiber =
-  let open Lnd_sticky.Sticky in
-  spawn sched ~pid:sc.pid ~name:(name sc) ~cell:regs.cell
-    (Byz_script_core.sticky_prog ~n:regs.cfg.n ~pid:sc.pid ~genome:sc.genome
-       ~value:sc.value)
-
-let spawn_verifiable sched (regs : Lnd_verifiable.Verifiable.regs) (sc : t) :
-    Sched.fiber =
-  let open Lnd_verifiable.Verifiable in
-  spawn sched ~pid:sc.pid ~name:(name sc) ~cell:regs.cell
-    (Byz_script_core.verifiable_prog ~n:regs.cfg.n ~pid:sc.pid
-       ~genome:sc.genome ~value:sc.value)

@@ -44,11 +44,3 @@ val spawn :
 (** Run a responder program ({!Byz_script_core}) as a daemon fiber of
     [pid] over the register map [cell]. Every lnd_byz adversary runs on
     the simulator through it. *)
-
-val spawn_sticky : Sched.t -> Lnd_sticky.Sticky.regs -> t -> Sched.fiber
-(** Run the script against the sticky register's layout (a daemon
-    fiber, like every lnd_byz adversary). *)
-
-val spawn_verifiable :
-  Sched.t -> Lnd_verifiable.Verifiable.regs -> t -> Sched.fiber
-(** Run the script against the verifiable register's layout. *)

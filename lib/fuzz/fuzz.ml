@@ -1,8 +1,11 @@
 (* Scenario fuzzer: generate a random Byzantine scenario from a seed, run
-   it to quiescence, and check every paper property that applies —
+   it to quiescence, and check every paper property that applies with
+   the differential suite's judge (Lnd_parallel.Diff.check_*_history):
    the observational monitors (relay / uniqueness / validity /
    unforgeability) plus full Byzantine linearizability when the history is
-   small enough for the exhaustive checker.
+   small enough for the exhaustive checker. The scenario's adversaries
+   are the named lnd_byz strategies, which the workload plan does not
+   carry yet, so the system is built here.
 
    One seed = one fully deterministic scenario (size, adversary strategy,
    reader programs, schedule), so any failure is replayable from its seed
@@ -12,7 +15,7 @@ open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
-module Monitors = Lnd_history.Monitors
+module Diff = Lnd_parallel.Diff
 
 type target = Verifiable | Sticky
 
@@ -113,9 +116,24 @@ let byzantine_pids (s : scenario) : int list =
 
 let max_steps = 8_000_000
 
-(* Cap for the exhaustive linearizability search: histories with more
-   operations are checked by the monitors only. *)
-let byzlin_op_cap = 14
+(* Run to quiescence, then the sim verdict: no correct fiber failed, and
+   the protocol's judge (Diff.check_*_history) accepts the history. *)
+let verdict (s : scenario) sched ~(correct : bool array) ~judge history :
+    outcome =
+  match Sched.run ~max_steps sched with
+  | Sched.Budget_exhausted -> Error "step budget exhausted"
+  | Sched.Condition_met -> Error "unexpected stop"
+  | Sched.Quiescent ->
+      Result.map
+        (fun checked ->
+          {
+            scenario = s;
+            steps = Sched.steps sched;
+            operations = List.length (History.complete_entries history);
+            checked_linearizability = checked;
+          })
+        (Diff.sim_verdict sched ~correct:(fun pid -> correct.(pid)) judge
+           history)
 
 let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
   let module Sys = Lnd_verifiable.System in
@@ -168,7 +186,6 @@ let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
              ignore (Sys.op_sign t v)
            done));
   (* correct reader programs *)
-  let ops = ref 0 in
   for pid = 1 to s.n - 1 do
     if t.correct.(pid) then begin
       let prog =
@@ -176,7 +193,6 @@ let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
             let v = Rng.pick_arr rng value_pool in
             if Rng.int rng 4 = 0 then `Read else `Verify v)
       in
-      ops := !ops + List.length prog;
       ignore
         (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
              List.iter
@@ -186,47 +202,8 @@ let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
                prog))
     end
   done;
-  match Sys.run ~max_steps t with
-  | Sched.Budget_exhausted -> Error "step budget exhausted"
-  | Sched.Condition_met -> Error "unexpected stop"
-  | Sched.Quiescent -> (
-      let correct pid = t.correct.(pid) in
-      match
-        List.filter
-          (fun ((fb : Sched.fiber), _) -> correct fb.Sched.pid)
-          (Sched.failures t.sched)
-      with
-      | (fb, e) :: _ ->
-          Error
-            (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
-               (Printexc.to_string e))
-      | [] -> (
-          let violations =
-            Monitors.relay ~correct t.history
-            @ Monitors.validity ~correct t.history
-            @ Monitors.unforgeability ~correct ~writer:0 t.history
-          in
-          match Monitors.check_all violations with
-          | Error msg -> Error msg
-          | Ok () ->
-              let entries = History.complete_entries t.history in
-              (* The op cap is a crude proxy; the search's own node budget
-                 is the real bound — degrade to monitors-only if it trips. *)
-              let check_lin, lin_ok =
-                if List.length entries > byzlin_op_cap then (false, true)
-                else
-                  try (true, Sys.byz_linearizable t)
-                  with Lnd_history.Spec.Search_too_large -> (false, true)
-              in
-              if not lin_ok then Error "history not Byzantine linearizable"
-              else
-                Ok
-                  {
-                    scenario = s;
-                    steps = Sched.steps t.sched;
-                    operations = List.length entries;
-                    checked_linearizability = check_lin;
-                  }))
+  verdict s t.sched ~correct:t.correct ~judge:Diff.check_verifiable_history
+    t.history
 
 let run_sticky (s : scenario) (rng : Rng.t) : outcome =
   let module Sys = Lnd_sticky.System in
@@ -267,57 +244,16 @@ let run_sticky (s : scenario) (rng : Rng.t) : outcome =
   if t.correct.(0) then
     ignore
       (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "a"));
-  let ops = ref 0 in
   for pid = 1 to s.n - 1 do
-    if t.correct.(pid) then begin
-      ops := !ops + s.reader_ops;
+    if t.correct.(pid) then
       ignore
         (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
              for _ = 1 to s.reader_ops do
                ignore (Sys.op_read t ~pid)
              done))
-    end
   done;
-  match Sys.run ~max_steps t with
-  | Sched.Budget_exhausted -> Error "step budget exhausted"
-  | Sched.Condition_met -> Error "unexpected stop"
-  | Sched.Quiescent -> (
-      let correct pid = t.correct.(pid) in
-      match
-        List.filter
-          (fun ((fb : Sched.fiber), _) -> correct fb.Sched.pid)
-          (Sched.failures t.sched)
-      with
-      | (fb, e) :: _ ->
-          Error
-            (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
-               (Printexc.to_string e))
-      | [] -> (
-          let violations =
-            Monitors.uniqueness ~correct t.history
-            @ Monitors.sticky_validity ~correct ~writer:0 t.history
-          in
-          match Monitors.check_all violations with
-          | Error msg -> Error msg
-          | Ok () ->
-              let entries = History.complete_entries t.history in
-              (* The op cap is a crude proxy; the search's own node budget
-                 is the real bound — degrade to monitors-only if it trips. *)
-              let check_lin, lin_ok =
-                if List.length entries > byzlin_op_cap then (false, true)
-                else
-                  try (true, Sys.byz_linearizable t)
-                  with Lnd_history.Spec.Search_too_large -> (false, true)
-              in
-              if not lin_ok then Error "history not Byzantine linearizable"
-              else
-                Ok
-                  {
-                    scenario = s;
-                    steps = Sched.steps t.sched;
-                    operations = List.length entries;
-                    checked_linearizability = check_lin;
-                  }))
+  verdict s t.sched ~correct:t.correct ~judge:Diff.check_sticky_history
+    t.history
 
 let run (s : scenario) : outcome =
   let rng = Rng.create (s.seed * 31 + 17) in

@@ -1,9 +1,10 @@
 (** Scenario fuzzer: one integer seed derives a full Byzantine scenario
     (register type, system size, adversary strategy, reader programs,
     schedule), runs it to quiescence, and checks every applicable paper
-    property — the streaming monitors plus full Byzantine linearizability
-    when the history is small enough for the exhaustive checker. Any
-    failure is replayable from its seed alone. *)
+    property with {!Lnd_parallel.Diff}'s judge — the streaming monitors
+    plus full Byzantine linearizability when the history is small enough
+    for the exhaustive checker. Any failure is replayable from its seed
+    alone. *)
 
 type target = Verifiable | Sticky
 
@@ -44,8 +45,9 @@ type report = {
   steps : int;
   operations : int;
   checked_linearizability : bool;
-      (** false when the history was too large and only the monitors
-          ran *)
+      (** the judge's [Ok] bool: false when the history was over
+          {!Lnd_parallel.Diff.byzlin_op_cap} or the search gave up, so
+          only the monitors ran *)
 }
 
 type outcome = (report, string) result

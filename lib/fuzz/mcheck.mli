@@ -4,12 +4,16 @@
     pids (possibly more than the declared [f]: the deliberately
     weakened configurations), their {!Lnd_byz.Byz_script} genomes and
     the correct clients' programs — becomes the (make, check) pair the
-    {!Lnd_runtime.Explore} engines drive. [check] runs at quiescence
-    and raises {!Property_violated} when a run breaks a paper
-    property: a correct fiber crashed, an observational monitor fired,
-    stickiness was broken (a correct read of v ≠ ⊥ followed by a
-    correct read of ⊥; Observation 18 / Definition 20), the recorded
-    history is not Byzantine linearizable, or — with [audit = true] —
+    {!Lnd_runtime.Explore} engines drive. [make] runs the config's
+    workload plan ({!Lnd_parallel.Diff.plan}) on the simulator, so the
+    model checker explores the systems the differential suite runs.
+    [check] runs at quiescence and raises {!Property_violated} when a
+    run breaks a paper property: a correct fiber crashed, the
+    protocol's judge ({!Lnd_parallel.Diff.check_sticky_history} and
+    its siblings) rejected the history — an observational monitor fired
+    (stickiness, Observation 18, is the uniqueness monitor's; for
+    test-or-set, Definition 20, the judge's monotone check) or the
+    history is not Byzantine linearizable — or, with [audit = true],
     the forensic auditor blamed a correct pid. *)
 
 open Lnd_support
@@ -39,6 +43,11 @@ type config = {
 
 exception Property_violated of string
 
+val validate : config -> (unit, string) result
+(** [n >= 2] and [f >= 0]; every Byzantine pid in [0..n-1]; every
+    scripted pid listed as Byzantine; every reader in [1..n-1]; [reads]
+    and [writes] non-negative. *)
+
 val note : config -> string
 (** One-line rendering, used as the counterexample note. *)
 
@@ -65,6 +74,8 @@ type instance = {
 }
 
 val instance : config -> instance
+(** Raises [Invalid_argument] with {!validate}'s message on a config it
+    rejects. *)
 
 val explore :
   ?mode:[ `Dpor | `Naive ] ->

@@ -230,11 +230,13 @@ let of_string (text : string) : (t, string) result =
       let* schedule =
         match !schedule with Some s -> Ok s | None -> Error "missing schedule"
       in
+      let cfg = { !cfg with Mcheck.scripts = !cfg_scripts } in
+      let* () = Mcheck.validate cfg in
       Ok
         {
           sc_name = name;
           sc_note = !note;
-          sc_cfg = { !cfg with Mcheck.scripts = !cfg_scripts };
+          sc_cfg = cfg;
           sc_expect = expect;
           sc_schedule = schedule;
         }

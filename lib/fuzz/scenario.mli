@@ -26,7 +26,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}. Blank lines and [#] comments are ignored;
     unknown keys are an error. Omitted config fields default to the
-    corresponding {!Mcheck.default} field. *)
+    corresponding {!Mcheck.default} field. A config {!Mcheck.validate}
+    rejects is an error too. *)
 
 val save : string -> t -> unit
 val load : string -> (t, string) result

@@ -1,20 +1,27 @@
 (* Differential conformance suite: one seed derives one workload (system
-   size, Byzantine genome scripts, per-reader programs) that is executed
-   by BOTH backends — the deterministic effects-based simulator (driver
-   #1) and the OCaml 5 domains backend (driver #2, Parallel) — and each
-   run is folded into a Lnd_history op history and judged by the same
-   monitors + Byzantine-linearizability checkers.
+   size, Byzantine genome scripts, per-reader programs) that both
+   backends execute — the deterministic effects-based simulator (driver
+   #1, here) and the OCaml 5 domains backend (driver #2, Parallel) — and
+   one judge per protocol accepts or rejects each run's history.
+
+   A workload is built once, as a plan: the core's register layout, a
+   help program per correct pid, a genome program per scripted pid, the
+   writer's and each reader's jobs (client operations) and the judge and
+   renderer, all written over the core's own register names. The sim
+   driver below, Parallel.run and the model checker (Lnd_fuzz.Mcheck)
+   build their systems from a plan, and the scenario fuzzer
+   (Lnd_fuzz.Fuzz) uses the same judges.
 
    The suite asserts three things:
-   - the sim run is accepted (monitors + Byzlin) and its history renders
-     byte-identically to the committed pre-refactor golden baselines
+   - the sim run is accepted and its history renders byte-identically to
+     the committed pre-refactor golden baselines
      (test/fixtures/diff/golden_sim.txt), which pins the pure-core
      extraction to the old effects-based behaviour;
-   - the domains run is accepted by the same checkers — real parallelism
+   - the domains run is accepted by the same judge — real parallelism
      may produce a different (legal) interleaving, so histories are
      compared through the spec, not byte-for-byte;
-   - a deliberately broken core (Parallel.run_* ~flip_reads:true) makes
-     the suite fail, so "green" is evidence, not vacuity.
+   - a deliberately broken core (Parallel.run ~broken:true) makes the
+     suite fail, so "green" is evidence, not vacuity.
 
    Workload generation is deterministic in (seed, protocol) and stays in
    the paper's safe zone (n >= 3f + 1, at most f actually-faulty pids,
@@ -24,13 +31,22 @@
 open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
+module Cell = Lnd_runtime.Cell
+module Drive = Lnd_runtime.Drive
+module Space = Lnd_shm.Space
 module History = Lnd_history.History
+module Spec = Lnd_history.Spec
 module Monitors = Lnd_history.Monitors
 module Byzlin = Lnd_history.Byzlin
 module Trace_replay = Lnd_history.Trace_replay
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
 module Byz_script = Lnd_byz.Byz_script
+module S_core = Lnd_sticky.Sticky_core
+module V_core = Lnd_verifiable.Verifiable_core
+module T_core = Lnd_testorset.Testorset_core
+module B_core = Lnd_byz.Byz_script_core
+open Machine
 
 type proto = Sticky | Verifiable | Testorset
 
@@ -144,15 +160,26 @@ let describe (w : work) : string =
                     prog)))
           w.programs))
 
-(* ---------------- Spec-level acceptance (shared by both backends) ----- *)
+(* ---------------- Spec-level acceptance (the one judge) ---------------- *)
 
-(* Cap for the exhaustive linearizability search (cf. Fuzz.byzlin_op_cap);
-   larger histories are judged by the monitors only. *)
+(* Histories with more completed operations than this are judged by the
+   monitors only: the exhaustive linearizability search is exponential. *)
 let byzlin_op_cap = 14
 
+(* The exhaustive search, unless the history is over the cap or the
+   search gives up: [Ok true] when it ran and accepted, [Ok false] when
+   it did not run. *)
+let linearizable ~what h search : (bool, string) result =
+  if List.length (History.complete_entries h) > byzlin_op_cap then Ok false
+  else
+    match search () with
+    | true -> Ok true
+    | false -> Error ("history not Byzantine linearizable (" ^ what ^ ")")
+    | exception Spec.Search_too_large -> Ok false
+
 let check_sticky_history ~(correct : int -> bool)
-    (h : (Lnd_history.Spec.Sticky_spec.op, Lnd_history.Spec.Sticky_spec.res) History.t) :
-    (unit, string) result =
+    (h : (Spec.Sticky_spec.op, Spec.Sticky_spec.res) History.t) :
+    (bool, string) result =
   match
     Monitors.check_all
       (Monitors.uniqueness ~correct h
@@ -160,17 +187,12 @@ let check_sticky_history ~(correct : int -> bool)
   with
   | Error m -> Error m
   | Ok () ->
-      if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-      else if
-        try Byzlin.sticky ~writer:0 ~correct h
-        with Lnd_history.Spec.Search_too_large -> true
-      then Ok ()
-      else Error "history not Byzantine linearizable (sticky)"
+      linearizable ~what:"sticky" h (fun () ->
+          Byzlin.sticky ~writer:0 ~correct h)
 
 let check_verifiable_history ~(correct : int -> bool)
-    (h :
-      (Lnd_history.Spec.Verifiable_spec.op, Lnd_history.Spec.Verifiable_spec.res)
-      History.t) : (unit, string) result =
+    (h : (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) History.t) :
+    (bool, string) result =
   match
     Monitors.check_all
       (Monitors.relay ~correct h
@@ -179,18 +201,16 @@ let check_verifiable_history ~(correct : int -> bool)
   with
   | Error m -> Error m
   | Ok () ->
-      if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-      else if
-        try Byzlin.verifiable ~writer:0 ~correct h
-        with Lnd_history.Spec.Search_too_large -> true
-      then Ok ()
-      else Error "history not Byzantine linearizable (verifiable)"
+      linearizable ~what:"verifiable" h (fun () ->
+          Byzlin.verifiable ~writer:0 ~correct h)
 
+(* Test-or-set has no observational monitor; its stickiness (a correct
+   TEST=1 is never followed by a correct TEST=0, Definition 20) is
+   checked here, so it still guards histories over the cap. *)
 let check_testorset_history ~(correct : int -> bool)
-    (h :
-      (Lnd_history.Spec.Testorset_spec.op, Lnd_history.Spec.Testorset_spec.res)
-      History.t) : (unit, string) result =
-  let module T = Lnd_history.Spec.Testorset_spec in
+    (h : (Spec.Testorset_spec.op, Spec.Testorset_spec.res) History.t) :
+    (bool, string) result =
+  let module T = Spec.Testorset_spec in
   let entries = History.complete_entries (History.restrict h ~correct) in
   let bit (e : (T.op, T.res) History.entry) =
     match (e.op, e.ret) with T.Test, Some (T.Bit b, _) -> Some b | _ -> None
@@ -211,12 +231,9 @@ let check_testorset_history ~(correct : int -> bool)
   in
   if not monotone then
     Error "test-or-set stickiness violated: TEST=1 then a later TEST=0"
-  else if List.length (History.complete_entries h) > byzlin_op_cap then Ok ()
-  else if
-    try Byzlin.testorset ~setter:0 ~correct h
-    with Lnd_history.Spec.Search_too_large -> true
-  then Ok ()
-  else Error "history not Byzantine linearizable (test-or-set)"
+  else
+    linearizable ~what:"test-or-set" h (fun () ->
+        Byzlin.testorset ~setter:0 ~correct h)
 
 (* ---------------- Canonical history rendering ---------------- *)
 
@@ -230,7 +247,7 @@ let render_entry ~op ~res (e : ('o, 'r) History.entry) : string =
   | None -> Printf.sprintf "p%d:%s[%d,?)" e.pid (op e.op) e.inv
 
 let render_sticky h : string =
-  let module S = Lnd_history.Spec.Sticky_spec in
+  let module S = Spec.Sticky_spec in
   String.concat " "
     (List.map
        (render_entry
@@ -242,7 +259,7 @@ let render_sticky h : string =
        (History.entries h))
 
 let render_verifiable h : string =
-  let module V = Lnd_history.Spec.Verifiable_spec in
+  let module V = Spec.Verifiable_spec in
   String.concat " "
     (List.map
        (render_entry
@@ -259,13 +276,233 @@ let render_verifiable h : string =
        (History.entries h))
 
 let render_testorset h : string =
-  let module T = Lnd_history.Spec.Testorset_spec in
+  let module T = Spec.Testorset_spec in
   String.concat " "
     (List.map
        (render_entry
           ~op:(function T.Set -> "SET" | T.Test -> "TEST")
           ~res:(function T.Done -> "done" | T.Bit b -> string_of_int b))
        (History.entries h))
+
+(* ---------------- The workload plan ---------------- *)
+
+(* One client operation. [prog] is built when the job starts, so it reads
+   what the client's earlier jobs left (a reader's round counter, the
+   writer's written-set); [result] updates that state and maps the
+   program's result to the history result; [text] renders it for the
+   span, only when a sink is installed. *)
+type ('reg, 'op, 'res) job =
+  | Job : {
+      op : 'op;
+      span : string * string option;
+      prog : unit -> ('reg, 'a) Machine.prog;
+      result : 'a -> 'res;
+      text : 'a -> string;
+    }
+      -> ('reg, 'op, 'res) job
+
+type ('reg, 'op, 'res) plan = {
+  layout : 'c. 'c Machine.allocator -> 'reg -> 'c;
+  correct : bool array;
+  helps : (int * ('reg, unit) Machine.prog) list;
+  scripts : (int * ('reg, unit) Machine.prog) list;
+  clients : (int * ('reg, 'op, 'res) job list) list;
+  fiber_names : string * string;
+  judge :
+    correct:(int -> bool) -> ('op, 'res) History.t -> (bool, string) result;
+  render : ('op, 'res) History.t -> string;
+}
+
+type any_plan = Plan : ('reg, 'op, 'res) plan -> any_plan
+
+(* The value broken cores claim; never written by any workload, so the
+   validity monitors reject it on sight. *)
+let broken_value : Value.t = "zzz"
+
+let job op span prog result text = Job { op; span; prog; result; text }
+
+(* [broken] swaps in cores whose final decision step is corrupted (pure
+   and termination-preserving): a reader claiming a never-written value,
+   a verifier that always accepts, a tester returning the impossible
+   bit 2. The round counters live one per reader pid, like the C_k
+   registers they are written to; the written-set is the writer's. *)
+let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
+  let n = w.n in
+  let q = Quorum.make_relaxed ~n ~f:w.f in
+  let correct = Array.make n true in
+  List.iter (fun pid -> correct.(pid) <- false) byzantine;
+  let helps help_prog =
+    List.filter_map
+      (fun pid -> if correct.(pid) then Some (pid, help_prog ~pid) else None)
+      (List.init n Fun.id)
+  in
+  let scripts responder =
+    List.map
+      (fun (pid, genome) ->
+        ( pid,
+          responder ~n ~pid ~genome:(Array.of_list genome)
+            ~value:w.script_value ))
+      w.scripts
+  in
+  let ck = Array.make n 0 in
+  (* The writer (if correct), then each correct reader in [programs]
+     order. *)
+  let clients writes read =
+    (if correct.(0) then [ (0, List.concat (List.init w.writes writes)) ]
+     else [])
+    @ List.filter_map
+        (fun (pid, items) ->
+          if correct.(pid) then Some (pid, List.map (read pid) items)
+          else None)
+        w.programs
+  in
+  (* The register's half of a plan: its layout, Help and responders. *)
+  let on_sticky ~names ~judge ~render clients =
+    Plan
+      {
+        layout = (fun alloc -> S_core.layout ~n alloc);
+        correct;
+        helps = helps (S_core.help_prog ~n ~q);
+        scripts = scripts B_core.sticky_prog;
+        clients;
+        fiber_names = names;
+        judge;
+        render;
+      }
+  in
+  let on_verifiable ~names ~judge ~render clients =
+    Plan
+      {
+        layout = (fun alloc -> V_core.layout ~n alloc);
+        correct;
+        helps = helps (V_core.help_prog ~n ~q);
+        scripts = scripts B_core.verifiable_prog;
+        clients;
+        fiber_names = names;
+        judge;
+        render;
+      }
+  in
+  let value i = value_pool.(i mod Array.length value_pool) in
+  let written = ref Value.Set.empty in
+  match w.proto with
+  | Sticky ->
+      let module S = Spec.Sticky_spec in
+      on_sticky ~names:("writer", "r") ~judge:check_sticky_history
+        ~render:render_sticky
+        (clients
+           (fun i ->
+             let v = value i in
+             [
+               job (S.Write v) ("WRITE", Some v)
+                 (fun () -> S_core.write_prog ~n ~q v)
+                 (fun () -> S.Done)
+                 (fun _ -> "done");
+             ])
+           (fun pid -> function
+             | I_read ->
+                 job S.Read ("READ", None)
+                   (fun () ->
+                     let prog = S_core.read_prog ~n ~q ~pid ~ck:ck.(pid) in
+                     if broken then
+                       let* _, ck' = prog in
+                       ret (Some broken_value, ck')
+                     else prog)
+                   (fun (res, ck') ->
+                     ck.(pid) <- ck';
+                     S.Val res)
+                   (function None, _ -> "⊥" | Some v, _ -> "v:" ^ v)
+             | I_verify _ | I_test -> invalid_arg "Diff: sticky program"))
+  | Verifiable ->
+      let module V = Spec.Verifiable_spec in
+      on_verifiable ~names:("writer", "r") ~judge:check_verifiable_history
+        ~render:render_verifiable
+        (clients
+           (fun i ->
+             let v = value i in
+             [
+               job (V.Write v) ("WRITE", Some v)
+                 (fun () -> V_core.write_prog v)
+                 (fun () ->
+                   written := Value.Set.add v !written;
+                   V.Done)
+                 (fun _ -> "done");
+               job (V.Sign v) ("SIGN", Some v)
+                 (fun () -> V_core.sign_prog ~written:!written v)
+                 (fun ok -> V.Signed ok)
+                 string_of_bool;
+             ])
+           (fun pid -> function
+             | I_read ->
+                 job V.Read ("READ", None)
+                   (fun () ->
+                     if broken then
+                       let* _ = V_core.read_prog in
+                       ret broken_value
+                     else V_core.read_prog)
+                   (fun v -> V.Val v)
+                   (fun v -> "v:" ^ v)
+             | I_verify v ->
+                 job (V.Verify v) ("VERIFY", Some v)
+                   (fun () ->
+                     let prog = V_core.verify_prog ~n ~q ~pid ~ck:ck.(pid) v in
+                     if broken then
+                       let* _, ck' = prog in
+                       ret (true, ck')
+                     else prog)
+                   (fun (ok, ck') ->
+                     ck.(pid) <- ck';
+                     V.Verified ok)
+                   (fun (ok, _) -> string_of_bool ok)
+             | I_test -> invalid_arg "Diff: verifiable program"))
+  | Testorset ->
+      let module T = Spec.Testorset_spec in
+      (* TEST over either register; bit 2 is outside the spec's alphabet,
+         so no linearization can ever produce it. *)
+      let test test_prog pid = function
+        | I_test ->
+            job T.Test ("TEST", None)
+              (fun () ->
+                let prog = test_prog ~pid ~ck:ck.(pid) in
+                if broken then
+                  let* _, ck' = prog in
+                  ret (2, ck')
+                else prog)
+              (fun (bit, ck') ->
+                ck.(pid) <- ck';
+                T.Bit bit)
+              (fun (bit, _) -> string_of_int bit)
+        | I_read | I_verify _ -> invalid_arg "Diff: testorset program"
+      in
+      let names = ("setter", "t") in
+      if w.tos_verifiable then
+        on_verifiable ~names ~judge:check_testorset_history
+          ~render:render_testorset
+          (clients
+             (fun _ ->
+               [
+                 job T.Set ("SET", None)
+                   (fun () -> T_core.set_verifiable_prog ~written:!written)
+                   (fun (signed, written') ->
+                     written := written';
+                     if not signed then
+                       failwith "SET: sign failed for correct setter";
+                     T.Done)
+                   (fun _ -> "done");
+               ])
+             (test (T_core.test_verifiable_prog ~n ~q)))
+      else
+        on_sticky ~names ~judge:check_testorset_history
+          ~render:render_testorset
+          (clients
+             (fun _ ->
+               [
+                 job T.Set ("SET", None)
+                   (fun () -> T_core.set_sticky_prog ~n ~q)
+                   (fun () -> T.Done)
+                   (fun _ -> "done");
+               ])
+             (test (T_core.test_sticky_prog ~n ~q)))
 
 (* ---------------- Driver #1: the deterministic simulator ---------------- *)
 
@@ -276,173 +513,98 @@ type run = {
   rendered : string; (* canonical history *)
 }
 
-let sim_max_steps = 8_000_000
+type system = {
+  space : Space.t;
+  sched : Sched.t;
+  correct : bool array;
+  verdict : unit -> (bool, string) result;
+  ops : unit -> int;
+  rendered : unit -> string;
+}
 
-let correct_failure ~(correct : bool array) sched : string option =
+let sim_verdict sched ~correct judge h : (bool, string) result =
   match
-    List.filter
-      (fun ((fb : Sched.fiber), _) -> correct.(fb.Sched.pid))
+    List.find_opt
+      (fun ((fb : Sched.fiber), _) -> correct fb.Sched.pid)
       (Sched.failures sched)
   with
-  | [] -> None
-  | (fb, e) :: _ ->
-      Some
+  | Some (fb, e) ->
+      Error
         (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
            (Printexc.to_string e))
+  | None -> judge ~correct h
 
+(* The spawn order — help daemons, script daemons, clients — fixes the
+   fiber ids, which the DPOR counts and the .scn fid trails depend on.
+   Each job's span opens and closes inside History.record, as the
+   Sticky/Verifiable sim wrappers do: moving it would shift every span
+   stamp by one tick. *)
+let system (policy : Policy.t) (Plan p : any_plan) : system =
+  let space = Space.create ~n:(Array.length p.correct) in
+  let sched = Sched.create ~space ~choose:policy in
+  let cell = p.layout (Cell.shm_allocator space) in
+  let h = History.create () in
+  List.iter
+    (fun (pid, prog) ->
+      ignore
+        (Sched.spawn sched ~pid ~name:(Printf.sprintf "help%d" pid)
+           ~daemon:true (fun () ->
+             Drive.run ~on_note:(Drive.help_note ()) ~cell prog)))
+    p.helps;
+  List.iter
+    (fun (pid, prog) ->
+      ignore
+        (Byz_script.spawn sched ~pid
+           ~name:(Printf.sprintf "byz-script%d" pid)
+           ~cell prog))
+    p.scripts;
+  let run_job pid (Job j) =
+    let name, arg = j.span in
+    ignore
+      (History.record h ~pid j.op (fun () ->
+           let sp = if Obs.enabled () then Obs.span_open ~name ?arg () else 0 in
+           let a = Drive.run ~cell (j.prog ()) in
+           let res = j.result a in
+           if Obs.enabled () then Obs.span_close ~result:(j.text a) ~name sp;
+           res))
+  in
+  let writer, reader = p.fiber_names in
+  List.iter
+    (fun (pid, jobs) ->
+      let name = if pid = 0 then writer else Printf.sprintf "%s%d" reader pid in
+      ignore
+        (Sched.spawn sched ~pid ~name (fun () -> List.iter (run_job pid) jobs)))
+    p.clients;
+  {
+    space;
+    sched;
+    correct = p.correct;
+    verdict =
+      (fun () ->
+        sim_verdict sched ~correct:(fun pid -> p.correct.(pid)) p.judge h);
+    ops = (fun () -> List.length (History.complete_entries h));
+    rendered = (fun () -> p.render h);
+  }
+
+let sim_max_steps = 8_000_000
 let policy_of (w : work) = Policy.random ~seed:((w.seed * 31) + 17)
 
-let sim_sticky (w : work) : run =
-  let module Sys = Lnd_sticky.System in
-  let byz = byzantine_pids w in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~n:w.n ~f:w.f () in
-  List.iter
-    (fun (pid, genome) ->
-      ignore
-        (Byz_script.spawn_sticky t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:w.script_value)))
-    w.scripts;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         for i = 0 to w.writes - 1 do
-           Sys.op_write t value_pool.(i mod Array.length value_pool)
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_read -> ignore (Sys.op_read t ~pid)
-                 | I_verify _ | I_test -> invalid_arg "Diff: sticky program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_sticky_history ~correct:(fun pid -> t.correct.(pid)) t.history)
-  in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_sticky t.history;
-  }
-
-let sim_verifiable (w : work) : run =
-  let module Sys = Lnd_verifiable.System in
-  let byz = byzantine_pids w in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~n:w.n ~f:w.f () in
-  List.iter
-    (fun (pid, genome) ->
-      ignore
-        (Byz_script.spawn_verifiable t.sched t.regs
-           (Byz_script.make ~pid ~genome ~value:w.script_value)))
-    w.scripts;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         for i = 0 to w.writes - 1 do
-           let v = value_pool.(i mod Array.length value_pool) in
-           Sys.op_write t v;
-           ignore (Sys.op_sign t v)
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_read -> ignore (Sys.op_read t ~pid)
-                 | I_verify v -> ignore (Sys.op_verify t ~pid v)
-                 | I_test -> invalid_arg "Diff: verifiable program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_verifiable_history
-              ~correct:(fun pid -> t.correct.(pid))
-              t.history)
-  in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_verifiable t.history;
-  }
-
-let sim_testorset (w : work) : run =
-  let module Sys = Lnd_testorset.Testorset in
-  let byz = byzantine_pids w in
-  let impl = if w.tos_verifiable then Sys.Verifiable_based else Sys.Sticky_based in
-  let t = Sys.make ~policy:(policy_of w) ~byzantine:byz ~impl ~n:w.n ~f:w.f () in
-  (match t.backend with
-  | Sys.B_sticky (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_sticky t.sched regs
-               (Byz_script.make ~pid ~genome ~value:w.script_value)))
-        w.scripts
-  | Sys.B_verifiable (regs, _, _) ->
-      List.iter
-        (fun (pid, genome) ->
-          ignore
-            (Byz_script.spawn_verifiable t.sched regs
-               (Byz_script.make ~pid ~genome ~value:w.script_value)))
-        w.scripts);
-  ignore
-    (Sys.client t ~pid:0 ~name:"setter" (fun () ->
-         for _ = 1 to w.writes do
-           Sys.op_set t
-         done));
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "t%d" pid) (fun () ->
-             List.iter
-               (function
-                 | I_test -> ignore (Sys.op_test t ~pid)
-                 | I_read | I_verify _ -> invalid_arg "Diff: testorset program")
-               prog)))
-    w.programs;
-  let stop = Sys.run ~max_steps:sim_max_steps t in
-  let verdict =
-    match stop with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> (
-        match correct_failure ~correct:t.correct t.sched with
-        | Some m -> Error m
-        | None ->
-            check_testorset_history
-              ~correct:(fun pid -> t.correct.(pid))
-              t.history)
-  in
-  {
-    ops = List.length (History.complete_entries t.history);
-    steps = Sched.steps t.sched;
-    verdict;
-    rendered = render_testorset t.history;
-  }
-
 let sim (w : work) : run =
-  match w.proto with
-  | Sticky -> sim_sticky w
-  | Verifiable -> sim_verifiable w
-  | Testorset -> sim_testorset w
+  let s =
+    system (policy_of w) (plan w ~byzantine:(byzantine_pids w) ~broken:false)
+  in
+  let verdict =
+    match Sched.run ~max_steps:sim_max_steps s.sched with
+    | Sched.Budget_exhausted -> Error "step budget exhausted"
+    | Sched.Condition_met -> Error "unexpected stop"
+    | Sched.Quiescent -> Result.map ignore (s.verdict ())
+  in
+  {
+    ops = s.ops ();
+    steps = Sched.steps s.sched;
+    verdict;
+    rendered = s.rendered ();
+  }
 
 (* ---------------- Golden baselines (sim driver) ---------------- *)
 
@@ -500,10 +662,10 @@ let check_golden path : (int * string * string) list =
 
 (* ---------------- Trace parity (both drivers) ---------------- *)
 
-(* Keep only operation spans. The help daemons spin on the domains
-   backend, so their Shm_access volume is unbounded and nondeterministic
-   — it would overflow any fixed arena — while the spans the parity fold
-   actually consumes are bounded by the workload. *)
+(* Keep only operation spans: they are all the parity fold reads. The
+   domains backend records nothing else yet (recording its register
+   accesses is ROADMAP item 5), so the filter also keeps the two
+   backends' traces alike. *)
 let parity_keep (e : Obs.event) : bool =
   match e.kind with
   | Obs.Span_open _ | Obs.Span_close _ -> true
@@ -527,15 +689,15 @@ let fold_trace (w : work) (tr : Trace.t) : trace_info =
     | Sticky ->
         let h = Trace_replay.sticky_history evs in
         ( List.length (History.complete_entries h),
-          check_sticky_history ~correct h )
+          Result.map ignore (check_sticky_history ~correct h) )
     | Verifiable ->
         let h = Trace_replay.verifiable_history evs in
         ( List.length (History.complete_entries h),
-          check_verifiable_history ~correct h )
+          Result.map ignore (check_verifiable_history ~correct h) )
     | Testorset ->
         let h = Trace_replay.testorset_history evs in
         ( List.length (History.complete_entries h),
-          check_testorset_history ~correct h )
+          Result.map ignore (check_testorset_history ~correct h) )
   in
   {
     t_ops;

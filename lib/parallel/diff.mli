@@ -4,11 +4,13 @@
     pair — fully describes one workload: system size, which pids run
     scripted Byzantine adversaries (and their {!Lnd_byz.Byz_script}
     genomes), how many values the writer writes, and each correct
-    reader's explicit operation program. The same [work] is executed by
-    the deterministic effects-based simulator (driver #1, here) and by
-    the OCaml 5 domains backend (driver #2, {!Parallel}); each run folds
-    into a {!Lnd_history.History.t} and is judged by the same monitors +
-    Byzantine-linearizability checkers.
+    reader's explicit operation program. {!plan} builds it once, over
+    the protocol core's own register names; the deterministic
+    effects-based simulator (driver #1, {!system}) and the OCaml 5
+    domains backend (driver #2, [Parallel.run]) both run that plan, as
+    does the model checker ([Lnd_fuzz.Mcheck]). Each run folds into a
+    {!Lnd_history.History.t} judged by the one checker per protocol
+    below, which the scenario fuzzer ([Lnd_fuzz.Fuzz]) uses too.
 
     The sim driver additionally renders each history to a canonical
     one-line string and compares it byte-for-byte against the committed
@@ -50,7 +52,14 @@ val generate : proto:proto -> int -> work
 val byzantine_pids : work -> int list
 val describe : work -> string
 
-(** {2 Spec-level acceptance (shared by both backends)} *)
+(** {2 Spec-level acceptance: the one judge}
+
+    Each checker runs the protocol's observational monitors (test-or-set:
+    its stickiness check, Definition 20) and then, unless the history is
+    over {!byzlin_op_cap}, the exhaustive Byzantine-linearizability
+    search. [Ok true]: the search ran and accepted; [Ok false]: the
+    history was over the cap or the search gave up, so only the monitors
+    judged it. *)
 
 val byzlin_op_cap : int
 (** Histories above this many completed operations are judged by the
@@ -60,19 +69,24 @@ val check_sticky_history :
   correct:(int -> bool) ->
   (Lnd_history.Spec.Sticky_spec.op, Lnd_history.Spec.Sticky_spec.res)
   Lnd_history.History.t ->
-  (unit, string) result
+  (bool, string) result
+(** Uniqueness (which includes stickiness, Observation 18) and validity,
+    then Theorem 19. *)
 
 val check_verifiable_history :
   correct:(int -> bool) ->
   (Lnd_history.Spec.Verifiable_spec.op, Lnd_history.Spec.Verifiable_spec.res)
   Lnd_history.History.t ->
-  (unit, string) result
+  (bool, string) result
+(** Relay, validity and unforgeability, then Theorem 14. *)
 
 val check_testorset_history :
   correct:(int -> bool) ->
   (Lnd_history.Spec.Testorset_spec.op, Lnd_history.Spec.Testorset_spec.res)
   Lnd_history.History.t ->
-  (unit, string) result
+  (bool, string) result
+(** A correct TEST=1 never precedes a correct TEST=0, then
+    Observation 25. *)
 
 (** {2 Canonical history rendering} *)
 
@@ -91,6 +105,63 @@ val render_testorset :
   Lnd_history.History.t ->
   string
 
+(** {2 The workload plan}
+
+    Everything both drivers need to run a workload, written over the
+    core's register names (['reg]), the protocol's history operations
+    (['op]) and results (['res]). *)
+
+(** One client operation: its history op, its Obs span (name and
+    argument), the core program — built when the job starts, so it reads
+    the state the client's earlier jobs left (a reader's round counter,
+    the writer's written-set) — and what becomes of the program's
+    result: [result] updates that state and gives the history result,
+    [text] the span's closing text (called only while a sink is
+    installed). *)
+type ('reg, 'op, 'res) job =
+  | Job : {
+      op : 'op;
+      span : string * string option;
+      prog : unit -> ('reg, 'a) Lnd_support.Machine.prog;
+      result : 'a -> 'res;
+      text : 'a -> string;
+    }
+      -> ('reg, 'op, 'res) job
+
+type ('reg, 'op, 'res) plan = {
+  layout : 'c. 'c Lnd_support.Machine.allocator -> 'reg -> 'c;
+      (** the core's register layout ({!Lnd_sticky.Sticky_core.layout}
+          or {!Lnd_verifiable.Verifiable_core.layout}) *)
+  correct : bool array;  (** by pid: not in the Byzantine set *)
+  helps : (int * ('reg, unit) Lnd_support.Machine.prog) list;
+      (** Help program per correct pid, ascending *)
+  scripts : (int * ('reg, unit) Lnd_support.Machine.prog) list;
+      (** genome program per scripted pid, in [work.scripts] order *)
+  clients : (int * ('reg, 'op, 'res) job list) list;
+      (** the writer (pid 0, if correct), then each correct reader in
+          [work.programs] order *)
+  fiber_names : string * string;
+      (** the sim's name for the writer's fiber, and the prefix of a
+          reader's (followed by its pid) *)
+  judge :
+    correct:(int -> bool) ->
+    ('op, 'res) Lnd_history.History.t ->
+    (bool, string) result;
+  render : ('op, 'res) Lnd_history.History.t -> string;
+}
+
+type any_plan = Plan : ('reg, 'op, 'res) plan -> any_plan
+
+val plan : work -> byzantine:int list -> broken:bool -> any_plan
+(** The plan of [work] with the pids in [byzantine] faulty: they get no
+    Help program and no client, and only [work.scripts] run as
+    adversaries (so a Byzantine pid without a script crashes). Scripts
+    claim [work.script_value]. [broken] substitutes cores whose final
+    decision step is corrupted (pure and termination-preserving): a
+    reader that claims a value no workload writes, a verifier that
+    always accepts, a tester that returns the impossible bit 2. The
+    plan's client state is mutable: build a fresh plan per run. *)
+
 (** {2 Driver #1: the deterministic simulator} *)
 
 type run = {
@@ -100,9 +171,38 @@ type run = {
   rendered : string;  (** canonical history *)
 }
 
+type system = {
+  space : Lnd_shm.Space.t;
+  sched : Lnd_runtime.Sched.t;  (** not run yet *)
+  correct : bool array;
+  verdict : unit -> (bool, string) result;
+      (** once the run stopped: no correct fiber failed, then the
+          plan's judge over the recorded history *)
+  ops : unit -> int;  (** completed operations recorded so far *)
+  rendered : unit -> string;  (** the canonical history so far *)
+}
+
+val sim_verdict :
+  Lnd_runtime.Sched.t ->
+  correct:(int -> bool) ->
+  (correct:(int -> bool) -> ('op, 'res) Lnd_history.History.t ->
+   (bool, string) result) ->
+  ('op, 'res) Lnd_history.History.t ->
+  (bool, string) result
+(** The verdict on a stopped sim run: an [Error] naming the first correct
+    fiber that failed, if any, else the judge's verdict on the history. *)
+
+val system : Lnd_runtime.Policy.t -> any_plan -> system
+(** The plan on the simulator: a Space and a Sched choosing by
+    [policy], the layout allocated in the Space, then the fibers —
+    help daemons ([help<pid>], with their HELP spans), script daemons
+    ([byz-script<pid>]), clients — in that order, which fixes the fiber
+    ids. Each job is one {!Lnd_history.History.record} around its span
+    and its program. *)
+
 val sim : work -> run
-(** Execute the workload on the effects-based simulator, to quiescence,
-    under [Policy.random] seeded from the work. *)
+(** Run [work]'s plan (Byzantine set: the scripted pids) on {!system}
+    to quiescence, under [Policy.random] seeded from the work. *)
 
 val sim_line : work -> string
 (** [describe] + verdict + canonical history: one golden-baseline line. *)
@@ -112,15 +212,15 @@ val sim_line : work -> string
     A traced run derives a {e second}, independent history from the
     recorded operation spans ({!Lnd_history.Trace_replay}) and judges it
     with the same checkers as the direct one. Operation spans bracket
-    the recorded [[inv, ret]] intervals on both backends, so the
+    the recorded [[inv, ret]] intervals on the domains backend and sit
+    just inside them on the sim, with no scheduling point between a
+    span's open or close and the adjacent history tick, so on both the
     trace-derived precedence order is a subset of the direct history's
     and a direct [Ok] forces a trace [Ok]. *)
 
 val parity_keep : Lnd_obs.Obs.event -> bool
-(** Keep only operation spans: the help daemons spin on the domains
-    backend, so their [Shm_access] volume is unbounded and would
-    overflow any fixed arena, while span volume is bounded by the
-    workload. *)
+(** Keep only operation spans: they are all the parity fold reads, and
+    the domains backend does not record register accesses yet. *)
 
 type trace_info = {
   t_ops : int;  (** completed operations in the trace-derived history *)

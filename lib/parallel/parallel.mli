@@ -1,26 +1,17 @@
 (** Driver #2: the OCaml 5 domains backend.
 
-    Executes {!Diff.work} workloads on {!Lnd_runtime.Domains} — the
-    processes spread over at most one domain per core, atomic registers,
-    real preemption — by driving the very same pure cores
-    ([Sticky_core], [Verifiable_core], [Testorset_core],
-    [Byz_script_core]) the simulator drives. The run
+    Runs a {!Diff.work}'s plan ({!Diff.plan}) on
+    {!Lnd_runtime.Domains} — the processes spread over at most one
+    domain per core, atomic registers, real preemption. The plan is the
+    one the simulator runs: the same pure cores, jobs and judge. The run
     folds into a {!Lnd_history.History.t} stamped by the backend's
-    atomic clock and is judged by the spec-level checkers of {!Diff}. *)
-
-val broken_value : Lnd_support.Value.t
-(** The value the deliberately broken cores claim; never written by any
-    workload. *)
+    atomic clock. *)
 
 val run : ?broken:bool -> Diff.work -> Diff.run
 (** Execute a workload on the domains backend. [Diff.run.steps] counts
-    machine steps across all domains. [~broken:true] substitutes cores
-    whose final decision step is corrupted (pure and
-    termination-preserving): a sticky reader that reports
-    {!broken_value}, a verifiable reader that reports {!broken_value}
-    and a verifier that always accepts, a tester that returns the
-    impossible bit 2. The conformance suite uses it to prove the
-    checkers reject divergent behaviour. *)
+    machine steps across all domains. [~broken:true] runs the plan's
+    broken cores ({!Diff.plan}); the conformance suite uses it to prove
+    the judge rejects divergent behaviour. *)
 
 val run_traced :
   ?broken:bool ->
@@ -36,8 +27,3 @@ val run_traced :
     [keep] defaults to {!Diff.parity_keep} (operation spans only).
     Operation spans bracket the recorded [[inv, ret]] intervals, so on
     an [Ok] direct verdict the trace verdict is [Ok] too. *)
-
-val line : ?broken:bool -> Diff.work -> string
-(** [describe] + verdict + rendered history (same shape as
-    {!Diff.sim_line}); for the CLI. Not stable across runs — the domains
-    interleaving is real. *)

@@ -12,6 +12,7 @@
    the Obs calls they replace. *)
 
 open Lnd_support
+module Obs = Lnd_obs.Obs
 
 let run ?(on_note : Machine.note -> unit = fun _ -> ())
     ~(cell : 'reg -> Cell.t) (p : ('reg, 'a) Machine.prog) : 'a =
@@ -27,3 +28,19 @@ let run ?(on_note : Machine.note -> unit = fun _ -> ())
         invalid_arg "Drive.run: Machine.advance stopped short of a yield"
   in
   loop p
+
+(* One HELP span per round that serves askers, so a trace shows helping
+   work without one span per idle poll. The span id must survive from
+   Serving to Served across the daemon's turns, hence one handler per
+   daemon. *)
+let help_note () : Machine.note -> unit =
+  let sp = ref 0 in
+  function
+  | Machine.Serving askers ->
+      if Obs.enabled () then
+        sp :=
+          Obs.span_open ~name:"HELP"
+            ~arg:(String.concat "," (List.map string_of_int askers))
+            ()
+  | Machine.Served ->
+      if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp

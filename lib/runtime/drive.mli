@@ -17,3 +17,11 @@ val run :
 (** Must be invoked from within a fiber. [on_note] receives protocol
     annotations in program order (default: ignore); protocol drivers map
     them to Obs spans. *)
+
+val help_note : unit -> Machine.note -> unit
+(** A fresh HELP-span handler for one help daemon, on either driver:
+    [Serving askers] opens a HELP span (argument: the askers), [Served]
+    closes it, both only while an Obs sink is installed. So a trace
+    shows one span per round that served askers, not one per idle poll.
+    Make one per daemon: the span id lives from [Serving] to [Served],
+    across that daemon's turns. *)

@@ -78,19 +78,5 @@ let read (rd : reader) : Value.t option =
 (* ---------------- Help() — lines 23-40 ---------------- *)
 
 let help (rg : regs) ~pid : unit =
-  (* one HELP span per round actually serving askers, so the trace shows
-     helping work without one span per idle poll; the core marks those
-     rounds with Serving/Served notes *)
-  let sp = ref 0 in
-  let on_note : Machine.note -> unit = function
-    | Machine.Serving askers ->
-        if Obs.enabled () then
-          sp :=
-            Obs.span_open ~name:"HELP"
-              ~arg:(String.concat "," (List.map string_of_int askers))
-              ()
-    | Machine.Served ->
-        if Obs.enabled () then Obs.span_close ~result:"done" ~name:"HELP" !sp
-  in
-  Drive.run ~on_note ~cell:rg.cell
+  Drive.run ~on_note:(Drive.help_note ()) ~cell:rg.cell
     (Sticky_core.help_prog ~n:rg.cfg.n ~q:rg.q ~pid)

@@ -51,15 +51,6 @@ let[@lnd.pure] rec bind (p : ('reg, 'a) prog) (f : 'a -> ('reg, 'b) prog) :
 
 let ( let* ) = bind
 
-let[@lnd.pure] rec map_reg (g : 'r1 -> 'r2) (p : ('r1, 'a) prog) :
-    ('r2, 'a) prog =
-  match p with
-  | Ret a -> Ret a
-  | Read (r, k) -> Read (g r, fun u -> map_reg g (k u))
-  | Write (r, u, k) -> Write (g r, u, fun () -> map_reg g (k ()))
-  | Yield k -> Yield (fun () -> map_reg g (k ()))
-  | Note (n, k) -> Note (n, fun () -> map_reg g (k ()))
-
 (* ---------------- The interpreter ---------------- *)
 
 let rec advance ~read ~write ~note (p : ('reg, 'a) prog) : ('reg, 'a) prog =

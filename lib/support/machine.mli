@@ -36,10 +36,6 @@ val note : note -> ('reg, unit) prog
 val bind : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 val ( let* ) : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 
-val map_reg : ('r1 -> 'r2) -> ('r1, 'a) prog -> ('r2, 'a) prog
-(** Rename registers — used to compose cores (test-or-set runs a sticky
-    or verifiable core under an injected register namespace). *)
-
 (** {2 The interpreter} *)
 
 val advance :

@@ -4,7 +4,15 @@
    - From a sticky register R: SET = WRITE(1); TEST = READ, returning 1
      iff the read returns 1.
    - From a verifiable register R (v0 = 0): SET = WRITE(1); SIGN(1);
-     TEST = VERIFY(1), returning 1 iff the verify returns true. *)
+     TEST = VERIFY(1), returning 1 iff the verify returns true.
+
+   This is the sim-only wrapper the tests, examples and benchmark
+   tables use: it drives the register through the Sticky/Verifiable sim
+   drivers, so a trace nests the register's WRITE/SIGN/READ/VERIFY spans
+   inside each SET/TEST span. The differential suite and the model
+   checker run Testorset_core's SET and TEST programs through the
+   workload plan instead (Lnd_parallel.Diff), with one span per
+   operation on both drivers; the register accesses are the same. *)
 
 open Lnd_support
 open Lnd_shm

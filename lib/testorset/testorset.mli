@@ -3,7 +3,14 @@
     Observation 25:
 
     - from sticky: SET = WRITE(1); TEST = READ (1 iff it returns "1");
-    - from verifiable (v0 = 0): SET = WRITE(1); SIGN(1); TEST = VERIFY(1). *)
+    - from verifiable (v0 = 0): SET = WRITE(1); SIGN(1); TEST = VERIFY(1).
+
+    A sim-only wrapper over the {!Lnd_sticky.Sticky} and
+    {!Lnd_verifiable.Verifiable} sim drivers, whose spans nest inside
+    each SET/TEST span. The differential suite and the model checker run
+    {!Testorset_core}'s programs through the workload plan
+    ([Lnd_parallel.Diff.plan]) instead, with the same register accesses
+    and one span per operation. *)
 
 open Lnd_support
 module T = Lnd_history.Spec.Testorset_spec

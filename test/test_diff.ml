@@ -135,6 +135,68 @@ let test_scenario file () =
           Alcotest.failf "%s (%s): replay diverged on the pure-core driver: %s"
             file sc.Scenario.sc_name e)
 
+(* ---------------- The judge on hand-built histories ---------------- *)
+
+(* Entries with explicit [inv, ret] stamps, every pid correct. *)
+let history entries : ('o, 'r) Lnd_history.History.t =
+  {
+    Lnd_history.History.entries =
+      List.map
+        (fun (pid, op, inv, res, ret) ->
+          { Lnd_history.History.pid; op; inv; ret = Some (res, ret) })
+        entries;
+  }
+
+let correct _ = true
+
+(* Over the cap the search is skipped, so the monotone check alone must
+   reject a correct TEST=1 that precedes a correct TEST=0. *)
+let test_judge_testorset_monotone_over_cap () =
+  let module T = Lnd_history.Spec.Testorset_spec in
+  let fillers =
+    List.init Diff.byzlin_op_cap (fun i ->
+        (1, T.Test, 10 + (2 * i), T.Bit 1, 11 + (2 * i)))
+  in
+  let h =
+    history
+      ([
+         (0, T.Set, 0, T.Done, 1);
+         (1, T.Test, 2, T.Bit 1, 3);
+         (2, T.Test, 4, T.Bit 0, 5);
+       ]
+      @ fillers)
+  in
+  Alcotest.(check bool)
+    "history is over the cap" true
+    (List.length (Lnd_history.History.complete_entries h) > Diff.byzlin_op_cap);
+  match Diff.check_testorset_history ~correct h with
+  | Error m ->
+      Alcotest.(check string)
+        "the monotone check rejects"
+        "test-or-set stickiness violated: TEST=1 then a later TEST=0" m
+  | Ok _ -> Alcotest.fail "TEST=1 then a later TEST=0 was accepted"
+
+(* [Ok true] when the exhaustive search ran; [Ok false] when the history
+   was over the cap and only the monitors judged it. *)
+let test_judge_sticky_reports_search () =
+  let module S = Lnd_history.Spec.Sticky_spec in
+  let reads k =
+    history
+      ((0, S.Write "a", 0, S.Done, 1)
+      :: List.init k (fun i ->
+             let t = 2 + (2 * i) in
+             (1 + (i mod 3), S.Read, t, S.Val (Some "a"), t + 1)))
+  in
+  let verdict h =
+    match Diff.check_sticky_history ~correct h with
+    | Ok checked -> checked
+    | Error m -> Alcotest.failf "a valid sticky history was rejected: %s" m
+  in
+  Alcotest.(check bool) "under the cap: searched" true (verdict (reads 3));
+  Alcotest.(check bool)
+    "over the cap: monitors only" false
+    (verdict (reads Diff.byzlin_op_cap))
+
 let tests =
   [
     Alcotest.test_case "sim histories byte-identical to golden baselines"
@@ -151,6 +213,10 @@ let tests =
       (test_broken Diff.Verifiable 2);
     Alcotest.test_case "broken testorset core is rejected" `Slow
       (test_broken Diff.Testorset 5);
+    Alcotest.test_case "judge: TEST=1 then TEST=0 rejected over the cap"
+      `Quick test_judge_testorset_monotone_over_cap;
+    Alcotest.test_case "judge: sticky search ran under the cap, not over"
+      `Quick test_judge_sticky_reports_search;
     Alcotest.test_case "weakened_retract_dpor.scn replays on pure cores" `Quick
       (test_scenario "weakened_retract_dpor.scn");
     Alcotest.test_case "weakened_synth.scn replays on pure cores" `Quick

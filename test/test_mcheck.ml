@@ -139,6 +139,24 @@ let test_scenario_rejects_garbage () =
   (match Scenario.of_string "lnd-scenario v0\nname: x\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a bad magic line");
+  (* well-formed, but no instance can run the config: a pid out of
+     range, a script for an out-of-range pid, a reader out of range,
+     n < 2 *)
+  List.iter
+    (fun (what, fields) ->
+      match
+        Scenario.of_string
+          ("lnd-scenario v1\nname: x\nexpect: violation\nschedule: seed 1\n"
+         ^ fields)
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" what)
+    [
+      ("a byzantine pid out of range", "byzantine: 2,3,7\n");
+      ("a script for pid 8 of 4", "byzantine: 2,3,8\nscript: 8 = 1\n");
+      ("a reader out of range", "readers: 1,9\n");
+      ("n = 1", "n: 1\n");
+    ];
   match
     Scenario.of_string
       "lnd-scenario v1\nname: x\nexpect: violation\nfrobnicate: 3\nschedule: seed 1\n"
