@@ -149,6 +149,7 @@ let span_close ?pid ?result ~name id =
       end
 
 let ambient () = (ctx ()).ambient_span
+let ambient_pid () = (ctx ()).ambient_pid
 
 let set_ambient ~span ~pid =
   let c = ctx () in

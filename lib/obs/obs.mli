@@ -170,6 +170,9 @@ val span_close : ?pid:int -> ?result:string -> name:string -> int -> unit
 val ambient : unit -> int
 (** The ambient span id (what an [emit] would be tagged with). *)
 
+val ambient_pid : unit -> int
+(** The ambient pid (what an [emit] without [?pid] would carry). *)
+
 val set_ambient : span:int -> pid:int -> unit
 (** Swap the calling domain's ambient span and pid wholesale. The
     scheduler calls this at each fiber switch so spans follow fibers,

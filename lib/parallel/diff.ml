@@ -510,7 +510,6 @@ type run = {
   ops : int; (* completed operations in the history *)
   steps : int; (* scheduler steps (sim) or machine turns (domains) *)
   verdict : (unit, string) result;
-  rendered : string; (* canonical history *)
 }
 
 type system = {
@@ -589,7 +588,9 @@ let system (policy : Policy.t) (Plan p : any_plan) : system =
 let sim_max_steps = 8_000_000
 let policy_of (w : work) = Policy.random ~seed:((w.seed * 31) + 17)
 
-let sim (w : work) : run =
+(* The work's plan on [system], run to quiescence; the system too, for
+   [sim_line] to render its history. *)
+let sim_system (w : work) : run * system =
   let s =
     system (policy_of w) (plan w ~byzantine:(byzantine_pids w) ~broken:false)
   in
@@ -599,12 +600,9 @@ let sim (w : work) : run =
     | Sched.Condition_met -> Error "unexpected stop"
     | Sched.Quiescent -> Result.map ignore (s.verdict ())
   in
-  {
-    ops = s.ops ();
-    steps = Sched.steps s.sched;
-    verdict;
-    rendered = s.rendered ();
-  }
+  ({ ops = s.ops (); steps = Sched.steps s.sched; verdict }, s)
+
+let sim (w : work) : run = fst (sim_system w)
 
 (* ---------------- Golden baselines (sim driver) ---------------- *)
 
@@ -615,10 +613,10 @@ let sim (w : work) : run =
    or results fails loudly. *)
 
 let sim_line (w : work) : string =
-  let r = sim w in
+  let r, s = sim_system w in
   Printf.sprintf "%s | %s ops=%d steps=%d | %s" (describe w)
     (match r.verdict with Ok () -> "ok" | Error m -> "FAIL(" ^ m ^ ")")
-    r.ops r.steps r.rendered
+    r.ops r.steps (s.rendered ())
 
 let golden_lines ~from ~count : string list =
   List.concat_map

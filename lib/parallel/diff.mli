@@ -168,7 +168,6 @@ type run = {
   ops : int;  (** completed operations in the history *)
   steps : int;  (** scheduler steps (sim) or machine turns (domains) *)
   verdict : (unit, string) result;
-  rendered : string;  (** canonical history *)
 }
 
 type system = {
@@ -205,7 +204,9 @@ val sim : work -> run
     to quiescence, under [Policy.random] seeded from the work. *)
 
 val sim_line : work -> string
-(** [describe] + verdict + canonical history: one golden-baseline line. *)
+(** [describe] + verdict + canonical history: one golden-baseline line.
+    The only place a history is rendered: {!sim} and [Parallel.run]
+    judge theirs without rendering it. *)
 
 (** {2 Trace parity}
 

@@ -1,16 +1,19 @@
 (* Driver #2: the OCaml 5 domains backend.
 
    Runs a Diff.work's plan on Lnd_runtime.Domains: the processes spread
-   over at most one domain per core, atomic register cells, real
-   preemption, and a global atomic clock stamping the operation history.
+   over at most one domain per core, the calling domain hosting the
+   first group of them, atomic register cells that check ownership as
+   the sim's Space does, real preemption, and a global atomic clock
+   stamping the operation history.
    The plan is the one the simulator runs — the same pure cores, the
    same jobs, the same judge — so this module only allocates the layout
    in Dcells, groups the plan by pid into Domains processes and folds
    the finished jobs into a history. Any verdict disagreement between
    the backends indicts the cores (or a driver), not a second
-   implementation of the protocol. *)
+   implementation of the protocol. A session formats nothing it does
+   not print: daemon labels are formatted by Domains only for a stall or
+   failure message, and the history is judged, never rendered. *)
 
-open Lnd_support
 module Domains = Lnd_runtime.Domains
 module Dcell = Lnd_runtime.Domains.Dcell
 module Drive = Lnd_runtime.Drive
@@ -18,22 +21,16 @@ module History = Lnd_history.History
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
 
-(* The domains backend's allocator for the cores' layouts; Dcell does
-   not enforce ownership, so it ignores each register's owner and single
-   reader. *)
-let dcell : Dcell.t Machine.allocator =
- fun ~name ~owner:_ ?single_reader:_ ~init () -> Dcell.make ~name ~init
-
 (* One Domains process per pid that has a daemon or a job, gathered in
    one pass over the plan. Entries land in a per-pid accumulator: each
-   slot is written only by the worker domain hosting its pid, and the
-   run's completion latch (Domains.run returns only after every worker
-   counted it down under its mutex) orders those writes before the merge
+   slot is written only by the domain hosting its pid, and the run's
+   completion latch (Domains.run returns only after every worker counted
+   it down under its mutex) orders the workers' writes before the merge
    below reads them. *)
 let run ?(broken = false) (w : Diff.work) : Diff.run =
   let (Diff.Plan p) = Diff.plan w ~byzantine:(Diff.byzantine_pids w) ~broken in
   let n = Array.length p.Diff.correct in
-  let cell = p.Diff.layout dcell in
+  let cell = p.Diff.layout Dcell.make in
   let daemons = Array.make n [] and jobs = Array.make n [] in
   let recs = Array.make n [] in
   List.iter
@@ -41,9 +38,8 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
       daemons.(pid) <-
         daemons.(pid)
         @ [
-            Domains.daemon
-              ~label:(Printf.sprintf "help%d" pid)
-              ~on_note:(Drive.help_note ()) ~cell prog;
+            Domains.daemon ~label:"help" ~on_note:(Drive.help_note ()) ~cell
+              prog;
           ])
     p.Diff.helps;
   List.iter
@@ -51,9 +47,7 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
       daemons.(pid) <-
         daemons.(pid)
         @ [
-            Domains.daemon
-              ~label:(Printf.sprintf "byz%d" pid)
-              ~critical:false ~cell prog;
+            Domains.daemon ~label:"byz" ~critical:false ~cell prog;
           ])
     p.Diff.scripts;
   let job pid (Diff.Job j) =
@@ -84,7 +78,6 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
       | Ok _ ->
           Result.map ignore
             (p.Diff.judge ~correct:(fun pid -> p.Diff.correct.(pid)) h));
-    rendered = p.Diff.render h;
   }
 
 (* Run with a per-domain arena sink installed: every domain records into
@@ -94,9 +87,8 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
    the same checkers as the direct one. Operation spans bracket the
    recorded [inv, ret] intervals, so the trace verdict must agree
    whenever the direct verdict is Ok. *)
-let run_traced ?(broken = false) ?(keep = Diff.parity_keep) (w : Diff.work) :
-    Diff.run * Diff.trace_info =
-  let tr = Trace.create ~keep () in
+let run_traced ?(broken = false) (w : Diff.work) : Diff.run * Diff.trace_info =
+  let tr = Trace.create ~keep:Diff.parity_keep () in
   Obs.install (Trace.sink tr);
   let r = Fun.protect ~finally:Obs.uninstall (fun () -> run ~broken w) in
   Trace.finish tr;

@@ -33,8 +33,15 @@
    step budget running out, or a correct machine raising all end in
    [Error] instead of a hang.
 
-   Worker pool: a domain's body runs on a pooled worker domain that
-   outlives the run, so a session pays no domain spawn or join. *)
+   Ownership: a turn checks every access against the model's rules, as
+   the simulator's Space does — only a register's owner writes it, and an
+   SWSR register is read only by its single reader and its owner — and
+   raises the Space's [Permission_violation] on a breach, which fails a
+   correct machine's run and kills a Byzantine one.
+
+   Worker pool: the calling domain hosts the first domain's body and
+   each other body runs on a pooled worker domain that outlives the run,
+   so a session pays no domain spawn or join. *)
 
 open Lnd_support
 module Obs = Lnd_obs.Obs
@@ -43,12 +50,14 @@ module Trace = Lnd_obs.Trace
 (* ---------------- Shared registers ---------------- *)
 
 (* A SWMR atomic register is exactly an [Atomic.t]: reads and writes are
-   sequentially consistent and never block, so a cell needs no lock. *)
+   sequentially consistent and never block, so a cell needs no lock. The
+   cell keeps its owner and single reader ([-1] for SWMR) for the
+   ownership check in [turn]. *)
 module Dcell = struct
-  type t = { name : string; v : Univ.t Atomic.t }
+  type t = { name : string; owner : int; reader : int; v : Univ.t Atomic.t }
 
-  let make ~name ~init : t = { name; v = Atomic.make init }
-  let name (c : t) = c.name
+  let make ~name ~owner ?(single_reader = -1) ~init () : t =
+    { name; owner; reader = single_reader; v = Atomic.make init }
 
   let read (c : t) : Univ.t =
     let v = Atomic.get c.v in
@@ -64,9 +73,7 @@ end
 
 (* ---------------- Logical clock ---------------- *)
 
-type clock = int Atomic.t
-
-let tick (c : clock) : int = Atomic.fetch_and_add c 1
+let tick (c : int Atomic.t) : int = Atomic.fetch_and_add c 1
 
 (* ---------------- Machines ---------------- *)
 
@@ -90,7 +97,8 @@ let job ?(span = ("", None)) ?render ?(on_note = fun _ -> ()) ~cell ~finish
 
 (* A daemon never returns a result; [critical = false] marks machines
    (scripted adversaries) whose failure must not fail the run, matching
-   the simulator's treatment of Byzantine fibers. *)
+   the simulator's treatment of Byzantine fibers. Messages name it by
+   its label followed by its process's pid. *)
 type daemon =
   | Daemon : {
       label : string;
@@ -112,7 +120,8 @@ let daemon ~label ?(critical = true) ?(on_note = fun _ -> ()) ~cell prog =
    at top level, and note callbacks (HELP rounds) may push/pop spans in
    between. [parked] is the write version read when the machine's last
    turn started if that turn ended in a yield, and [-1] otherwise: the
-   machine is skipped while the version still equals it. *)
+   machine is skipped while the version still equals it. [label] is a
+   daemon's label and [""] for a job. *)
 type runnable =
   | Run : {
       label : string;
@@ -126,6 +135,12 @@ type runnable =
       mutable parked : int;
     }
       -> runnable
+
+(* A machine's name in stall and failure messages, formatted only for
+   them: [p<pid>-op] for a job, the label and the pid for a daemon. *)
+let name ~pid (Run m) =
+  if m.label = "" then Printf.sprintf "p%d-op" pid
+  else Printf.sprintf "%s%d" m.label pid
 
 type proc = { pid : int; jobs : job list; daemons : daemon list }
 
@@ -144,11 +159,11 @@ type host = {
      and an abort; writers broadcast [cond] only when [waiters] > 0;
    - under [mu]: [live] counts domains that have not exited, and
      [blocked] holds, for each domain waiting on [cond], the version it
-     waits on and the (pid, label) of each machine it parked. An entry
+     waits on and each machine it parked, with its pid. An entry
      whose version is no longer current belongs to a domain that was
      woken but has not yet re-taken [mu]; it is not stalled. *)
 type t = {
-  clock : clock;
+  clock : int Atomic.t;
   step_budget : int;
   mutable procs : proc list; (* newest first; sorted at [run] *)
   version : int Atomic.t;
@@ -156,7 +171,7 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   mutable live : int;
-  mutable blocked : (int * (int * string) list) list;
+  mutable blocked : (int * (int * runnable) list) list;
 }
 
 let default_step_budget = 50_000_000
@@ -173,9 +188,6 @@ let create ?(step_budget = default_step_budget) () : t =
     live = 0;
     blocked = [];
   }
-
-let now (t : t) : int = Atomic.get t.clock
-let clock (t : t) : clock = t.clock
 
 let add_process (t : t) ~pid ?(daemons = []) (jobs : job list) : unit =
   if List.exists (fun p -> p.pid = pid) t.procs then
@@ -199,13 +211,17 @@ let bump (t : t) =
     Mutex.unlock t.mu
   end
 
+let denied ~pid (c : Dcell.t) op =
+  raise (Lnd_shm.Space.Permission_violation { pid; reg = c.name; op })
+
 (* Advance one machine to its next Yield (one "turn"), answering reads
    inline: on the domains backend a register read never blocks, so the
    only preemption points *within* a domain are the cores' explicit
    yields — between domains, every shared access races for real. A turn
    counts one step when it starts and one per read, against the
-   domain's step budget, which the processes it hosts share. *)
-let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
+   domain's step budget, which the processes it hosts share. Each access
+   is checked against the cell's owner and single reader first. *)
+let turn (t : t) ~steps ~pid (Run m as machine) : [ `Yielded | `Done | `Dead ] =
   if m.dead then `Dead
   else begin
     (* Snapshot the write version before the turn's first read, not at
@@ -225,12 +241,17 @@ let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
         raise (Abort (Printf.sprintf "p%d: domain step budget exhausted" pid))
     in
     let read r =
-      let v = Dcell.read (m.cell r) in
+      let c = m.cell r in
+      if c.reader >= 0 && c.reader <> pid && c.owner <> pid then
+        denied ~pid c "read";
+      let v = Dcell.read c in
       count ();
       v
     in
     let write r u =
-      Dcell.write (m.cell r) u;
+      let c = m.cell r in
+      if c.owner <> pid then denied ~pid c "write";
+      Dcell.write c u;
       bump t
     in
     try
@@ -258,8 +279,8 @@ let turn (t : t) ~steps ~pid (Run m) : [ `Yielded | `Done | `Dead ] =
         if m.critical then
           raise
             (Abort
-               (Printf.sprintf "correct machine %s failed: %s" m.label
-                  (Printexc.to_string e)))
+               (Printf.sprintf "correct machine %s failed: %s"
+                  (name ~pid machine) (Printexc.to_string e)))
         else `Dead
   end
 
@@ -271,8 +292,9 @@ let runnable v (Run m) = (not m.dead) && m.parked <> v
    of an 8-op session, so worker domains outlive runs. Domains are a process
    resource (the runtime caps them at 128): the pool is process-wide and
    lazy, a process that never runs spawns nothing, and it grows to the
-   largest number of domains run at once, which is at most
-   [Domain.recommended_domain_count ()] per concurrent run. Idle workers
+   largest number of workers borrowed at once: the caller hosts one body
+   of its run, so at most [Domain.recommended_domain_count ()] - 1 per
+   concurrent run. Idle workers
    block in [Condition.wait], which does not keep the process from
    exiting. All per-run state stays in [t]. *)
 type worker = {
@@ -314,50 +336,63 @@ let hand_back w =
   idle := w :: !idle;
   Mutex.unlock pool_mu
 
-(* Runs each body on its own borrowed worker and returns once all have
-   ended, with [Domain.join]'s semantics:
-   - a body's exception is caught on its worker, which survives, and the
-     first one in list order is re-raised here after every body ended;
+(* Runs the first body on the calling domain and each other body on its
+   own borrowed worker, and returns once all have ended, with
+   [Domain.join]'s semantics:
+   - the workers get their bodies before the caller starts its own;
+   - a body's exception is caught where it ran, so a worker survives,
+     and the first one in list order is re-raised here after every body
+     ended;
    - the latch's mutex orders every worker's writes before the caller's
      reads, as joining did.
    A worker goes back on the idle list before it counts the latch down:
    otherwise the next run could find it still busy and spawn a
    replacement, growing the pool every session. A reused worker starts
    each body with a fresh Obs context and ends it pinning no trace
-   arena. *)
+   arena. The caller keeps its Obs context, whose parent links its own
+   open spans need, and its trace arena; it only gets its ambient span
+   and pid back after its body. *)
 let run_pooled (bodies : (unit -> unit) list) : unit =
-  let n = List.length bodies in
-  let mu = Mutex.create () and cond = Condition.create () in
-  let pending = ref n in
-  let failed = Array.make n None in
-  List.iteri
-    (fun i body ->
-      let w = borrow () in
-      let task () =
-        Obs.reset_domain ();
-        (try body ()
-         with e -> failed.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-        Trace.release_domain ();
-        hand_back w;
-        Mutex.lock mu;
-        decr pending;
-        if !pending = 0 then Condition.signal cond;
-        Mutex.unlock mu
+  match bodies with
+  | [] -> ()
+  | first :: rest ->
+      let mu = Mutex.create () and cond = Condition.create () in
+      let pending = ref (List.length rest) in
+      let failed = Array.make (1 + !pending) None in
+      let guard i body =
+        try body ()
+        with e -> failed.(i) <- Some (e, Printexc.get_raw_backtrace ())
       in
-      Mutex.lock w.wmu;
-      w.task <- Some task;
-      Condition.signal w.wcond;
-      Mutex.unlock w.wmu)
-    bodies;
-  Mutex.lock mu;
-  while !pending > 0 do
-    Condition.wait cond mu
-  done;
-  Mutex.unlock mu;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-    failed
+      List.iteri
+        (fun i body ->
+          let w = borrow () in
+          let task () =
+            Obs.reset_domain ();
+            guard (i + 1) body;
+            Trace.release_domain ();
+            hand_back w;
+            Mutex.lock mu;
+            decr pending;
+            if !pending = 0 then Condition.signal cond;
+            Mutex.unlock mu
+          in
+          Mutex.lock w.wmu;
+          w.task <- Some task;
+          Condition.signal w.wcond;
+          Mutex.unlock w.wmu)
+        rest;
+      let span = Obs.ambient () and pid = Obs.ambient_pid () in
+      guard 0 first;
+      Obs.set_ambient ~span ~pid;
+      Mutex.lock mu;
+      while !pending > 0 do
+        Condition.wait cond mu
+      done;
+      Mutex.unlock mu;
+      Array.iter
+        (function
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+        failed
 
 (* Spins on the write version before a domain with nothing runnable
    blocks. On a 2-vCPU host, 20 and 200 spins gave the same
@@ -396,8 +431,8 @@ let run (t : t) : (int, string) result =
         let parked =
           List.concat_map snd stuck
           |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.map (fun (pid, label) ->
-                 Printf.sprintf "%s (pid %d)" label pid)
+          |> List.map (fun (pid, r) ->
+                 Printf.sprintf "%s (pid %d)" (name ~pid r) pid)
         in
         let m =
           "domains run stalled: every live domain is parked with no write \
@@ -487,7 +522,7 @@ let run (t : t) : (int, string) result =
     let prog = j.prog () in
     Run
       {
-        label = Printf.sprintf "p%d-op" pid;
+        label = "";
         critical = true;
         resume = (fun () -> prog);
         cell = j.cell;
@@ -518,7 +553,7 @@ let run (t : t) : (int, string) result =
       List.concat_map
         (fun h ->
           List.filter_map
-            (fun (Run m) -> if m.dead then None else Some (h.proc.pid, m.label))
+            (fun (Run m as r) -> if m.dead then None else Some (h.proc.pid, r))
             (Option.to_list h.current @ h.background))
         hosts
     in

@@ -53,6 +53,11 @@ let[@lnd.pure] value_with_quorum (arr : Value.t option array) ~threshold :
 
 (* ---------------- Register layout ---------------- *)
 
+let e_name = names (Printf.sprintf "E_%d")
+let r_name = names (Printf.sprintf "R_%d")
+let rjk_name = names2 (Printf.sprintf "R_{%d,%d}")
+let c_name = names (Printf.sprintf "C_%d")
+
 (* Allocate one instance's registers through the driver's [alloc] and
    map the names onto them. The allocation order — E_i, R_i, R_{j,k}
    (row-major, k >= 1), C_k — fixes the simulator's register ids, which
@@ -60,28 +65,24 @@ let[@lnd.pure] value_with_quorum (arr : Value.t option array) ~threshold :
 let[@lnd.pure] layout ~n (alloc : 'c allocator) : reg -> 'c =
   let bot = enc_vopt None in
   let e =
-    Array.init n (fun i ->
-        alloc ~name:(Printf.sprintf "E_%d" i) ~owner:i ~init:bot ())
+    Array.init n (fun i -> alloc ~name:(e_name i) ~owner:i ~init:bot ())
   in
   let r =
-    Array.init n (fun i ->
-        alloc ~name:(Printf.sprintf "R_%d" i) ~owner:i ~init:bot ())
+    Array.init n (fun i -> alloc ~name:(r_name i) ~owner:i ~init:bot ())
   in
   let rjk =
     Array.init n (fun j ->
         Array.init n (fun k ->
             if k = 0 then e.(0) (* placeholder, never used *)
             else
-              alloc
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~owner:j ~single_reader:k ~init:(enc_stamped None 0) ()))
+              alloc ~name:(rjk_name j k) ~owner:j ~single_reader:k
+                ~init:(enc_stamped None 0) ()))
   in
   let c =
     Array.init n (fun k ->
         if k = 0 then e.(0) (* placeholder, never used *)
         else
-          alloc ~name:(Printf.sprintf "C_%d" k) ~owner:k ~init:(enc_counter 0)
-            ())
+          alloc ~name:(c_name k) ~owner:k ~init:(enc_counter 0) ())
   in
   function
   | E i -> e.(i) | R i -> r.(i) | Rjk (j, k) -> rjk.(j).(k) | C k -> c.(k)

@@ -32,6 +32,21 @@ type ('reg, 'a) prog =
 type 'c allocator =
   name:string -> owner:int -> ?single_reader:int -> init:Univ.t -> unit -> 'c
 
+(* A layout names its registers on every allocation, so once per domains
+   session: tabulate the names of indices below 16, the largest n any
+   harness runs, and format only beyond. *)
+let tabulated = 16
+
+let names (fmt : int -> string) : int -> string =
+  let t = Array.init tabulated fmt in
+  fun i -> if i >= 0 && i < tabulated then t.(i) else fmt i
+
+let names2 (fmt : int -> int -> string) : int -> int -> string =
+  let t = Array.init tabulated (fun i -> Array.init tabulated (fmt i)) in
+  fun i j ->
+    if i >= 0 && i < tabulated && j >= 0 && j < tabulated then t.(i).(j)
+    else fmt i j
+
 (* ---------------- Combinators ---------------- *)
 
 let[@lnd.pure] ret a = Ret a

@@ -26,6 +26,14 @@ type 'c allocator =
     core's [layout ~n alloc] makes these calls in a fixed order and
     returns the map from its register names to the cells. *)
 
+val names : (int -> string) -> int -> string
+(** [names fmt] is [fmt], with its results for 0..15 built once, when
+    [names fmt] is applied: a layout's register names then cost nothing
+    per allocation up to n = 16, the largest size any harness runs. *)
+
+val names2 : (int -> int -> string) -> int -> int -> string
+(** [names] for names with two indices, each below 16. *)
+
 (** {2 Combinators} *)
 
 val ret : 'a -> ('reg, 'a) prog

@@ -36,6 +36,10 @@ let[@lnd.pure] enc_counter c = Univ.inj Codecs.counter c
 
 (* ---------------- Register layout ---------------- *)
 
+let r_name = names (Printf.sprintf "R_%d")
+let rjk_name = names2 (Printf.sprintf "R_{%d,%d}")
+let c_name = names (Printf.sprintf "C_%d")
+
 (* Allocate one instance's registers through the driver's [alloc] and
    map the names onto them. The allocation order — R*, R_i, R_{j,k}
    (row-major, k >= 1), C_k — fixes the simulator's register ids, which
@@ -44,25 +48,21 @@ let[@lnd.pure] layout ~n (alloc : 'c allocator) : reg -> 'c =
   let rstar = alloc ~name:"R*" ~owner:0 ~init:(enc_value Value.v0) () in
   let r =
     Array.init n (fun i ->
-        alloc ~name:(Printf.sprintf "R_%d" i) ~owner:i
-          ~init:(enc_vset VSet.empty) ())
+        alloc ~name:(r_name i) ~owner:i ~init:(enc_vset VSet.empty) ())
   in
   let rjk =
     Array.init n (fun j ->
         Array.init n (fun k ->
             if k = 0 then r.(0) (* placeholder, never used *)
             else
-              alloc
-                ~name:(Printf.sprintf "R_{%d,%d}" j k)
-                ~owner:j ~single_reader:k
+              alloc ~name:(rjk_name j k) ~owner:j ~single_reader:k
                 ~init:(enc_stamped VSet.empty 0) ()))
   in
   let c =
     Array.init n (fun k ->
         if k = 0 then rstar (* placeholder, never used *)
         else
-          alloc ~name:(Printf.sprintf "C_%d" k) ~owner:k ~init:(enc_counter 0)
-            ())
+          alloc ~name:(c_name k) ~owner:k ~init:(enc_counter 0) ())
   in
   function
   | Rstar -> rstar | R i -> r.(i) | Rjk (j, k) -> rjk.(j).(k) | C k -> c.(k)

@@ -17,11 +17,22 @@
      checker always runs: rejection is schedule-independent.
 
    The committed counterexample scenarios also replay through the
-   (pure-core) sim driver with their recorded verdicts intact. *)
+   (pure-core) sim driver with their recorded verdicts intact, and both
+   drivers enforce the model's ownership rules. *)
 
+open Lnd_support
 module Diff = Lnd_parallel.Diff
 module Parallel = Lnd_parallel.Parallel
 module Scenario = Lnd_fuzz.Scenario
+module S_core = Lnd_sticky.Sticky_core
+module Domains = Lnd_runtime.Domains
+module Sched = Lnd_runtime.Sched
+module Policy = Lnd_runtime.Policy
+module Cell = Lnd_runtime.Cell
+module Drive = Lnd_runtime.Drive
+module Space = Lnd_shm.Space
+module Byz_script = Lnd_byz.Byz_script
+module History = Lnd_history.History
 
 let golden_path = "fixtures/diff/golden_sim.txt"
 
@@ -197,6 +208,128 @@ let test_judge_sticky_reports_search () =
     "over the cap: monitors only" false
     (verdict (reads Diff.byzlin_op_cap))
 
+(* ---------------- Ownership on both drivers ---------------- *)
+
+(* Over the sticky layout at n = 4, the two breaches of the model's
+   rules: writing E_0, which only p0 may write, and reading R_{0,2},
+   which only p0 and p2 may read. Each is tried by pid 1, correct, whose
+   run must fail, and by pid 3, Byzantine, which must die while the run
+   stays Ok. The Byzantine program writes its own E_3, then breaches,
+   then writes its own R_3: R_3 keeping its initial value shows it died
+   at the breach, and pid 1 waits for E_3 so that it gets there. *)
+let breaches =
+  Machine.
+    [
+      ("write E_0", write (S_core.E 0) (Univ.inj Univ.int 1));
+      ( "read R_{0,2}",
+        let* _ = read (S_core.Rjk (0, 2)) in
+        ret () );
+    ]
+
+let flag = Univ.inj Univ.int 1
+let flagged u = Univ.prj_default Univ.int ~default:0 u = 1
+
+let byz_prog breach =
+  Machine.(
+    let* () = write (S_core.E 3) flag in
+    let* () = breach in
+    write (S_core.R 3) flag)
+
+(* pid 1's job in the Byzantine case: wait for E_3, then read it once
+   more, a step in which the sim schedules the script's breach before it
+   quiesces. (A yield would park the job on domains until a write that
+   never comes.) *)
+let rec await_e3 () =
+  Machine.(
+    let* u = read (S_core.E 3) in
+    if flagged u then
+      let* _ = read (S_core.E 3) in
+      ret ()
+    else
+      let* () = yield in
+      await_e3 ())
+
+let expect_violation ~backend what = function
+  | Error m when Test_obs.contains ~sub:"Permission_violation" m -> ()
+  | Error m ->
+      Alcotest.failf "%s: a correct %s failed for another reason: %s" backend
+        what m
+  | Ok _ ->
+      Alcotest.failf "%s: a correct process's %s was accepted" backend what
+
+let on_domains ~byz breach =
+  let cell = S_core.layout ~n:4 Domains.Dcell.make in
+  let d = Domains.create () in
+  let job prog = Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> ()) prog in
+  if byz then begin
+    Domains.add_process d ~pid:1 [ job await_e3 ];
+    Domains.add_process d ~pid:3 []
+      ~daemons:
+        [ Domains.daemon ~label:"byz" ~critical:false ~cell (byz_prog breach) ]
+  end
+  else Domains.add_process d ~pid:1 [ job (fun () -> breach) ];
+  (Domains.run d, fun r -> Domains.Dcell.read (cell r))
+
+(* The sim verdict on the same processes, the fibers that failed, and
+   the content of pid 3's registers afterwards. *)
+let on_sim ~byz breach =
+  let space = Space.create ~n:4 in
+  let sched = Sched.create ~space ~choose:(Policy.round_robin ()) in
+  let cell = S_core.layout ~n:4 (Cell.shm_allocator space) in
+  if byz then
+    ignore (Byz_script.spawn sched ~pid:3 ~name:"byz3" ~cell (byz_prog breach));
+  ignore
+    (Sched.spawn sched ~pid:1 ~name:"r1" (fun () ->
+         Drive.run ~cell (if byz then await_e3 () else breach)));
+  let verdict =
+    match Sched.run ~max_steps:10_000 sched with
+    | Sched.Quiescent ->
+        Diff.sim_verdict sched
+          ~correct:(fun pid -> not (byz && pid = 3))
+          (fun ~correct:_ _ -> Ok true)
+          (History.create ())
+    | _ -> Error "the sim run did not quiesce"
+  in
+  let of_p3 name =
+    (List.find (fun (r : Lnd_shm.Register.t) -> r.name = name)
+       (Space.owned space ~pid:3))
+      .value
+  in
+  (verdict, Sched.failures sched, of_p3)
+
+let test_ownership_correct () =
+  List.iter
+    (fun (what, breach) ->
+      expect_violation ~backend:"domains" what
+        (fst (on_domains ~byz:false breach));
+      let verdict, _, _ = on_sim ~byz:false breach in
+      expect_violation ~backend:"sim" what verdict)
+    breaches
+
+let test_ownership_byzantine () =
+  List.iter
+    (fun (what, breach) ->
+      let r, read = on_domains ~byz:true breach in
+      (match r with
+      | Ok _ -> ()
+      | Error m ->
+          Alcotest.failf "domains: a Byzantine %s failed the run: %s" what m);
+      if not (flagged (read (S_core.E 3)) && not (flagged (read (S_core.R 3))))
+      then
+        Alcotest.failf "domains: a Byzantine %s did not kill its machine" what;
+      let verdict, failures, of_p3 = on_sim ~byz:true breach in
+      (match verdict with
+      | Ok _ -> ()
+      | Error m ->
+          Alcotest.failf "sim: a Byzantine %s failed the run: %s" what m);
+      (match failures with
+      | [ (fb, Space.Permission_violation { pid = 3; _ }) ]
+        when fb.Sched.pid = 3 -> ()
+      | _ -> Alcotest.failf "sim: a Byzantine %s did not kill its fiber" what);
+      if not (flagged (of_p3 "E_3") && not (flagged (of_p3 "R_3"))) then
+        Alcotest.failf "sim: a Byzantine %s went on past the breach" what)
+    breaches
+
 let tests =
   [
     Alcotest.test_case "sim histories byte-identical to golden baselines"
@@ -221,4 +354,12 @@ let tests =
       (test_scenario "weakened_retract_dpor.scn");
     Alcotest.test_case "weakened_synth.scn replays on pure cores" `Quick
       (test_scenario "weakened_synth.scn");
+    Alcotest.test_case
+      "ownership: a correct foreign write or SWSR read fails the run on both \
+       drivers"
+      `Quick test_ownership_correct;
+    Alcotest.test_case
+      "ownership: a Byzantine foreign write or SWSR read dies, the run stays \
+       Ok on both drivers"
+      `Quick test_ownership_byzantine;
   ]
