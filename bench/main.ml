@@ -1027,13 +1027,26 @@ let table_t15 () =
   let module E = Lnd_runtime.Explore in
   let max_steps = 600 in
   (* Explore one config, summing register accesses over its runs
-     (instance.last_accesses counts one run, off its Space's counters). *)
+     (instance.last_accesses counts one run, off its Space's counters,
+     the steps a rewind skipped included) and the scheduler steps the
+     runs actually executed: a replayed step counts, a rewound one does
+     not. *)
   let measure cfg ~mode ~max_runs =
     let i = M.instance cfg in
     let total = ref 0 in
+    let executed = ref 0 in
+    let current = ref None in
+    let settle () =
+      match !current with
+      | Some (s, at_start) -> executed := !executed + Sched.executed s - at_start
+      | None -> ()
+    in
     let make p =
       total := !total + i.M.last_accesses ();
-      i.M.make p
+      settle ();
+      let s = i.M.make p in
+      current := Some (s, Sched.executed s);
+      s
     in
     let r =
       Fun.protect ~finally:i.M.teardown (fun () ->
@@ -1046,7 +1059,8 @@ let table_t15 () =
                 ~note:(M.note cfg) ())
     in
     total := !total + i.M.last_accesses ();
-    (r, !total)
+    settle ();
+    (r, !total, !executed)
   in
   let configs =
     [
@@ -1060,17 +1074,19 @@ let table_t15 () =
   let rows =
     List.map
       (fun (label, cfg, naive_budget) ->
-        let nv, nv_acc = measure cfg ~mode:`Naive ~max_runs:naive_budget in
-        let dp, dp_acc = measure cfg ~mode:`Dpor ~max_runs:naive_budget in
+        let nv, nv_acc, _ = measure cfg ~mode:`Naive ~max_runs:naive_budget in
+        let dp, dp_acc, dp_exec =
+          measure cfg ~mode:`Dpor ~max_runs:naive_budget
+        in
         let nv_scheds = nv.E.runs + nv.E.pruned in
         let dp_scheds = dp.E.runs + dp.E.pruned + dp.E.blocked in
-        (label, nv, nv_scheds, nv_acc, dp, dp_scheds, dp_acc))
+        (label, nv, nv_scheds, nv_acc, dp, dp_scheds, dp_acc, dp_exec))
       configs
   in
   pf "%-20s | %9s %5s | %9s %5s %7s | %7s\n" "config" "dfs runs" "exh"
     "dpor run" "exh" "races" "reduct";
   List.iter
-    (fun (label, nv, nv_scheds, _, dp, dp_scheds, _) ->
+    (fun (label, nv, nv_scheds, _, dp, dp_scheds, _, _) ->
       pf "%-20s | %9d %5b | %9d %5b %7d | >=%4.0fx\n" label nv_scheds
         nv.E.exhausted dp_scheds dp.E.exhausted dp.E.races
         (float_of_int nv_scheds /. float_of_int dp_scheds))
@@ -1080,17 +1096,17 @@ let table_t15 () =
   j oc "{\n  \"table\": \"T15\",\n  \"max_steps\": %d,\n  \"configs\": [\n"
     max_steps;
   List.iteri
-    (fun i (label, nv, nv_scheds, nv_acc, dp, dp_scheds, dp_acc) ->
+    (fun i (label, nv, nv_scheds, nv_acc, dp, dp_scheds, dp_acc, dp_exec) ->
       j oc
         "    {\"config\": %S,\n\
         \     \"naive\": {\"schedules\": %d, \"runs\": %d, \"exhausted\": %b, \
          \"accesses\": %d},\n\
         \     \"dpor\": {\"schedules\": %d, \"runs\": %d, \"blocked\": %d, \
          \"races\": %d, \"exhausted\": %b, \"accesses\": %d, \
-         \"max_depth\": %d},\n\
+         \"max_depth\": %d, \"executed_steps\": %d},\n\
         \     \"reduction_at_least\": %.1f}%s\n"
         label nv_scheds nv.E.runs nv.E.exhausted nv_acc dp_scheds dp.E.runs
-        dp.E.blocked dp.E.races dp.E.exhausted dp_acc dp.E.max_depth
+        dp.E.blocked dp.E.races dp.E.exhausted dp_acc dp.E.max_depth dp_exec
         (float_of_int nv_scheds /. float_of_int dp_scheds)
         (if i = List.length rows - 1 then "" else ","))
     rows;

@@ -5,10 +5,13 @@
    deliberately weakened configurations), their Byz_script genomes and
    the correct clients' programs — into the (make, check) pair the
    Lnd_runtime.Explore engines drive. The config becomes a Diff.work
-   once per instance; [make] builds a fresh plan of it (Diff.plan) and
-   the sim driver's system under the explorer's policy, for every
-   explored schedule. [check] runs at quiescence and raises
-   [Property_violated] when the run breaks a paper property:
+   once per instance; [make] builds a plan of it (Diff.plan) and the sim
+   driver's system under the explorer's policy, then hands that system
+   back for every later schedule, for the explorer to rewind to the
+   prefix the schedule shares with the last one — unless it can no
+   longer rewind (audit mode's Obs sink), when it builds a fresh one.
+   [check] runs at quiescence and raises [Property_violated] when the
+   run breaks a paper property:
 
    - no correct fiber crashed;
    - the protocol's judge (Diff.check_*_history): the observational
@@ -183,7 +186,7 @@ let instance (c : config) : instance =
   let w = work_of c in
   let state : runstate option ref = ref None in
   let installed = ref false in
-  let make policy =
+  let fresh policy =
     let sys =
       Diff.system policy (Diff.plan w ~byzantine:c.byzantine ~broken:false)
     in
@@ -201,6 +204,18 @@ let instance (c : config) : instance =
     in
     state := Some { rs_sys = sys; rs_audit = audit; rs_trace = trace };
     sys.Diff.sched
+  in
+  (* The last run's system comes back as that run left it, under the new
+     policy: the explorer rewinds it to the steps the next schedule
+     shares. An audited run needs a fresh trace and auditor, and its
+     sink has made its system non-rewindable anyway. *)
+  let make policy =
+    match !state with
+    | Some { rs_sys = { Diff.sched; _ }; rs_trace = None; _ }
+      when Sched.rewindable sched ->
+        Sched.set_choose sched policy;
+        sched
+    | _ -> fresh policy
   in
   let check _sched =
     match !state with

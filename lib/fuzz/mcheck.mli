@@ -14,7 +14,13 @@
     (stickiness, Observation 18, is the uniqueness monitor's; for
     test-or-set, Definition 20, the judge's monotone check) or the
     history is not Byzantine linearizable — or, with [audit = true],
-    the forensic auditor blamed a correct pid. *)
+    the forensic auditor blamed a correct pid.
+
+    [make] builds one system and then hands that same system back for
+    every later schedule, for the explorer to rewind
+    ({!Lnd_runtime.Explore}'s [make] protocol); it builds a fresh one
+    only when the last cannot rewind — always in audit mode, whose Obs
+    sink needs a fresh trace and auditor per run. *)
 
 open Lnd_support
 module Sched = Lnd_runtime.Sched
@@ -62,7 +68,10 @@ val weakened : config
 
 type instance = {
   cfg : config;
-  make : Policy.t -> Sched.t;  (** fresh deterministic system per run *)
+  make : Policy.t -> Sched.t;
+      (** the last run's system, as that run left it and with the new
+          policy installed, if it can {!Lnd_runtime.Sched.rewind}; a
+          fresh one otherwise *)
   check : Sched.t -> unit;  (** raises {!Property_violated} *)
   last_events : unit -> Lnd_obs.Obs.event list;
       (** the last run's event trace; empty unless [audit] *)
@@ -94,4 +103,5 @@ val swarm : ?max_steps:int -> seeds:int list -> config -> Explore.result
 val replay :
   ?max_steps:int -> config -> Explore.schedule -> (unit, exn) result
 (** Re-execute one schedule against a fresh instance of the
-    configuration and re-run the check. *)
+    configuration and re-run the check ({!Lnd_runtime.Explore.replay}:
+    a fid trail must be used up exactly). *)

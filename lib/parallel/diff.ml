@@ -31,7 +31,6 @@
 open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
-module Cell = Lnd_runtime.Cell
 module Drive = Lnd_runtime.Drive
 module Space = Lnd_shm.Space
 module History = Lnd_history.History
@@ -41,7 +40,6 @@ module Byzlin = Lnd_history.Byzlin
 module Trace_replay = Lnd_history.Trace_replay
 module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
-module Byz_script = Lnd_byz.Byz_script
 module S_core = Lnd_sticky.Sticky_core
 module V_core = Lnd_verifiable.Verifiable_core
 module T_core = Lnd_testorset.Testorset_core
@@ -286,17 +284,23 @@ let render_testorset h : string =
 
 (* ---------------- The workload plan ---------------- *)
 
-(* One client operation. [prog] is built when the job starts, so it reads
-   what the client's earlier jobs left (a reader's round counter, the
-   writer's written-set); [result] updates that state and maps the
-   program's result to the history result; [text] renders it for the
-   span, only when a sink is installed. *)
+(* What a client passes from one of its jobs to the next: a reader's
+   round counter (the C_k it writes next) and the writer's written-set.
+   A value, so the sim driver can carry it in a machine fiber's state. *)
+type carry = { ck : int; written : Value.Set.t }
+
+let carry0 = { ck = 0; written = Value.Set.empty }
+
+(* One client operation. [prog] is built when the job starts, from what
+   the client's earlier jobs left; [result] gives what the next job gets
+   and the history result; [text] renders the result for the span, only
+   when a sink is installed. *)
 type ('reg, 'op, 'res) job =
   | Job : {
       op : 'op;
       span : string * string option;
-      prog : unit -> ('reg, 'a) Machine.prog;
-      result : 'a -> 'res;
+      prog : carry -> ('reg, 'a) Machine.prog;
+      result : carry -> 'a -> carry * 'res;
       text : 'a -> string;
     }
       -> ('reg, 'op, 'res) job
@@ -307,7 +311,7 @@ type ('reg, 'op, 'res) plan = {
   helps : (int * ('reg, unit) Machine.prog) list;
   scripts : (int * ('reg, unit) Machine.prog) list;
   clients : (int * ('reg, 'op, 'res) job list) list;
-  fiber_names : string * string;
+  fiber_names : string * (int -> string);
   judge :
     correct:(int -> bool) -> ('op, 'res) History.t -> (bool, string) result;
   render : ('op, 'res) History.t -> string;
@@ -321,11 +325,16 @@ let broken_value : Value.t = "zzz"
 
 let job op span prog result text = Job { op; span; prog; result; text }
 
+(* The sim's fiber names, formatted once: a reader's is its prefix and
+   pid. *)
+let reader_name = Machine.names (Printf.sprintf "r%d")
+let tester_name = Machine.names (Printf.sprintf "t%d")
+
 (* [broken] swaps in cores whose final decision step is corrupted (pure
    and termination-preserving): a reader claiming a never-written value,
    a verifier that always accepts, a tester returning the impossible
-   bit 2. The round counters live one per reader pid, like the C_k
-   registers they are written to; the written-set is the writer's. *)
+   bit 2. A reader's round counter and the writer's written-set travel
+   from job to job in the client's carry. *)
 let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
   let n = w.n in
   let q = Quorum.make_relaxed ~n ~f:w.f in
@@ -344,7 +353,6 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
             ~value:w.script_value ))
       w.scripts
   in
-  let ck = Array.make n 0 in
   (* The writer (if correct), then each correct reader in [programs]
      order. *)
   let clients writes read =
@@ -384,75 +392,70 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
       }
   in
   let value i = value_pool.(i mod Array.length value_pool) in
-  let written = ref Value.Set.empty in
+  let round (c : carry) ck' res = ({ c with ck = ck' }, res) in
   match w.proto with
   | Sticky ->
       let module S = Spec.Sticky_spec in
-      on_sticky ~names:("writer", "r") ~judge:check_sticky_history
+      on_sticky ~names:("writer", reader_name) ~judge:check_sticky_history
         ~render:render_sticky
         (clients
            (fun i ->
              let v = value i in
              [
                job (S.Write v) ("WRITE", Some v)
-                 (fun () -> S_core.write_prog ~n ~q v)
-                 (fun () -> S.Done)
+                 (fun _ -> S_core.write_prog ~n ~q v)
+                 (fun c () -> (c, S.Done))
                  (fun _ -> "done");
              ])
            (fun pid -> function
              | I_read ->
                  job S.Read ("READ", None)
-                   (fun () ->
-                     let prog = S_core.read_prog ~n ~q ~pid ~ck:ck.(pid) in
+                   (fun c ->
+                     let prog = S_core.read_prog ~n ~q ~pid ~ck:c.ck in
                      if broken then
                        let* _, ck' = prog in
                        ret (Some broken_value, ck')
                      else prog)
-                   (fun (res, ck') ->
-                     ck.(pid) <- ck';
-                     S.Val res)
+                   (fun c (res, ck') -> round c ck' (S.Val res))
                    (function None, _ -> "⊥" | Some v, _ -> "v:" ^ v)
              | I_verify _ | I_test -> invalid_arg "Diff: sticky program"))
   | Verifiable ->
       let module V = Spec.Verifiable_spec in
-      on_verifiable ~names:("writer", "r") ~judge:check_verifiable_history
-        ~render:render_verifiable
+      on_verifiable ~names:("writer", reader_name)
+        ~judge:check_verifiable_history ~render:render_verifiable
         (clients
            (fun i ->
              let v = value i in
              [
                job (V.Write v) ("WRITE", Some v)
-                 (fun () -> V_core.write_prog v)
-                 (fun () ->
-                   written := Value.Set.add v !written;
-                   V.Done)
+                 (fun _ -> V_core.write_prog v)
+                 (fun c () ->
+                   ({ c with written = Value.Set.add v c.written }, V.Done))
                  (fun _ -> "done");
                job (V.Sign v) ("SIGN", Some v)
-                 (fun () -> V_core.sign_prog ~written:!written v)
-                 (fun ok -> V.Signed ok)
+                 (fun c -> V_core.sign_prog ~written:c.written v)
+                 (fun c ok -> (c, V.Signed ok))
                  string_of_bool;
              ])
            (fun pid -> function
              | I_read ->
                  job V.Read ("READ", None)
-                   (fun () ->
+                   (fun _ ->
                      if broken then
                        let* _ = V_core.read_prog in
                        ret broken_value
                      else V_core.read_prog)
-                   (fun v -> V.Val v)
+                   (fun c v -> (c, V.Val v))
                    (fun v -> "v:" ^ v)
              | I_verify v ->
                  job (V.Verify v) ("VERIFY", Some v)
-                   (fun () ->
-                     let prog = V_core.verify_prog ~n ~q ~pid ~ck:ck.(pid) v in
+                   (fun c ->
+                     let prog = V_core.verify_prog ~n ~q ~pid ~ck:c.ck v in
                      if broken then
                        let* _, ck' = prog in
                        ret (true, ck')
                      else prog)
-                   (fun (ok, ck') ->
-                     ck.(pid) <- ck';
-                     V.Verified ok)
+                   (fun c (ok, ck') -> round c ck' (V.Verified ok))
                    (fun (ok, _) -> string_of_bool ok)
              | I_test -> invalid_arg "Diff: verifiable program"))
   | Testorset ->
@@ -462,19 +465,17 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
       let test test_prog pid = function
         | I_test ->
             job T.Test ("TEST", None)
-              (fun () ->
-                let prog = test_prog ~pid ~ck:ck.(pid) in
+              (fun c ->
+                let prog = test_prog ~pid ~ck:c.ck in
                 if broken then
                   let* _, ck' = prog in
                   ret (2, ck')
                 else prog)
-              (fun (bit, ck') ->
-                ck.(pid) <- ck';
-                T.Bit bit)
+              (fun c (bit, ck') -> round c ck' (T.Bit bit))
               (fun (bit, _) -> string_of_int bit)
         | I_read | I_verify _ -> invalid_arg "Diff: testorset program"
       in
-      let names = ("setter", "t") in
+      let names = ("setter", tester_name) in
       if w.tos_verifiable then
         on_verifiable ~names ~judge:check_testorset_history
           ~render:render_testorset
@@ -482,12 +483,11 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
              (fun _ ->
                [
                  job T.Set ("SET", None)
-                   (fun () -> T_core.set_verifiable_prog ~written:!written)
-                   (fun (signed, written') ->
-                     written := written';
+                   (fun c -> T_core.set_verifiable_prog ~written:c.written)
+                   (fun c (signed, written') ->
                      if not signed then
                        failwith "SET: sign failed for correct setter";
-                     T.Done)
+                     ({ c with written = written' }, T.Done))
                    (fun _ -> "done");
                ])
              (test (T_core.test_verifiable_prog ~n ~q)))
@@ -498,8 +498,8 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
              (fun _ ->
                [
                  job T.Set ("SET", None)
-                   (fun () -> T_core.set_sticky_prog ~n ~q)
-                   (fun () -> T.Done)
+                   (fun _ -> T_core.set_sticky_prog ~n ~q)
+                   (fun c () -> (c, T.Done))
                    (fun _ -> "done");
                ])
              (test (T_core.test_sticky_prog ~n ~q)))
@@ -533,56 +533,90 @@ let sim_verdict sched ~correct judge h : (bool, string) result =
            (Printexc.to_string e))
   | None -> judge ~correct h
 
+(* What a client fiber carries: its finished history entries, newest
+   first, and the job in flight — its operation and invocation time. *)
+type ('op, 'res) client = {
+  entries : ('op, 'res) History.entry list;
+  pending : ('op * int) option;
+}
+
+let help_name = Machine.names (Printf.sprintf "help%d")
+let script_name = Machine.names (Printf.sprintf "byz-script%d")
+
 (* The spawn order — help daemons, script daemons, clients — fixes the
    fiber ids, which the DPOR counts and the .scn fid trails depend on.
-   Each job's span opens and closes inside History.record, as the
-   Sticky/Verifiable sim wrappers do: moving it would shift every span
+   Every fiber is a machine fiber, so a system with no Obs sink can
+   rewind. A client's jobs stamp their invocation and response, and open
+   and close their span, at the points where History.record and the
+   Sticky/Verifiable sim wrappers did: moving one would shift every span
    stamp by one tick. *)
 let system (policy : Policy.t) (Plan p : any_plan) : system =
   let space = Space.create ~n:(Array.length p.correct) in
   let sched = Sched.create ~space ~choose:policy in
-  let cell = p.layout (Cell.shm_allocator space) in
-  let h = History.create () in
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Sched.spawn sched ~pid ~name:(Printf.sprintf "help%d" pid)
-           ~daemon:true (fun () ->
-             Drive.run ~on_note:(Drive.help_note ()) ~cell prog)))
-    p.helps;
-  List.iter
-    (fun (pid, prog) ->
-      ignore
-        (Byz_script.spawn sched ~pid
-           ~name:(Printf.sprintf "byz-script%d" pid)
-           ~cell prog))
-    p.scripts;
-  let run_job pid (Job j) =
-    let name, arg = j.span in
+  let at = p.layout (Space.alloc space) in
+  let daemon ?note pid name prog =
     ignore
-      (History.record h ~pid j.op (fun () ->
-           let sp = if Obs.enabled () then Obs.span_open ~name ?arg () else 0 in
-           let a = Drive.run ~cell (j.prog ()) in
-           let res = j.result a in
-           if Obs.enabled () then Obs.span_close ~result:(j.text a) ~name sp;
-           res))
+      (Sched.spawn_machine sched ~pid ~name ~daemon:true ?note ~at ~data:()
+         (fun () -> Sched.Job (prog, (fun () -> Sched.Done ()), ()))
+        : unit -> unit)
   in
-  let writer, reader = p.fiber_names in
   List.iter
-    (fun (pid, jobs) ->
-      let name = if pid = 0 then writer else Printf.sprintf "%s%d" reader pid in
-      ignore
-        (Sched.spawn sched ~pid ~name (fun () -> List.iter (run_job pid) jobs)))
-    p.clients;
+    (fun (pid, prog) ->
+      daemon ~note:(Drive.help_note ()) pid (help_name pid) prog)
+    p.helps;
+  List.iter (fun (pid, prog) -> daemon pid (script_name pid) prog) p.scripts;
+  let writer, reader = p.fiber_names in
+  let client (pid, jobs) =
+    let rec from jobs c entries =
+      match jobs with
+      | [] -> Sched.Done { entries; pending = None }
+      | Job j :: rest ->
+          let name, arg = j.span in
+          let inv = Sched.stamp sched in
+          let sp = if Obs.enabled () then Obs.span_open ~name ?arg () else 0 in
+          let prog = j.prog c in
+          Sched.Job
+            ( prog,
+              (fun a ->
+                let c, res = j.result c a in
+                if Obs.enabled () then
+                  Obs.span_close ~result:(j.text a) ~name sp;
+                let ret = Sched.stamp sched in
+                from rest c
+                  ({ History.pid; op = j.op; inv; ret = Some (res, ret) }
+                  :: entries)),
+              { entries; pending = Some (j.op, inv) } )
+    in
+    ( pid,
+      Sched.spawn_machine sched ~pid
+        ~name:(if pid = 0 then writer else reader pid)
+        ~at ~data:{ entries = []; pending = None }
+        (fun () -> from jobs carry0 []) )
+  in
+  let clients = List.map client p.clients in
+  let history () =
+    {
+      History.entries =
+        List.concat_map
+          (fun (pid, data) ->
+            let d = data () in
+            match d.pending with
+            | None -> d.entries
+            | Some (op, inv) -> { History.pid; op; inv; ret = None } :: d.entries)
+          clients;
+    }
+  in
   {
     space;
     sched;
     correct = p.correct;
     verdict =
       (fun () ->
-        sim_verdict sched ~correct:(fun pid -> p.correct.(pid)) p.judge h);
-    ops = (fun () -> List.length (History.complete_entries h));
-    rendered = (fun () -> p.render h);
+        sim_verdict sched
+          ~correct:(fun pid -> p.correct.(pid))
+          p.judge (history ()));
+    ops = (fun () -> List.length (History.complete_entries (history ())));
+    rendered = (fun () -> p.render (history ()));
   }
 
 let sim_max_steps = 8_000_000

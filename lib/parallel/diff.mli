@@ -111,19 +111,25 @@ val render_testorset :
     core's register names (['reg]), the protocol's history operations
     (['op]) and results (['res]). *)
 
+(** What a client passes from one of its jobs to the next: a reader's
+    round counter and the writer's written-set. *)
+type carry = { ck : int; written : Value.Set.t }
+
+val carry0 : carry
+(** A client's carry before its first job: counter 0, nothing written. *)
+
 (** One client operation: its history op, its Obs span (name and
-    argument), the core program — built when the job starts, so it reads
-    the state the client's earlier jobs left (a reader's round counter,
-    the writer's written-set) — and what becomes of the program's
-    result: [result] updates that state and gives the history result,
-    [text] the span's closing text (called only while a sink is
-    installed). *)
+    argument), the core program — built when the job starts, from the
+    carry the client's earlier jobs left — and what becomes of the
+    program's result: [result] gives the next job's carry and the
+    history result, [text] the span's closing text (called only while a
+    sink is installed). *)
 type ('reg, 'op, 'res) job =
   | Job : {
       op : 'op;
       span : string * string option;
-      prog : unit -> ('reg, 'a) Lnd_support.Machine.prog;
-      result : 'a -> 'res;
+      prog : carry -> ('reg, 'a) Lnd_support.Machine.prog;
+      result : carry -> 'a -> carry * 'res;
       text : 'a -> string;
     }
       -> ('reg, 'op, 'res) job
@@ -139,10 +145,10 @@ type ('reg, 'op, 'res) plan = {
       (** genome program per scripted pid, in [work.scripts] order *)
   clients : (int * ('reg, 'op, 'res) job list) list;
       (** the writer (pid 0, if correct), then each correct reader in
-          [work.programs] order *)
-  fiber_names : string * string;
-      (** the sim's name for the writer's fiber, and the prefix of a
-          reader's (followed by its pid) *)
+          [work.programs] order; each client threads one {!carry}
+          through its jobs, starting from {!carry0} *)
+  fiber_names : string * (int -> string);
+      (** the sim's name for the writer's fiber, and a reader's by pid *)
   judge :
     correct:(int -> bool) ->
     ('op, 'res) Lnd_history.History.t ->
@@ -159,8 +165,8 @@ val plan : work -> byzantine:int list -> broken:bool -> any_plan
     claim [work.script_value]. [broken] substitutes cores whose final
     decision step is corrupted (pure and termination-preserving): a
     reader that claims a value no workload writes, a verifier that
-    always accepts, a tester that returns the impossible bit 2. The
-    plan's client state is mutable: build a fresh plan per run. *)
+    always accepts, a tester that returns the impossible bit 2. A plan
+    holds no run state: its clients pass theirs along in carries. *)
 
 (** {2 Driver #1: the deterministic simulator} *)
 
@@ -193,11 +199,16 @@ val sim_verdict :
 
 val system : Lnd_runtime.Policy.t -> any_plan -> system
 (** The plan on the simulator: a Space and a Sched choosing by
-    [policy], the layout allocated in the Space, then the fibers —
-    help daemons ([help<pid>], with their HELP spans), script daemons
+    [policy], the layout allocated in the Space, then one machine fiber
+    ({!Lnd_runtime.Sched.spawn_machine}) per program — help daemons
+    ([help<pid>], with their HELP spans), script daemons
     ([byz-script<pid>]), clients — in that order, which fixes the fiber
-    ids. Each job is one {!Lnd_history.History.record} around its span
-    and its program. *)
+    ids. A client carries its job cursor, its {!carry} and its finished
+    history entries as values; each job stamps its invocation and
+    response around its span and its program, as
+    {!Lnd_history.History.record} does. With no Obs sink installed the
+    system can rewind ({!Lnd_runtime.Sched.rewind}), its history and
+    verdict with it. *)
 
 val sim : work -> run
 (** Run [work]'s plan (Byzantine set: the scripted pids) on {!system}

@@ -22,8 +22,8 @@ module Obs = Lnd_obs.Obs
 module Trace = Lnd_obs.Trace
 
 (* One Domains process per pid that has a daemon or a job, gathered in
-   one pass over the plan. Entries land in a per-pid accumulator: each
-   slot is written only by the domain hosting its pid, and the run's
+   one pass over the plan. Entries and carries land in per-pid slots:
+   each slot is written only by the domain hosting its pid, and the run's
    completion latch (Domains.run returns only after every worker counted
    it down under its mutex) orders the workers' writes before the merge
    below reads them. *)
@@ -32,7 +32,7 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
   let n = Array.length p.Diff.correct in
   let cell = p.Diff.layout Dcell.make in
   let daemons = Array.make n [] and jobs = Array.make n [] in
-  let recs = Array.make n [] in
+  let recs = Array.make n [] and carries = Array.make n Diff.carry0 in
   List.iter
     (fun (pid, prog) ->
       daemons.(pid) <-
@@ -53,10 +53,11 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
   let job pid (Diff.Job j) =
     Domains.job ~cell ~span:j.span ~render:j.text
       ~finish:(fun ~inv ~ret a ->
+        let c, res = j.result carries.(pid) a in
+        carries.(pid) <- c;
         recs.(pid) <-
-          { History.pid; op = j.op; inv; ret = Some (j.result a, ret) }
-          :: recs.(pid))
-      j.prog
+          { History.pid; op = j.op; inv; ret = Some (res, ret) } :: recs.(pid))
+      (fun () -> j.prog carries.(pid))
   in
   List.iter
     (fun (pid, js) -> jobs.(pid) <- jobs.(pid) @ List.map (job pid) js)

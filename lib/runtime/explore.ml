@@ -19,7 +19,11 @@
      pre-state gains a backtrack point. Sleep sets prune schedules whose
      difference from an explored sibling is a commutation of independent
      steps. The net effect: one representative per Mazurkiewicz trace,
-     not one run per interleaving.
+     not one run per interleaving. Each run resumes at its branch node:
+     on the last run's system, rewound there (Sched.rewind), or on a
+     fresh one that replays the shared prefix by fid; either way the
+     explorer restores its own bookkeeping for the prefix from the nodes
+     it keeps instead of recomputing it.
 
    - [swarm]: many independent seeded-random schedules; sparse sampling
      for programs too large to enumerate.
@@ -86,6 +90,20 @@ let emit_stats ~mode (r : result) =
          { mode; runs = r.runs; pruned = r.pruned; blocked = r.blocked;
            races = r.races; exhausted = r.exhausted })
 
+(* Where a run on the system [make] handed back starts. The system the
+   last run left ([prev]) is rewound to the [shared] steps the new run
+   has in common with that one; any other system that already ran is
+   rewound to step 0; a fresh one starts there anyway. A used system
+   that cannot rewind makes Sched.rewind raise. *)
+let resume ~(prev : Sched.t option) (sched : Sched.t) ~shared =
+  match prev with
+  | Some p when p == sched ->
+      Sched.rewind sched shared;
+      shared
+  | _ ->
+      if Sched.steps sched > 0 then Sched.rewind sched 0;
+      0
+
 (* ---------------- Naive DFS (the baseline) ---------------- *)
 
 let exhaustive ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
@@ -96,10 +114,24 @@ let exhaustive ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   let max_depth = ref 0 in
   let script = ref [] in
   let continue_ = ref true in
+  (* The last run's system and (choice, degree) trail, oldest first: the
+     next script shares all but its last choice with it. *)
+  let last = ref None in
+  let last_trail = ref [||] in
   while !continue_ do
     let trail = ref [] in
-    let policy = Policy.scripted ~script:!script ~trail in
-    let sched = make policy in
+    let sched = make (Policy.scripted ~script:!script ~trail) in
+    let shared = max 0 (List.length !script - 1) in
+    let k = resume ~prev:!last sched ~shared in
+    if k > 0 then begin
+      (* the first [k] choices are in place: the trail starts with them
+         and the policy goes on from the script's [k]-th *)
+      trail := List.rev (Array.to_list (Array.sub !last_trail 0 k));
+      Sched.set_choose sched
+        (Policy.scripted ~script:(List.filteri (fun j _ -> j >= k) !script)
+           ~trail)
+    end;
+    last := Some sched;
     Sched.set_park_on_yield sched true;
     let reason = Sched.run ~max_steps sched in
     let depth = List.length !trail in
@@ -120,8 +152,8 @@ let exhaustive ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
         emit_run ~mode:"dfs" ~idx:(!runs + !pruned) ~depth ~reason:"pruned");
     (* Compute the next schedule: backtrack to the deepest choice point
        with an unexplored sibling. The trail was built most-recent-first. *)
-    let tr = List.rev !trail in
-    let arr = Array.of_list tr in
+    let arr = Array.of_list (List.rev !trail) in
+    last_trail := arr;
     let next = ref None in
     for i = Array.length arr - 1 downto 0 do
       if !next = None then
@@ -185,79 +217,23 @@ let rec next_fid s q =
 
 let rec popcount s = if s = 0 then 0 else 1 + popcount (s land (s - 1))
 
-(* Vector clocks are fid-indexed [int array]s: entry [q] is the latest
-   step of fiber [q] that happens-before the holder, [-1] if none. A
-   clock is never mutated once stored. Clocks built earlier in a run may
-   be shorter than later ones (fibers spawn as the run goes); missing
-   entries read as [-1]. *)
-let clock_at (vc : int array) q = if q < Array.length vc then vc.(q) else -1
-
-(* [dst] := [dst] ⊔ [src] over their common prefix. *)
-let join_into (dst : int array) (src : int array) =
-  for q = 0 to min (Array.length dst) (Array.length src) - 1 do
-    if src.(q) > dst.(q) then dst.(q) <- src.(q)
-  done
-
-(* An earlier access, step [i] of fiber [q], happens-before the pending
-   step of fiber [c] whose clock is [cp]. *)
-let hb_before cp c i q = q = c || clock_at cp q >= i
-
-(* One register's race candidates in the current run: its last write and
-   the reads since that write. Any two conflicting accesses to one
-   register are ordered by happens-before, so these are exactly the
-   steps a new access can race with. [rd_join] is the join of those
-   reads' clocks, kept up to date in place so that a write joins one
-   array instead of every read's. *)
-type reg_state = {
-  mutable lw_step : int; (* -1: no write yet in this run *)
-  mutable lw_fid : int;
-  mutable lw_clock : int array;
-  mutable rd : int array; (* the reads' (step, fid) pairs, flattened *)
-  mutable rd_count : int;
-  rd_join : int array; (* all [-1] while [rd_count = 0] *)
-}
-
-let fresh_reg () =
-  { lw_step = -1; lw_fid = -1; lw_clock = [||]; rd = Array.make 16 0;
-    rd_count = 0; rd_join = Array.make max_fibers (-1) }
-
-let reset_reg rs =
-  rs.lw_step <- -1;
-  rs.lw_clock <- [||];
-  if rs.rd_count > 0 then begin
-    rs.rd_count <- 0;
-    Array.fill rs.rd_join 0 max_fibers (-1)
-  end
-
-let add_read rs ~step ~fid (vc : int array) =
-  let k = 2 * rs.rd_count in
-  if k = Array.length rs.rd then begin
-    let bigger = Array.make (2 * k) 0 in
-    Array.blit rs.rd 0 bigger 0 k;
-    rs.rd <- bigger
-  end;
-  rs.rd.(k) <- step;
-  rs.rd.(k + 1) <- fid;
-  rs.rd_count <- rs.rd_count + 1;
-  join_into rs.rd_join vc
-
-(* Every read since the last write had a clock no wider than the
-   writer's [vc], so clearing that prefix clears [rd_join]. *)
-let set_write rs ~step ~fid (vc : int array) =
-  rs.lw_step <- step;
-  rs.lw_fid <- fid;
-  rs.lw_clock <- vc;
-  if rs.rd_count > 0 then begin
-    rs.rd_count <- 0;
-    Array.fill rs.rd_join 0 (Array.length vc) (-1)
-  end
-
 (* One node per step of the current execution prefix. [nd_backtrack] is
    the set of fiber ids scheduled for exploration from this state (seeded
    with the first choice, grown by race detection); [nd_done] the ones
    whose subtrees are complete; [nd_sleep] the sleep set on entry for the
    current run. [nd_enabled] is recorded for the "else add all enabled"
-   arm of the backtrack rule. All four are fid bitsets. *)
+   arm of the backtrack rule. All four are fid bitsets.
+
+   The rest is the step's dependency bookkeeping, kept in the node so
+   that a run resuming at a later node restores it instead of recomputing
+   it over the shared prefix. [nd_clock] is the step's vector clock, a
+   row reused by every run that reaches this depth: entry [q] is the
+   latest step of fiber [q] that happens-before it, [-1] if none (and
+   every entry from the run's clock width on is [-1]). The other fields
+   chain each step to the previous step of its fiber and to the previous
+   access to its register, and name that register's latest write, so a
+   new access finds its race candidates — the last write and the reads
+   since — by following the chain. *)
 type node = {
   mutable nd_chosen : int;
   mutable nd_backtrack : int;
@@ -266,11 +242,35 @@ type node = {
   mutable nd_enabled : int;
   mutable nd_alpha : Sched.footprint; (* footprint the chosen step executed *)
   mutable nd_preempts : int; (* preemptions consumed up to and incl. this step *)
+  mutable nd_width : int; (* the run's clock width after this step: 1 + its largest fid yet *)
+  nd_clock : int array;
+  mutable nd_clock_used : int; (* entries of [nd_clock] written by some run *)
+  mutable nd_prev_fiber : int; (* the chosen fiber's previous step, or -1 *)
+  mutable nd_reg : int; (* the register id the step accessed, or -1 *)
+  mutable nd_prev_reg : int; (* the previous access to that register, or -1 *)
+  mutable nd_last_write : int; (* its latest write up to this step, or -1 *)
 }
 
 let fresh_node () =
   { nd_chosen = -1; nd_backtrack = 0; nd_done = 0; nd_sleep = 0;
-    nd_enabled = 0; nd_alpha = Sched.A_none; nd_preempts = 0 }
+    nd_enabled = 0; nd_alpha = Sched.A_none; nd_preempts = 0; nd_width = 0;
+    nd_clock = Array.make max_fibers (-1); nd_clock_used = 0;
+    nd_prev_fiber = -1; nd_reg = -1; nd_prev_reg = -1; nd_last_write = -1 }
+
+(* [dst] := [dst] ⊔ [src] over the first [width] entries. *)
+let join_into (dst : int array) (src : int array) width =
+  for q = 0 to width - 1 do
+    if src.(q) > dst.(q) then dst.(q) <- src.(q)
+  done
+
+(* The index of fiber [q] in [ready], from [i] on: the one lookup a
+   replayed step makes. *)
+let rec index_of q (ready : Sched.fiber array) ~at i =
+  if i >= Array.length ready then
+    raise
+      (Replay_diverged { at; reason = Printf.sprintf "fiber %d not ready" q })
+  else if ready.(i).Sched.fid = q then i
+  else index_of q ready ~at (i + 1)
 
 let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     ?(max_steps = 2_000) ?(max_runs = 200_000) ?max_preempts ?(note = "") () :
@@ -331,11 +331,12 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   let exhausted = ref false in
   let continue_ = ref true in
   (* Race detection: an earlier conflicting access, step [i] of fiber
-     [q], not ordered before this step of [c] is a reversible race — the
-     pre-state of step [i] must also try running [c] (or, if [c] was not
-     enabled there, every enabled fiber). *)
+     [q], not ordered before this step of [c] (whose fiber's previous
+     clock is [cp]) is a reversible race — the pre-state of step [i]
+     must also try running [c] (or, if [c] was not enabled there, every
+     enabled fiber). *)
   let race cp c i q =
-    if not (hb_before cp c i q) then begin
+    if not (q = c || cp.(q) >= i) then begin
       let ni = !stack.(i) in
       let want = if mem c ni.nd_enabled then bit c else ni.nd_enabled in
       let fresh = want land lnot ni.nd_backtrack in
@@ -343,24 +344,34 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       races := !races + popcount fresh
     end
   in
-  (* Per-run dependency state, reset before every run. *)
+  (* Per-run dependency state. Steps below [!replay_to] only replay their
+     recorded fid (a fresh system catching up with the prefix); the
+     rest is as the run's first bookkept step [!replay_to] found it,
+     restored from the nodes when the run begins. *)
   let depth = ref 0 in
+  let replay_to = ref 0 in
   let cur_sleep = ref 0 in
   let last_rot = ref (-1) in
   let width = ref 0 in (* clock width: 1 + the largest fid seen this run *)
   let slot = Array.make max_fibers 0 in (* fid -> index in [ready] *)
-  let clocks = Array.make max_fibers [||] in (* fid -> its clock *)
-  let regs = ref [||] in (* Register.id -> its race candidates *)
-  let reg_state (r : Register.t) =
-    let id = r.Register.id in
-    let n = Array.length !regs in
+  let fiber_last = Array.make max_fibers (-1) in (* fid -> its latest step *)
+  let no_clock = Array.make max_fibers (-1) in
+  let reg_last = ref [||] in (* Register.id -> its latest access *)
+  let reg_latest id =
+    let n = Array.length !reg_last in
     if id >= n then begin
-      let old = !regs in
-      regs :=
-        Array.init (max (id + 1) (2 * n)) (fun i ->
-            if i < n then old.(i) else fresh_reg ())
+      let bigger = Array.make (max (id + 1) (2 * n)) (-1) in
+      Array.blit !reg_last 0 bigger 0 n;
+      reg_last := bigger
     end;
-    !regs.(id)
+    !reg_last.(id)
+  in
+  (* Take back what step [i] did to [fiber_last] and [reg_last]; newest
+     step first, so they return to what they were before step [i]. *)
+  let unlink i =
+    let nd = !stack.(i) in
+    fiber_last.(nd.nd_chosen) <- nd.nd_prev_fiber;
+    if nd.nd_reg >= 0 then !reg_last.(nd.nd_reg) <- nd.nd_prev_reg
   in
   let rotate s =
     let q = next_fid s (!last_rot + 1) in
@@ -368,127 +379,145 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   in
   let choose (_sched : Sched.t) (ready : Sched.fiber array) : int =
     let d = !depth in
-    let enabled = ref 0 in
-    for i = 0 to Array.length ready - 1 do
-      let q = ready.(i).Sched.fid in
-      if q >= max_fibers then
-        invalid_arg
-          (Printf.sprintf
-             "Explore.dpor: fiber id %d is beyond the %d-fiber limit (fids \
-              0-%d)"
-             q max_fibers (max_fibers - 1));
-      if q >= !width then width := q + 1;
-      slot.(q) <- i;
-      enabled := !enabled lor bit q
-    done;
-    let enabled = !enabled in
-    (* sleep members that got disabled are dropped (conservative:
-       re-exploring them elsewhere is sound, just redundant) *)
-    let sleep_in = !cur_sleep land enabled in
-    let nd =
-      if d < !plan_len then begin
-        let nd = !stack.(d) in
-        (* replaying a committed prefix: refresh the volatile fields
-           (deterministic replay recomputes the same values, except
-           that done/backtrack sets have grown since) *)
-        nd.nd_sleep <- sleep_in;
-        nd.nd_enabled <- enabled;
-        nd
-      end
-      else begin
-        let free = enabled land lnot sleep_in in
-        if free = 0 then raise Sleep_blocked;
-        let c =
-          match max_preempts with
-          | None ->
-              (* default choice: rotate over the non-sleeping enabled
-                 fibers so base runs are fair and reach quiescence *)
-              rotate free
-          | Some _ ->
-              let affordable = ref 0 in
-              let q = ref (first_affordable d free enabled 0) in
-              while !q >= 0 do
-                affordable := !affordable lor bit !q;
-                q := first_affordable d free enabled (!q + 1)
+    if d < !replay_to then begin
+      depth := d + 1;
+      index_of !stack.(d).nd_chosen ready ~at:d 0
+    end
+    else begin
+      let enabled = ref 0 in
+      for i = 0 to Array.length ready - 1 do
+        let q = ready.(i).Sched.fid in
+        if q >= max_fibers then
+          invalid_arg
+            (Printf.sprintf
+               "Explore.dpor: fiber id %d is beyond the %d-fiber limit (fids \
+                0-%d)"
+               q max_fibers (max_fibers - 1));
+        if q >= !width then width := q + 1;
+        slot.(q) <- i;
+        enabled := !enabled lor bit q
+      done;
+      let enabled = !enabled in
+      (* sleep members that got disabled are dropped (conservative:
+         re-exploring them elsewhere is sound, just redundant) *)
+      let sleep_in = !cur_sleep land enabled in
+      let nd =
+        if d < !plan_len then begin
+          (* the branch node: the run's first bookkept step runs its new
+             choice from the state the last run left there *)
+          let nd = !stack.(d) in
+          nd.nd_sleep <- sleep_in;
+          nd.nd_enabled <- enabled;
+          nd
+        end
+        else begin
+          let free = enabled land lnot sleep_in in
+          if free = 0 then raise Sleep_blocked;
+          let c =
+            match max_preempts with
+            | None ->
+                (* default choice: rotate over the non-sleeping enabled
+                   fibers so base runs are fair and reach quiescence *)
+                rotate free
+            | Some _ ->
+                let affordable = ref 0 in
+                let q = ref (first_affordable d free enabled 0) in
+                while !q >= 0 do
+                  affordable := !affordable lor bit !q;
+                  q := first_affordable d free enabled (!q + 1)
+                done;
+                let affordable = !affordable in
+                if affordable = 0 then raise Preempt_blocked;
+                (* prefer running the previous fiber on (preemptions
+                   cost budget); rotate freely at voluntary points *)
+                let pv =
+                  if d = 0 then -1
+                  else
+                    let pv = !stack.(d - 1) in
+                    match pv.nd_alpha with
+                    | Sched.A_none -> -1
+                    | _ -> pv.nd_chosen
+                in
+                if pv >= 0 && mem pv affordable then pv else rotate affordable
+          in
+          push c ~sleep:sleep_in ~enabled
+        end
+      in
+      let c = nd.nd_chosen in
+      last_rot := c;
+      if not (mem c enabled) then
+        raise (Replay_diverged { at = d; reason = "planned fiber not ready" });
+      let alpha = ready.(slot.(c)).Sched.next_access in
+      nd.nd_alpha <- alpha;
+      nd.nd_preempts <- cost d c nd.nd_enabled;
+      let w = !width in
+      nd.nd_width <- w;
+      (* The step's clock starts as [c]'s previous one ([cp]); then it
+         joins everything this step races with or follows, and the
+         access goes on its register's chain. *)
+      let prev = fiber_last.(c) in
+      let cp = if prev >= 0 then !stack.(prev).nd_clock else no_clock in
+      let vc = nd.nd_clock in
+      Array.blit cp 0 vc 0 w;
+      if nd.nd_clock_used > w then Array.fill vc w (nd.nd_clock_used - w) (-1);
+      nd.nd_clock_used <- w;
+      nd.nd_prev_fiber <- prev;
+      fiber_last.(c) <- d;
+      (match alpha with
+      | Sched.A_none -> nd.nd_reg <- -1
+      | Sched.A_read r | Sched.A_write r | Sched.A_update r ->
+          let id = r.Register.id in
+          let latest = reg_latest id in
+          let lw = if latest >= 0 then !stack.(latest).nd_last_write else -1 in
+          if lw >= 0 then begin
+            let wn = !stack.(lw) in
+            race cp c lw wn.nd_chosen;
+            join_into vc wn.nd_clock w
+          end;
+          (match alpha with
+          | Sched.A_read _ -> nd.nd_last_write <- lw
+          | _ ->
+              (* a write also races with every read since [lw] *)
+              let i = ref latest in
+              while !i <> lw do
+                let rn = !stack.(!i) in
+                race cp c !i rn.nd_chosen;
+                join_into vc rn.nd_clock w;
+                i := rn.nd_prev_reg
               done;
-              let affordable = !affordable in
-              if affordable = 0 then raise Preempt_blocked;
-              (* prefer running the previous fiber on (preemptions
-                 cost budget); rotate freely at voluntary points *)
-              let pv =
-                if d = 0 then -1
-                else
-                  let pv = !stack.(d - 1) in
-                  match pv.nd_alpha with
-                  | Sched.A_none -> -1
-                  | _ -> pv.nd_chosen
-              in
-              if pv >= 0 && mem pv affordable then pv else rotate affordable
-        in
-        push c ~sleep:sleep_in ~enabled
-      end
-    in
-    let c = nd.nd_chosen in
-    last_rot := c;
-    if not (mem c enabled) then
-      raise (Replay_diverged { at = d; reason = "planned fiber not ready" });
-    let alpha = ready.(slot.(c)).Sched.next_access in
-    nd.nd_alpha <- alpha;
-    nd.nd_preempts <- cost d c nd.nd_enabled;
-    (* Check the step against the register's race candidates, then give
-       [c] a fresh clock past everything this step depends on and record
-       the access for later steps. *)
-    let cp = clocks.(c) in
-    let nvc = Array.make !width (-1) in
-    Array.blit cp 0 nvc 0 (Array.length cp);
-    (match alpha with
-    | Sched.A_none -> nvc.(c) <- d
-    | Sched.A_read r ->
-        let rs = reg_state r in
-        if rs.lw_step >= 0 then begin
-          race cp c rs.lw_step rs.lw_fid;
-          join_into nvc rs.lw_clock
-        end;
-        nvc.(c) <- d;
-        add_read rs ~step:d ~fid:c nvc
-    | Sched.A_write r | Sched.A_update r ->
-        let rs = reg_state r in
-        if rs.lw_step >= 0 then begin
-          race cp c rs.lw_step rs.lw_fid;
-          join_into nvc rs.lw_clock
-        end;
-        if rs.rd_count > 0 then begin
-          for k = 0 to rs.rd_count - 1 do
-            race cp c rs.rd.(2 * k) rs.rd.((2 * k) + 1)
-          done;
-          join_into nvc rs.rd_join
-        end;
-        nvc.(c) <- d;
-        set_write rs ~step:d ~fid:c nvc);
-    clocks.(c) <- nvc;
-    (* Sleep-set propagation: siblings already explored from this node
-       join the sleep set; fibers whose pending step depends on the
-       executed one wake up. *)
-    let out = (sleep_in lor nd.nd_done) land enabled in
-    let sleep = ref 0 in
-    let q = ref (next_fid out 0) in
-    while !q >= 0 do
-      if not (conflict alpha ready.(slot.(!q)).Sched.next_access) then
-        sleep := !sleep lor bit !q;
-      q := next_fid out (!q + 1)
-    done;
-    cur_sleep := !sleep;
-    depth := d + 1;
-    slot.(c)
+              nd.nd_last_write <- d);
+          nd.nd_reg <- id;
+          nd.nd_prev_reg <- latest;
+          !reg_last.(id) <- d);
+      vc.(c) <- d;
+      (* Sleep-set propagation: siblings already explored from this node
+         join the sleep set; fibers whose pending step depends on the
+         executed one wake up. *)
+      let out = (sleep_in lor nd.nd_done) land enabled in
+      let sleep = ref 0 in
+      let q = ref (next_fid out 0) in
+      while !q >= 0 do
+        if not (conflict alpha ready.(slot.(!q)).Sched.next_access) then
+          sleep := !sleep lor bit !q;
+        q := next_fid out (!q + 1)
+      done;
+      cur_sleep := !sleep;
+      depth := d + 1;
+      slot.(c)
+    end
   in
+  let last = ref None in
   while !continue_ do
-    depth := 0;
-    cur_sleep := 0;
-    last_rot := -1;
-    width := 0;
-    Array.fill clocks 0 max_fibers [||];
-    Array.iter reset_reg !regs;
+    (* The new run shares the prefix [0, d) with the last one and
+       branches at node [d]: restore the state that prefix leaves. *)
+    let d = max 0 (!plan_len - 1) in
+    cur_sleep := if !plan_len > 0 then !stack.(d).nd_sleep else 0;
+    last_rot := if d > 0 then !stack.(d - 1).nd_chosen else -1;
+    width := if d > 0 then !stack.(d - 1).nd_width else 0;
     let sched = make choose in
+    depth := resume ~prev:!last sched ~shared:d;
+    replay_to := d;
+    last := Some sched;
     Sched.set_park_on_yield sched true;
     (match Sched.run ~max_steps sched with
     | exception Sleep_blocked ->
@@ -517,7 +546,9 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
           ~reason:"pruned");
     if !depth > !max_depth then max_depth := !depth;
     (* Backtrack: deepest node with an unexplored, non-sleeping
-       backtrack candidate; everything below it is discarded. *)
+       backtrack candidate; everything below it is discarded, and each
+       node passed on the way, the branch node included, gives back its
+       bookkeeping. *)
     let rec back d =
       if d < 0 then begin
         exhausted := true;
@@ -525,6 +556,7 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       end
       else begin
         let ndd = !stack.(d) in
+        unlink d;
         ndd.nd_done <- ndd.nd_done lor bit ndd.nd_chosen;
         let cands =
           ndd.nd_backtrack land lnot ndd.nd_done land lnot ndd.nd_sleep
@@ -559,9 +591,12 @@ let swarm ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   let runs = ref 0 in
   let pruned = ref 0 in
   let max_depth = ref 0 in
+  let last = ref None in
   List.iter
     (fun seed ->
       let sched = make (Policy.random ~seed) in
+      ignore (resume ~prev:!last sched ~shared:0 : int);
+      last := Some sched;
       Sched.set_park_on_yield sched true;
       let reason = Sched.run ~max_steps sched in
       let depth = Sched.steps sched in
@@ -591,20 +626,22 @@ let swarm ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
 
 (* ---------------- Replay ---------------- *)
 
-(* Re-execute one schedule against a fresh system and re-run the check:
-   the one-call reproduction path for a serialised counterexample.
-   [Ok ()] means the check passed; [Error e] reproduces the violation. *)
+(* Re-execute one schedule and re-run the check: the one-call
+   reproduction path for a serialised counterexample. [Ok ()] means the
+   check passed; [Error e] reproduces the violation. A fid trail must be
+   used up exactly: one that ends before the run does, or outlives it,
+   does not describe this run. *)
 let replay ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     ?(max_steps = 1_000_000) (s : schedule) : (unit, exn) Stdlib.result =
+  let remaining = ref (match s with Fids fids -> fids | Seed _ | Indices _ -> []) in
+  let at = ref 0 in
   let sched =
     match s with
     | Seed seed -> make (Policy.random ~seed)
     | Indices script ->
         let trail = ref [] in
         make (Policy.scripted ~script ~trail)
-    | Fids fids ->
-        let remaining = ref fids in
-        let at = ref 0 in
+    | Fids _ ->
         make (fun _sched ready ->
             match !remaining with
             | [] ->
@@ -613,20 +650,23 @@ let replay ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
                      { at = !at; reason = "trail exhausted before quiescence" })
             | q :: rest ->
                 remaining := rest;
-                let m = Array.length ready in
-                let rec idx i =
-                  if i >= m then
-                    raise
-                      (Replay_diverged
-                         { at = !at;
-                           reason = Printf.sprintf "fiber %d not ready" q })
-                  else if ready.(i).Sched.fid = q then i
-                  else idx (i + 1)
-                in
-                let i = idx 0 in
+                let i = index_of q ready ~at:!at 0 in
                 incr at;
                 i)
   in
+  ignore (resume ~prev:None sched ~shared:0 : int);
   Sched.set_park_on_yield sched true;
-  ignore (Sched.run ~max_steps sched);
+  let stop = Sched.run ~max_steps sched in
+  (match !remaining with
+  | [] -> ()
+  | left ->
+      raise
+        (Replay_diverged
+           { at = !at;
+             reason =
+               Printf.sprintf "trail outlives the run (%s with %d fids left)"
+                 (match stop with
+                 | Sched.Budget_exhausted -> "step budget spent"
+                 | Sched.Quiescent | Sched.Condition_met -> "quiescent")
+                 (List.length left) }));
   match check sched with () -> Ok () | exception e -> Error e

@@ -11,7 +11,19 @@
     Help daemons indefinitely, so termination cannot be decided by
     exploration). [exhausted = true] means every schedule of at most
     [max_steps] steps was covered — for {!dpor}, up to commutation of
-    independent steps (see DESIGN.md §4i for the soundness argument). *)
+    independent steps (see DESIGN.md §4i for the soundness argument).
+
+    {b The [make] protocol.} Every mode calls [make policy] exactly once
+    per schedule, and [make] returns a system of the same program each
+    time: either a fresh one (no steps taken), or — only if it can
+    {!Sched.rewind} — the very system the previous schedule ran on, as
+    that schedule left it, with [policy] installed
+    ({!Sched.set_choose}). The explorer rewinds a handed-back system to
+    the prefix the new schedule shares with the last one ({!dpor}: up to
+    its branch node; {!exhaustive}: all but the last scripted choice;
+    {!swarm}, {!replay}: step 0) and runs on from there; a fresh system
+    replays that prefix from step 0 instead. A system that already ran
+    but is not the previous one is rewound to step 0. *)
 
 (** How to reproduce one specific run. *)
 type schedule =
@@ -58,8 +70,8 @@ val exhaustive :
   unit ->
   result
 (** The naive baseline: branch on every step over every ready fiber.
-    [make policy] must build a fresh system (same program every time);
-    [check] is called on each quiescent schedule. *)
+    [make] follows the protocol above; [check] is called on each
+    quiescent schedule. *)
 
 val dpor :
   make:(Policy.t -> Sched.t) ->
@@ -87,9 +99,13 @@ val dpor :
     spin-polling register protocols are unbounded without it — see
     DESIGN.md §4i.
 
-    [make] must build a fresh, deterministic system on every call — the
-    explorer replays committed prefixes and relies on them reaching the
-    same states.
+    [make] follows the protocol above, deterministically: a run
+    resumes at its branch node on a rewound system, or replays the
+    committed prefix on a fresh one, and either must reach the state
+    the last run had there. A replayed step only looks up its recorded
+    fid; the explorer's own bookkeeping for the prefix (vector clocks,
+    race candidates, sleep sets) is restored from its nodes, not
+    recomputed.
 
     The explorer keeps its fiber sets as [int] bitsets over fiber ids,
     so it handles fids 0-61 (62 fibers per run): it raises
@@ -115,7 +131,9 @@ val replay :
   ?max_steps:int ->
   schedule ->
   (unit, exn) Stdlib.result
-(** Re-execute one schedule against a fresh system and re-run the
-    check. [Ok ()] means the check passed; [Error e] reproduces the
-    violation. Raises {!Replay_diverged} if a {!Fids} trail does not
-    fit the program. *)
+(** Re-execute one schedule from step 0 and re-run the check. [Ok ()]
+    means the check passed; [Error e] reproduces the violation. Raises
+    {!Replay_diverged} if a {!Fids} trail does not fit the program: it
+    names a fiber that is not ready, runs out before quiescence, or
+    outlives the run — fids left once the run quiesced or spent
+    [max_steps]. *)

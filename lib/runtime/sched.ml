@@ -47,6 +47,16 @@ type footprint =
   | A_write of Register.t
   | A_update of Register.t
 
+(* A machine fiber's program chain: the core program it is running and
+   what follows its return — called inside the step that returned it, so
+   it may stamp the clock and open or close spans — together with what
+   its driver carries along, as a value: the residual program and that
+   value are the fiber's whole state, which is what lets the scheduler
+   rewind it. *)
+type ('reg, 'd) job =
+  | Job : ('reg, 'a) Machine.prog * ('a -> ('reg, 'd) job) * 'd -> ('reg, 'd) job
+  | Done of 'd
+
 type fiber = {
   fid : int;
   pid : int;
@@ -55,7 +65,8 @@ type fiber = {
   sched : t; (* the scheduler that spawned this fiber *)
   mutable state : state;
   mutable next_access : footprint;
-      (* footprint of the next step; maintained by the effect handlers *)
+      (* footprint of the next step; maintained by the effect handlers
+         and the machine stepper *)
   mutable parked_at : int;
       (* park-on-yield mode: the scheduler's write count when this fiber
          yielded, or -1 when runnable. A parked fiber re-enables only
@@ -64,9 +75,26 @@ type fiber = {
   mutable ospan : int;
       (* ambient Obs span, saved/restored at fiber switches so spans
          follow fibers rather than the host call stack *)
+  machine : machine; (* [No_machine] for an effect fiber *)
 }
 
 and state = Ready of (unit -> unit) | Finished of outcome
+
+and machine = No_machine | Machine : ('reg, 'd) mstate -> machine
+
+(* A machine fiber: its job, paused at a Read, Write or Yield (or, before
+   its first step, at the [Ret ()] that starts it), and the jobs it was
+   at before each of its journalled steps, for rewinding. *)
+and ('reg, 'd) mstate = {
+  mutable cur : ('reg, 'd) job;
+  at : 'reg -> Register.t; (* the core's register names in this Space *)
+  note : Machine.note -> unit;
+  read : 'reg -> Univ.t; (* a Space access that marks its journal entry *)
+  write : 'reg -> Univ.t -> unit; (* likewise, keeping the old value *)
+  mutable resume : state; (* [Ready] of this fiber's stepper, built once *)
+  mutable past : ('reg, 'd) job array;
+  mutable npast : int;
+}
 
 and t = {
   space : Space.t;
@@ -101,6 +129,21 @@ and t = {
          Killed — so harnesses surface failures loudly instead of
          discovering them (or not) in a post-run [failures] sweep *)
   mutable last_fid : int; (* last fiber stepped, for Obs switch events *)
+  mutable footprints : footprint array;
+      (* the footprints machine fibers pause at, made once per register:
+         its read at [2 * id], its write at [2 * id + 1] *)
+  (* The journal: one entry per step while the system is rewindable —
+     only machine fibers, no spawn, kill or mask change once it ran, no
+     step under an Obs sink. Entry [i] holds what step [i] changed
+     besides the stepped fiber's job, which that fiber's own [past]
+     keeps. *)
+  mutable rewindable : bool;
+  mutable j_fiber : fiber array; (* the fiber stepped *)
+  mutable j_parked : int array; (* its [parked_at] before the step *)
+  mutable j_clock : int array; (* the clock before the step *)
+  mutable j_access : int array; (* 0: no access done; 1: a read; 2: a write *)
+  mutable j_old : Univ.t array; (* a write's register value before it *)
+  mutable rewound : int; (* steps rewound away over the system's life *)
 }
 
 let create ~space ~choose =
@@ -122,6 +165,14 @@ let create ~space ~choose =
       ready_bufs = [||];
       on_failure = None;
       last_fid = -1;
+      footprints = [||];
+      rewindable = true;
+      j_fiber = [||];
+      j_parked = [||];
+      j_clock = [||];
+      j_access = [||];
+      j_old = [||];
+      rewound = 0;
     }
   in
   (* Events carry scheduler time; the hook is a plain field read so it
@@ -134,11 +185,19 @@ let set_park_on_yield t b = t.park_on_yield <- b
 
 let set_enabled t mask =
   t.enabled <- mask;
+  t.rewindable <- false;
   t.stale <- true
 
+let set_choose t choose = t.choose <- choose
 let space t = t.space
 let steps t = t.steps
 let clock t = t.clock
+let executed t = t.steps + t.rewound
+let rewindable t = t.rewindable
+
+let stamp t =
+  t.clock <- t.clock + 1;
+  t.clock
 
 (* --- Effects available inside fiber bodies --- *)
 
@@ -152,17 +211,28 @@ let rmw (r : Register.t) (f : Univ.t -> Univ.t) : Univ.t = Effect.perform (E_rmw
 
 (* --- Fiber machinery --- *)
 
-let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
+(* A fiber with the next fid, not yet runnable: [add] makes it so. *)
+let make_fiber t ~pid ~name ~daemon machine =
   if pid < 0 || pid >= Space.n t.space then invalid_arg "Sched.spawn: bad pid";
   let fiber =
     { fid = t.next_fid; pid; fname = name; daemon; sched = t;
       state = Finished Completed; next_access = A_none; parked_at = -1;
-      ospan = 0 }
+      ospan = 0; machine }
   in
   t.next_fid <- t.next_fid + 1;
   if Obs.enabled () then
     Obs.emit ~pid
       (Obs.Sched_spawn { fid = fiber.fid; fname = name; daemon });
+  fiber
+
+let add t fiber state =
+  fiber.state <- state;
+  t.fibers <- t.fibers @ [ fiber ];
+  t.stale <- true
+
+let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
+  let fiber = make_fiber t ~pid ~name ~daemon No_machine in
+  t.rewindable <- false;
   let open Effect.Deep in
   (* The handlers of the effects that are not scheduling points carry no
      per-effect state, so each fiber builds them once instead of on every
@@ -245,17 +315,195 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
             | _ -> None);
       }
   in
-  fiber.state <- Ready start;
-  t.fibers <- t.fibers @ [ fiber ];
-  t.stale <- true;
+  add t fiber (Ready start);
   fiber
+
+(* ---------------- Machine fibers ---------------- *)
+
+(* The footprint of reading ([kind] 0) or writing ([kind] 1) [r], made
+   once per register so a machine fiber pauses without allocating. *)
+let footprint t (r : Register.t) kind =
+  let i = (2 * r.Register.id) + kind in
+  if i >= Array.length t.footprints then begin
+    let bigger = Array.make (2 * (i + 1)) A_none in
+    Array.blit t.footprints 0 bigger 0 (Array.length t.footprints);
+    t.footprints <- bigger
+  end;
+  match t.footprints.(i) with
+  | A_none ->
+      let fp = if kind = 0 then A_read r else A_write r in
+      t.footprints.(i) <- fp;
+      fp
+  | fp -> fp
+
+(* Pause [f] at the next Read, Write or Yield (which parks the fiber in
+   park-on-yield mode) of [p], its job being [(k, d)]. Notes on the way
+   go to the fiber's handler; a Ret runs the job's continuation at once
+   — on to the next job, or the end. *)
+let rec pause : type r a d.
+    t -> fiber -> (r, d) mstate -> (r, a) Machine.prog -> (a -> (r, d) job) ->
+    d -> unit =
+ fun t f m p k d ->
+  match p with
+  | Machine.Read (r, _) ->
+      m.cur <- Job (p, k, d);
+      f.next_access <- footprint t (m.at r) 0;
+      f.state <- m.resume
+  | Machine.Write (r, _, _) ->
+      m.cur <- Job (p, k, d);
+      f.next_access <- footprint t (m.at r) 1;
+      f.state <- m.resume
+  | Machine.Yield _ ->
+      m.cur <- Job (p, k, d);
+      f.next_access <- A_none;
+      if t.park_on_yield then f.parked_at <- t.writes;
+      f.state <- m.resume
+  | Machine.Note _ ->
+      pause t f m (Machine.step ~read:m.read ~write:m.write ~note:m.note p) k d
+  | Machine.Ret a -> (
+      match k a with
+      | Done _ as j ->
+          m.cur <- j;
+          f.state <- Finished Completed;
+          if Obs.enabled () then
+            Obs.emit ~pid:f.pid
+              (Obs.Sched_exit { fid = f.fid; fname = f.fname; failed = false })
+      | Job (p', k', d') as j ->
+          m.cur <- j;
+          pause t f m p' k' d')
+
+(* One step of a machine fiber: the single Machine.step on its paused
+   node — the access, the resumed yield, or (first step) the start —
+   then [pause]. An exception ends the fiber as it would end an effect
+   fiber. *)
+let machine_step t f m () =
+  match
+    match m.cur with
+    | Job (p, k, d) ->
+        pause t f m (Machine.step ~read:m.read ~write:m.write ~note:m.note p) k d
+    | Done _ -> invalid_arg "Sched: a finished machine fiber stepped"
+  with
+  | () -> ()
+  | exception e -> (
+      f.state <- Finished (Failed e);
+      if Obs.enabled () then
+        Obs.emit ~pid:f.pid
+          (Obs.Sched_exit { fid = f.fid; fname = f.fname; failed = true });
+      match e with
+      | Killed -> ()
+      | e -> Option.iter (fun h -> h f e) t.on_failure)
+
+let spawn_machine t ~pid ~name ?(daemon = false) ?(note = fun _ -> ())
+    ~(at : 'reg -> Register.t) ~(data : 'd) (start : unit -> ('reg, 'd) job) :
+    unit -> 'd =
+  if t.steps > 0 then t.rewindable <- false;
+  let space = t.space in
+  (* A completed access marks its journal entry, a write with the value
+     it replaced; the entry is the current step's, [steps - 1]. *)
+  let read r =
+    let v = Space.read space ~by:pid (at r) in
+    if t.rewindable then t.j_access.(t.steps - 1) <- 1;
+    v
+  in
+  let write r u =
+    let reg = at r in
+    let old = reg.Register.value in
+    Space.write space ~by:pid reg u;
+    if t.rewindable then begin
+      t.j_access.(t.steps - 1) <- 2;
+      t.j_old.(t.steps - 1) <- old
+    end
+  in
+  let m =
+    { cur = Job (Machine.Ret (), start, data); at; note; read; write;
+      resume = Finished Completed; past = [||]; npast = 0 }
+  in
+  let fiber = make_fiber t ~pid ~name ~daemon (Machine m) in
+  m.resume <- Ready (machine_step t fiber m);
+  add t fiber m.resume;
+  fun () -> match m.cur with Job (_, _, d) -> d | Done d -> d
 
 let kill (f : fiber) : unit =
   match f.state with
   | Ready _ ->
       f.state <- Finished (Failed Killed);
+      f.sched.rewindable <- false;
       f.sched.stale <- true
   | Finished _ -> ()
+
+(* ---------------- The journal ---------------- *)
+
+(* A system stops journalling, for good, past this many steps: an
+   explorer's runs are a few hundred steps long. *)
+let journal_limit = 1 lsl 16
+
+let grow a fill =
+  let bigger = Array.make (max 256 (2 * Array.length a)) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+(* Record what step [t.steps] of [f] is about to change. *)
+let journal t (f : fiber) =
+  let i = t.steps in
+  if i >= journal_limit then t.rewindable <- false
+  else begin
+    if i = Array.length t.j_fiber then begin
+      t.j_fiber <- grow t.j_fiber f;
+      t.j_parked <- grow t.j_parked 0;
+      t.j_clock <- grow t.j_clock 0;
+      t.j_access <- grow t.j_access 0;
+      t.j_old <- grow t.j_old Univ.(inj unit ())
+    end;
+    t.j_fiber.(i) <- f;
+    t.j_parked.(i) <- f.parked_at;
+    t.j_clock.(i) <- t.clock;
+    t.j_access.(i) <- 0;
+    match f.machine with
+    | Machine m ->
+        if m.npast = Array.length m.past then m.past <- grow m.past m.cur;
+        m.past.(m.npast) <- m.cur;
+        m.npast <- m.npast + 1
+    | No_machine -> invalid_arg "Sched: journalling an effect fiber"
+  end
+
+(* Undo step [i], the latest one still in place. *)
+let undo t i =
+  let f = t.j_fiber.(i) in
+  (match f.machine with
+  | Machine m -> (
+      m.npast <- m.npast - 1;
+      let j = m.past.(m.npast) in
+      m.cur <- j;
+      f.state <- m.resume;
+      match j with
+      | Job (Machine.Read (r, _), _, _) ->
+          let reg = m.at r in
+          if t.j_access.(i) = 1 then Space.unread t.space ~by:f.pid reg;
+          f.next_access <- footprint t reg 0
+      | Job (Machine.Write (r, _, _), _, _) ->
+          let reg = m.at r in
+          t.writes <- t.writes - 1;
+          if t.j_access.(i) = 2 then
+            Space.unwrite t.space ~by:f.pid reg ~old:t.j_old.(i);
+          f.next_access <- footprint t reg 1
+      | Job ((Machine.Yield _ | Machine.Ret _ | Machine.Note _), _, _) | Done _
+        ->
+          f.next_access <- A_none)
+  | No_machine -> invalid_arg "Sched: journalling an effect fiber");
+  f.parked_at <- t.j_parked.(i)
+
+let rewind t k =
+  if not t.rewindable then invalid_arg "Sched.rewind: the system cannot rewind";
+  if k < 0 || k > t.steps then invalid_arg "Sched.rewind: no such step";
+  if k < t.steps then begin
+    for i = t.steps - 1 downto k do
+      undo t i
+    done;
+    t.rewound <- t.rewound + t.steps - k;
+    t.clock <- t.j_clock.(k);
+    t.steps <- k;
+    t.stale <- true
+  end
 
 (* Runnable = Ready + passing the scenario mask; parked fibers (see
    [park_on_yield]) additionally wait for the next write by anyone. *)
@@ -271,6 +519,7 @@ let step_fiber t (f : fiber) : unit =
   match f.state with
   | Finished _ -> invalid_arg "Sched.step_fiber: fiber not ready"
   | Ready go ->
+      if t.rewindable then journal t f;
       (* Mark running; [go] re-installs Ready on the next effect. *)
       f.state <- Finished Completed;
       f.parked_at <- -1;
@@ -283,6 +532,7 @@ let step_fiber t (f : fiber) : unit =
       t.steps <- t.steps + 1;
       t.clock <- t.clock + 1;
       if Obs.enabled () then begin
+        t.rewindable <- false;
         if t.last_fid <> f.fid then begin
           t.last_fid <- f.fid;
           Obs.emit ~pid:f.pid (Obs.Sched_switch { fid = f.fid; fname = f.fname })

@@ -1,14 +1,19 @@
-(** Cooperative scheduler over OCaml effects.
+(** Cooperative scheduler over OCaml effects and pure machines.
 
     Each simulated process contributes one or more fibers (operation
     fibers, plus the background Help() fiber the paper's algorithms
-    require). A fiber runs as ordinary OCaml code; every shared-register
-    access is an effect, and the scheduler resumes exactly one fiber per
-    step — so register accesses are atomic and the set of possible
-    interleavings is precisely that of the paper's asynchronous model.
+    require). An effect fiber runs as ordinary OCaml code and every
+    shared-register access is an effect; a machine fiber
+    ({!spawn_machine}) holds a {!Lnd_support.Machine} residual program
+    and takes one access per step without effects. Either way the
+    scheduler steps exactly one fiber per step — so register accesses
+    are atomic and the set of possible interleavings is precisely that
+    of the paper's asynchronous model.
 
     Scheduling is driven by a pluggable deterministic policy; runs replay
-    exactly from (program, policy) because all randomness is seeded.
+    exactly from (program, policy) because all randomness is seeded. A
+    system of machine fibers also journals each step and can {!rewind}
+    to any earlier one.
 
     The records below are readable but private: scenario harnesses (the
     impossibility construction, the ablation tests) script phases by
@@ -34,6 +39,20 @@ type footprint =
   | A_write of Lnd_shm.Register.t
   | A_update of Lnd_shm.Register.t
 
+(** A machine fiber's program chain: [Job (prog, k, d)] runs the core
+    program [prog], then [k] on its result — inside the step in which
+    [prog] returned, so [k] may {!stamp} the clock and open or close Obs
+    spans — and carries the driver's value [d] meanwhile; [Done d] ends
+    the fiber. The residual program and [d] are the fiber's whole state,
+    so [k] must keep everything it passes on in the jobs it builds, not
+    in mutable state. *)
+type ('reg, 'd) job =
+  | Job : ('reg, 'a) Lnd_support.Machine.prog * ('a -> ('reg, 'd) job) * 'd -> ('reg, 'd) job
+  | Done of 'd
+
+type machine
+(** A machine fiber's program and journal; absent from effect fibers. *)
+
 type fiber = private {
   fid : int;
   pid : int; (** the simulated process this fiber belongs to *)
@@ -44,12 +63,14 @@ type fiber = private {
       (** [Ready k] while the fiber can take a step, [Finished] for good
           once it returned, raised or was killed *)
   mutable next_access : footprint;
-      (** footprint of the next step, maintained by the effect handlers *)
+      (** footprint of the next step, maintained by the effect handlers
+          and the machine stepper *)
   mutable parked_at : int;
       (** park-on-yield mode: the scheduler's write count when this fiber
           yielded, or [-1] when runnable (see {!set_park_on_yield}) *)
   mutable ospan : int;
       (** ambient {!Lnd_obs.Obs} span, saved/restored at fiber switches *)
+  machine : machine;
 }
 
 and state = Ready of (unit -> unit) | Finished of outcome
@@ -85,6 +106,18 @@ and t = private {
       (** failure hook, see {!set_on_failure} *)
   mutable last_fid : int;
       (** last fiber stepped, for observability switch events *)
+  mutable footprints : footprint array;
+      (** the read and write footprint of each register, made once *)
+  mutable rewindable : bool;  (** see {!rewindable} *)
+  mutable j_fiber : fiber array;
+      (** the journal, one entry per step: the fiber stepped, *)
+  mutable j_parked : int array;  (** its [parked_at] before the step, *)
+  mutable j_clock : int array;  (** the clock before the step, *)
+  mutable j_access : int array;
+      (** the access done (0 none, 1 read, 2 write) *)
+  mutable j_old : Lnd_support.Univ.t array;
+      (** and a write's register value before it *)
+  mutable rewound : int;  (** steps rewound away, see {!executed} *)
 }
 
 val create : space:Lnd_shm.Space.t -> choose:(t -> fiber array -> int) -> t
@@ -118,11 +151,25 @@ val set_enabled : t -> (fiber -> bool) -> unit
     accepted non-daemon fiber is left. The mask must be a fixed
     predicate on fibers — {!run} consults it only when it recomputes the
     ready fibers — so change it only through this function, which makes
-    the next step recompute them. *)
+    the next step recompute them. The system can no longer {!rewind}. *)
+
+val set_choose : t -> (t -> fiber array -> int) -> unit
+(** Replace the policy from the next step on: what a harness does to a
+    system it hands back for another run (see {!rewind}). *)
 
 val space : t -> Lnd_shm.Space.t
 val steps : t -> int
 val clock : t -> int
+
+val executed : t -> int
+(** Steps this system executed over its life: {!steps}, plus every step
+    a {!rewind} took back. A run that resumed at step [k] executed
+    [executed] after it minus [executed] when it began. *)
+
+val stamp : t -> int
+(** Read-and-advance the logical clock, as {!tick} does inside an effect
+    fiber: what a machine fiber's job continuation calls to stamp an
+    operation's invocation or response. *)
 
 (** {2 Effects available inside fiber bodies} *)
 
@@ -155,12 +202,51 @@ val rmw : Lnd_shm.Register.t -> (Lnd_support.Univ.t -> Lnd_support.Univ.t) -> Ln
 (** {2 Fibers and running} *)
 
 val spawn : t -> pid:int -> name:string -> ?daemon:bool -> (unit -> unit) -> fiber
+(** An effect fiber running [body]. Its continuations are one-shot, so
+    the system can no longer {!rewind}. *)
+
+val spawn_machine :
+  t ->
+  pid:int ->
+  name:string ->
+  ?daemon:bool ->
+  ?note:(Lnd_support.Machine.note -> unit) ->
+  at:('reg -> Lnd_shm.Register.t) ->
+  data:'d ->
+  (unit -> ('reg, 'd) job) ->
+  unit ->
+  'd
+(** A machine fiber: its first step calls the thunk and runs the job it
+    returns up to its first access, like an effect fiber's
+    spawn-to-first-effect step; each later step performs one access
+    through the single {!Lnd_support.Machine.step} ([at] maps the core's
+    register names to this system's registers; Notes go to [note]), so
+    the fiber's footprints, parking, clock ticks and Obs events are
+    those of an effect fiber running the same program through [Drive].
+    A [Yield] parks it like {!yield}; an exception ends it like an
+    effect fiber's. Returns a reader of the value the fiber carries now:
+    [data] until the first job, then its job's, then its [Done] one. *)
+
+val rewindable : t -> bool
+(** The system journals its steps and can {!rewind}: every fiber is a
+    machine fiber, no fiber was spawned, killed or masked once it ran,
+    no step ran under an installed Obs sink, and no run passed the
+    journal's limit of 65,536 steps. Once false, false for good. *)
+
+val rewind : t -> int -> unit
+(** [rewind t k] puts a rewindable system back as it was before step
+    [k]: every fiber's program, footprint, park state and status, the
+    register values and {!Lnd_shm.Space} counters, the clock, steps and
+    writes. What the fibers carry comes back with their programs. Raises
+    [Invalid_argument] if the system is not {!rewindable} or [k] is
+    outside [0 .. steps]. *)
 
 val kill : fiber -> unit
 (** Deliberate termination; not reported by {!failures}. Killing a
     ready fiber makes its scheduler's next step recompute the ready
     fibers, so a kill from inside a fiber, a policy or an [until]
-    predicate takes effect at once. *)
+    predicate takes effect at once. The system can no longer
+    {!rewind}. *)
 
 val step_fiber : t -> fiber -> unit
 (** Run one step of one ready fiber (exposed for custom drivers). It

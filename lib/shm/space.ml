@@ -131,6 +131,28 @@ let write t ~by (r : Register.t) (v : Univ.t) : unit =
     Obs.emit ~pid:by (Obs.Shm_access { access = `Write; reg = r.name; value = v });
   r.value <- v
 
+(* Undo the latest read of [r] by [by], or its latest write (putting
+   back [old]): the counters, the register and the access trace return
+   to where they were before that access. For rewinding a scheduler's
+   journal, newest access first. *)
+let unrecord t =
+  match t.trace with
+  | None -> ()
+  | Some _ -> t.trace_next <- t.trace_next - 1
+
+let unread t ~by (r : Register.t) : unit =
+  r.read_count <- r.read_count - 1;
+  t.total_reads <- t.total_reads - 1;
+  t.reads_by.(by) <- t.reads_by.(by) - 1;
+  unrecord t
+
+let unwrite t ~by (r : Register.t) ~(old : Univ.t) : unit =
+  r.write_count <- r.write_count - 1;
+  t.total_writes <- t.total_writes - 1;
+  t.writes_by.(by) <- t.writes_by.(by) - 1;
+  unrecord t;
+  r.value <- old
+
 (* Registers owned by [pid]; the "reset" adversary of Theorem 23 rewrites
    each of these back to its initial value (through ordinary writes). *)
 let owned t ~pid = List.filter (fun (r : Register.t) -> r.owner = pid) t.regs

@@ -51,6 +51,16 @@ val read : t -> by:int -> Register.t -> Univ.t
 val write : t -> by:int -> Register.t -> Univ.t -> unit
 (** Raises {!Permission_violation} if [by] is not the owner. *)
 
+val unread : t -> by:int -> Register.t -> unit
+(** Undo the latest {!read} of the register by [by]: its counters and
+    the access trace go back by one. For rewinding a scheduler
+    ([Lnd_runtime.Sched.rewind]), newest access first. *)
+
+val unwrite : t -> by:int -> Register.t -> old:Univ.t -> unit
+(** Undo the latest {!write} of the register by [by], putting back the
+    value [old] it held before. A trace ring that wrapped since keeps
+    its overwritten entries lost. *)
+
 val owned : t -> pid:int -> Register.t list
 (** Registers owned by [pid]; the Theorem 23 "reset" adversary rewrites
     each of these back to its initial value through ordinary writes. *)

@@ -6,11 +6,12 @@
    register, mark a voluntary scheduling point, annotate itself for
    observability, or return. The residual program IS the machine state.
 
-   One interpreter, [advance], serves every driver: it runs a program
-   until it yields or returns, answering each Read through the driver's
-   [read] callback and handing Writes and Notes to [write] and [note] in
-   program order. Nothing is allocated between the callbacks beyond what
-   the program's own continuations build.
+   One interpreter serves every driver. Its single [step] takes one
+   node: it answers a Read through the driver's [read] callback, hands a
+   Write to [write] and a Note to [note], or resumes a Yield; [advance]
+   repeats it until the program yields or returns. Nothing is allocated
+   between the callbacks beyond what the program's own continuations
+   build.
 
    The deterministic effects-based simulator (Drive) maps read/write to
    Cell.read/Cell.write (one scheduler step each) and a Yield to
@@ -68,13 +69,27 @@ let ( let* ) = bind
 
 (* ---------------- The interpreter ---------------- *)
 
+(* The single step every driver takes: one node of the program —
+   perform its Read (answered by [read]) or Write (handed to [write]),
+   hand its Note to [note], or resume its Yield — and return the rest. A
+   Ret has no step and comes back unchanged. [advance] loops over it to
+   the next Yield or Ret; the simulator's machine fibers
+   (Sched.spawn_machine) take it once per scheduling step for the
+   access, and again for each Note that follows. *)
+let[@inline] step ~read ~write ~note (p : ('reg, 'a) prog) : ('reg, 'a) prog =
+  match p with
+  | Read (r, k) -> k (read r)
+  | Write (r, u, k) ->
+      write r u;
+      k ()
+  | Yield k -> k ()
+  | Note (n, k) ->
+      note n;
+      k ()
+  | Ret _ -> p
+
 let rec advance ~read ~write ~note (p : ('reg, 'a) prog) : ('reg, 'a) prog =
   match p with
   | Ret _ | Yield _ -> p
-  | Read (r, k) -> advance ~read ~write ~note (k (read r))
-  | Write (r, u, k) ->
-      write r u;
-      advance ~read ~write ~note (k ())
-  | Note (n, k) ->
-      note n;
-      advance ~read ~write ~note (k ())
+  | Read _ | Write _ | Note _ ->
+      advance ~read ~write ~note (step ~read ~write ~note p)

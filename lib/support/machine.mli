@@ -4,8 +4,9 @@
     with no scheduler, transport, or Obs calls inside. The residual
     program is the machine state. Every driver (the deterministic
     simulator, the OCaml 5 domains backend) runs it through the one
-    callback-style interpreter {!advance}, supplying the substrate's
-    register read and write. See DESIGN.md, "Pure cores and drivers". *)
+    callback-style interpreter, supplying the substrate's register read
+    and write: {!advance} to the next yield, or one {!step} at a time.
+    See DESIGN.md, "Pure cores and drivers". *)
 
 type note = Serving of int list | Served
     (** Protocol-level annotations: a helper starts serving the listed
@@ -46,6 +47,16 @@ val ( let* ) : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 
 (** {2 The interpreter} *)
 
+val step :
+  read:('reg -> Univ.t) ->
+  write:('reg -> Univ.t -> unit) ->
+  note:(note -> unit) ->
+  ('reg, 'a) prog ->
+  ('reg, 'a) prog
+(** One node: answer [p]'s [Read r] with [read r], hand its [Write] to
+    [write] or its [Note] to [note], or resume its [Yield], and return
+    the rest of the program. A [Ret] comes back unchanged. *)
+
 val advance :
   read:('reg -> Univ.t) ->
   write:('reg -> Univ.t -> unit) ->
@@ -53,8 +64,8 @@ val advance :
   ('reg, 'a) prog ->
   ('reg, 'a) prog
 (** [advance ~read ~write ~note p] runs [p] to its next [Yield] or [Ret]
-    and returns that node. Each [Read r] on the way is answered with
-    [read r]; each [Write] and [Note] is handed to [write] / [note]; all
-    three in program order. A [p] that already is a [Yield] or [Ret]
-    comes back unchanged, so a driver resumes a [Yield k] by calling
-    [k ()] itself, after rescheduling. *)
+    by repeated {!step}s and returns that node. Each [Read r] on the way
+    is answered with [read r]; each [Write] and [Note] is handed to
+    [write] / [note]; all three in program order. A [p] that already is
+    a [Yield] or [Ret] comes back unchanged, so a driver resumes a
+    [Yield k] by calling [k ()] itself, after rescheduling. *)

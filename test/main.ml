@@ -27,6 +27,7 @@ let () =
       ("monitors", Test_monitors.tests);
       ("fuzz", Test_fuzz.tests);
       ("model-checking", Test_mcheck.tests);
+      ("rewind", Test_rewind.tests);
       ("differential-conformance", Test_diff.tests);
       ("regular-registers", Test_regular.tests);
       ("trace-invariants", Test_trace_invariants.tests);

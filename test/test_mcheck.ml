@@ -115,6 +115,44 @@ let test_weakened_cx_replays () =
       Alcotest.failf "replay raised something else: %s" (Printexc.to_string e)
   | Ok () -> Alcotest.fail "replay did not reproduce the violation"
 
+(* A fid trail must be used up exactly. The default config's first DPOR
+   trail replays to Ok; with fids appended it outlives the quiescent
+   run, and under a budget shorter than it the run stops with fids
+   left: both are divergences, not verdicts. *)
+let first_trail () =
+  let i = M.instance M.default in
+  match
+    Fun.protect ~finally:i.M.teardown (fun () ->
+        Explore.dpor ~make:i.M.make
+          ~check:(fun _ -> failwith "first run")
+          ~max_steps:600 ~max_preempts:0 ())
+  with
+  | (_ : Explore.result) -> Alcotest.fail "the check did not run"
+  | exception Explore.Violation { cx_schedule = Explore.Fids fids; _ } -> fids
+  | exception Explore.Violation _ -> Alcotest.fail "want a Fids trail"
+
+let test_trail_replays_exactly () =
+  let fids = first_trail () in
+  Alcotest.(check int) "the first trail" 321 (List.length fids);
+  match M.replay M.default (Explore.Fids fids) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "replay raised %s" (Printexc.to_string e)
+
+let diverges what f =
+  match f () with
+  | (_ : (unit, exn) result) -> Alcotest.failf "%s: expected Replay_diverged" what
+  | exception Explore.Replay_diverged _ -> ()
+
+let test_trail_outlives_quiescence () =
+  let fids = first_trail () in
+  diverges "three fids past quiescence" (fun () ->
+      M.replay M.default (Explore.Fids (fids @ [ 0; 1; 2 ])))
+
+let test_trail_outlives_budget () =
+  let fids = first_trail () in
+  diverges "a 100-step budget on a 321-fid trail" (fun () ->
+      M.replay ~max_steps:100 M.default (Explore.Fids fids))
+
 (* ---------------- Scenario round-trip -------------------------------- *)
 
 let test_scenario_roundtrip () =
@@ -210,7 +248,8 @@ let test_synth_finds_violating_adversary () =
 
 (* [last_accesses] is the last run's Space read and write counters; the
    Space's own access trace, recording every access of that run, must
-   agree with it. *)
+   agree with it. [make] hands the same system back for the next run,
+   still holding the last run's counts until the caller rewinds it. *)
 let test_last_accesses_counts () =
   let i = M.instance M.default in
   Fun.protect ~finally:i.M.teardown (fun () ->
@@ -227,9 +266,15 @@ let test_last_accesses_counts () =
         (i.M.last_accesses ());
       Alcotest.(check int) "every access was traced" counted
         (List.length (Space.trace space));
-      ignore (i.M.make (Policy.round_robin ()));
-      Alcotest.(check int) "a fresh run starts from zero" 0
-        (i.M.last_accesses ()))
+      let again = i.M.make (Policy.round_robin ()) in
+      Alcotest.(check bool) "make hands the system back" true (again == sched);
+      Alcotest.(check int) "with the last run's counts" counted
+        (i.M.last_accesses ());
+      Sched.rewind again 0;
+      Alcotest.(check int) "a run rewound to step 0 starts from zero" 0
+        (i.M.last_accesses ());
+      Alcotest.(check int) "and so does its trace" 0
+        (List.length (Space.trace space)))
 
 let tests =
   [
@@ -249,6 +294,12 @@ let tests =
       test_dpor_finds_weakened_violation;
     Alcotest.test_case "the counterexample replays deterministically" `Quick
       test_weakened_cx_replays;
+    Alcotest.test_case "a fid trail replays when used up exactly" `Quick
+      test_trail_replays_exactly;
+    Alcotest.test_case "a fid trail that outlives quiescence diverges" `Quick
+      test_trail_outlives_quiescence;
+    Alcotest.test_case "a fid trail that outlives the step budget diverges"
+      `Quick test_trail_outlives_budget;
     Alcotest.test_case "scenarios round-trip and re-violate" `Quick
       test_scenario_roundtrip;
     Alcotest.test_case "scenario parser rejects garbage" `Quick
