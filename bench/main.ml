@@ -125,18 +125,20 @@ let table_t2 () =
         true );
       ( "naysayers (signed)",
         (fun (t : Lnd_verifiable.System.t) pid ->
-          ignore (Lnd_byz.Byz_verifiable.spawn_naysayer t.sched t.regs ~pid)),
+          ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
+                    Lnd_byz.Byz_script.Naysayer)),
         true );
       ( "flip-floppers (signed)",
         (fun (t : Lnd_verifiable.System.t) pid ->
           ignore
-            (Lnd_byz.Byz_verifiable.spawn_flipflop t.sched t.regs ~pid ~v:"v")),
+            (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
+               (Lnd_byz.Byz_script.Flipflop "v"))),
         true );
       ( "false-witness (unsigned)",
         (fun (t : Lnd_verifiable.System.t) pid ->
           ignore
-            (Lnd_byz.Byz_verifiable.spawn_false_witness t.sched t.regs ~pid
-               ~v:"v")),
+            (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
+               (Lnd_byz.Byz_script.False_witness "v"))),
         false );
     ]
   in
@@ -178,14 +180,15 @@ let table_t2b () =
           | `Naysayers ->
               List.iter
                 (fun pid ->
-                  ignore (Lnd_byz.Byz_verifiable.spawn_naysayer t.sched t.regs ~pid))
+                  ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
+                            Lnd_byz.Byz_script.Naysayer))
                 byz
           | `Flipfloppers ->
               List.iter
                 (fun pid ->
                   ignore
-                    (Lnd_byz.Byz_verifiable.spawn_flipflop t.sched t.regs ~pid
-                       ~v:"v"))
+                    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
+                       (Lnd_byz.Byz_script.Flipflop "v")))
                 byz);
           ignore
             (Sys.client t ~pid:0 ~name:"w" (fun () ->
@@ -291,10 +294,12 @@ let table_t3b () =
       ("none", fun (_ : Lnd_sticky.System.t) (_ : int) -> ());
       ( "naysayers",
         fun (t : Lnd_sticky.System.t) pid ->
-          ignore (Lnd_byz.Byz_sticky.spawn_naysayer t.sched t.regs ~pid) );
+          ignore (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid
+                    Lnd_byz.Byz_script.Naysayer) );
       ( "flip-floppers",
         fun (t : Lnd_sticky.System.t) pid ->
-          ignore (Lnd_byz.Byz_sticky.spawn_flipflop t.sched t.regs ~pid ~v:"v") );
+          ignore (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid
+                    (Lnd_byz.Byz_script.Flipflop "v")) );
     ]
   in
   List.iter

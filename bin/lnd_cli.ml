@@ -62,6 +62,22 @@ let maybe_print_trace space trace =
       (Space.trace space)
   end
 
+(* Sizes a scenario cannot be built at are usage errors (exit 124),
+   rejected before anything is built: fewer than two processes, a
+   negative f, or more colluders than the readers can host — they run
+   at pids n-f..n-1 and leave the writer, pid 0, to its own role. *)
+let check_sizes ~n ~f ~colluders run =
+  if n < 2 then `Error (true, Printf.sprintf "need N >= 2 processes (-n %d)" n)
+  else if f < 0 then `Error (true, Printf.sprintf "need F >= 0 (-f %d)" f)
+  else if colluders && f >= n then
+    `Error
+      ( true,
+        Printf.sprintf
+          "the adversary's F colluders run at pids N-F..N-1, above the \
+           writer: need F < N (-n %d -f %d)"
+          n f )
+  else `Ok (run ())
+
 let run_to_quiescence sched ~max_steps =
   match Sched.run ~max_steps sched with
   | Sched.Quiescent -> ()
@@ -74,41 +90,38 @@ let run_to_quiescence sched ~max_steps =
 
 let verify_adversaries = [ "none"; "deny"; "flipflop"; "naysay"; "garbage" ]
 
+(* Each adversary's strategy, and whether it is the writer (pid 0) or
+   f colluders. *)
+let verify_strategy : string -> (Byz_script.strategy * bool) option = function
+  | "deny" ->
+      Some (Byz_script.Denying_writer { v = "the-lie"; deny_after = 2 }, true)
+  | "flipflop" -> Some (Byz_script.Flipflop "the-lie", false)
+  | "naysay" -> Some (Byz_script.Naysayer, false)
+  | "garbage" -> Some (Byz_script.Garbage, false)
+  | _ -> None
+
+let byzantine_of ~n ~f = function
+  | Some (_, true) -> [ 0 ]
+  | Some (_, false) -> List.init f (fun i -> n - 1 - i)
+  | None -> []
+
+let colluders = function Some (_, false) -> true | _ -> false
+
 let verify_cmd_run n f seed max_steps adversary trace =
   if adversary = "none" && n <= 3 * f then
     pr "warning: n <= 3f — outside Algorithm 1's requirement\n";
-  let byzantine =
-    match adversary with
-    | "deny" -> [ 0 ]
-    | "flipflop" | "naysay" | "garbage" -> List.init f (fun i -> n - 1 - i)
-    | _ -> []
-  in
+  let strategy = verify_strategy adversary in
+  let byzantine = byzantine_of ~n ~f strategy in
   let sys =
     Verifiable_system.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine ()
   in
   maybe_enable_trace sys.space trace;
-  (match adversary with
-  | "deny" ->
-      ignore
-        (Byz_verifiable.spawn_denying_writer sys.sched sys.regs ~v:"the-lie"
-           ~deny_after:2 ())
-  | "flipflop" ->
+  Option.iter
+    (fun (s, _) ->
       List.iter
-        (fun pid ->
-          ignore
-            (Byz_verifiable.spawn_flipflop sys.sched sys.regs ~pid ~v:"the-lie"))
-        byzantine
-  | "naysay" ->
-      List.iter
-        (fun pid ->
-          ignore (Byz_verifiable.spawn_naysayer sys.sched sys.regs ~pid))
-        byzantine
-  | "garbage" ->
-      List.iter
-        (fun pid ->
-          ignore (Byz_verifiable.spawn_garbage sys.sched sys.regs ~pid))
-        byzantine
-  | _ -> ());
+        (fun pid -> ignore (Byz_verifiable.spawn sys.sched sys.regs ~pid s))
+        byzantine)
+    strategy;
   if adversary <> "deny" then
     ignore
       (Verifiable_system.client sys ~pid:0 ~name:"writer" (fun () ->
@@ -144,37 +157,40 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Run a verifiable-register scenario (Algorithm 1)")
     Term.(
-      const verify_cmd_run $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary
-      $ trace_arg)
+      ret
+        (const (fun n f seed max_steps adversary trace ->
+             check_sizes ~n ~f
+               ~colluders:(colluders (verify_strategy adversary))
+               (fun () -> verify_cmd_run n f seed max_steps adversary trace))
+        $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary $ trace_arg))
 
 (* ---------------- sticky ---------------- *)
 
 let sticky_adversaries = [ "none"; "equivocate"; "deny"; "garbage" ]
 
+let sticky_strategy : string -> (Byz_script.strategy * bool) option =
+  function
+  | "equivocate" ->
+      Some
+        ( Byz_script.Equivocating_writer
+            { va = "attack"; vb = "retreat"; flip_after = 2 },
+          true )
+  | "deny" -> Some (Byz_script.Denying_writer { v = "kept"; deny_after = 3 }, true)
+  | "garbage" -> Some (Byz_script.Garbage, false)
+  | _ -> None
+
 let sticky_cmd_run n f seed max_steps adversary =
-  let byzantine =
-    match adversary with
-    | "equivocate" | "deny" -> [ 0 ]
-    | "garbage" -> List.init f (fun i -> n - 1 - i)
-    | _ -> []
-  in
+  let strategy = sticky_strategy adversary in
+  let byzantine = byzantine_of ~n ~f strategy in
   let sys =
     Sticky_system.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine ()
   in
-  (match adversary with
-  | "equivocate" ->
-      ignore
-        (Byz_sticky.spawn_equivocating_writer sys.sched sys.regs ~va:"attack"
-           ~vb:"retreat" ~flip_after:2 ())
-  | "deny" ->
-      ignore
-        (Byz_sticky.spawn_denying_writer sys.sched sys.regs ~v:"kept"
-           ~deny_after:3 ())
-  | "garbage" ->
+  Option.iter
+    (fun (s, _) ->
       List.iter
-        (fun pid -> ignore (Byz_sticky.spawn_garbage sys.sched sys.regs ~pid))
-        byzantine
-  | _ -> ());
+        (fun pid -> ignore (Byz_sticky.spawn sys.sched sys.regs ~pid s))
+        byzantine)
+    strategy;
   if byzantine = [] || adversary = "garbage" then
     ignore
       (Sticky_system.client sys ~pid:0 ~name:"writer" (fun () ->
@@ -205,7 +221,13 @@ let sticky_cmd =
   in
   Cmd.v
     (Cmd.info "sticky" ~doc:"Run a sticky-register scenario (Algorithm 2)")
-    Term.(const sticky_cmd_run $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary)
+    Term.(
+      ret
+        (const (fun n f seed max_steps adversary ->
+             check_sizes ~n ~f
+               ~colluders:(colluders (sticky_strategy adversary))
+               (fun () -> sticky_cmd_run n f seed max_steps adversary))
+        $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary))
 
 (* ---------------- impossibility ---------------- *)
 
@@ -221,7 +243,17 @@ let impossibility_cmd =
   Cmd.v
     (Cmd.info "impossibility"
        ~doc:"Run the Theorem 23 attack at n = 3f and n = 3f + 1")
-    Term.(const impossibility_cmd_run $ f_arg $ seed_arg)
+    Term.(
+      ret
+        (const (fun f seed ->
+             if f < 1 then
+               `Error
+                 ( true,
+                   Printf.sprintf
+                     "the attack runs at N = 3F and 3F + 1: need F >= 1 (-f %d)"
+                     f )
+             else `Ok (impossibility_cmd_run f seed))
+        $ f_arg $ seed_arg))
 
 (* ---------------- fuzz ---------------- *)
 

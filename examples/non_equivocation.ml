@@ -22,9 +22,10 @@ let () =
      equivocation strategy (writes 'attack', then overwrites its echo
      register with 'retreat' and answers different readers differently). *)
   ignore
-    (Byz_sticky.spawn_equivocating_writer sched
-       bc.Broadcast.Neq.instances.(0).(0).Broadcast.Neq.regs ~va:"attack"
-       ~vb:"retreat" ~flip_after:2 ());
+    (Byz_sticky.spawn sched
+       bc.Broadcast.Neq.instances.(0).(0).Broadcast.Neq.regs ~pid:0
+       (Byz_script.Equivocating_writer
+          { va = "attack"; vb = "retreat"; flip_after = 2 }));
 
   let delivered = Array.make n None in
   for pid = 1 to n - 1 do

@@ -44,9 +44,10 @@ let () =
 
   (* The Byzantine proposer equivocates between two proposals. *)
   ignore
-    (Byz_sticky.spawn_equivocating_writer sched
-       board.Broadcast.Neq.instances.(3).(0).Broadcast.Neq.regs
-       ~va:"evil-plan-A" ~vb:"evil-plan-B" ~flip_after:2 ());
+    (Byz_sticky.spawn sched
+       board.Broadcast.Neq.instances.(3).(0).Broadcast.Neq.regs ~pid:0
+       (Byz_script.Equivocating_writer
+          { va = "evil-plan-A"; vb = "evil-plan-B"; flip_after = 2 }));
   Printf.printf "p3 (Byzantine) shops both %S and %S\n" "evil-plan-A"
     "evil-plan-B";
 

@@ -20,8 +20,8 @@ let () =
   (* The adversary: writes + "signs" v, answers two inquiries, then resets
      R*, its witness register and all its mailboxes, and denies. *)
   ignore
-    (Byz_verifiable.spawn_denying_writer sys.sched sys.regs ~v:"the-lie"
-       ~deny_after:2 ());
+    (Byz_verifiable.spawn sys.sched sys.regs ~pid:0
+       (Byz_script.Denying_writer { v = "the-lie"; deny_after = 2 }));
 
   (* Reader p1 verifies first. *)
   let first = ref false in

@@ -1,4 +1,5 @@
-(* Genome-scripted Byzantine adversaries.
+(* Genome-scripted Byzantine adversaries, and the strategy vocabulary
+   they belong to.
 
    A script is a plain int array that fully determines one Byzantine
    responder's behaviour: two leading "posture" genes choose what the
@@ -19,10 +20,13 @@
    the genes cannot say (ill-typed writes, a frozen read, askers told
    apart, replies that do not follow the posture genes' cycle, postures
    rewritten later) and are their own parameterisations of
-   Byz_script_core.responder. *)
+   Byz_script_core.responder.
+
+   A strategy is a genome or a named attack: the one vocabulary the
+   workload plan, the fuzzer and the hand-wired harnesses name their
+   adversaries in. *)
 
 open Lnd_support
-open Lnd_runtime
 
 type t = { pid : int; genome : int array; value : Value.t }
 
@@ -42,7 +46,39 @@ let mutate rng (sc : t) : t =
     { sc with genome = g }
   end
 
-(* How every lnd_byz adversary runs on the simulator: one daemon fiber
-   driving a responder program over the register map. *)
-let spawn sched ~pid ~name ~cell prog : Sched.fiber =
-  Sched.spawn sched ~pid ~name ~daemon:true (fun () -> Drive.run ~cell prog)
+type strategy =
+  | Genome of { genome : int array; value : Value.t }
+  | Naysayer
+  | False_witness of Value.t
+  | Flipflop of Value.t
+  | Garbage
+  | Stale_replayer
+  | Selective of Value.t
+  | Denying_writer of { v : Value.t; deny_after : int }
+  | Equivocating_writer of { va : Value.t; vb : Value.t; flip_after : int }
+  | Sign_without_write of Value.t
+
+(* A genome's fiber name is formatted once per pid: the plan's systems
+   name one per scripted pid on every run. *)
+let script_name = Machine.names (Printf.sprintf "byz-script%d")
+
+let name ~pid = function
+  | Genome _ -> script_name pid
+  | Naysayer -> Printf.sprintf "byz-naysayer%d" pid
+  | False_witness _ -> Printf.sprintf "byz-falsewitness%d" pid
+  | Flipflop _ -> Printf.sprintf "byz-flipflop%d" pid
+  | Garbage -> Printf.sprintf "byz-garbage%d" pid
+  | Stale_replayer -> Printf.sprintf "byz-stale%d" pid
+  | Selective _ -> Printf.sprintf "byz-selective%d" pid
+  | Denying_writer _ -> "byz-denying-writer"
+  | Equivocating_writer _ -> "byz-equivocating-writer"
+  | Sign_without_write _ -> "byz-sign-no-write"
+
+let check_writer ~pid s =
+  match s with
+  | (Denying_writer _ | Equivocating_writer _ | Sign_without_write _)
+    when pid <> 0 ->
+      invalid_arg
+        (Printf.sprintf "Byz_script: %s runs only at the writer, not at pid %d"
+           (name ~pid s) pid)
+  | _ -> ()

@@ -1,4 +1,5 @@
-(** Genome-scripted Byzantine adversaries.
+(** Genome-scripted Byzantine adversaries, and the strategy vocabulary
+    they belong to.
 
     A script is a plain int array that fully determines one Byzantine
     responder's behaviour, so a (schedule, genome) pair replays a whole
@@ -27,7 +28,6 @@
     genome [[1]], on both registers. *)
 
 open Lnd_support
-open Lnd_runtime
 
 type t = { pid : int; genome : int array; value : Value.t }
 
@@ -38,9 +38,40 @@ val mutate : Rng.t -> t -> t
 (** One mutation step: change a random gene, or occasionally append
     one. Deterministic in the RNG state. *)
 
-val spawn :
-  Sched.t -> pid:int -> name:string -> cell:('reg -> Cell.t) ->
-  ('reg, unit) Machine.prog -> Sched.fiber
-(** Run a responder program ({!Byz_script_core}) as a daemon fiber of
-    [pid] over the register map [cell]. Every lnd_byz adversary runs on
-    the simulator through it. *)
+(** What one Byzantine pid runs: a genome, or a named attack. The
+    workload plan takes strategies as data ([Lnd_parallel.Diff.plan]);
+    [Byz_sticky.prog] and [Byz_verifiable.prog] map one to its program,
+    and raise [Invalid_argument] where it does not apply. *)
+type strategy =
+  | Genome of { genome : int array; value : Value.t }
+  | Naysayer  (** answers ⊥ / "no witness" forever: genome [[0]] *)
+  | False_witness of Value.t
+      (** claims a value nobody wrote, to every asker: genome [[1]] *)
+  | Flipflop of Value.t  (** flips its claim on every reply (§5.1) *)
+  | Garbage  (** ill-typed garbage in every register it owns *)
+  | Stale_replayer
+      (** replays its first view of the writer's register, fresh-stamped *)
+  | Selective of Value.t
+      (** verifiable only: answers even askers only, claiming the value *)
+  | Denying_writer of { v : Value.t; deny_after : int }
+      (** writer only, the title adversary: writes [v], then erases its
+          registers and denies it — after [deny_after] rounds (sticky)
+          or replies (verifiable) *)
+  | Equivocating_writer of { va : Value.t; vb : Value.t; flip_after : int }
+      (** writer only: claims [va] to even askers, [vb] to odd ones
+          (§1.2); on the sticky register it overwrites its [va] posture
+          with [vb] at round [flip_after], on the verifiable one it
+          rewrites R_0 every round, so [flip_after] must be 1 *)
+  | Sign_without_write of Value.t
+      (** verifiable writer only: witnesses the value without writing R* *)
+
+val name : pid:int -> strategy -> string
+(** Its fiber's name at [pid]: [byz-script<pid>] for a genome,
+    [byz-naysayer<pid>], [byz-falsewitness<pid>], [byz-flipflop<pid>],
+    [byz-garbage<pid>], [byz-stale<pid>], [byz-selective<pid>];
+    [byz-denying-writer], [byz-equivocating-writer] and
+    [byz-sign-no-write]. *)
+
+val check_writer : pid:int -> strategy -> unit
+(** Raises [Invalid_argument] for a writer strategy at a pid other than
+    the writer's, 0. *)

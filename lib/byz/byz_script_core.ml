@@ -8,10 +8,10 @@
    round, what it claims to each asker), with its bookkeeping threaded
    functionally. The genome interpreters below (see Byz_script for the
    gene layout) and every named strategy of Byz_sticky/Byz_verifiable are
-   such parameterisations. Byz_script spawns them on the simulator; the
-   domains backend (Lnd_parallel) runs the same genomes with real
-   preemption, so a scripted adversary misbehaves identically — access
-   for access — on both backends. *)
+   such parameterisations. The workload plan (Lnd_parallel.Diff) runs
+   any of them on the simulator, and the domains backend runs the same
+   genomes with real preemption, so a scripted adversary misbehaves
+   identically — access for access — on both backends. *)
 
 open Lnd_support
 open Machine

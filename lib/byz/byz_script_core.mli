@@ -3,9 +3,10 @@
     {!responder} is the one Byzantine responder loop; the genome
     interpreters (see {!Byz_script} for the gene layout) and every named
     strategy of [Byz_sticky] / [Byz_verifiable] parameterise it.
-    {!Byz_script} spawns these on the simulator; [Lnd_parallel] runs the
-    same genomes on OCaml 5 domains, so a scripted adversary misbehaves
-    identically — access for access — on both backends. *)
+    The workload plan ([Lnd_parallel.Diff]) runs any of them on the
+    simulator; [Lnd_parallel] runs the same genomes on OCaml 5 domains,
+    so a scripted adversary misbehaves identically — access for access —
+    on both backends. *)
 
 open Lnd_support
 

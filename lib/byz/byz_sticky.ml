@@ -3,8 +3,9 @@
    Each strategy is a pure program over Sticky_core's register names:
    writes to the registers it owns, then Byz_script_core.responder
    parameterised by its per-round side effects and its claims. The
-   naysayer and the false witness are the genomes [0] and [1].
-   Byz_script.spawn runs each as a daemon fiber. *)
+   naysayer and the false witness are the genomes [0] and [1]. [prog]
+   maps a Byz_script.strategy to its program; [spawn] runs one as a
+   daemon fiber on a hand-wired system. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -19,11 +20,6 @@ let[@lnd.pure] respond ~n ~pid =
 
 let[@lnd.pure] claim s payload round = ret (s, enc_stamped payload round)
 let junk = Univ.inj Univ.garbage "junk"
-
-let spawn sched (regs : Sticky.regs) ~pid ~name (prog : n:int -> _) :
-    Sched.fiber =
-  Byz_script.spawn sched ~pid ~name ~cell:regs.Sticky.cell
-    (prog ~n:regs.Sticky.cfg.Sticky.n)
 
 (* Claim [va] and [vb] to different askers, and after [flip_after]
    rounds overwrite the echo and witness registers with [vb].
@@ -44,10 +40,6 @@ let[@lnd.pure] equivocating_writer ~va ~vb ~flip_after ~n =
       claim rounds (Some (if asker mod 2 = 0 then va else vb)) round)
     0
 
-let spawn_equivocating_writer sched regs ~va ~vb ?(flip_after = 3) () =
-  spawn sched regs ~pid:0 ~name:"byz-equivocating-writer"
-    (equivocating_writer ~va ~vb ~flip_after)
-
 (* Write, let the value spread, then erase the echo and witness
    registers and pretend never to have written ("deny"). Stickiness must
    keep the value alive among the correct processes. *)
@@ -66,22 +58,6 @@ let[@lnd.pure] denying_writer ~v ~deny_after ~n =
       claim s (if denied then None else Some v) round)
     (0, false)
 
-let spawn_denying_writer sched regs ~v ?(deny_after = 4) () =
-  spawn sched regs ~pid:0 ~name:"byz-denying-writer"
-    (denying_writer ~v ~deny_after)
-
-(* Echo and witness [v] nobody echoed, and claim it to every asker. *)
-let spawn_false_witness sched regs ~pid ~v =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-falsewitness%d" pid)
-    (Byz_script_core.sticky_prog ~pid ~genome:[| 1 |] ~value:v)
-
-(* Answer ⊥ forever, instantly (pressures readers toward ⊥). *)
-let spawn_naysayer sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-naysayer%d" pid)
-    (Byz_script_core.sticky_prog ~pid ~genome:[| 0 |] ~value:Value.v0)
-
 (* Flip the claim on every reply: ⊥, v, ⊥, v, ... *)
 let[@lnd.pure] flipflop ~pid ~v ~n =
   respond ~n ~pid
@@ -89,11 +65,6 @@ let[@lnd.pure] flipflop ~pid ~v ~n =
       let count = count + 1 in
       claim count (if count mod 2 = 0 then Some v else None) round)
     0
-
-let spawn_flipflop sched regs ~pid ~v =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-flipflop%d" pid)
-    (flipflop ~pid ~v)
 
 (* Ill-typed garbage everywhere it owns; replies alternate between
    garbage and a well-typed ⊥ with a fresh stamp. *)
@@ -104,11 +75,6 @@ let[@lnd.pure] garbage ~pid ~n =
     ~reply:(fun () ~asker:_ ~round ->
       if round mod 2 = 0 then ret ((), junk) else claim () None round)
     ()
-
-let spawn_garbage sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-garbage%d" pid)
-    (garbage ~pid)
 
 (* Replay the first observation of the writer's echo register forever,
    with fresh timestamps — stale evidence against the freshness
@@ -124,7 +90,30 @@ let[@lnd.pure] stale_replayer ~pid ~n =
           claim (Some u) u round)
     None
 
-let spawn_stale_replayer sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-stale%d" pid)
-    (stale_replayer ~pid)
+(* The false witness echoes and witnesses a value nobody echoed and
+   claims it to every asker; the naysayer answers ⊥ forever, instantly,
+   pressing readers toward ⊥. *)
+let[@lnd.pure] prog ~n ~pid (s : Byz_script.strategy) : (reg, unit) prog =
+  Byz_script.check_writer ~pid s;
+  let genome genome value =
+    Byz_script_core.sticky_prog ~n ~pid ~genome ~value
+  in
+  match s with
+  | Genome { genome = g; value } -> genome g value
+  | Naysayer -> genome [| 0 |] Value.v0
+  | False_witness v -> genome [| 1 |] v
+  | Flipflop v -> flipflop ~pid ~v ~n
+  | Garbage -> garbage ~pid ~n
+  | Stale_replayer -> stale_replayer ~pid ~n
+  | Denying_writer { v; deny_after } -> denying_writer ~v ~deny_after ~n
+  | Equivocating_writer { va; vb; flip_after } ->
+      equivocating_writer ~va ~vb ~flip_after ~n
+  | Selective _ | Sign_without_write _ ->
+      invalid_arg
+        (Printf.sprintf "Byz_sticky: %s has no sticky-register version"
+           (Byz_script.name ~pid s))
+
+let spawn sched (regs : Sticky.regs) ~pid s : Sched.fiber =
+  let prog = prog ~n:regs.Sticky.cfg.Sticky.n ~pid s in
+  Sched.spawn sched ~pid ~name:(Byz_script.name ~pid s) ~daemon:true
+    (fun () -> Drive.run ~cell:regs.Sticky.cell prog)

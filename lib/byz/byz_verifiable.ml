@@ -7,7 +7,8 @@
    [Lnd_shm.Space] enforces exactly the model's restriction, so these
    adversaries have precisely the power the paper grants Byzantine
    processes. The naysayer and the false witness are the genomes [0]
-   and [1]. Byz_script.spawn runs each as a daemon fiber. *)
+   and [1]. [prog] maps a Byz_script.strategy to its program; [spawn]
+   runs one as a daemon fiber on a hand-wired system. *)
 
 open Lnd_support
 open Lnd_runtime
@@ -24,11 +25,6 @@ let[@lnd.pure] respond ~n ~pid =
 let[@lnd.pure] claim s set round = ret (s, enc_stamped set round)
 let junk = Univ.inj Univ.garbage "junk"
 
-let spawn sched (regs : Verifiable.regs) ~pid ~name (prog : n:int -> _) :
-    Sched.fiber =
-  Byz_script.spawn sched ~pid ~name ~cell:regs.Verifiable.cell
-    (prog ~n:regs.Verifiable.cfg.Verifiable.n)
-
 (* Flip the vote about [v] on every reply: the §5.1 scenario meant to
    trap a reader between f < |yes| < 2f+1. *)
 let[@lnd.pure] flipflop ~pid ~v ~n =
@@ -39,24 +35,6 @@ let[@lnd.pure] flipflop ~pid ~v ~n =
         round)
     0
 
-let spawn_flipflop sched regs ~pid ~v =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-flipflop%d" pid)
-    (flipflop ~pid ~v)
-
-(* Advertise [v] (which the correct writer never signed) in the witness
-   register and claim it to every asker: the unforgeability attack. *)
-let spawn_false_witness sched regs ~pid ~v =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-falsewitness%d" pid)
-    (Byz_script_core.verifiable_prog ~pid ~genome:[| 1 |] ~value:v)
-
-(* Always answer "no witness of anything", instantly. *)
-let spawn_naysayer sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-naysayer%d" pid)
-    (Byz_script_core.verifiable_prog ~pid ~genome:[| 0 |] ~value:Value.v0)
-
 (* Ill-typed garbage in every register it owns, then replies alternating
    between garbage and a well-typed empty set with a fresh stamp. *)
 let[@lnd.pure] garbage ~pid ~n =
@@ -66,11 +44,6 @@ let[@lnd.pure] garbage ~pid ~n =
     ~reply:(fun () ~asker:_ ~round ->
       if round mod 2 = 0 then ret ((), junk) else claim () VSet.empty round)
     ()
-
-let spawn_garbage sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-garbage%d" pid)
-    (garbage ~pid)
 
 (* The "lie but then try to deny" Byzantine WRITER: it writes and
    "signs" [v] like a correct writer, answers askers affirmatively until
@@ -101,10 +74,6 @@ let[@lnd.pure] denying_writer ~v ~deny_after ~n =
         round)
     (0, false)
 
-let spawn_denying_writer sched regs ~v ?(deny_after = 2) () =
-  spawn sched regs ~pid:0 ~name:"byz-denying-writer"
-    (denying_writer ~v ~deny_after)
-
 (* "Sign" [v] without writing it to R*: put it straight into the
    witness register. Readers may verify v; Byzantine linearizability
    still holds because a history in which the writer did
@@ -114,9 +83,6 @@ let[@lnd.pure] sign_without_write ~v ~n =
   respond ~n ~pid:0
     ~reply:(fun () ~asker:_ ~round -> claim () (VSet.singleton v) round)
     ()
-
-let spawn_sign_without_write sched regs ~v =
-  spawn sched regs ~pid:0 ~name:"byz-sign-no-write" (sign_without_write ~v)
 
 (* A writer colluding with vote-flippers: claims to different askers
    that different values are signed, rewriting R_0 back and forth every
@@ -132,10 +98,6 @@ let[@lnd.pure] equivocating_writer ~va ~vb ~n =
       claim () (VSet.singleton (if asker mod 2 = 0 then va else vb)) round)
     ()
 
-let spawn_equivocating_writer sched regs ~va ~vb =
-  spawn sched regs ~pid:0 ~name:"byz-equivocating-writer"
-    (equivocating_writer ~va ~vb)
-
 (* Replay the witness set R_0 showed at the first reply, with fresh
    timestamps, forever — probing whether old evidence with new stamps
    can confuse the round protocol. *)
@@ -150,11 +112,6 @@ let[@lnd.pure] stale_replayer ~pid ~n =
           claim (Some set) set round)
     None
 
-let spawn_stale_replayer sched regs ~pid =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-stale%d" pid)
-    (stale_replayer ~pid)
-
 (* Answer only even-numbered askers (claiming [v]) and starve the rest —
    a targeted-starvation attempt. VERIFY must still terminate for
    everyone via the correct helpers. *)
@@ -164,7 +121,33 @@ let[@lnd.pure] selective ~pid ~v ~n =
     ~reply:(fun () ~asker:_ ~round -> claim () (VSet.singleton v) round)
     ()
 
-let spawn_selective sched regs ~pid ~v =
-  spawn sched regs ~pid
-    ~name:(Printf.sprintf "byz-selective%d" pid)
-    (selective ~pid ~v)
+(* The false witness advertises a value the correct writer never signed
+   in its witness register and claims it to every asker (the
+   unforgeability attack); the naysayer always answers "no witness of
+   anything", instantly. *)
+let[@lnd.pure] prog ~n ~pid (s : Byz_script.strategy) : (reg, unit) prog =
+  Byz_script.check_writer ~pid s;
+  let genome genome value =
+    Byz_script_core.verifiable_prog ~n ~pid ~genome ~value
+  in
+  match s with
+  | Genome { genome = g; value } -> genome g value
+  | Naysayer -> genome [| 0 |] Value.v0
+  | False_witness v -> genome [| 1 |] v
+  | Flipflop v -> flipflop ~pid ~v ~n
+  | Garbage -> garbage ~pid ~n
+  | Stale_replayer -> stale_replayer ~pid ~n
+  | Selective v -> selective ~pid ~v ~n
+  | Denying_writer { v; deny_after } -> denying_writer ~v ~deny_after ~n
+  | Sign_without_write v -> sign_without_write ~v ~n
+  | Equivocating_writer { va; vb; flip_after = 1 } ->
+      equivocating_writer ~va ~vb ~n
+  | Equivocating_writer _ ->
+      invalid_arg
+        "Byz_verifiable: the equivocating writer rewrites R_0 every round \
+         (flip_after = 1)"
+
+let spawn sched (regs : Verifiable.regs) ~pid s : Sched.fiber =
+  let prog = prog ~n:regs.Verifiable.cfg.Verifiable.n ~pid s in
+  Sched.spawn sched ~pid ~name:(Byz_script.name ~pid s) ~daemon:true
+    (fun () -> Drive.run ~cell:regs.Verifiable.cell prog)

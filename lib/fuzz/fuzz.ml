@@ -1,11 +1,12 @@
-(* Scenario fuzzer: generate a random Byzantine scenario from a seed, run
-   it to quiescence, and check every paper property that applies with
-   the differential suite's judge (Lnd_parallel.Diff.check_*_history):
-   the observational monitors (relay / uniqueness / validity /
-   unforgeability) plus full Byzantine linearizability when the history is
-   small enough for the exhaustive checker. The scenario's adversaries
-   are the named lnd_byz strategies, which the workload plan does not
-   carry yet, so the system is built here.
+(* Scenario fuzzer: a generator of workload plans. A seed derives a
+   random Byzantine scenario, and the scenario a Lnd_parallel.Diff work
+   plus the named lnd_byz strategy each Byzantine pid runs. The plan
+   runs on the sim driver (Diff.system) to quiescence, and the system's
+   own verdict judges it: no correct fiber failed, then the protocol's
+   judge (Diff.check_*_history) — the observational monitors (relay /
+   uniqueness / validity / unforgeability) plus full Byzantine
+   linearizability when the history is small enough for the exhaustive
+   checker.
 
    One seed = one fully deterministic scenario (size, adversary strategy,
    reader programs, schedule), so any failure is replayable from its seed
@@ -14,8 +15,8 @@
 open Lnd_support
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
-module History = Lnd_history.History
 module Diff = Lnd_parallel.Diff
+module Byz_script = Lnd_byz.Byz_script
 
 type target = Verifiable | Sticky
 
@@ -103,8 +104,6 @@ type report = {
 
 type outcome = (report, string) result
 
-let value_pool = [| "a"; "b"; "c" |]
-
 (* Which pids are Byzantine for this scenario. *)
 let byzantine_pids (s : scenario) : int list =
   match s.adversary with
@@ -114,151 +113,82 @@ let byzantine_pids (s : scenario) : int list =
   | Stale_replayers | Selective ->
       List.init s.f (fun i -> s.n - 1 - i)
 
-let max_steps = 8_000_000
-
-(* Run to quiescence, then the sim verdict: no correct fiber failed, and
-   the protocol's judge (Diff.check_*_history) accepts the history. *)
-let verdict (s : scenario) sched ~(correct : bool array) ~judge history :
-    outcome =
-  match Sched.run ~max_steps sched with
-  | Sched.Budget_exhausted -> Error "step budget exhausted"
-  | Sched.Condition_met -> Error "unexpected stop"
-  | Sched.Quiescent ->
-      Result.map
-        (fun checked ->
-          {
-            scenario = s;
-            steps = Sched.steps sched;
-            operations = List.length (History.complete_entries history);
-            checked_linearizability = checked;
-          })
-        (Diff.sim_verdict sched ~correct:(fun pid -> correct.(pid)) judge
-           history)
-
-let run_verifiable (s : scenario) (rng : Rng.t) : outcome =
-  let module Sys = Lnd_verifiable.System in
-  let module Byz = Lnd_byz.Byz_verifiable in
+(* The scenario's work and each Byzantine pid's strategy (crashed pids
+   have none). The work carries no genomes: its adversaries are the
+   strategies beside it. What is random comes from the scenario's second
+   RNG, in this order: the sticky equivocating writer's flip round, then
+   each correct verifiable reader's operations, by pid. The sticky
+   writer writes once; the verifiable one writes and signs
+   [writer_values] values. *)
+let workload (s : scenario) : Diff.work * (int * Byz_script.strategy) list =
+  let rng = Rng.create ((s.seed * 31) + 17) in
   let byz = byzantine_pids s in
-  let t =
-    Sys.make ~policy:(Policy.random ~seed:(s.seed + 1)) ~n:s.n ~f:s.f
-      ~byzantine:byz ()
+  let sticky = s.target = Sticky in
+  let each strategy = List.map (fun pid -> (pid, strategy)) byz in
+  let scripts =
+    match s.adversary with
+    | No_adversary | Crash -> []
+    | Denying_writer ->
+        each
+          (Byz_script.Denying_writer
+             { v = "a"; deny_after = (if sticky then 3 else 2) })
+    | Equivocating_writer ->
+        each
+          (Byz_script.Equivocating_writer
+             {
+               va = "a";
+               vb = "b";
+               flip_after = (if sticky then 1 + Rng.int rng 4 else 1);
+             })
+    | Sign_without_write -> each (Byz_script.Sign_without_write "a")
+    | False_witnesses -> each (Byz_script.False_witness "x")
+    | Naysayers -> each Byz_script.Naysayer
+    | Flipfloppers -> each (Byz_script.Flipflop "a")
+    | Garbage -> each Byz_script.Garbage
+    | Stale_replayers -> each Byz_script.Stale_replayer
+    | Selective -> each (Byz_script.Selective "a")
   in
-  (* adversary *)
-  (match s.adversary with
-  | No_adversary | Crash -> ()
-  | Denying_writer ->
-      ignore (Byz.spawn_denying_writer t.sched t.regs ~v:"a" ~deny_after:2 ())
-  | Equivocating_writer ->
-      ignore (Byz.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b")
-  | Sign_without_write ->
-      ignore (Byz.spawn_sign_without_write t.sched t.regs ~v:"a")
-  | False_witnesses ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_false_witness t.sched t.regs ~pid ~v:"x"))
-        byz
-  | Naysayers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_naysayer t.sched t.regs ~pid))
-        byz
-  | Flipfloppers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_flipflop t.sched t.regs ~pid ~v:"a"))
-        byz
-  | Garbage ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_garbage t.sched t.regs ~pid))
-        byz
-  | Stale_replayers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_stale_replayer t.sched t.regs ~pid))
-        byz
-  | Selective ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_selective t.sched t.regs ~pid ~v:"a"))
-        byz);
-  (* correct writer program *)
-  if t.correct.(0) then
-    ignore
-      (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-           for i = 0 to s.writer_values - 1 do
-             let v = value_pool.(i mod Array.length value_pool) in
-             Sys.op_write t v;
-             ignore (Sys.op_sign t v)
-           done));
-  (* correct reader programs *)
-  for pid = 1 to s.n - 1 do
-    if t.correct.(pid) then begin
-      let prog =
-        List.init s.reader_ops (fun _ ->
-            let v = Rng.pick_arr rng value_pool in
-            if Rng.int rng 4 = 0 then `Read else `Verify v)
-      in
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             List.iter
-               (function
-                 | `Read -> ignore (Sys.op_read t ~pid)
-                 | `Verify v -> ignore (Sys.op_verify t ~pid v))
-               prog))
-    end
-  done;
-  verdict s t.sched ~correct:t.correct ~judge:Diff.check_verifiable_history
-    t.history
-
-let run_sticky (s : scenario) (rng : Rng.t) : outcome =
-  let module Sys = Lnd_sticky.System in
-  let module Byz = Lnd_byz.Byz_sticky in
-  let byz = byzantine_pids s in
-  let t =
-    Sys.make ~policy:(Policy.random ~seed:(s.seed + 1)) ~n:s.n ~f:s.f
-      ~byzantine:byz ()
+  let item () =
+    if sticky then Diff.I_read
+    else
+      let v = Rng.pick_arr rng Diff.value_pool in
+      if Rng.int rng 4 = 0 then Diff.I_read else Diff.I_verify v
   in
-  (match s.adversary with
-  | No_adversary | Crash | Sign_without_write | Selective -> ()
-  | Stale_replayers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_stale_replayer t.sched t.regs ~pid))
-        byz
-  | Denying_writer ->
-      ignore (Byz.spawn_denying_writer t.sched t.regs ~v:"a" ~deny_after:3 ())
-  | Equivocating_writer ->
-      ignore
-        (Byz.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b"
-           ~flip_after:(1 + Rng.int rng 4) ())
-  | False_witnesses ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_false_witness t.sched t.regs ~pid ~v:"x"))
-        byz
-  | Naysayers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_naysayer t.sched t.regs ~pid))
-        byz
-  | Flipfloppers ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_flipflop t.sched t.regs ~pid ~v:"a"))
-        byz
-  | Garbage ->
-      List.iter
-        (fun pid -> ignore (Byz.spawn_garbage t.sched t.regs ~pid))
-        byz);
-  if t.correct.(0) then
-    ignore
-      (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "a"));
-  for pid = 1 to s.n - 1 do
-    if t.correct.(pid) then
-      ignore
-        (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-             for _ = 1 to s.reader_ops do
-               ignore (Sys.op_read t ~pid)
-             done))
-  done;
-  verdict s t.sched ~correct:t.correct ~judge:Diff.check_sticky_history
-    t.history
+  let programs =
+    List.filter_map
+      (fun pid ->
+        if List.mem pid byz then None
+        else Some (pid, List.init s.reader_ops (fun _ -> item ())))
+      (List.init (s.n - 1) succ)
+  in
+  ( {
+      Diff.seed = s.seed;
+      proto = (if sticky then Diff.Sticky else Diff.Verifiable);
+      n = s.n;
+      f = s.f;
+      tos_verifiable = false;
+      scripts = [];
+      script_value = Value.v0;
+      writes = (if sticky then 1 else s.writer_values);
+      programs;
+    },
+    scripts )
 
 let run (s : scenario) : outcome =
-  let rng = Rng.create (s.seed * 31 + 17) in
-  match s.target with
-  | Verifiable -> run_verifiable s rng
-  | Sticky -> run_sticky s rng
+  let w, scripts = workload s in
+  let sys =
+    Diff.system
+      (Policy.random ~seed:(s.seed + 1))
+      (Diff.plan w ~scripts ~byzantine:(byzantine_pids s) ~broken:false)
+  in
+  Result.map
+    (fun checked ->
+      {
+        scenario = s;
+        steps = Sched.steps sys.Diff.sched;
+        operations = sys.Diff.ops ();
+        checked_linearizability = checked;
+      })
+    (Diff.quiesce sys)
 
 let run_seed (seed : int) : outcome = run (generate seed)

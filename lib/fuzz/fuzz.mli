@@ -1,10 +1,13 @@
 (** Scenario fuzzer: one integer seed derives a full Byzantine scenario
     (register type, system size, adversary strategy, reader programs,
-    schedule), runs it to quiescence, and checks every applicable paper
-    property with {!Lnd_parallel.Diff}'s judge — the streaming monitors
-    plus full Byzantine linearizability when the history is small enough
-    for the exhaustive checker. Any failure is replayable from its seed
-    alone. *)
+    schedule), and the scenario a workload plan
+    ({!Lnd_parallel.Diff.plan}) whose adversaries are named
+    {!Lnd_byz.Byz_script.strategy} values. {!run} runs that plan on the
+    sim driver ({!Lnd_parallel.Diff.system}) to quiescence and takes the
+    system's own verdict — no correct fiber failed, then the protocol's
+    judge: the streaming monitors plus full Byzantine linearizability
+    when the history is small enough for the exhaustive checker. Any
+    failure is replayable from its seed alone. *)
 
 type target = Verifiable | Sticky
 
@@ -37,8 +40,6 @@ val pp_scenario : Format.formatter -> scenario -> unit
 
 val generate : int -> scenario
 (** Deterministic in the seed. *)
-
-val byzantine_pids : scenario -> int list
 
 type report = {
   scenario : scenario;

@@ -188,10 +188,19 @@ let instance (c : config) : instance =
   let installed = ref false in
   let fresh policy =
     let sys =
-      Diff.system policy (Diff.plan w ~byzantine:c.byzantine ~broken:false)
+      Diff.system policy
+        (Diff.plan w ~scripts:(Diff.genomes w) ~byzantine:c.byzantine
+           ~broken:false)
     in
+    (* Only the explorer rewinds, so only the systems built here journal
+       their steps. An audited system gets a fresh trace and auditor per
+       run instead, and its sink would end the journal at the first
+       step. *)
     let trace, audit =
-      if not c.audit then (None, None)
+      if not c.audit then begin
+        Sched.journal sys.Diff.sched;
+        (None, None)
+      end
       else begin
         let tr = Trace.create () in
         let au =

@@ -16,8 +16,9 @@
     history is not Byzantine linearizable — or, with [audit = true],
     the forensic auditor blamed a correct pid.
 
-    [make] builds one system and then hands that same system back for
-    every later schedule, for the explorer to rewind
+    [make] builds one system, switches its journal on
+    ({!Lnd_runtime.Sched.journal}), and then hands that same system back
+    for every later schedule, for the explorer to rewind
     ({!Lnd_runtime.Explore}'s [make] protocol); it builds a fresh one
     only when the last cannot rewind — always in audit mode, whose Obs
     sink needs a fresh trace and auditor per run. *)

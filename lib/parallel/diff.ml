@@ -1,16 +1,18 @@
 (* Differential conformance suite: one seed derives one workload (system
    size, Byzantine genome scripts, per-reader programs) that both
-   backends execute — the deterministic effects-based simulator (driver
-   #1, here) and the OCaml 5 domains backend (driver #2, Parallel) — and
-   one judge per protocol accepts or rejects each run's history.
+   backends execute — the deterministic simulator (driver #1, here) and
+   the OCaml 5 domains backend (driver #2, Parallel) — and one judge per
+   protocol accepts or rejects each run's history.
 
    A workload is built once, as a plan: the core's register layout, a
-   help program per correct pid, a genome program per scripted pid, the
-   writer's and each reader's jobs (client operations) and the judge and
-   renderer, all written over the core's own register names. The sim
-   driver below, Parallel.run and the model checker (Lnd_fuzz.Mcheck)
-   build their systems from a plan, and the scenario fuzzer
-   (Lnd_fuzz.Fuzz) uses the same judges.
+   help program per correct pid, the program of each scripted pid's
+   Byz_script.strategy (a genome, or a named attack), the writer's and
+   each reader's jobs (client operations) and the judge and renderer,
+   all written over the core's own register names. The sim driver
+   below, Parallel.run and the model checker (Lnd_fuzz.Mcheck) build
+   their systems from a plan with the work's genomes; the scenario
+   fuzzer (Lnd_fuzz.Fuzz) builds plans with named strategies and runs
+   them on the sim driver.
 
    The suite asserts three things:
    - the sim run is accepted and its history renders byte-identically to
@@ -43,7 +45,7 @@ module Trace = Lnd_obs.Trace
 module S_core = Lnd_sticky.Sticky_core
 module V_core = Lnd_verifiable.Verifiable_core
 module T_core = Lnd_testorset.Testorset_core
-module B_core = Lnd_byz.Byz_script_core
+module Byz_script = Lnd_byz.Byz_script
 open Machine
 
 type proto = Sticky | Verifiable | Testorset
@@ -131,6 +133,14 @@ let generate ~(proto : proto) (seed : int) : work =
   }
 
 let byzantine_pids (w : work) : int list = List.map fst w.scripts
+
+let genomes (w : work) : (int * Byz_script.strategy) list =
+  List.map
+    (fun (pid, genome) ->
+      ( pid,
+        Byz_script.Genome
+          { genome = Array.of_list genome; value = w.script_value } ))
+    w.scripts
 
 let describe (w : work) : string =
   Printf.sprintf "seed=%d proto=%s n=%d f=%d%s byz=[%s] claim=%s writes=%d progs=[%s]"
@@ -309,7 +319,7 @@ type ('reg, 'op, 'res) plan = {
   layout : 'c. 'c Machine.allocator -> 'reg -> 'c;
   correct : bool array;
   helps : (int * ('reg, unit) Machine.prog) list;
-  scripts : (int * ('reg, unit) Machine.prog) list;
+  scripts : (int * Byz_script.strategy * ('reg, unit) Machine.prog) list;
   clients : (int * ('reg, 'op, 'res) job list) list;
   fiber_names : string * (int -> string);
   judge :
@@ -335,7 +345,8 @@ let tester_name = Machine.names (Printf.sprintf "t%d")
    a verifier that always accepts, a tester returning the impossible
    bit 2. A reader's round counter and the writer's written-set travel
    from job to job in the client's carry. *)
-let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
+let plan (w : work) ~(scripts : (int * Byz_script.strategy) list)
+    ~(byzantine : int list) ~(broken : bool) : any_plan =
   let n = w.n in
   let q = Quorum.make_relaxed ~n ~f:w.f in
   let correct = Array.make n true in
@@ -345,13 +356,8 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
       (fun pid -> if correct.(pid) then Some (pid, help_prog ~pid) else None)
       (List.init n Fun.id)
   in
-  let scripts responder =
-    List.map
-      (fun (pid, genome) ->
-        ( pid,
-          responder ~n ~pid ~genome:(Array.of_list genome)
-            ~value:w.script_value ))
-      w.scripts
+  let scripts prog =
+    List.map (fun (pid, s) -> (pid, s, prog ~n ~pid s)) scripts
   in
   (* The writer (if correct), then each correct reader in [programs]
      order. *)
@@ -371,7 +377,7 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
         layout = (fun alloc -> S_core.layout ~n alloc);
         correct;
         helps = helps (S_core.help_prog ~n ~q);
-        scripts = scripts B_core.sticky_prog;
+        scripts = scripts Lnd_byz.Byz_sticky.prog;
         clients;
         fiber_names = names;
         judge;
@@ -384,7 +390,7 @@ let plan (w : work) ~(byzantine : int list) ~(broken : bool) : any_plan =
         layout = (fun alloc -> V_core.layout ~n alloc);
         correct;
         helps = helps (V_core.help_prog ~n ~q);
-        scripts = scripts B_core.verifiable_prog;
+        scripts = scripts Lnd_byz.Byz_verifiable.prog;
         clients;
         fiber_names = names;
         judge;
@@ -541,12 +547,12 @@ type ('op, 'res) client = {
 }
 
 let help_name = Machine.names (Printf.sprintf "help%d")
-let script_name = Machine.names (Printf.sprintf "byz-script%d")
 
 (* The spawn order — help daemons, script daemons, clients — fixes the
    fiber ids, which the DPOR counts and the .scn fid trails depend on.
    Every fiber is a machine fiber, so a system with no Obs sink can
-   rewind. A client's jobs stamp their invocation and response, and open
+   journal its steps and rewind once switched on (Sched.journal). A
+   client's jobs stamp their invocation and response, and open
    and close their span, at the points where History.record and the
    Sticky/Verifiable sim wrappers did: moving one would shift every span
    stamp by one tick. *)
@@ -564,7 +570,9 @@ let system (policy : Policy.t) (Plan p : any_plan) : system =
     (fun (pid, prog) ->
       daemon ~note:(Drive.help_note ()) pid (help_name pid) prog)
     p.helps;
-  List.iter (fun (pid, prog) -> daemon pid (script_name pid) prog) p.scripts;
+  List.iter
+    (fun (pid, s, prog) -> daemon pid (Byz_script.name ~pid s) prog)
+    p.scripts;
   let writer, reader = p.fiber_names in
   let client (pid, jobs) =
     let rec from jobs c entries =
@@ -622,18 +630,21 @@ let system (policy : Policy.t) (Plan p : any_plan) : system =
 let sim_max_steps = 8_000_000
 let policy_of (w : work) = Policy.random ~seed:((w.seed * 31) + 17)
 
+let quiesce (s : system) : (bool, string) result =
+  match Sched.run ~max_steps:sim_max_steps s.sched with
+  | Sched.Budget_exhausted -> Error "step budget exhausted"
+  | Sched.Condition_met -> Error "unexpected stop"
+  | Sched.Quiescent -> s.verdict ()
+
 (* The work's plan on [system], run to quiescence; the system too, for
    [sim_line] to render its history. *)
 let sim_system (w : work) : run * system =
   let s =
-    system (policy_of w) (plan w ~byzantine:(byzantine_pids w) ~broken:false)
+    system (policy_of w)
+      (plan w ~scripts:(genomes w) ~byzantine:(byzantine_pids w)
+         ~broken:false)
   in
-  let verdict =
-    match Sched.run ~max_steps:sim_max_steps s.sched with
-    | Sched.Budget_exhausted -> Error "step budget exhausted"
-    | Sched.Condition_met -> Error "unexpected stop"
-    | Sched.Quiescent -> Result.map ignore (s.verdict ())
-  in
+  let verdict = Result.map ignore (quiesce s) in
   ({ ops = s.ops (); steps = Sched.steps s.sched; verdict }, s)
 
 let sim (w : work) : run = fst (sim_system w)

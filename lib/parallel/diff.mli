@@ -5,12 +5,14 @@
     scripted Byzantine adversaries (and their {!Lnd_byz.Byz_script}
     genomes), how many values the writer writes, and each correct
     reader's explicit operation program. {!plan} builds it once, over
-    the protocol core's own register names; the deterministic
-    effects-based simulator (driver #1, {!system}) and the OCaml 5
-    domains backend (driver #2, [Parallel.run]) both run that plan, as
-    does the model checker ([Lnd_fuzz.Mcheck]). Each run folds into a
-    {!Lnd_history.History.t} judged by the one checker per protocol
-    below, which the scenario fuzzer ([Lnd_fuzz.Fuzz]) uses too.
+    the protocol core's own register names, with one
+    {!Lnd_byz.Byz_script.strategy} per scripted pid; the deterministic
+    simulator (driver #1, {!system}), the OCaml 5 domains backend
+    (driver #2, [Parallel.run]) and the model checker
+    ([Lnd_fuzz.Mcheck]) run it with the work's {!genomes}, the scenario
+    fuzzer ([Lnd_fuzz.Fuzz]) with named strategies. Each run folds into
+    a {!Lnd_history.History.t} judged by the one checker per protocol
+    below.
 
     The sim driver additionally renders each history to a canonical
     one-line string and compares it byte-for-byte against the committed
@@ -50,6 +52,10 @@ val generate : proto:proto -> int -> work
     operation terminates on both backends. *)
 
 val byzantine_pids : work -> int list
+
+val genomes : work -> (int * Lnd_byz.Byz_script.strategy) list
+(** [work.scripts] as genome strategies claiming [work.script_value]. *)
+
 val describe : work -> string
 
 (** {2 Spec-level acceptance: the one judge}
@@ -141,8 +147,11 @@ type ('reg, 'op, 'res) plan = {
   correct : bool array;  (** by pid: not in the Byzantine set *)
   helps : (int * ('reg, unit) Lnd_support.Machine.prog) list;
       (** Help program per correct pid, ascending *)
-  scripts : (int * ('reg, unit) Lnd_support.Machine.prog) list;
-      (** genome program per scripted pid, in [work.scripts] order *)
+  scripts :
+    (int * Lnd_byz.Byz_script.strategy * ('reg, unit) Lnd_support.Machine.prog)
+    list;
+      (** each scripted pid's strategy and its program, in the order
+          {!plan} was given them *)
   clients : (int * ('reg, 'op, 'res) job list) list;
       (** the writer (pid 0, if correct), then each correct reader in
           [work.programs] order; each client threads one {!carry}
@@ -158,11 +167,18 @@ type ('reg, 'op, 'res) plan = {
 
 type any_plan = Plan : ('reg, 'op, 'res) plan -> any_plan
 
-val plan : work -> byzantine:int list -> broken:bool -> any_plan
+val plan :
+  work ->
+  scripts:(int * Lnd_byz.Byz_script.strategy) list ->
+  byzantine:int list ->
+  broken:bool ->
+  any_plan
 (** The plan of [work] with the pids in [byzantine] faulty: they get no
-    Help program and no client, and only [work.scripts] run as
-    adversaries (so a Byzantine pid without a script crashes). Scripts
-    claim [work.script_value]. [broken] substitutes cores whose final
+    Help program and no client, and only the pids in [scripts] run an
+    adversary, their strategy (so a Byzantine pid without one crashes;
+    [work.scripts] runs only as {!genomes}). A strategy that does not
+    apply raises [Invalid_argument] ([Lnd_byz.Byz_sticky.prog],
+    [Lnd_byz.Byz_verifiable.prog]). [broken] substitutes cores whose final
     decision step is corrupted (pure and termination-preserving): a
     reader that claims a value no workload writes, a verifier that
     always accepts, a tester that returns the impossible bit 2. A plan
@@ -187,28 +203,24 @@ type system = {
   rendered : unit -> string;  (** the canonical history so far *)
 }
 
-val sim_verdict :
-  Lnd_runtime.Sched.t ->
-  correct:(int -> bool) ->
-  (correct:(int -> bool) -> ('op, 'res) Lnd_history.History.t ->
-   (bool, string) result) ->
-  ('op, 'res) Lnd_history.History.t ->
-  (bool, string) result
-(** The verdict on a stopped sim run: an [Error] naming the first correct
-    fiber that failed, if any, else the judge's verdict on the history. *)
-
 val system : Lnd_runtime.Policy.t -> any_plan -> system
 (** The plan on the simulator: a Space and a Sched choosing by
     [policy], the layout allocated in the Space, then one machine fiber
     ({!Lnd_runtime.Sched.spawn_machine}) per program — help daemons
     ([help<pid>], with their HELP spans), script daemons
-    ([byz-script<pid>]), clients — in that order, which fixes the fiber
-    ids. A client carries its job cursor, its {!carry} and its finished
+    (named by {!Lnd_byz.Byz_script.name}: [byz-script<pid>] for a
+    genome), clients — in that order, which fixes the fiber ids. A
+    client carries its job cursor, its {!carry} and its finished
     history entries as values; each job stamps its invocation and
     response around its span and its program, as
-    {!Lnd_history.History.record} does. With no Obs sink installed the
-    system can rewind ({!Lnd_runtime.Sched.rewind}), its history and
-    verdict with it. *)
+    {!Lnd_history.History.record} does. Once {!Lnd_runtime.Sched.journal}
+    switched its journal on, as the model checker does, and while no Obs
+    sink is installed, the system can rewind
+    ({!Lnd_runtime.Sched.rewind}), its history and verdict with it. *)
+
+val quiesce : system -> (bool, string) result
+(** Run the system to quiescence within 8,000,000 steps, then its
+    [verdict] ([Error] if the budget ran out). *)
 
 val sim : work -> run
 (** Run [work]'s plan (Byzantine set: the scripted pids) on {!system}

@@ -28,7 +28,10 @@ module Trace = Lnd_obs.Trace
    it down under its mutex) orders the workers' writes before the merge
    below reads them. *)
 let run ?(broken = false) (w : Diff.work) : Diff.run =
-  let (Diff.Plan p) = Diff.plan w ~byzantine:(Diff.byzantine_pids w) ~broken in
+  let (Diff.Plan p) =
+    Diff.plan w ~scripts:(Diff.genomes w) ~byzantine:(Diff.byzantine_pids w)
+      ~broken
+  in
   let n = Array.length p.Diff.correct in
   let cell = p.Diff.layout Dcell.make in
   let daemons = Array.make n [] and jobs = Array.make n [] in
@@ -43,7 +46,7 @@ let run ?(broken = false) (w : Diff.work) : Diff.run =
           ])
     p.Diff.helps;
   List.iter
-    (fun (pid, prog) ->
+    (fun (pid, _, prog) ->
       daemons.(pid) <-
         daemons.(pid)
         @ [

@@ -132,12 +132,14 @@ and t = {
   mutable footprints : footprint array;
       (* the footprints machine fibers pause at, made once per register:
          its read at [2 * id], its write at [2 * id + 1] *)
-  (* The journal: one entry per step while the system is rewindable —
-     only machine fibers, no spawn, kill or mask change once it ran, no
-     step under an Obs sink. Entry [i] holds what step [i] changed
-     besides the stepped fiber's job, which that fiber's own [past]
-     keeps. *)
-  mutable rewindable : bool;
+  (* The journal: one entry per step while the system journals —
+     switched on by [journal] before the first step, and only while
+     [can_journal]: only machine fibers, no spawn, kill or mask change
+     once it ran, no step under an Obs sink. Entry [i] holds what step
+     [i] changed besides the stepped fiber's job, which that fiber's own
+     [past] keeps. *)
+  mutable can_journal : bool;
+  mutable rewindable : bool; (* journalling, so it can rewind *)
   mutable j_fiber : fiber array; (* the fiber stepped *)
   mutable j_parked : int array; (* its [parked_at] before the step *)
   mutable j_clock : int array; (* the clock before the step *)
@@ -166,7 +168,8 @@ let create ~space ~choose =
       on_failure = None;
       last_fid = -1;
       footprints = [||];
-      rewindable = true;
+      can_journal = true;
+      rewindable = false;
       j_fiber = [||];
       j_parked = [||];
       j_clock = [||];
@@ -183,9 +186,14 @@ let create ~space ~choose =
 let set_on_failure t h = t.on_failure <- h
 let set_park_on_yield t b = t.park_on_yield <- b
 
+(* For good: the system can no longer journal or rewind. *)
+let no_journal t =
+  t.can_journal <- false;
+  t.rewindable <- false
+
 let set_enabled t mask =
   t.enabled <- mask;
-  t.rewindable <- false;
+  no_journal t;
   t.stale <- true
 
 let set_choose t choose = t.choose <- choose
@@ -194,6 +202,10 @@ let steps t = t.steps
 let clock t = t.clock
 let executed t = t.steps + t.rewound
 let rewindable t = t.rewindable
+
+let journal t =
+  if t.steps > 0 then invalid_arg "Sched.journal: the system already ran";
+  if t.can_journal then t.rewindable <- true
 
 let stamp t =
   t.clock <- t.clock + 1;
@@ -232,7 +244,7 @@ let add t fiber state =
 
 let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
   let fiber = make_fiber t ~pid ~name ~daemon No_machine in
-  t.rewindable <- false;
+  no_journal t;
   let open Effect.Deep in
   (* The handlers of the effects that are not scheduling points carry no
      per-effect state, so each fiber builds them once instead of on every
@@ -396,7 +408,7 @@ let machine_step t f m () =
 let spawn_machine t ~pid ~name ?(daemon = false) ?(note = fun _ -> ())
     ~(at : 'reg -> Register.t) ~(data : 'd) (start : unit -> ('reg, 'd) job) :
     unit -> 'd =
-  if t.steps > 0 then t.rewindable <- false;
+  if t.steps > 0 then no_journal t;
   let space = t.space in
   (* A completed access marks its journal entry, a write with the value
      it replaced; the entry is the current step's, [steps - 1]. *)
@@ -427,7 +439,7 @@ let kill (f : fiber) : unit =
   match f.state with
   | Ready _ ->
       f.state <- Finished (Failed Killed);
-      f.sched.rewindable <- false;
+      no_journal f.sched;
       f.sched.stale <- true
   | Finished _ -> ()
 
@@ -443,9 +455,9 @@ let grow a fill =
   bigger
 
 (* Record what step [t.steps] of [f] is about to change. *)
-let journal t (f : fiber) =
+let record_step t (f : fiber) =
   let i = t.steps in
-  if i >= journal_limit then t.rewindable <- false
+  if i >= journal_limit then no_journal t
   else begin
     if i = Array.length t.j_fiber then begin
       t.j_fiber <- grow t.j_fiber f;
@@ -519,7 +531,7 @@ let step_fiber t (f : fiber) : unit =
   match f.state with
   | Finished _ -> invalid_arg "Sched.step_fiber: fiber not ready"
   | Ready go ->
-      if t.rewindable then journal t f;
+      if t.rewindable then record_step t f;
       (* Mark running; [go] re-installs Ready on the next effect. *)
       f.state <- Finished Completed;
       f.parked_at <- -1;
@@ -532,7 +544,7 @@ let step_fiber t (f : fiber) : unit =
       t.steps <- t.steps + 1;
       t.clock <- t.clock + 1;
       if Obs.enabled () then begin
-        t.rewindable <- false;
+        no_journal t;
         if t.last_fid <> f.fid then begin
           t.last_fid <- f.fid;
           Obs.emit ~pid:f.pid (Obs.Sched_switch { fid = f.fid; fname = f.fname })

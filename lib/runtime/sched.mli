@@ -12,8 +12,8 @@
 
     Scheduling is driven by a pluggable deterministic policy; runs replay
     exactly from (program, policy) because all randomness is seeded. A
-    system of machine fibers also journals each step and can {!rewind}
-    to any earlier one.
+    system of machine fibers can also journal each step ({!journal}) and
+    {!rewind} to any earlier one.
 
     The records below are readable but private: scenario harnesses (the
     impossibility construction, the ablation tests) script phases by
@@ -108,6 +108,7 @@ and t = private {
       (** last fiber stepped, for observability switch events *)
   mutable footprints : footprint array;
       (** the read and write footprint of each register, made once *)
+  mutable can_journal : bool;  (** see {!journal} *)
   mutable rewindable : bool;  (** see {!rewindable} *)
   mutable j_fiber : fiber array;
       (** the journal, one entry per step: the fiber stepped, *)
@@ -227,11 +228,19 @@ val spawn_machine :
     effect fiber's. Returns a reader of the value the fiber carries now:
     [data] until the first job, then its job's, then its [Done] one. *)
 
+val journal : t -> unit
+(** Journal every step from the first on, so the system can {!rewind}.
+    A journal costs every step, so only systems the explorer rewinds
+    switch it on ([Lnd_fuzz.Mcheck]'s [make]). No effect on a system
+    that can no longer rewind; raises [Invalid_argument] once the system
+    has taken a step. *)
+
 val rewindable : t -> bool
-(** The system journals its steps and can {!rewind}: every fiber is a
-    machine fiber, no fiber was spawned, killed or masked once it ran,
-    no step ran under an installed Obs sink, and no run passed the
-    journal's limit of 65,536 steps. Once false, false for good. *)
+(** The system journals its steps and can {!rewind}: {!journal} switched
+    its journal on, every fiber is a machine fiber, no fiber was
+    spawned, killed or masked once it ran, no step ran under an
+    installed Obs sink, and no run passed the journal's limit of 65,536
+    steps. Once one of those fails, false for good. *)
 
 val rewind : t -> int -> unit
 (** [rewind t k] puts a rewindable system back as it was before step

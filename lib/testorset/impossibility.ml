@@ -89,7 +89,9 @@ let run_attack ?(seed = 7) ?(max_steps_per_phase = 2_000_000)
           (fun ~pid -> if Vr.verify (Vr.reader regs ~pid) one then 1 else 0),
           (fun ~pid () -> Vr.help regs ~pid),
           fun pid ->
-            ignore (Lnd_byz.Byz_verifiable.spawn_naysayer sched regs ~pid) )
+            ignore
+              (Lnd_byz.Byz_verifiable.spawn sched regs ~pid
+                 Lnd_byz.Byz_script.Naysayer) )
     | Via_sticky ->
         let regs = St.alloc space { St.n; f } in
         let writer = St.writer regs in
@@ -100,7 +102,9 @@ let run_attack ?(seed = 7) ?(max_steps_per_phase = 2_000_000)
             | Some _ | None -> 0),
           (fun ~pid () -> St.help regs ~pid),
           fun pid ->
-            ignore (Lnd_byz.Byz_sticky.spawn_naysayer sched regs ~pid) )
+            ignore
+              (Lnd_byz.Byz_sticky.spawn sched regs ~pid
+                 Lnd_byz.Byz_script.Naysayer) )
   in
   (* Help fibers for everyone (the coalition behaves correctly at first). *)
   let helps =

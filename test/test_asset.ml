@@ -94,10 +94,11 @@ let test_byz_overdraft_rejected_everywhere () =
 let test_byz_no_double_spend ~seed () =
   let sched, t = mk ~seed ~n:4 ~f:1 ~slots:1 ~byzantine:[ 0 ] () in
   ignore
-    (Lnd_byz.Byz_sticky.spawn_equivocating_writer sched
+    (Lnd_byz.Byz_sticky.spawn sched
        t.Asset.grid.Lnd_broadcast.Broadcast.Neq.instances.(0).(0)
-         .Lnd_broadcast.Broadcast.Neq.regs ~va:"1:100" ~vb:"2:100"
-       ~flip_after:2 ());
+         .Lnd_broadcast.Broadcast.Neq.regs ~pid:0
+       (Lnd_byz.Byz_script.Equivocating_writer
+          { va = "1:100"; vb = "2:100"; flip_after = 2 }));
   run_ok sched;
   let ledgers = Array.make 4 None in
   for pid = 1 to 3 do

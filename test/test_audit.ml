@@ -171,6 +171,7 @@ let verifiable_case ~what ~byzantine ~expect ?(value = "v") spawn () =
 
 module Bs = Lnd_byz.Byz_sticky
 module Bv = Lnd_byz.Byz_verifiable
+module Byz_script = Lnd_byz.Byz_script
 
 let sticky_tests =
   [
@@ -178,30 +179,36 @@ let sticky_tests =
       sticky_case ~what:"sticky equivocator" ~byzantine:[ 0 ] ~expect:[ 0 ]
         (fun t ->
           ignore
-            (Bs.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b"
-               ~flip_after:2 ())) );
+            (Bs.spawn t.sched t.regs ~pid:0
+               (Byz_script.Equivocating_writer
+                  { va = "a"; vb = "b"; flip_after = 2 }))) );
     ( "sticky: denying writer caught",
       sticky_case ~what:"sticky denier" ~byzantine:[ 0 ] ~expect:[ 0 ]
         (fun t ->
           ignore
-            (Bs.spawn_denying_writer t.sched t.regs ~v:"kept" ~deny_after:4 ()))
+            (Bs.spawn t.sched t.regs ~pid:0
+               (Byz_script.Denying_writer { v = "kept"; deny_after = 4 })))
     );
     ( "sticky: flip-flopping helper caught",
       sticky_case ~what:"sticky flipflop" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bs.spawn_flipflop t.sched t.regs ~pid:3 ~v:"w")) );
+        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
+                            (Byz_script.Flipflop "w"))) );
     ( "sticky: garbage writer caught",
       sticky_case ~what:"sticky garbage" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bs.spawn_garbage t.sched t.regs ~pid:3)) );
+        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3 Byz_script.Garbage)) );
     ( "sticky: naysayer is a consistent liar — unaccused",
       sticky_case ~what:"sticky naysayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bs.spawn_naysayer t.sched t.regs ~pid:3)) );
+        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
+                            Byz_script.Naysayer)) );
     ( "sticky: stale replayer is consistent — unaccused",
       sticky_case ~what:"sticky stale-replayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bs.spawn_stale_replayer t.sched t.regs ~pid:3)) );
+        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
+                            Byz_script.Stale_replayer)) );
     ( "sticky: false witness sticks to its story — unaccused",
       sticky_case ~what:"sticky false-witness" ~byzantine:[ 3 ] ~expect:[]
         (fun t ->
-          ignore (Bs.spawn_false_witness t.sched t.regs ~pid:3 ~v:"fake")) );
+          ignore (Bs.spawn t.sched t.regs ~pid:3
+                    (Byz_script.False_witness "fake"))) );
   ]
 
 let verifiable_tests =
@@ -209,39 +216,46 @@ let verifiable_tests =
     ( "verifiable: equivocating writer caught",
       verifiable_case ~what:"verifiable equivocator" ~byzantine:[ 0 ]
         ~expect:[ 0 ] ~value:"a" (fun t ->
-          ignore (Bv.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b"))
+          ignore (Bv.spawn t.sched t.regs ~pid:0
+                    (Byz_script.Equivocating_writer
+                       { va = "a"; vb = "b"; flip_after = 1 })))
     );
     ( "verifiable: denying writer caught",
       verifiable_case ~what:"verifiable denier" ~byzantine:[ 0 ] ~expect:[ 0 ]
         ~value:"lie" (fun t ->
           ignore
-            (Bv.spawn_denying_writer t.sched t.regs ~v:"lie" ~deny_after:4 ()))
+            (Bv.spawn t.sched t.regs ~pid:0
+               (Byz_script.Denying_writer { v = "lie"; deny_after = 4 })))
     );
     ( "verifiable: flip-flopping colluder caught",
       verifiable_case ~what:"verifiable flipflop" ~byzantine:[ 3 ]
         ~expect:[ 3 ] (fun t ->
-          ignore (Bv.spawn_flipflop t.sched t.regs ~pid:3 ~v:"v")) );
+          ignore (Bv.spawn t.sched t.regs ~pid:3 (Byz_script.Flipflop "v"))) );
     ( "verifiable: garbage writer caught",
       verifiable_case ~what:"verifiable garbage" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bv.spawn_garbage t.sched t.regs ~pid:3)) );
+        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3 Byz_script.Garbage)) );
     ( "verifiable: sign-without-write pinned on the writer",
       verifiable_case ~what:"sign-without-write" ~byzantine:[ 0 ]
         ~expect:[ 0 ] ~value:"ghost" (fun t ->
-          ignore (Bv.spawn_sign_without_write t.sched t.regs ~v:"ghost")) );
+          ignore (Bv.spawn t.sched t.regs ~pid:0
+                    (Byz_script.Sign_without_write "ghost"))) );
     ( "verifiable: naysayer unaccused",
       verifiable_case ~what:"verifiable naysayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bv.spawn_naysayer t.sched t.regs ~pid:3)) );
+        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3
+                            Byz_script.Naysayer)) );
     ( "verifiable: stale replayer unaccused",
       verifiable_case ~what:"verifiable stale-replayer" ~byzantine:[ 3 ]
         ~expect:[] (fun t ->
-          ignore (Bv.spawn_stale_replayer t.sched t.regs ~pid:3)) );
+          ignore (Bv.spawn t.sched t.regs ~pid:3 Byz_script.Stale_replayer)) );
     ( "verifiable: false witness unaccused",
       verifiable_case ~what:"verifiable false-witness" ~byzantine:[ 3 ]
         ~expect:[] (fun t ->
-          ignore (Bv.spawn_false_witness t.sched t.regs ~pid:3 ~v:"evil")) );
+          ignore (Bv.spawn t.sched t.regs ~pid:3
+                    (Byz_script.False_witness "evil"))) );
     ( "verifiable: selective responder unaccused",
       verifiable_case ~what:"verifiable selective" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bv.spawn_selective t.sched t.regs ~pid:3 ~v:"v")) );
+        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3
+                            (Byz_script.Selective "v"))) );
   ]
 
 (* ---- signature property: VERIFY without a SIGN, judged end-of-stream ---- *)

@@ -76,8 +76,10 @@ let test_non_equivocation ~seed () =
   (* Byzantine sender 0 attacks its own instance with the sticky
      equivocation strategy (identity rotation for sender 0). *)
   ignore
-    (Lnd_byz.Byz_sticky.spawn_equivocating_writer s.sched
-       s.bc.B.Neq.instances.(0).(0).B.Neq.regs ~va:"a" ~vb:"b" ~flip_after:2 ());
+    (Lnd_byz.Byz_sticky.spawn s.sched s.bc.B.Neq.instances.(0).(0).B.Neq.regs
+       ~pid:0
+       (Lnd_byz.Byz_script.Equivocating_writer
+          { va = "a"; vb = "b"; flip_after = 2 }));
   let results = Array.make n None in
   for pid = 1 to 3 do
     ignore

@@ -31,8 +31,6 @@ module Policy = Lnd_runtime.Policy
 module Cell = Lnd_runtime.Cell
 module Drive = Lnd_runtime.Drive
 module Space = Lnd_shm.Space
-module Byz_script = Lnd_byz.Byz_script
-module History = Lnd_history.History
 
 let golden_path = "fixtures/diff/golden_sim.txt"
 
@@ -270,24 +268,33 @@ let on_domains ~byz breach =
   else Domains.add_process d ~pid:1 [ job (fun () -> breach) ];
   (Domains.run d, fun r -> Domains.Dcell.read (cell r))
 
-(* The sim verdict on the same processes, the fibers that failed, and
-   the content of pid 3's registers afterwards. *)
+(* The sim verdict on the same processes — an error naming the first
+   correct fiber that failed, as a system's verdict does — the fibers
+   that failed, and the content of pid 3's registers afterwards. *)
 let on_sim ~byz breach =
   let space = Space.create ~n:4 in
   let sched = Sched.create ~space ~choose:(Policy.round_robin ()) in
   let cell = S_core.layout ~n:4 (Cell.shm_allocator space) in
   if byz then
-    ignore (Byz_script.spawn sched ~pid:3 ~name:"byz3" ~cell (byz_prog breach));
+    ignore
+      (Sched.spawn sched ~pid:3 ~name:"byz3" ~daemon:true (fun () ->
+           Drive.run ~cell (byz_prog breach)));
   ignore
     (Sched.spawn sched ~pid:1 ~name:"r1" (fun () ->
          Drive.run ~cell (if byz then await_e3 () else breach)));
   let verdict =
     match Sched.run ~max_steps:10_000 sched with
-    | Sched.Quiescent ->
-        Diff.sim_verdict sched
-          ~correct:(fun pid -> not (byz && pid = 3))
-          (fun ~correct:_ _ -> Ok true)
-          (History.create ())
+    | Sched.Quiescent -> (
+        match
+          List.find_opt
+            (fun ((fb : Sched.fiber), _) -> not (byz && fb.Sched.pid = 3))
+            (Sched.failures sched)
+        with
+        | Some (fb, e) ->
+            Error
+              (Printf.sprintf "correct fiber %s failed: %s" fb.Sched.fname
+                 (Printexc.to_string e))
+        | None -> Ok ())
     | _ -> Error "the sim run did not quiesce"
   in
   let of_p3 name =
@@ -330,6 +337,36 @@ let test_ownership_byzantine () =
         Alcotest.failf "sim: a Byzantine %s went on past the breach" what)
     breaches
 
+(* A strategy that does not apply — to the register, or a writer
+   strategy away from the writer — is rejected when the plan is built,
+   never dropped. *)
+let test_plan_rejects_strategies () =
+  let module B = Lnd_byz.Byz_script in
+  List.iter
+    (fun (what, proto, pid, s) ->
+      match
+        Diff.plan (Diff.generate ~proto 1) ~scripts:[ (pid, s) ]
+          ~byzantine:[ pid ] ~broken:false
+      with
+      | (_ : Diff.any_plan) -> Alcotest.failf "accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("selective on sticky", Diff.Sticky, 3, B.Selective "a");
+      ("sign-without-write on sticky", Diff.Sticky, 0, B.Sign_without_write "a");
+      ( "a denying writer at pid 3",
+        Diff.Verifiable,
+        3,
+        B.Denying_writer { v = "a"; deny_after = 2 } );
+      ( "an equivocating writer at pid 2",
+        Diff.Sticky,
+        2,
+        B.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 } );
+      ( "a verifiable equivocating writer flipping after 2 rounds",
+        Diff.Verifiable,
+        0,
+        B.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 } );
+    ]
+
 let tests =
   [
     Alcotest.test_case "sim histories byte-identical to golden baselines"
@@ -362,4 +399,6 @@ let tests =
       "ownership: a Byzantine foreign write or SWSR read dies, the run stays \
        Ok on both drivers"
       `Quick test_ownership_byzantine;
+    Alcotest.test_case "plan: a strategy that does not apply is rejected"
+      `Quick test_plan_rejects_strategies;
   ]

@@ -15,6 +15,8 @@ module Policy = Lnd_runtime.Policy
 module M = Lnd_fuzz.Mcheck
 module Scenario = Lnd_fuzz.Scenario
 module Synth = Lnd_fuzz.Synth
+module Diff = Lnd_parallel.Diff
+module Byz_script = Lnd_byz.Byz_script
 
 (* ---------------- Exhaustive coverage of the small configs ----------- *)
 
@@ -244,6 +246,107 @@ let test_synth_finds_violating_adversary () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "synthesised scenario: %s" e)
 
+(* ---------------- DPOR under every named strategy -------------------- *)
+
+(* n = 4, f = 1, one reader (pid 1) running one operation — READ on the
+   sticky register, VERIFY("a") on the verifiable one — and one named
+   strategy: at pid 3, or at the writer, pid 0, for the writer
+   strategies. The plan goes straight to Diff.system, with a make that
+   journals the system it builds and hands it back for the explorer to
+   rewind, as Mcheck.make does. Exhausting the bound-0 space with every
+   run accepted by the judge checks Theorems 14 and 19 in every explored
+   schedule against each attack, not only under random fuzzing. *)
+let dpor_under ~proto ~item ~pid strategy =
+  let w =
+    {
+      Diff.seed = 0;
+      proto;
+      n = 4;
+      f = 1;
+      tos_verifiable = false;
+      scripts = [];
+      script_value = "a";
+      writes = 1;
+      programs = [ (1, [ item ]) ];
+    }
+  in
+  let plan =
+    Diff.plan w ~scripts:[ (pid, strategy) ] ~byzantine:[ pid ] ~broken:false
+  in
+  let last = ref None in
+  let make policy =
+    match !last with
+    | Some (s : Diff.system) when Sched.rewindable s.Diff.sched ->
+        Sched.set_choose s.Diff.sched policy;
+        s.Diff.sched
+    | _ ->
+        let s = Diff.system policy plan in
+        Sched.journal s.Diff.sched;
+        last := Some s;
+        s.Diff.sched
+  in
+  let check _ =
+    Option.iter
+      (fun (s : Diff.system) ->
+        match s.Diff.verdict () with
+        | Ok _ -> ()
+        | Error m -> raise (M.Property_violated m))
+      !last
+  in
+  Explore.dpor ~make ~check ~max_steps:600 ~max_preempts:0 ()
+
+(* (strategy, its pid, runs, blocked) per register, every run pinned:
+   the strategies' register accesses fix the explored space. *)
+let sticky_strategies =
+  Byz_script.
+    [
+      (Naysayer, 3, 223, 352);
+      (False_witness "x", 3, 217, 364);
+      (Flipflop "a", 3, 276, 305);
+      (Garbage, 3, 217, 357);
+      (Stale_replayer, 3, 266, 237);
+      (Denying_writer { v = "a"; deny_after = 3 }, 0, 54, 90);
+      (Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 }, 0, 52, 56);
+    ]
+
+let verifiable_strategies =
+  Byz_script.
+    [
+      (Naysayer, 3, 3_019, 2_163);
+      (False_witness "x", 3, 2_029, 1_687);
+      (Flipflop "a", 3, 2_963, 847);
+      (Garbage, 3, 1_012, 963);
+      (Stale_replayer, 3, 1_981, 100);
+      (Selective "a", 3, 215, 44);
+      (Denying_writer { v = "a"; deny_after = 2 }, 0, 1_070, 25);
+      (Equivocating_writer { va = "a"; vb = "b"; flip_after = 1 }, 0, 235, 29);
+      (Sign_without_write "a", 0, 1_114, 25);
+    ]
+
+let test_dpor_named_strategies () =
+  List.iter
+    (fun (proto, item, strategies) ->
+      List.iter
+        (fun (s, pid, runs, blocked) ->
+          let what =
+            Printf.sprintf "%s under %s" (Diff.proto_name proto)
+              (Byz_script.name ~pid s)
+          in
+          match dpor_under ~proto ~item ~pid s with
+          | r ->
+              Alcotest.(check bool) (what ^ ": exhausted") true
+                r.Explore.exhausted;
+              Alcotest.(check (pair int int))
+                (what ^ ": runs, blocked") (runs, blocked)
+                (r.Explore.runs, r.Explore.blocked)
+          | exception Explore.Violation cx ->
+              Alcotest.failf "%s: %a" what Explore.pp_counterexample cx)
+        strategies)
+    [
+      (Diff.Sticky, Diff.I_read, sticky_strategies);
+      (Diff.Verifiable, Diff.I_verify "a", verifiable_strategies);
+    ]
+
 (* ---------------- Access counting ------------------------------------ *)
 
 (* [last_accesses] is the last run's Space read and write counters; the
@@ -310,4 +413,6 @@ let tests =
       `Quick test_synth_finds_violating_adversary;
     Alcotest.test_case "last_accesses reads the Space counters" `Quick
       test_last_accesses_counts;
+    Alcotest.test_case "dpor exhausts n=4 f=1 under every named strategy"
+      `Quick test_dpor_named_strategies;
   ]

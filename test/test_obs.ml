@@ -263,7 +263,8 @@ let test_trace_driven_verifiable () =
     ~finally:(fun () -> Obs.uninstall ())
     (fun () ->
       ignore
-        (Lnd_byz.Byz_verifiable.spawn_flipflop t.sched t.regs ~pid:3 ~v:"v");
+        (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:3
+           (Lnd_byz.Byz_script.Flipflop "v"));
       ignore
         (Sys.client t ~pid:0 ~name:"w" (fun () ->
              Sys.op_write t "v";
@@ -332,8 +333,9 @@ let test_trace_driven_sticky () =
     ~finally:(fun () -> Obs.uninstall ())
     (fun () ->
       ignore
-        (Lnd_byz.Byz_sticky.spawn_equivocating_writer t.sched t.regs ~va:"a"
-           ~vb:"b" ~flip_after:2 ());
+        (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
+           (Lnd_byz.Byz_script.Equivocating_writer
+              { va = "a"; vb = "b"; flip_after = 2 }));
       for pid = 1 to 3 do
         ignore
           (Sys.client t ~pid

@@ -61,10 +61,11 @@ let test_soak () =
     VSys.make ~policy:(Policy.random ~seed:404) ~n ~f ~byzantine:[ 0; 6 ] ()
   in
   ignore
-    (Lnd_byz.Byz_verifiable.spawn_denying_writer t.sched t.regs ~v:"soak"
-       ~deny_after:5 ());
+    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:0
+       (Lnd_byz.Byz_script.Denying_writer { v = "soak"; deny_after = 5 }));
   ignore
-    (Lnd_byz.Byz_verifiable.spawn_flipflop t.sched t.regs ~pid:6 ~v:"soak");
+    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:6
+       (Lnd_byz.Byz_script.Flipflop "soak"));
   for pid = 1 to 5 do
     ignore
       (VSys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->

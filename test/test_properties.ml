@@ -145,8 +145,9 @@ let prop_sticky_random_byz_runs =
         Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] ()
       in
       ignore
-        (Lnd_byz.Byz_sticky.spawn_equivocating_writer t.sched t.regs ~va:"a"
-           ~vb:"b" ~flip_after:((abs seed mod 4) + 1) ());
+        (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
+           (Lnd_byz.Byz_script.Equivocating_writer
+              { va = "a"; vb = "b"; flip_after = ((abs seed mod 4) + 1) }));
       let results = Array.make n None in
       for pid = 1 to n - 1 do
         ignore

@@ -113,8 +113,9 @@ let sticky_over_regular ~seed ~byz_writer () =
   done;
   if byz_writer then
     ignore
-      (Lnd_byz.Byz_sticky.spawn_equivocating_writer sched regs ~va:"a"
-         ~vb:"b" ~flip_after:2 ())
+      (Lnd_byz.Byz_sticky.spawn sched regs ~pid:0
+         (Lnd_byz.Byz_script.Equivocating_writer
+            { va = "a"; vb = "b"; flip_after = 2 }))
   else begin
     let writer = St.writer regs in
     ignore

@@ -54,9 +54,11 @@ let test_rb_multishot () =
 let test_rb_uniqueness_byz ~seed () =
   let sched, rb = mk_rb ~seed ~n:4 ~f:1 ~slots:1 ~byzantine:[ 0 ] () in
   ignore
-    (Lnd_byz.Byz_sticky.spawn_equivocating_writer sched
+    (Lnd_byz.Byz_sticky.spawn sched
        rb.Rb.neq.Lnd_broadcast.Broadcast.Neq.instances.(0).(0)
-         .Lnd_broadcast.Broadcast.Neq.regs ~va:"yes" ~vb:"no" ~flip_after:2 ());
+         .Lnd_broadcast.Broadcast.Neq.regs ~pid:0
+       (Lnd_byz.Byz_script.Equivocating_writer
+          { va = "yes"; vb = "no"; flip_after = 2 }));
   for pid = 1 to 3 do
     ignore
       (Sched.spawn sched ~pid ~name:(Printf.sprintf "d%d" pid) (fun () ->

@@ -62,11 +62,15 @@ let snapshot (s : Diff.system) =
         | Error m -> "verdict " ^ m);
       ])
 
-let system ~park (w : Diff.work) =
+(* A work's system with its journal switched on, as the model checker
+   switches on each system it builds. *)
+let system ?(journal = true) ~park (w : Diff.work) =
   let s =
     Diff.system (Policy.random ~seed:(w.Diff.seed + 5))
-      (Diff.plan w ~byzantine:(Diff.byzantine_pids w) ~broken:false)
+      (Diff.plan w ~scripts:(Diff.genomes w) ~byzantine:(Diff.byzantine_pids w)
+         ~broken:false)
   in
+  if journal then Sched.journal s.Diff.sched;
   Sched.set_park_on_yield s.Diff.sched park;
   s
 
@@ -110,10 +114,18 @@ let test_rewind_to_zero () =
   Sched.rewind a.Diff.sched 0;
   Alcotest.(check string) "step 0" before (snapshot a)
 
-(* What makes a system non-rewindable, for good. *)
+(* What makes a system non-rewindable, for good, starting with a journal
+   nobody switched on. *)
 let test_not_rewindable () =
   let w = Diff.generate ~proto:Diff.Sticky 4 in
   let fresh () = system ~park:false w in
+  let s = system ~journal:false ~park:false w in
+  ignore (Sched.run ~max_steps:10 s.Diff.sched);
+  Alcotest.(check bool) "no journal switched on" false
+    (Sched.rewindable s.Diff.sched);
+  (match Sched.journal s.Diff.sched with
+  | () -> Alcotest.fail "switched a journal on after the first step"
+  | exception Invalid_argument _ -> ());
   let s = fresh () in
   ignore (Sched.run ~max_steps:10 s.Diff.sched);
   Alcotest.(check bool) "machine fibers only: rewindable" true

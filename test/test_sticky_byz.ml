@@ -3,6 +3,7 @@
 
 module Sys = Lnd_sticky.System
 module Byz = Lnd_byz.Byz_sticky
+module Byz_script = Lnd_byz.Byz_script
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
@@ -62,8 +63,8 @@ let check_uniqueness (t : Sys.t) =
 let test_equivocation ~n ~f ~seed () =
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
   ignore
-    (Byz.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b"
-       ~flip_after:3 ());
+    (Byz.spawn t.sched t.regs ~pid:0
+       (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 3 }));
   for pid = 1 to n - 1 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
@@ -81,9 +82,9 @@ let test_equivocation_with_colluders ~seed () =
   let n = 7 and f = 2 in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0; 6 ] () in
   ignore
-    (Byz.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b"
-       ~flip_after:2 ());
-  ignore (Byz.spawn_false_witness t.sched t.regs ~pid:6 ~v:"b");
+    (Byz.spawn t.sched t.regs ~pid:0
+       (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 }));
+  ignore (Byz.spawn t.sched t.regs ~pid:6 (Byz_script.False_witness "b"));
   for pid = 1 to 5 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
@@ -98,7 +99,8 @@ let test_equivocation_with_colluders ~seed () =
    register. Stickiness must survive the denial. *)
 let test_deny ~n ~f ~seed () =
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn_denying_writer t.sched t.regs ~v:"kept" ~deny_after:4 ());
+  ignore (Byz.spawn t.sched t.regs ~pid:0
+            (Byz_script.Denying_writer { v = "kept"; deny_after = 4 }));
   for pid = 1 to n - 1 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
@@ -115,7 +117,8 @@ let test_fabricated_value ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
   List.iter
-    (fun pid -> ignore (Byz.spawn_false_witness t.sched t.regs ~pid ~v:"fake"))
+    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                          (Byz_script.False_witness "fake")))
     byz;
   let results = ref [] in
   for pid = 1 to n - 1 - f do
@@ -136,7 +139,8 @@ let test_fabricated_value ~n ~f ~seed () =
 let test_validity_vs_naysayers ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn_naysayer t.sched t.regs ~pid)) byz;
+  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                                  Byz_script.Naysayer)) byz;
   ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "v"));
   run_ok t;
   for pid = 1 to n - 1 - f do
@@ -154,7 +158,7 @@ let test_validity_vs_naysayers ~n ~f ~seed () =
 let test_flipflop ~seed () =
   let n = 4 and f = 1 in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] () in
-  ignore (Byz.spawn_flipflop t.sched t.regs ~pid:3 ~v:"w");
+  ignore (Byz.spawn t.sched t.regs ~pid:3 (Byz_script.Flipflop "w"));
   ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "w"));
   for pid = 1 to 2 do
     ignore
@@ -170,7 +174,8 @@ let test_flipflop ~seed () =
 let test_garbage ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn_garbage t.sched t.regs ~pid)) byz;
+  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                                  Byz_script.Garbage)) byz;
   ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "g"));
   for pid = 1 to n - 1 - f do
     ignore
@@ -200,7 +205,7 @@ let test_crashed ~n ~f ~seed () =
 let test_stale_replayer ~seed () =
   let n = 4 and f = 1 in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] () in
-  ignore (Byz.spawn_stale_replayer t.sched t.regs ~pid:3);
+  ignore (Byz.spawn t.sched t.regs ~pid:3 Byz_script.Stale_replayer);
   ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "z"));
   for pid = 1 to 2 do
     ignore

@@ -70,12 +70,13 @@ let test_byz_setter impl ~seed () =
   (match t.backend with
   | Tos.B_sticky (regs, _, _) ->
       ignore
-        (Lnd_byz.Byz_sticky.spawn_equivocating_writer t.sched regs ~va:"1"
-           ~vb:"evil" ~flip_after:2 ())
+        (Lnd_byz.Byz_sticky.spawn t.sched regs ~pid:0
+           (Lnd_byz.Byz_script.Equivocating_writer
+              { va = "1"; vb = "evil"; flip_after = 2 }))
   | Tos.B_verifiable (regs, _, _) ->
       ignore
-        (Lnd_byz.Byz_verifiable.spawn_denying_writer t.sched regs ~v:"1"
-           ~deny_after:2 ()));
+        (Lnd_byz.Byz_verifiable.spawn t.sched regs ~pid:0
+           (Lnd_byz.Byz_script.Denying_writer { v = "1"; deny_after = 2 })));
   for pid = 1 to n - 1 do
     ignore
       (Tos.client t ~pid ~name:(Printf.sprintf "test%d" pid) (fun () ->

@@ -90,7 +90,8 @@ let test_verifiable_run_invariants ~seed () =
     Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] ()
   in
   Space.set_trace t.space ~capacity:300_000;
-  ignore (Lnd_byz.Byz_verifiable.spawn_flipflop t.sched t.regs ~pid:3 ~v:"v");
+  ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:3
+            (Lnd_byz.Byz_script.Flipflop "v"));
   ignore
     (Sys.client t ~pid:0 ~name:"w" (fun () ->
          Sys.op_write t "v";
@@ -114,8 +115,9 @@ let test_sticky_run_invariants ~seed () =
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
   Space.set_trace t.space ~capacity:300_000;
   ignore
-    (Lnd_byz.Byz_sticky.spawn_equivocating_writer t.sched t.regs ~va:"a"
-       ~vb:"b" ~flip_after:2 ());
+    (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
+       (Lnd_byz.Byz_script.Equivocating_writer
+          { va = "a"; vb = "b"; flip_after = 2 }));
   for pid = 1 to 3 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->

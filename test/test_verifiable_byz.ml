@@ -4,6 +4,7 @@
 
 module Sys = Lnd_verifiable.System
 module Byz = Lnd_byz.Byz_verifiable
+module Byz_script = Lnd_byz.Byz_script
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
@@ -55,7 +56,8 @@ let test_unforgeability ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
   List.iter
-    (fun pid -> ignore (Byz.spawn_false_witness t.sched t.regs ~pid ~v:"evil"))
+    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                          (Byz_script.False_witness "evil")))
     byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
@@ -80,7 +82,8 @@ let test_unforgeability ~n ~f ~seed () =
 let test_validity_vs_naysayers ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn_naysayer t.sched t.regs ~pid)) byz;
+  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                                  Byz_script.Naysayer)) byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
          Sys.op_write t "v";
@@ -103,7 +106,8 @@ let test_relay_vs_flipflop ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
   List.iter
-    (fun pid -> ignore (Byz.spawn_flipflop t.sched t.regs ~pid ~v:"x"))
+    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                          (Byz_script.Flipflop "x")))
     byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
@@ -124,7 +128,8 @@ let test_relay_vs_flipflop ~n ~f ~seed () =
    survive; every correct operation must terminate. *)
 let test_lie_but_not_deny ~n ~f ~seed ~deny_after () =
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn_denying_writer t.sched t.regs ~v:"lie" ~deny_after ());
+  ignore (Byz.spawn t.sched t.regs ~pid:0
+            (Byz_script.Denying_writer { v = "lie"; deny_after }));
   for pid = 1 to n - 1 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
@@ -142,7 +147,8 @@ let test_lie_but_not_deny ~n ~f ~seed ~deny_after () =
 let test_sign_without_write ~seed () =
   let n = 4 and f = 1 in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn_sign_without_write t.sched t.regs ~v:"ghost");
+  ignore (Byz.spawn t.sched t.regs ~pid:0
+            (Byz_script.Sign_without_write "ghost"));
   for pid = 1 to n - 1 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
@@ -157,7 +163,9 @@ let test_sign_without_write ~seed () =
 let test_equivocating_writer ~seed () =
   let n = 4 and f = 1 in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn_equivocating_writer t.sched t.regs ~va:"a" ~vb:"b");
+  ignore (Byz.spawn t.sched t.regs ~pid:0
+            (Byz_script.Equivocating_writer
+               { va = "a"; vb = "b"; flip_after = 1 }));
   for pid = 1 to n - 1 do
     ignore
       (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
@@ -173,7 +181,8 @@ let test_equivocating_writer ~seed () =
 let test_garbage ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn_garbage t.sched t.regs ~pid)) byz;
+  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                                  Byz_script.Garbage)) byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
          Sys.op_write t "ok";
@@ -194,7 +203,8 @@ let test_stale_replayer ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
   List.iter
-    (fun pid -> ignore (Byz.spawn_stale_replayer t.sched t.regs ~pid))
+    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                          Byz_script.Stale_replayer))
     byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
@@ -216,7 +226,8 @@ let test_selective_starvation ~n ~f ~seed () =
   let byz = List.init f (fun i -> n - 1 - i) in
   let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
   List.iter
-    (fun pid -> ignore (Byz.spawn_selective t.sched t.regs ~pid ~v:"s"))
+    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
+                          (Byz_script.Selective "s")))
     byz;
   ignore
     (Sys.client t ~pid:0 ~name:"writer" (fun () ->
