@@ -64,19 +64,45 @@ let maybe_print_trace space trace =
 
 (* Sizes a scenario cannot be built at are usage errors (exit 124),
    rejected before anything is built: fewer than two processes, a
-   negative f, or more colluders than the readers can host — they run
-   at pids n-f..n-1 and leave the writer, pid 0, to its own role. *)
-let check_sizes ~n ~f ~colluders run =
+   negative f, more colluders than the readers can host — they run at
+   pids n-f..n-1 and leave the writer, pid 0, to its own role — or a
+   Byzantine writer when f = 0, which makes one more faulty process than
+   the quorums tolerate. [strategy] is the adversary's strategy and
+   whether it is the writer, as [verify_strategy] gives it. *)
+let check_sizes ~n ~f strategy run =
   if n < 2 then `Error (true, Printf.sprintf "need N >= 2 processes (-n %d)" n)
   else if f < 0 then `Error (true, Printf.sprintf "need F >= 0 (-f %d)" f)
-  else if colluders && f >= n then
-    `Error
-      ( true,
-        Printf.sprintf
-          "the adversary's F colluders run at pids N-F..N-1, above the \
-           writer: need F < N (-n %d -f %d)"
-          n f )
-  else `Ok (run ())
+  else
+    match strategy with
+    | Some (_, false) when f >= n ->
+        `Error
+          ( true,
+            Printf.sprintf
+              "the adversary's F colluders run at pids N-F..N-1, above the \
+               writer: need F < N (-n %d -f %d)"
+              n f )
+    | Some (_, true) when f = 0 ->
+        `Error
+          ( true,
+            "the adversary is a Byzantine writer, one faulty process: need \
+             F >= 1 (-f 0)" )
+    | _ -> `Ok (run ())
+
+(* Both algorithms need n > 3f (Theorems 14 and 19), whatever the
+   adversary: outside it the run goes ahead, to show what breaks. *)
+let warn_bound ~alg ~n ~f =
+  if n <= 3 * f then
+    pr "warning: n <= 3f — outside Algorithm %d's requirement\n" alg
+
+(* How many scenarios or seeds a sweep runs: a negative count is a usage
+   error (exit 124), not an empty sweep reported as a pass. *)
+let count_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok c when c < 0 -> Error (`Msg (Printf.sprintf "need N >= 0, not %d" c))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let run_to_quiescence sched ~max_steps =
   match Sched.run ~max_steps sched with
@@ -105,11 +131,8 @@ let byzantine_of ~n ~f = function
   | Some (_, false) -> List.init f (fun i -> n - 1 - i)
   | None -> []
 
-let colluders = function Some (_, false) -> true | _ -> false
-
 let verify_cmd_run n f seed max_steps adversary trace =
-  if adversary = "none" && n <= 3 * f then
-    pr "warning: n <= 3f — outside Algorithm 1's requirement\n";
+  warn_bound ~alg:1 ~n ~f;
   let strategy = verify_strategy adversary in
   let byzantine = byzantine_of ~n ~f strategy in
   let sys =
@@ -159,9 +182,8 @@ let verify_cmd =
     Term.(
       ret
         (const (fun n f seed max_steps adversary trace ->
-             check_sizes ~n ~f
-               ~colluders:(colluders (verify_strategy adversary))
-               (fun () -> verify_cmd_run n f seed max_steps adversary trace))
+             check_sizes ~n ~f (verify_strategy adversary) (fun () ->
+                 verify_cmd_run n f seed max_steps adversary trace))
         $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary $ trace_arg))
 
 (* ---------------- sticky ---------------- *)
@@ -180,6 +202,7 @@ let sticky_strategy : string -> (Byz_script.strategy * bool) option =
   | _ -> None
 
 let sticky_cmd_run n f seed max_steps adversary =
+  warn_bound ~alg:2 ~n ~f;
   let strategy = sticky_strategy adversary in
   let byzantine = byzantine_of ~n ~f strategy in
   let sys =
@@ -224,9 +247,8 @@ let sticky_cmd =
     Term.(
       ret
         (const (fun n f seed max_steps adversary ->
-             check_sizes ~n ~f
-               ~colluders:(colluders (sticky_strategy adversary))
-               (fun () -> sticky_cmd_run n f seed max_steps adversary))
+             check_sizes ~n ~f (sticky_strategy adversary) (fun () ->
+                 sticky_cmd_run n f seed max_steps adversary))
         $ n_arg $ f_arg $ seed_arg $ steps_arg $ adversary))
 
 (* ---------------- impossibility ---------------- *)
@@ -283,7 +305,7 @@ let fuzz_cmd =
   in
   let count =
     Arg.(
-      value & opt int 20
+      value & opt count_conv 20
       & info [ "count" ] ~docv:"N" ~doc:"Number of scenarios to run.")
   in
   Cmd.v
@@ -328,7 +350,7 @@ let chaos_cmd =
   in
   let count =
     Arg.(
-      value & opt int 20
+      value & opt count_conv 20
       & info [ "count" ] ~docv:"N" ~doc:"Number of scenarios to run.")
   in
   let seed =
@@ -587,7 +609,7 @@ let audit_cmd_run seed count crash json strict =
 let audit_cmd =
   let count =
     Arg.(
-      value & opt int 1
+      value & opt count_conv 1
       & info [ "count" ] ~docv:"N"
           ~doc:"Audit $(docv) consecutive seeds starting at --seed.")
   in
@@ -1003,7 +1025,7 @@ let diff_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 10
+      value & opt count_conv 10
       & info [ "seeds" ] ~docv:"N" ~doc:"How many seeds to sweep.")
   in
   let from =

@@ -286,6 +286,48 @@ let turn (t : t) ~steps ~pid (Run m as machine) : [ `Yielded | `Done | `Dead ] =
 
 let runnable v (Run m) = (not m.dead) && m.parked <> v
 
+(* ---------------- Waiting ---------------- *)
+
+(* How often a domain polls what it waits for, relaxing the CPU in
+   between, before it blocks on a condition variable. Three waits use
+   it: a domain with nothing runnable (on the write version), an idle
+   worker (on its hand-off slot) and a caller done with its own body (on
+   its run's count of running workers). On a 2-vCPU host a poll takes
+   about 35 ns, so 500 polls about 18 us, while a domain blocked in
+   [Condition.wait] took a median 28 us to run again after a signal,
+   against 1 us for one still polling. Back-to-back dom-sticky-read
+   sessions (about 80 us each) ran at medians of 9,956, 11,104 and
+   10,798 sessions/s with 200, 500 and 1,000 polls (6 runs of 5,000
+   sessions each); at 500, 93% of hand-offs found the worker still
+   polling, and the caller never had to block for its workers. With
+   the other vCPU busy elsewhere, 500 polls ran 10-30% slower than 200:
+   polling takes a core some other domain may need. *)
+let idle_spins = 500
+
+(* True as soon as [ready ()] holds, false if it still does not after
+   [idle_spins] polls. *)
+let spin ready =
+  let rec go i = ready () || (i > 0 && (Domain.cpu_relax (); go (i - 1))) in
+  go idle_spins
+
+(* Returns once [ready ()] holds: spin, then block on [cond]. Whoever
+   makes it hold then calls [wake mu cond]; the waiter re-checks under
+   [mu] before each wait, so the signal cannot fall between its check
+   and its wait. *)
+let spin_then_wait ready mu cond =
+  if not (spin ready) then begin
+    Mutex.lock mu;
+    while not (ready ()) do
+      Condition.wait cond mu
+    done;
+    Mutex.unlock mu
+  end
+
+let wake mu cond =
+  Mutex.lock mu;
+  Condition.signal cond;
+  Mutex.unlock mu
+
 (* ---------------- Worker pool ---------------- *)
 
 (* Spawning and joining 4 domains cost 1.6–1.9 ms on 2 vCPUs, about half
@@ -294,13 +336,14 @@ let runnable v (Run m) = (not m.dead) && m.parked <> v
    lazy, a process that never runs spawns nothing, and it grows to the
    largest number of workers borrowed at once: the caller hosts one body
    of its run, so at most [Domain.recommended_domain_count ()] - 1 per
-   concurrent run. Idle workers
-   block in [Condition.wait], which does not keep the process from
-   exiting. All per-run state stays in [t]. *)
+   concurrent run. A worker done with a body spins on its hand-off slot,
+   where back-to-back runs find it awake, then blocks in
+   [Condition.wait], which does not keep the process from exiting. All
+   per-run state stays in [t] and [run_pooled]. *)
 type worker = {
+  task : (unit -> unit) option Atomic.t;
   wmu : Mutex.t;
   wcond : Condition.t;
-  mutable task : (unit -> unit) option;
 }
 
 (* LIFO, so a run reuses the workers the previous run handed back. *)
@@ -308,13 +351,8 @@ let pool_mu = Mutex.create ()
 let idle : worker list ref = ref []
 
 let rec serve w =
-  Mutex.lock w.wmu;
-  while Option.is_none w.task do
-    Condition.wait w.wcond w.wmu
-  done;
-  let f = Option.get w.task in
-  w.task <- None;
-  Mutex.unlock w.wmu;
+  spin_then_wait (fun () -> Option.is_some (Atomic.get w.task)) w.wmu w.wcond;
+  let f = Option.get (Atomic.exchange w.task None) in
   f ();
   serve w
 
@@ -326,7 +364,11 @@ let borrow () =
   | Some w -> w
   | None ->
       let w =
-        { wmu = Mutex.create (); wcond = Condition.create (); task = None }
+        {
+          task = Atomic.make None;
+          wmu = Mutex.create ();
+          wcond = Condition.create ();
+        }
       in
       ignore (Domain.spawn (fun () -> serve w) : unit Domain.t);
       w
@@ -343,9 +385,13 @@ let hand_back w =
    - a body's exception is caught where it ran, so a worker survives,
      and the first one in list order is re-raised here after every body
      ended;
-   - the latch's mutex orders every worker's writes before the caller's
-     reads, as joining did.
-   A worker goes back on the idle list before it counts the latch down:
+   - each worker counts the run down with an atomic after its body, and
+     the caller returns only once it reads zero, so every worker's writes
+     happen before the caller's reads, as joining did.
+   The caller spins on the count before it blocks, as an idle worker
+   does on its slot: a run's bodies end within microseconds of each
+   other, and back-to-back runs find their workers still spinning.
+   A worker goes back on the idle list before it counts the run down:
    otherwise the next run could find it still busy and spawn a
    replacement, growing the pool every session. A reused worker starts
    each body with a fresh Obs context and ends it pinning no trace
@@ -357,8 +403,8 @@ let run_pooled (bodies : (unit -> unit) list) : unit =
   | [] -> ()
   | first :: rest ->
       let mu = Mutex.create () and cond = Condition.create () in
-      let pending = ref (List.length rest) in
-      let failed = Array.make (1 + !pending) None in
+      let pending = Atomic.make (List.length rest) in
+      let failed = Array.make (1 + Atomic.get pending) None in
       let guard i body =
         try body ()
         with e -> failed.(i) <- Some (e, Printexc.get_raw_backtrace ())
@@ -371,33 +417,19 @@ let run_pooled (bodies : (unit -> unit) list) : unit =
             guard (i + 1) body;
             Trace.release_domain ();
             hand_back w;
-            Mutex.lock mu;
-            decr pending;
-            if !pending = 0 then Condition.signal cond;
-            Mutex.unlock mu
+            if Atomic.fetch_and_add pending (-1) = 1 then wake mu cond
           in
-          Mutex.lock w.wmu;
-          w.task <- Some task;
-          Condition.signal w.wcond;
-          Mutex.unlock w.wmu)
+          Atomic.set w.task (Some task);
+          wake w.wmu w.wcond)
         rest;
       let span = Obs.ambient () and pid = Obs.ambient_pid () in
       guard 0 first;
       Obs.set_ambient ~span ~pid;
-      Mutex.lock mu;
-      while !pending > 0 do
-        Condition.wait cond mu
-      done;
-      Mutex.unlock mu;
+      spin_then_wait (fun () -> Atomic.get pending = 0) mu cond;
       Array.iter
         (function
           | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
         failed
-
-(* Spins on the write version before a domain with nothing runnable
-   blocks. On a 2-vCPU host, 20 and 200 spins gave the same
-   dom-sticky-read throughput and 2,000 about 10% less. *)
-let idle_spins = 200
 
 let run (t : t) : (int, string) result =
   (* Traced runs stamp every event through the same fetch-and-add clock
@@ -446,29 +478,21 @@ let run (t : t) : (int, string) result =
   (* Returns once the write version differs from [v]: spin, then block.
      [parked] lists the domain's machines for a stall report. *)
   let await ~v ~parked =
-    let rec spin i =
-      if Atomic.get t.version <> v then ()
-      else if i > 0 then begin
-        Domain.cpu_relax ();
-        spin (i - 1)
-      end
-      else begin
-        let me = (v, parked ()) in
-        Mutex.lock t.mu;
-        Atomic.incr t.waiters;
-        if Atomic.get t.version = v then begin
-          t.blocked <- me :: t.blocked;
-          check_stall ();
-          while Atomic.get t.version = v do
-            Condition.wait t.cond t.mu
-          done;
-          t.blocked <- List.filter (fun e -> e != me) t.blocked
-        end;
-        Atomic.decr t.waiters;
-        Mutex.unlock t.mu
-      end
-    in
-    spin idle_spins
+    if not (spin (fun () -> Atomic.get t.version <> v)) then begin
+      let me = (v, parked ()) in
+      Mutex.lock t.mu;
+      Atomic.incr t.waiters;
+      if Atomic.get t.version = v then begin
+        t.blocked <- me :: t.blocked;
+        check_stall ();
+        while Atomic.get t.version = v do
+          Condition.wait t.cond t.mu
+        done;
+        t.blocked <- List.filter (fun e -> e != me) t.blocked
+      end;
+      Atomic.decr t.waiters;
+      Mutex.unlock t.mu
+    end
   in
   (* Per-process root span: every operation span of the process nests
      under it, so a merged multi-domain trace keeps one subtree per

@@ -178,70 +178,98 @@ let[@lnd.pure] read_prog ~n ~(q : Quorum.t) ~pid ~ck :
 
 (* ---------------- Help() — lines 23-40 ---------------- *)
 
-(* Runs forever (the program never returns); [prev] — the last counter
-   value served per asker — is threaded functionally. *)
+(* Runs forever (the program never returns). [prev], the last counter
+   value served per asker (indexed by pid), is never mutated: serving
+   askers copies it. A round whose echo and witness are set and that
+   finds no asker reads E_pid, R_pid and C_1..C_{n-1}, then yields; that
+   idle round is built once per [prev] (Machine.cycle), and a read that
+   finds work hands over to lines 25-40 at that point, so the accesses
+   come in the same order as a round built afresh each time. *)
 let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
-  let rec round (prev : int PidMap.t) =
-    let prev_of k = match PidMap.find_opt k prev with Some c -> c | None -> 0 in
-    (* lines 25-27: echo the writer's value, once *)
-    let* () =
-      let* e_pid = read (E pid) in
-      if dec_vopt e_pid <> None then ret ()
-      else
-        let* e1 = read (E 0) in
-        match dec_vopt e1 with
-        | Some _ as u -> write (E pid) (enc_vopt u)
-        | None -> ret ()
-    in
-    (* lines 28-30: become a witness of a value echoed by n-f processes *)
+  let written u = dec_vopt u <> None in
+  (* lines 25-27, given E_pid: echo the writer's value, once *)
+  let echo e_pid =
+    if written e_pid then ret ()
+    else
+      let* e1 = read (E 0) in
+      match dec_vopt e1 with
+      | Some _ as u -> write (E pid) (enc_vopt u)
+      | None -> ret ()
+  in
+  (* lines 28-30, given R_pid: become a witness of a value echoed by
+     n-f processes *)
+  let witness r_pid =
+    if written r_pid then ret ()
+    else
+      let* es = read_all ~n (fun i -> E i) dec_vopt in
+      match value_with_quorum es ~threshold:(Quorum.availability q) with
+      | Some v -> write (R pid) (enc_vopt (Some v))
+      | None -> ret ()
+  in
+  (* lines 31-33 from C_k on: the askers with their counters, in pid
+     order; [acc] holds those found before C_k, newest first *)
+  let rec askers prev k acc =
+    if k >= n then ret (List.rev acc)
+    else
+      let* u = read (C k) in
+      let ck = dec_counter u in
+      askers prev (k + 1) (if ck > prev.(k) then (k, ck) :: acc else acc)
+  in
+  let idle_reads =
+    Array.init (n + 1) (function 0 -> E pid | 1 -> R pid | i -> C (i - 1))
+  in
+  let rec idle prev =
+    cycle idle_reads (fun ~round ~next i u ->
+        match i with
+        | 0 ->
+            if written u then next
+            else
+              finish ~round prev
+                (let* () = echo u in
+                 let* r_pid = read (R pid) in
+                 let* () = witness r_pid in
+                 askers prev 1 [])
+        | 1 ->
+            if written u then next
+            else finish ~round prev (let* () = witness u in askers prev 1 [])
+        | _ ->
+            let k = i - 1 and ck = dec_counter u in
+            if ck <= prev.(k) then next
+            else finish ~round prev (askers prev (k + 1) [ (k, ck) ]))
+  (* The rest of a round that found work: serve the askers, if any, and
+     go on without yielding; else yield back to the idle [round]. *)
+  and finish ~round prev found =
+    let* askers = found in
+    if askers <> [] then serve prev askers
+    else
+      let* () = yield in
+      round
+  and serve prev askers =
+    let* () = note (Serving (List.map fst askers)) in
+    (* lines 34-36: become a witness of a value with f+1 witnesses *)
     let* () =
       let* r_pid = read (R pid) in
-      if dec_vopt r_pid <> None then ret ()
+      if written r_pid then ret ()
       else
-        let* es = read_all ~n (fun i -> E i) dec_vopt in
-        match value_with_quorum es ~threshold:(Quorum.availability q) with
+        let* rs = read_all ~n (fun i -> R i) dec_vopt in
+        match value_with_quorum rs ~threshold:(Quorum.one_correct q) with
         | Some v -> write (R pid) (enc_vopt (Some v))
         | None -> ret ()
     in
-    (* lines 31-32 *)
-    let rec counters k acc =
-      if k >= n then ret (List.rev acc)
-      else
-        let* u = read (C k) in
-        counters (k + 1) ((k, dec_counter u) :: acc)
+    (* line 37 *)
+    let* rj_u = read (R pid) in
+    let rj = dec_vopt rj_u in
+    (* lines 38-40 *)
+    let rec answer = function
+      | [] -> ret ()
+      | (k, ck) :: rest ->
+          let* () = write (Rjk (pid, k)) (enc_stamped rj ck) in
+          answer rest
     in
-    let* cks = counters 1 [] in
-    let askers = List.filter (fun (k, ck) -> ck > prev_of k) cks in
-    if askers <> [] then
-      let* () = note (Serving (List.map fst askers)) in
-      (* lines 34-36: become a witness of a value with f+1 witnesses *)
-      let* () =
-        let* r_pid = read (R pid) in
-        if dec_vopt r_pid <> None then ret ()
-        else
-          let* rs = read_all ~n (fun i -> R i) dec_vopt in
-          match value_with_quorum rs ~threshold:(Quorum.one_correct q) with
-          | Some v -> write (R pid) (enc_vopt (Some v))
-          | None -> ret ()
-      in
-      (* line 37 *)
-      let* rj_u = read (R pid) in
-      let rj = dec_vopt rj_u in
-      (* lines 38-40 *)
-      let rec answer = function
-        | [] -> ret ()
-        | (k, ck) :: rest ->
-            let* () = write (Rjk (pid, k)) (enc_stamped rj ck) in
-            answer rest
-      in
-      let* () = answer askers in
-      let prev =
-        List.fold_left (fun m (k, ck) -> PidMap.add k ck m) prev askers
-      in
-      let* () = note Served in
-      round prev
-    else
-      let* () = yield in
-      round prev
+    let* () = answer askers in
+    let served = Array.copy prev in
+    List.iter (fun (k, ck) -> served.(k) <- ck) askers;
+    let* () = note Served in
+    idle served
   in
-  round PidMap.empty
+  idle (Array.make n 0)

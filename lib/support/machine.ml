@@ -67,6 +67,23 @@ let[@lnd.pure] rec bind (p : ('reg, 'a) prog) (f : 'a -> ('reg, 'b) prog) :
 
 let ( let* ) = bind
 
+(* The nodes are built back to front, once; the last one's Yield
+   resumes the first through [head], set before the cycle is returned
+   and never again, so every node is immutable once anyone can step
+   it. *)
+let[@lnd.pure] cycle regs step =
+  let head = ref None in
+  let round () = Option.get !head in
+  let rec from i =
+    if i = Array.length regs then Yield round
+    else
+      let next = from (i + 1) in
+      Read (regs.(i), fun u -> step ~round:(round ()) ~next i u)
+  in
+  let first = from 0 in
+  head := Some first;
+  first
+
 (* ---------------- The interpreter ---------------- *)
 
 (* The single step every driver takes: one node of the program —

@@ -45,6 +45,21 @@ val note : note -> ('reg, unit) prog
 val bind : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 val ( let* ) : ('reg, 'a) prog -> ('a -> ('reg, 'b) prog) -> ('reg, 'b) prog
 
+val cycle :
+  'reg array ->
+  (round:('reg, 'a) prog -> next:('reg, 'a) prog -> int -> Univ.t ->
+  ('reg, 'a) prog) ->
+  ('reg, 'a) prog
+(** [cycle regs step] is a round of reads, built once, that repeats
+    forever: it reads [regs.(0)], [regs.(1)], ... in order, and after the
+    last one yields and starts again. The node reading [regs.(i)]
+    answers its content [u] with [step ~round ~next i u], where [round]
+    is the round's first node and [next] the node after this read (the
+    next read, or the closing [Yield]). A step that returns [next] keeps
+    the round going without building a node; any other program takes
+    over from there. The nodes never change once built, so a driver may
+    keep, resume or restore any of them. *)
+
 (** {2 The interpreter} *)
 
 val step :

@@ -145,68 +145,72 @@ let[@lnd.pure] verify_prog ~n ~(q : Quorum.t) ~pid ~ck (v : Value.t) :
 
 (* ---------------- Help() — lines 25-36 ---------------- *)
 
-module PidMap = Map.Make (Int)
-
 (* Runs forever (the program never returns); assists all ongoing VERIFY
    operations by maintaining the witness set R_pid and answering askers
-   through R_{pid,k}. [prev] is threaded functionally. *)
+   through R_{pid,k}. [prev], the last counter value served per asker
+   (indexed by pid), is never mutated: serving askers copies it. A round
+   that finds no asker reads C_1..C_{n-1}, then yields; that idle round
+   is built once per [prev] (Machine.cycle), and the first counter that
+   shows an asker hands over to lines 27-36 at that point, so the
+   accesses come in the same order as a round built afresh each time. *)
 let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
-  let rec round (prev : int PidMap.t) =
-    let prev_of k = match PidMap.find_opt k prev with Some c -> c | None -> 0 in
-    (* line 27: read every reader's round counter *)
-    let rec counters k acc =
-      if k >= n then ret (List.rev acc)
-      else
-        let* u = read (C k) in
-        counters (k + 1) ((k, dec_counter u) :: acc)
-    in
-    let* cks = counters 1 [] in
-    (* line 28 *)
-    let askers = List.filter (fun (k, ck) -> ck > prev_of k) cks in
-    if askers <> [] then
-      let* () = note (Serving (List.map fst askers)) in
-      (* line 30: read every witness set *)
-      let* rsets = read_all ~n (fun i -> R i) dec_vset in
-      (* lines 31-32: become a witness of every value v that the writer
-         signed (v ∈ R_0) or that already has f+1 witnesses *)
-      let* mine_u = read (R pid) in
-      let mine = dec_vset mine_u in
-      let candidates =
-        Array.fold_left (fun acc s -> VSet.union acc s) VSet.empty rsets
-      in
-      let adopted =
-        VSet.filter
-          (fun v ->
-            VSet.mem v rsets.(0)
-            || Quorum.has_one_correct q
-                 (Array.fold_left
-                    (fun cnt s -> if VSet.mem v s then cnt + 1 else cnt)
-                    0 rsets))
-          candidates
-      in
-      let updated = VSet.union mine adopted in
-      let* () =
-        if not (VSet.equal updated mine) then write (R pid) (enc_vset updated)
-        else ret ()
-      in
-      (* line 33 *)
-      let* rj_u = read (R pid) in
-      let rj = dec_vset rj_u in
-      (* lines 34-36: answer each asker for its current round *)
-      let rec answer = function
-        | [] -> ret ()
-        | (k, ck) :: rest ->
-            let* () = write (Rjk (pid, k)) (enc_stamped rj ck) in
-            answer rest
-      in
-      let* () = answer askers in
-      let prev =
-        List.fold_left (fun m (k, ck) -> PidMap.add k ck m) prev askers
-      in
-      let* () = note Served in
-      round prev
+  (* line 27 from C_k on, and line 28: the askers with their counters,
+     in pid order; [acc] holds those found before C_k, newest first *)
+  let rec askers prev k acc =
+    if k >= n then ret (List.rev acc)
     else
-      let* () = yield in
-      round prev
+      let* u = read (C k) in
+      let ck = dec_counter u in
+      askers prev (k + 1) (if ck > prev.(k) then (k, ck) :: acc else acc)
   in
-  round PidMap.empty
+  let idle_reads = Array.init (n - 1) (fun i -> C (i + 1)) in
+  let rec idle prev =
+    cycle idle_reads (fun ~round:_ ~next i u ->
+        let k = i + 1 and ck = dec_counter u in
+        if ck <= prev.(k) then next
+        else
+          let* askers = askers prev (k + 1) [ (k, ck) ] in
+          serve prev askers)
+  and serve prev askers =
+    let* () = note (Serving (List.map fst askers)) in
+    (* line 30: read every witness set *)
+    let* rsets = read_all ~n (fun i -> R i) dec_vset in
+    (* lines 31-32: become a witness of every value v that the writer
+       signed (v ∈ R_0) or that already has f+1 witnesses *)
+    let* mine_u = read (R pid) in
+    let mine = dec_vset mine_u in
+    let candidates =
+      Array.fold_left (fun acc s -> VSet.union acc s) VSet.empty rsets
+    in
+    let adopted =
+      VSet.filter
+        (fun v ->
+          VSet.mem v rsets.(0)
+          || Quorum.has_one_correct q
+               (Array.fold_left
+                  (fun cnt s -> if VSet.mem v s then cnt + 1 else cnt)
+                  0 rsets))
+        candidates
+    in
+    let updated = VSet.union mine adopted in
+    let* () =
+      if not (VSet.equal updated mine) then write (R pid) (enc_vset updated)
+      else ret ()
+    in
+    (* line 33 *)
+    let* rj_u = read (R pid) in
+    let rj = dec_vset rj_u in
+    (* lines 34-36: answer each asker for its current round *)
+    let rec answer = function
+      | [] -> ret ()
+      | (k, ck) :: rest ->
+          let* () = write (Rjk (pid, k)) (enc_stamped rj ck) in
+          answer rest
+    in
+    let* () = answer askers in
+    let served = Array.copy prev in
+    List.iter (fun (k, ck) -> served.(k) <- ck) askers;
+    let* () = note Served in
+    idle served
+  in
+  idle (Array.make n 0)

@@ -5,8 +5,9 @@
    wakeups and without spinning through idle re-polls. Processes that
    share a domain must still pass a barrier they all wait at. The
    calling domain hosts the first process in pid order, and the worker
-   pool must reuse workers across runs, survive failed runs, and serve
-   concurrent callers, with at most cores - 1 workers per run. *)
+   pool must reuse workers across runs, whether they still spin or
+   already sleep, survive failed runs, and serve concurrent callers,
+   with at most cores - 1 workers per run. *)
 
 open Lnd_support
 module Domains = Lnd_runtime.Domains
@@ -287,6 +288,55 @@ let test_caller_raise_waits_for_workers () =
       Alcotest.fail "the next run did not reuse the raising run's worker"
   end
 
+(* Both paths of the hand-off. Right after a run, its worker still
+   spins on its slot; after the caller waited 20 ms, about 1,000 times
+   the spin bound, it blocks on its condition variable. On either path
+   a run completes on the worker the last one used, and a body that
+   raises on that worker is re-raised by [run] once the worker has
+   counted the run down and gone back to the pool. On one core every
+   process runs on the caller, and the runs must still complete. *)
+let test_pool_handoff_paths () =
+  let a = int_cell ~owner:0 "A" in
+  let cell (A | B) = a in
+  let ok () =
+    let ids, note = recorder 2 in
+    (match ping_pong ~finish:note 6 with
+    | Ok _, _ -> ()
+    | Error m, _ -> Alcotest.failf "ping-pong run failed: %s" m);
+    ids.(1)
+  in
+  let raising () =
+    let ids, note = recorder 2 in
+    let d = Domains.create () in
+    let job prog =
+      Domains.job ~cell ~finish:(fun ~inv:_ ~ret:_ () -> ()) prog
+    in
+    Domains.add_process d ~pid:0 [ job (fun () -> Machine.ret ()) ];
+    Domains.add_process d ~pid:1
+      [
+        job (fun () ->
+            note 1;
+            failwith "worker boom");
+      ];
+    (match Domains.run d with
+    | exception Failure m when m = "worker boom" -> ()
+    | _ -> Alcotest.fail "pid 1's raising program builder was not re-raised");
+    ids.(1)
+  in
+  let worker = ok () in
+  List.iter
+    (fun (path, pause) ->
+      List.iter
+        (fun (what, run) ->
+          pause ();
+          if run () <> worker then
+            Alcotest.failf "%s, %s: pid 1 ran on another domain" path what)
+        [ ("a run", ok); ("a raising run", raising); ("the run after", ok) ])
+    [
+      ("back to back", ignore);
+      ("after the worker slept", fun () -> Unix.sleepf 0.02);
+    ]
+
 (* The caller hosts a traced run's first group under its own Obs
    context: its open span and ambient pid survive the run, what it emits
    afterwards still lands under its span, and the merged trace of the
@@ -415,6 +465,10 @@ let tests =
       "pool: pid 0 raising on the caller is re-raised after the worker \
        ended, and the worker is reused"
       `Quick test_caller_raise_waits_for_workers;
+    Alcotest.test_case
+      "pool: spinning and sleeping workers both take runs, and re-raise \
+       after the latch"
+      `Quick test_pool_handoff_paths;
     Alcotest.test_case
       "a traced run leaves the caller's ambient span and pid as they were"
       `Quick test_caller_obs_context;

@@ -1,5 +1,5 @@
 (* Unit tests for the support substrate: universal values, PRNG, value
-   domain. *)
+   domain, and Machine.cycle as both Help daemons use it. *)
 
 open Lnd_support
 
@@ -77,6 +77,81 @@ let test_value_set () =
     (Value.equal_opt (Some "x") (Some "x"));
   Alcotest.(check bool) "opt not equal" false (Value.equal_opt (Some "x") None)
 
+(* ---------------- Prebuilt idle Help rounds ---------------- *)
+
+(* Drives [help] with Machine.advance over registers where nobody asks:
+   1,000 idle rounds must each come back to the same first node,
+   allocating at most 4 words per read (a round built afresh allocates
+   about 50). Then [bump] raises one asker's counter: the next round must
+   make exactly the writes [answered] accepts and end in a new idle round,
+   itself stable. *)
+let check_idle_round ~what ~help ~read ~bump ~answered =
+  let reads = ref 0 and writes = ref [] in
+  let read r =
+    incr reads;
+    read r
+  in
+  let write r u = writes := (r, u) :: !writes in
+  let round p =
+    match Machine.advance ~read ~write ~note:ignore p with
+    | Machine.Yield k -> k ()
+    | _ -> Alcotest.failf "%s: Help stopped short of a yield" what
+  in
+  let first = round help in
+  let reads0 = !reads and words0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    if round first != first then
+      Alcotest.failf "%s: idle round %d built a new node" what i
+  done;
+  let words = Gc.minor_words () -. words0 in
+  let per_read = words /. float_of_int (!reads - reads0) in
+  if per_read > 4. then
+    Alcotest.failf "%s: %.1f words allocated per idle read (> 4)" what per_read;
+  if !writes <> [] then Alcotest.failf "%s: an idle round wrote" what;
+  bump ();
+  let next = round first in
+  if not (answered (List.rev !writes)) then
+    Alcotest.failf "%s: the asker was not answered as expected" what;
+  if next == first then
+    Alcotest.failf "%s: the round after serving is the old idle round" what;
+  if round next != next then
+    Alcotest.failf "%s: the new idle round is not stable" what
+
+let n = 4
+let q = Quorum.make ~n ~f:1
+let counters = Array.make n (Univ.inj Codecs.counter 0)
+
+(* p1's daemon answers p2 through R_{1,2}, stamped with p2's counter. *)
+let bump () = counters.(2) <- Univ.inj Codecs.counter 1
+
+let test_sticky_idle_round () =
+  let module S = Lnd_sticky.Sticky_core in
+  Array.fill counters 0 n (Univ.inj Codecs.counter 0);
+  let set = S.enc_vopt (Some "a") and stamped = S.enc_stamped None 0 in
+  check_idle_round ~what:"sticky" ~help:(S.help_prog ~n ~q ~pid:1) ~bump
+    ~read:(function
+      | S.E _ | S.R _ -> set | S.C k -> counters.(k) | S.Rjk _ -> stamped)
+    ~answered:(function
+      | [ (S.Rjk (1, 2), u) ] ->
+          Univ.prj Codecs.vopt_stamped u = Some (Some "a", 1)
+      | _ -> false)
+
+let test_verifiable_idle_round () =
+  let module V = Lnd_verifiable.Verifiable_core in
+  Array.fill counters 0 n (Univ.inj Codecs.counter 0);
+  let a = Value.Set.singleton "a" in
+  let set = V.enc_vset a and stamped = V.enc_stamped Value.Set.empty 0 in
+  check_idle_round ~what:"verifiable" ~help:(V.help_prog ~n ~q ~pid:1) ~bump
+    ~read:(function
+      | V.Rstar -> V.enc_value "a" | V.R _ -> set | V.C k -> counters.(k)
+      | V.Rjk _ -> stamped)
+    ~answered:(function
+      | [ (V.Rjk (1, 2), u) ] -> (
+          match Univ.prj Codecs.vset_stamped u with
+          | Some (s, 1) -> Value.Set.equal s a
+          | _ -> false)
+      | _ -> false)
+
 let tests =
   [
     Alcotest.test_case "univ roundtrip" `Quick test_univ_roundtrip;
@@ -89,4 +164,10 @@ let tests =
     Alcotest.test_case "rng shuffle is a permutation" `Quick
       test_rng_shuffle_permutation;
     Alcotest.test_case "value sets" `Quick test_value_set;
+    Alcotest.test_case
+      "sticky Help: an idle round is built once, until an asker is served"
+      `Quick test_sticky_idle_round;
+    Alcotest.test_case
+      "verifiable Help: an idle round is built once, until an asker is served"
+      `Quick test_verifiable_idle_round;
   ]
