@@ -12,6 +12,8 @@ open Lnd_support
 open Lnd_shm
 open Lnd_runtime
 module Net = Lnd_msgpass.Net
+module Diff = Lnd_parallel.Diff
+module History = Lnd_history.History
 
 let pf = Printf.printf
 
@@ -39,30 +41,60 @@ let run_q ?(max_steps = 50_000_000) sched =
 
 type opcost = { reads : int; writes : int; steps : int; rounds : int }
 
+(* The verifiable register with [byzantine] crashed or scripted, as one
+   session; [scripts] names each scripted pid's strategy. *)
+let verifiable_session ~seed ~n ~f ~byzantine ~scripts =
+  let q = Quorum.make_relaxed ~n ~f in
+  ( q,
+    Diff.session (Policy.random ~seed)
+      (Diff.verifiable_plan q ~byzantine ~scripts) )
+
+let sticky_session ~seed ~n ~f ~byzantine ~scripts =
+  let q = Quorum.make_relaxed ~n ~f in
+  ( q,
+    Diff.session (Policy.random ~seed) (Diff.sticky_plan q ~byzantine ~scripts)
+  )
+
+(* Each of [byz] running [adversary], if there is one. *)
+let scripts_of byz = function
+  | None -> []
+  | Some s -> List.map (fun pid -> (pid, s)) byz
+
+(* Run one more client at [pid] to quiescence: [pid]'s register accesses
+   and the run's steps. *)
+let measure (t : (_, _, _) Diff.session) ~pid ~name jobs =
+  let before = Space.stats_of_pid t.space pid in
+  let before_steps = Sched.steps t.sched in
+  t.client ~pid ~name jobs;
+  run_q t.sched;
+  let after = Space.stats_of_pid t.space pid in
+  {
+    reads = after.Space.reads - before.Space.reads;
+    writes = after.Space.writes - before.Space.writes;
+    steps = Sched.steps t.sched - before_steps;
+    rounds = 0;
+  }
+
+(* The result of [pid]'s last completed operation. *)
+let last_result (t : (_, 'op, 'res) Diff.session) ~pid : 'res =
+  match
+    List.rev
+      (List.filter
+         (fun (e : ('op, 'res) History.entry) -> e.pid = pid)
+         (History.complete_entries (t.history ())))
+  with
+  | { History.ret = Some (r, _); _ } :: _ -> r
+  | _ -> failwith "bench: no completed operation"
+
 let measure_verifiable ~n ~f =
-  let module Sys = Lnd_verifiable.System in
-  let t = Sys.make ~policy:(Policy.random ~seed:42) ~n ~f () in
-  let measure ~pid body =
-    let before = Space.stats_of_pid t.space pid in
-    let before_steps = Sched.steps t.sched in
-    let before_writes = before.Space.writes in
-    ignore (Sys.client t ~pid ~name:"op" body);
-    run_q t.sched;
-    let after = Space.stats_of_pid t.space pid in
-    {
-      reads = after.Space.reads - before.Space.reads;
-      writes = after.Space.writes - before.Space.writes;
-      steps = Sched.steps t.sched - before_steps;
-      rounds = after.Space.writes - before_writes (* refined below *);
-    }
-  in
-  let write_cost = measure ~pid:0 (fun () -> Sys.op_write t "v") in
-  let sign_cost = measure ~pid:0 (fun () -> ignore (Sys.op_sign t "v")) in
-  let read_cost = measure ~pid:1 (fun () -> ignore (Sys.op_read t ~pid:1)) in
+  let q, t = verifiable_session ~seed:42 ~n ~f ~byzantine:[] ~scripts:[] in
+  let write_cost = measure t ~pid:0 ~name:"op" [ Diff.write_verifiable "v" ] in
+  let sign_cost = measure t ~pid:0 ~name:"op" [ Diff.sign "v" ] in
+  let read_cost = measure t ~pid:1 ~name:"op" [ Diff.read_verifiable ] in
   (* verify of a signed value; its writes are exactly its C_k round
      announcements, so writes = rounds *)
   let verify_cost =
-    let c = measure ~pid:2 (fun () -> ignore (Sys.op_verify t ~pid:2 "v")) in
+    let c = measure t ~pid:2 ~name:"op" [ Diff.verify q ~pid:2 "v" ] in
     { c with rounds = c.writes }
   in
   (write_cost, sign_cost, read_cost, verify_cost)
@@ -88,29 +120,20 @@ let table_t1 () =
 (* ------------------------------------------------------------------ *)
 
 let measure_verify_under ~n ~f ~adversary ~value_signed =
-  let module Sys = Lnd_verifiable.System in
   let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed:7) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> adversary t pid) byz;
-  if value_signed then begin
+  let q, t =
+    verifiable_session ~seed:7 ~n ~f ~byzantine:byz
+      ~scripts:(scripts_of byz adversary)
+  in
+  if value_signed then
     ignore
-      (Sys.client t ~pid:0 ~name:"w" (fun () ->
-           Sys.op_write t "v";
-           ignore (Sys.op_sign t "v")));
-    run_q t.sched
-  end;
-  let before = Space.stats_of_pid t.space 1 in
-  let before_steps = Sched.steps t.sched in
-  let result = ref false in
-  ignore
-    (Sys.client t ~pid:1 ~name:"verify" (fun () ->
-         result := Sys.op_verify t ~pid:1 "v"));
-  run_q t.sched;
-  let after = Space.stats_of_pid t.space 1 in
-  ( after.Space.reads - before.Space.reads,
-    after.Space.writes - before.Space.writes,
-    Sched.steps t.sched - before_steps,
-    !result )
+      (measure t ~pid:0 ~name:"w" [ Diff.write_verifiable "v"; Diff.sign "v" ]
+        : opcost);
+  let c = measure t ~pid:1 ~name:"verify" [ Diff.verify q ~pid:1 "v" ] in
+  ( c.reads,
+    c.writes,
+    c.steps,
+    last_result t ~pid:1 = Lnd_history.Spec.Verifiable_spec.Verified true )
 
 let table_t2 () =
   header
@@ -120,25 +143,11 @@ let table_t2 () =
     "rounds" "steps" "verdict";
   let adversaries =
     [
-      ( "none (signed)",
-        (fun (_ : Lnd_verifiable.System.t) (_ : int) -> ()),
-        true );
-      ( "naysayers (signed)",
-        (fun (t : Lnd_verifiable.System.t) pid ->
-          ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
-                    Lnd_byz.Byz_script.Naysayer)),
-        true );
-      ( "flip-floppers (signed)",
-        (fun (t : Lnd_verifiable.System.t) pid ->
-          ignore
-            (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
-               (Lnd_byz.Byz_script.Flipflop "v"))),
-        true );
+      ("none (signed)", None, true);
+      ("naysayers (signed)", Some Lnd_byz.Byz_script.Naysayer, true);
+      ("flip-floppers (signed)", Some (Lnd_byz.Byz_script.Flipflop "v"), true);
       ( "false-witness (unsigned)",
-        (fun (t : Lnd_verifiable.System.t) pid ->
-          ignore
-            (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
-               (Lnd_byz.Byz_script.False_witness "v"))),
+        Some (Lnd_byz.Byz_script.False_witness "v"),
         false );
     ]
   in
@@ -166,41 +175,18 @@ let table_t2b () =
     let rounds =
       List.map
         (fun seed ->
-          let module Sys = Lnd_verifiable.System in
           let n = 7 and f = 2 in
           let byz = List.init f (fun i -> n - 1 - i) in
-          let has_adv = adversary <> `None in
-          let t =
-            Sys.make ~policy:(Policy.random ~seed) ~n ~f
-              ~byzantine:(if has_adv then byz else [])
-              ()
+          let q, t =
+            verifiable_session ~seed ~n ~f
+              ~byzantine:(match adversary with None -> [] | Some _ -> byz)
+              ~scripts:(scripts_of byz adversary)
           in
-          (match adversary with
-          | `None -> ()
-          | `Naysayers ->
-              List.iter
-                (fun pid ->
-                  ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
-                            Lnd_byz.Byz_script.Naysayer))
-                byz
-          | `Flipfloppers ->
-              List.iter
-                (fun pid ->
-                  ignore
-                    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid
-                       (Lnd_byz.Byz_script.Flipflop "v")))
-                byz);
           ignore
-            (Sys.client t ~pid:0 ~name:"w" (fun () ->
-                 Sys.op_write t "v";
-                 ignore (Sys.op_sign t "v")));
-          run_q t.sched;
-          let before = (Space.stats_of_pid t.space 1).Space.writes in
-          ignore
-            (Sys.client t ~pid:1 ~name:"v" (fun () ->
-                 ignore (Sys.op_verify t ~pid:1 "v")));
-          run_q t.sched;
-          (Space.stats_of_pid t.space 1).Space.writes - before)
+            (measure t ~pid:0 ~name:"w"
+               [ Diff.write_verifiable "v"; Diff.sign "v" ]
+              : opcost);
+          (measure t ~pid:1 ~name:"v" [ Diff.verify q ~pid:1 "v" ]).writes)
         (List.init 100 (fun i -> i))
     in
     let mn = List.fold_left min max_int rounds in
@@ -216,9 +202,9 @@ let table_t2b () =
       let mn, mean, mx = measure adv in
       pf "%-22s | %6d %6.1f %6d\n" name mn mean mx)
     [
-      ("none (fault-free)", `None);
-      ("naysayers", `Naysayers);
-      ("flip-floppers", `Flipfloppers);
+      ("none (fault-free)", None);
+      ("naysayers", Some Lnd_byz.Byz_script.Naysayer);
+      ("flip-floppers", Some (Lnd_byz.Byz_script.Flipflop "v"));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -226,30 +212,10 @@ let table_t2b () =
 (* ------------------------------------------------------------------ *)
 
 let measure_sticky ~n ~f =
-  let module Sys = Lnd_sticky.System in
-  let t = Sys.make ~policy:(Policy.random ~seed:42) ~n ~f () in
-  let before = Space.stats_of_pid t.space 0 in
-  let s0 = Sched.steps t.sched in
-  ignore (Sys.client t ~pid:0 ~name:"w" (fun () -> Sys.op_write t "v"));
-  run_q t.sched;
-  let after = Space.stats_of_pid t.space 0 in
-  let wcost =
-    ( after.Space.reads - before.Space.reads,
-      after.Space.writes - before.Space.writes,
-      Sched.steps t.sched - s0 )
-  in
-  let before = Space.stats_of_pid t.space 1 in
-  let s1 = Sched.steps t.sched in
-  ignore
-    (Sys.client t ~pid:1 ~name:"r" (fun () -> ignore (Sys.op_read t ~pid:1)));
-  run_q t.sched;
-  let after = Space.stats_of_pid t.space 1 in
-  let rcost =
-    ( after.Space.reads - before.Space.reads,
-      after.Space.writes - before.Space.writes,
-      Sched.steps t.sched - s1 )
-  in
-  (wcost, rcost)
+  let q, t = sticky_session ~seed:42 ~n ~f ~byzantine:[] ~scripts:[] in
+  let w = measure t ~pid:0 ~name:"w" [ Diff.write_sticky q "v" ] in
+  let r = measure t ~pid:1 ~name:"r" [ Diff.read_sticky q ~pid:1 ] in
+  ((w.reads, w.writes, w.steps), (r.reads, r.writes, r.steps))
 
 let table_t3 () =
   header
@@ -264,23 +230,19 @@ let table_t3 () =
 (* T3b: sticky READ under adversaries *)
 
 let measure_sticky_read_under ~n ~f ~adversary =
-  let module Sys = Lnd_sticky.System in
   let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed:7) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> adversary t pid) byz;
-  ignore (Sys.client t ~pid:0 ~name:"w" (fun () -> Sys.op_write t "v"));
-  run_q t.sched;
-  let before = Space.stats_of_pid t.space 1 in
-  let s0 = Sched.steps t.sched in
-  let result = ref None in
-  ignore
-    (Sys.client t ~pid:1 ~name:"r" (fun () -> result := Sys.op_read t ~pid:1));
-  run_q t.sched;
-  let after = Space.stats_of_pid t.space 1 in
-  ( after.Space.reads - before.Space.reads,
-    after.Space.writes - before.Space.writes,
-    Sched.steps t.sched - s0,
-    !result )
+  let q, t =
+    sticky_session ~seed:7 ~n ~f ~byzantine:byz
+      ~scripts:(scripts_of byz adversary)
+  in
+  ignore (measure t ~pid:0 ~name:"w" [ Diff.write_sticky q "v" ] : opcost);
+  let c = measure t ~pid:1 ~name:"r" [ Diff.read_sticky q ~pid:1 ] in
+  ( c.reads,
+    c.writes,
+    c.steps,
+    match last_result t ~pid:1 with
+    | Lnd_history.Spec.Sticky_spec.Val v -> v
+    | Lnd_history.Spec.Sticky_spec.Done -> None )
 
 let table_t3b () =
   header
@@ -291,15 +253,9 @@ let table_t3b () =
     "rounds" "steps" "result";
   let adversaries =
     [
-      ("none", fun (_ : Lnd_sticky.System.t) (_ : int) -> ());
-      ( "naysayers",
-        fun (t : Lnd_sticky.System.t) pid ->
-          ignore (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid
-                    Lnd_byz.Byz_script.Naysayer) );
-      ( "flip-floppers",
-        fun (t : Lnd_sticky.System.t) pid ->
-          ignore (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid
-                    (Lnd_byz.Byz_script.Flipflop "v")) );
+      ("none", None);
+      ("naysayers", Some Lnd_byz.Byz_script.Naysayer);
+      ("flip-floppers", Some (Lnd_byz.Byz_script.Flipflop "v"));
     ]
   in
   List.iter
@@ -1131,7 +1087,6 @@ let table_t16 () =
        \    rejected run fails the bench. All workloads are n = 4 processes;\n\
        \    this host runs them on %d domains"
        (min 4 (Domain.recommended_domain_count ())));
-  let module Diff = Lnd_parallel.Diff in
   let module Parallel = Lnd_parallel.Parallel in
   (* Fixed 4-process workloads (the seed only names the row: every field
      the backends read is pinned explicitly). *)
@@ -1446,24 +1401,15 @@ let bench_wallclock () =
   let open Bechamel in
   let open Toolkit in
   let scenario_verify n f () =
-    let module Sys = Lnd_verifiable.System in
-    let t = Sys.make ~policy:(Policy.random ~seed:42) ~n ~f () in
-    ignore
-      (Sys.client t ~pid:0 ~name:"w" (fun () ->
-           Sys.op_write t "v";
-           ignore (Sys.op_sign t "v")));
-    ignore
-      (Sys.client t ~pid:1 ~name:"v" (fun () ->
-           ignore (Sys.op_verify t ~pid:1 "v")));
+    let q, t = verifiable_session ~seed:42 ~n ~f ~byzantine:[] ~scripts:[] in
+    t.client ~pid:0 ~name:"w" [ Diff.write_verifiable "v"; Diff.sign "v" ];
+    t.client ~pid:1 ~name:"v" [ Diff.verify q ~pid:1 "v" ];
     run_q t.sched
   in
   let scenario_sticky n f () =
-    let module Sys = Lnd_sticky.System in
-    let t = Sys.make ~policy:(Policy.random ~seed:42) ~n ~f () in
-    ignore (Sys.client t ~pid:0 ~name:"w" (fun () -> Sys.op_write t "v"));
-    ignore
-      (Sys.client t ~pid:1 ~name:"r" (fun () ->
-           ignore (Sys.op_read t ~pid:1)));
+    let q, t = sticky_session ~seed:42 ~n ~f ~byzantine:[] ~scripts:[] in
+    t.client ~pid:0 ~name:"w" [ Diff.write_sticky q "v" ];
+    t.client ~pid:1 ~name:"r" [ Diff.read_sticky q ~pid:1 ];
     run_q t.sched
   in
   let scenario_sigbase n f () =
@@ -1483,14 +1429,13 @@ let bench_wallclock () =
     run_q sched
   in
   let scenario_testorset () =
-    let module Tos = Lnd_testorset.Testorset in
+    let q = Quorum.make_relaxed ~n:4 ~f:1 in
     let t =
-      Tos.make ~policy:(Policy.random ~seed:42) ~impl:Tos.Sticky_based ~n:4
-        ~f:1 ()
+      Diff.session (Policy.random ~seed:42)
+        (Diff.testorset_sticky_plan q ~byzantine:[] ~scripts:[])
     in
-    ignore (Tos.client t ~pid:0 ~name:"s" (fun () -> Tos.op_set t));
-    ignore
-      (Tos.client t ~pid:1 ~name:"t" (fun () -> ignore (Tos.op_test t ~pid:1)));
+    t.client ~pid:0 ~name:"s" [ Diff.set_sticky q ];
+    t.client ~pid:1 ~name:"t" [ Diff.test_sticky q ~pid:1 ];
     run_q t.sched
   in
   let tests =

@@ -112,6 +112,25 @@ let run_to_quiescence sched ~max_steps =
       exit 2
   | Sched.Condition_met -> ()
 
+(* Run a session to quiescence, printing each completed operation as it
+   returned (in response order) with [print], then the run's totals and
+   whether its history is Byzantine linearizable ([byzlin]). *)
+let run_session (s : (_, _, _) Diff.session) ~max_steps ~print ~byzlin =
+  let stop = Sched.run ~max_steps s.sched in
+  let h = s.history () in
+  List.iter print
+    (List.sort
+       (fun a b -> compare (History.response_time a) (History.response_time b))
+       (History.complete_entries h));
+  if stop = Sched.Budget_exhausted then begin
+    pr "!! step budget exhausted\n";
+    exit 2
+  end;
+  pr "steps: %d, register accesses: %s\n" (Sched.steps s.sched)
+    (Format.asprintf "%a" Space.pp_stats (Space.stats s.space));
+  pr "Byzantine linearizable: %b\n"
+    (byzlin ~correct:(fun pid -> s.correct.(pid)) h)
+
 (* ---------------- verify ---------------- *)
 
 let verify_adversaries = [ "none"; "deny"; "flipflop"; "naysay"; "garbage" ]
@@ -131,41 +150,43 @@ let byzantine_of ~n ~f = function
   | Some (_, false) -> List.init f (fun i -> n - 1 - i)
   | None -> []
 
+let scripts_of byzantine = function
+  | Some (s, _) -> List.map (fun pid -> (pid, s)) byzantine
+  | None -> []
+
 let verify_cmd_run n f seed max_steps adversary trace =
   warn_bound ~alg:1 ~n ~f;
   let strategy = verify_strategy adversary in
   let byzantine = byzantine_of ~n ~f strategy in
-  let sys =
-    Verifiable_system.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine ()
+  let q = Quorum.make_relaxed ~n ~f in
+  let s =
+    Diff.session (Policy.random ~seed)
+      (Diff.verifiable_plan q ~byzantine
+         ~scripts:(scripts_of byzantine strategy))
   in
-  maybe_enable_trace sys.space trace;
-  Option.iter
-    (fun (s, _) ->
-      List.iter
-        (fun pid -> ignore (Byz_verifiable.spawn sys.sched sys.regs ~pid s))
-        byzantine)
-    strategy;
+  maybe_enable_trace s.space trace;
   if adversary <> "deny" then
-    ignore
-      (Verifiable_system.client sys ~pid:0 ~name:"writer" (fun () ->
-           Verifiable_system.op_write sys "the-lie";
-           let ok = Verifiable_system.op_sign sys "the-lie" in
-           pr "p0: WRITE+SIGN \"the-lie\" -> %s\n"
-             (if ok then "SUCCESS" else "FAIL")));
+    s.client ~pid:0 ~name:"writer"
+      [ Diff.write_verifiable "the-lie"; Diff.sign "the-lie" ];
   for pid = 1 to n - 1 do
     if not (List.mem pid byzantine) then
-      ignore
-        (Verifiable_system.client sys ~pid
-           ~name:(Printf.sprintf "verifier%d" pid)
-           (fun () ->
-             let r = Verifiable_system.op_verify sys ~pid "the-lie" in
-             pr "p%d: VERIFY(\"the-lie\") -> %b\n" pid r))
+      s.client ~pid
+        ~name:(Printf.sprintf "verifier%d" pid)
+        [ Diff.verify q ~pid "the-lie" ]
   done;
-  run_to_quiescence sys.sched ~max_steps;
-  pr "steps: %d, register accesses: %s\n" (Sched.steps sys.sched)
-    (Format.asprintf "%a" Space.pp_stats (Space.stats sys.space));
-  pr "Byzantine linearizable: %b\n" (Verifiable_system.byz_linearizable sys);
-  maybe_print_trace sys.space trace
+  run_session s ~max_steps
+    ~byzlin:(fun ~correct h -> Byzlin.verifiable ~writer:0 ~correct h)
+    ~print:(fun
+        (e : (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) History.entry)
+      ->
+      match e.ret with
+      | Some (Spec.Verifiable_spec.Signed ok, _) ->
+          pr "p0: WRITE+SIGN \"the-lie\" -> %s\n"
+            (if ok then "SUCCESS" else "FAIL")
+      | Some (Spec.Verifiable_spec.Verified r, _) ->
+          pr "p%d: VERIFY(\"the-lie\") -> %b\n" e.pid r
+      | _ -> ());
+  maybe_print_trace s.space trace
 
 let verify_cmd =
   let adversary =
@@ -205,34 +226,29 @@ let sticky_cmd_run n f seed max_steps adversary =
   warn_bound ~alg:2 ~n ~f;
   let strategy = sticky_strategy adversary in
   let byzantine = byzantine_of ~n ~f strategy in
-  let sys =
-    Sticky_system.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine ()
+  let q = Quorum.make_relaxed ~n ~f in
+  let s =
+    Diff.session (Policy.random ~seed)
+      (Diff.sticky_plan q ~byzantine ~scripts:(scripts_of byzantine strategy))
   in
-  Option.iter
-    (fun (s, _) ->
-      List.iter
-        (fun pid -> ignore (Byz_sticky.spawn sys.sched sys.regs ~pid s))
-        byzantine)
-    strategy;
   if byzantine = [] || adversary = "garbage" then
-    ignore
-      (Sticky_system.client sys ~pid:0 ~name:"writer" (fun () ->
-           Sticky_system.op_write sys "first-value";
-           pr "p0: WRITE \"first-value\" done\n"));
+    s.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "first-value" ];
   for pid = 1 to n - 1 do
     if not (List.mem pid byzantine) then
-      ignore
-        (Sticky_system.client sys ~pid
-           ~name:(Printf.sprintf "reader%d" pid)
-           (fun () ->
-             let r = Sticky_system.op_read sys ~pid in
-             pr "p%d: READ -> %s\n" pid
-               (match r with Some v -> Printf.sprintf "%S" v | None -> "⊥")))
+      s.client ~pid
+        ~name:(Printf.sprintf "reader%d" pid)
+        [ Diff.read_sticky q ~pid ]
   done;
-  run_to_quiescence sys.sched ~max_steps;
-  pr "steps: %d, register accesses: %s\n" (Sched.steps sys.sched)
-    (Format.asprintf "%a" Space.pp_stats (Space.stats sys.space));
-  pr "Byzantine linearizable: %b\n" (Sticky_system.byz_linearizable sys)
+  run_session s ~max_steps
+    ~byzlin:(fun ~correct h -> Byzlin.sticky ~writer:0 ~correct h)
+    ~print:(fun (e : (Spec.Sticky_spec.op, Spec.Sticky_spec.res) History.entry)
+      ->
+      match e.ret with
+      | Some (Spec.Sticky_spec.Done, _) -> pr "p0: WRITE \"first-value\" done\n"
+      | Some (Spec.Sticky_spec.Val r, _) ->
+          pr "p%d: READ -> %s\n" e.pid
+            (match r with Some v -> Printf.sprintf "%S" v | None -> "⊥")
+      | None -> ())
 
 let sticky_cmd =
   let adversary =
@@ -257,8 +273,11 @@ let impossibility_cmd_run f seed =
   pr "Theorem 23 / Figures 1-3 attack (register-reset + deny):\n\n";
   List.iter
     (fun n ->
-      let o = Impossibility.run_attack ~seed ~n ~f () in
-      pr "  %s\n" (Format.asprintf "%a" Impossibility.pp_outcome o))
+      match Impossibility.run_attack ~seed ~n ~f () with
+      | o -> pr "  %s\n" (Format.asprintf "%a" Impossibility.pp_outcome o)
+      | exception Impossibility.Phase_stuck phase ->
+          pr "!! n=%d: %s did not finish within its step budget\n" n phase;
+          exit 2)
     [ 3 * f; (3 * f) + 1 ]
 
 let impossibility_cmd =
@@ -648,47 +667,43 @@ let audit_cmd =
 
 let sweep_cmd_run register =
   let sweep = [ (4, 1); (7, 2); (10, 3); (13, 4) ] in
+  (* Run one client at [pid]; its register accesses. *)
+  let cost (s : (_, _, _) Diff.session) ~pid jobs =
+    let before = Space.stats_of_pid s.space pid in
+    s.client ~pid ~name:(if pid = 0 then "w" else "v") jobs;
+    run_to_quiescence s.sched ~max_steps:8_000_000;
+    let after = Space.stats_of_pid s.space pid in
+    ( after.Space.reads - before.Space.reads,
+      after.Space.writes - before.Space.writes )
+  in
   (match register with
   | "verifiable" ->
       pr "%4s %4s | %10s | %10s\n" "n" "f" "verify rds" "rounds";
       List.iter
         (fun (n, f) ->
-          let sys = Verifiable_system.make ~n ~f () in
+          let q = Quorum.make_relaxed ~n ~f in
+          let s =
+            Diff.session (Policy.random ~seed:42)
+              (Diff.verifiable_plan q ~byzantine:[] ~scripts:[])
+          in
           ignore
-            (Verifiable_system.client sys ~pid:0 ~name:"w" (fun () ->
-                 Verifiable_system.op_write sys "v";
-                 ignore (Verifiable_system.op_sign sys "v")));
-          run_to_quiescence sys.sched ~max_steps:8_000_000;
-          let before = Space.stats_of_pid sys.space 1 in
-          ignore
-            (Verifiable_system.client sys ~pid:1 ~name:"v" (fun () ->
-                 ignore (Verifiable_system.op_verify sys ~pid:1 "v")));
-          run_to_quiescence sys.sched ~max_steps:8_000_000;
-          let after = Space.stats_of_pid sys.space 1 in
-          pr "%4d %4d | %10d | %10d\n" n f
-            (after.Space.reads - before.Space.reads)
-            (after.Space.writes - before.Space.writes))
+            (cost s ~pid:0 [ Diff.write_verifiable "v"; Diff.sign "v" ]
+              : int * int);
+          let reads, rounds = cost s ~pid:1 [ Diff.verify q ~pid:1 "v" ] in
+          pr "%4d %4d | %10d | %10d\n" n f reads rounds)
         sweep
   | _ ->
       pr "%4s %4s | %10s | %10s\n" "n" "f" "write rds" "read rds";
       List.iter
         (fun (n, f) ->
-          let sys = Sticky_system.make ~n ~f () in
-          let b0 = Space.stats_of_pid sys.space 0 in
-          ignore
-            (Sticky_system.client sys ~pid:0 ~name:"w" (fun () ->
-                 Sticky_system.op_write sys "v"));
-          run_to_quiescence sys.sched ~max_steps:8_000_000;
-          let a0 = Space.stats_of_pid sys.space 0 in
-          let b1 = Space.stats_of_pid sys.space 1 in
-          ignore
-            (Sticky_system.client sys ~pid:1 ~name:"r" (fun () ->
-                 ignore (Sticky_system.op_read sys ~pid:1)));
-          run_to_quiescence sys.sched ~max_steps:8_000_000;
-          let a1 = Space.stats_of_pid sys.space 1 in
-          pr "%4d %4d | %10d | %10d\n" n f
-            (a0.Space.reads - b0.Space.reads)
-            (a1.Space.reads - b1.Space.reads))
+          let q = Quorum.make_relaxed ~n ~f in
+          let s =
+            Diff.session (Policy.random ~seed:42)
+              (Diff.sticky_plan q ~byzantine:[] ~scripts:[])
+          in
+          let wr, _ = cost s ~pid:0 [ Diff.write_sticky q "v" ] in
+          let rr, _ = cost s ~pid:1 [ Diff.read_sticky q ~pid:1 ] in
+          pr "%4d %4d | %10d | %10d\n" n f wr rr)
         sweep);
   pr "(full tables: dune exec bench/main.exe)\n"
 
@@ -710,12 +725,7 @@ let model_arg =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("sticky", Mcheck.Sticky);
-             ("verifiable", Mcheck.Verifiable);
-             ("testorset", Mcheck.Testorset);
-           ])
+        (enum (List.map (fun p -> (Diff.proto_name p, p)) Diff.all_protos))
         Mcheck.Sticky
     & info [ "model" ] ~docv:"MODEL"
         ~doc:"Register model: sticky, verifiable or testorset.")

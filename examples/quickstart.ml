@@ -8,6 +8,18 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Lnd
+module V = Spec.Verifiable_spec
+
+(* A run's completed operations, in the order they returned. *)
+let responses h =
+  List.sort
+    (fun a b -> compare (History.response_time a) (History.response_time b))
+    (History.complete_entries h)
+
+let run (s : (_, _, _) Diff.session) =
+  match Sched.run ~max_steps:2_000_000 s.sched with
+  | Sched.Quiescent -> ()
+  | _ -> failwith "simulation did not quiesce"
 
 let () =
   let n = 4 and f = 1 in
@@ -16,43 +28,66 @@ let () =
 
   (* Build a simulated system: register space, fair seeded scheduler, and
      the background Help() fiber of every process (required by Alg. 1). *)
-  let sys = Verifiable_system.make ~policy:(Policy.random ~seed:1) ~n ~f () in
+  let q = Quorum.make_relaxed ~n ~f in
+  let s =
+    Diff.session (Policy.random ~seed:1)
+      (Diff.verifiable_plan q ~byzantine:[] ~scripts:[])
+  in
 
   (* The writer (process 0) writes two values and signs one of them. *)
-  ignore
-    (Verifiable_system.client sys ~pid:0 ~name:"writer" (fun () ->
-         Verifiable_system.op_write sys "launch-codes:4242";
-         let ok = Verifiable_system.op_sign sys "launch-codes:4242" in
-         Printf.printf "p0: WRITE + SIGN %S -> %s\n" "launch-codes:4242"
-           (if ok then "SUCCESS" else "FAIL");
-         Verifiable_system.op_write sys "unsigned-draft";
-         Printf.printf "p0: WRITE %S (never signed)\n" "unsigned-draft"));
-  (match Verifiable_system.run ~max_steps:2_000_000 sys with
-  | Sched.Quiescent -> ()
-  | _ -> failwith "simulation did not quiesce");
+  s.client ~pid:0 ~name:"writer"
+    [
+      Diff.write_verifiable "launch-codes:4242";
+      Diff.sign "launch-codes:4242";
+      Diff.write_verifiable "unsigned-draft";
+    ];
+  run s;
+  List.iter
+    (fun (e : (V.op, V.res) History.entry) ->
+      match (e.op, e.ret) with
+      | V.Sign v, Some (V.Signed ok, _) ->
+          Printf.printf "p0: WRITE + SIGN %S -> %s\n" v
+            (if ok then "SUCCESS" else "FAIL")
+      | V.Write ("unsigned-draft" as v), _ ->
+          Printf.printf "p0: WRITE %S (never signed)\n" v
+      | _ -> ())
+    (responses (s.history ()));
 
   (* Readers read the register and verify both values. *)
   for pid = 1 to n - 1 do
-    ignore
-      (Verifiable_system.client sys ~pid
-         ~name:(Printf.sprintf "reader%d" pid)
-         (fun () ->
-           let v = Verifiable_system.op_read sys ~pid in
-           let signed = Verifiable_system.op_verify sys ~pid "launch-codes:4242" in
-           let draft = Verifiable_system.op_verify sys ~pid "unsigned-draft" in
-           Printf.printf
-             "p%d: READ -> %S; VERIFY(launch-codes) -> %b; \
-              VERIFY(unsigned-draft) -> %b\n"
-             pid v signed draft))
+    s.client ~pid
+      ~name:(Printf.sprintf "reader%d" pid)
+      [
+        Diff.read_verifiable;
+        Diff.verify q ~pid "launch-codes:4242";
+        Diff.verify q ~pid "unsigned-draft";
+      ]
   done;
 
-  (* Run the simulation to quiescence. *)
-  (match Verifiable_system.run ~max_steps:2_000_000 sys with
-  | Sched.Quiescent -> ()
-  | _ -> failwith "simulation did not quiesce");
+  (* Run the simulation to quiescence; each reader reports once its last
+     VERIFY returned. *)
+  run s;
+  let h = s.history () in
+  let results pid =
+    List.filter_map
+      (fun (e : (V.op, V.res) History.entry) ->
+        if e.pid = pid then Option.map fst e.ret else None)
+      (History.entries h)
+  in
+  List.iter
+    (fun (e : (V.op, V.res) History.entry) ->
+      match (e.op, results e.pid) with
+      | ( V.Verify "unsigned-draft",
+          [ V.Val v; V.Verified signed; V.Verified draft ] ) ->
+          Printf.printf
+            "p%d: READ -> %S; VERIFY(launch-codes) -> %b; \
+             VERIFY(unsigned-draft) -> %b\n"
+            e.pid v signed draft
+      | _ -> ())
+    (responses h);
 
   (* The recorded history is Byzantine linearizable (Theorem 14). *)
   Printf.printf "\nhistory Byzantine-linearizable: %b\n"
-    (Verifiable_system.byz_linearizable sys);
+    (Byzlin.verifiable ~writer:0 ~correct:(fun pid -> s.correct.(pid)) h);
   Printf.printf "total register accesses: %s\n"
-    (Format.asprintf "%a" Space.pp_stats (Space.stats sys.space))
+    (Format.asprintf "%a" Space.pp_stats (Space.stats s.space))

@@ -9,51 +9,55 @@
    Run with: dune exec examples/relay_demo.exe *)
 
 open Lnd
+module V = Spec.Verifiable_spec
 
 let () =
   let n = 4 and f = 1 in
   Printf.printf "== relay demo: Byzantine writer lies, then tries to deny ==\n";
-  let sys =
-    Verifiable_system.make ~policy:(Policy.random ~seed:11) ~n ~f
-      ~byzantine:[ 0 ] ()
-  in
   (* The adversary: writes + "signs" v, answers two inquiries, then resets
      R*, its witness register and all its mailboxes, and denies. *)
-  ignore
-    (Byz_verifiable.spawn sys.sched sys.regs ~pid:0
-       (Byz_script.Denying_writer { v = "the-lie"; deny_after = 2 }));
+  let q = Quorum.make_relaxed ~n ~f in
+  let s =
+    Diff.session (Policy.random ~seed:11)
+      (Diff.verifiable_plan q ~byzantine:[ 0 ]
+         ~scripts:
+           [ (0, Byz_script.Denying_writer { v = "the-lie"; deny_after = 2 }) ])
+  in
+  (* Run one VERIFY(the-lie) at [pid] to quiescence; its result. *)
+  let verify ~pid ~name phase =
+    s.client ~pid ~name [ Diff.verify q ~pid "the-lie" ];
+    (match Sched.run ~max_steps:4_000_000 s.sched with
+    | Sched.Quiescent -> ()
+    | _ -> failwith (phase ^ " did not quiesce"));
+    List.exists
+      (fun (e : (V.op, V.res) History.entry) ->
+        match e.ret with
+        | Some (V.Verified ok, _) -> e.pid = pid && ok
+        | _ -> false)
+      (History.entries (s.history ()))
+  in
 
   (* Reader p1 verifies first. *)
-  let first = ref false in
-  ignore
-    (Verifiable_system.client sys ~pid:1 ~name:"early-verifier" (fun () ->
-         first := Verifiable_system.op_verify sys ~pid:1 "the-lie";
-         Printf.printf "p1 (early): VERIFY(the-lie) -> %b\n" !first));
-  (match Verifiable_system.run ~max_steps:4_000_000 sys with
-  | Sched.Quiescent -> ()
-  | _ -> failwith "phase 1 did not quiesce");
+  let first = verify ~pid:1 ~name:"early-verifier" "phase 1" in
+  Printf.printf "p1 (early): VERIFY(the-lie) -> %b\n" first;
 
   (* By now the writer has denied. Later readers must still verify true if
      p1 did (the relay property, Observation 13). *)
   Printf.printf "-- writer has now erased its registers and denies --\n";
   for pid = 2 to n - 1 do
-    let later = ref false in
-    ignore
-      (Verifiable_system.client sys ~pid
-         ~name:(Printf.sprintf "late-verifier%d" pid)
-         (fun () ->
-           later := Verifiable_system.op_verify sys ~pid "the-lie";
-           Printf.printf "p%d (late):  VERIFY(the-lie) -> %b\n" pid !later));
-    (match Verifiable_system.run ~max_steps:4_000_000 sys with
-    | Sched.Quiescent -> ()
-    | _ -> failwith "phase 2 did not quiesce");
-    if !first && not !later then
+    let later =
+      verify ~pid ~name:(Printf.sprintf "late-verifier%d" pid) "phase 2"
+    in
+    Printf.printf "p%d (late):  VERIFY(the-lie) -> %b\n" pid later;
+    if first && not later then
       failwith "BUG: relay violated — the denial succeeded!"
   done;
 
   Printf.printf "\nhistory Byzantine-linearizable: %b\n"
-    (Verifiable_system.byz_linearizable sys);
-  if !first then
+    (Byzlin.verifiable ~writer:0
+       ~correct:(fun pid -> s.correct.(pid))
+       (s.history ()));
+  if first then
     Printf.printf
       "The writer lied — but could not deny: %d witnesses keep the \
        signature alive.\n"

@@ -10,6 +10,7 @@ module Value = Lnd_support.Value
 module Univ = Lnd_support.Univ
 module Codecs = Lnd_support.Codecs
 module Rng = Lnd_support.Rng
+module Quorum = Lnd_support.Quorum
 module Register = Lnd_shm.Register
 module Space = Lnd_shm.Space
 module Sched = Lnd_runtime.Sched
@@ -24,10 +25,7 @@ module Byzlin = Lnd_history.Byzlin
 
 (* The paper's contributions *)
 module Verifiable = Lnd_verifiable.Verifiable
-module Verifiable_system = Lnd_verifiable.System
 module Sticky = Lnd_sticky.Sticky
-module Sticky_system = Lnd_sticky.System
-module Testorset = Lnd_testorset.Testorset
 module Impossibility = Lnd_testorset.Impossibility
 
 (* Adversaries *)

@@ -14,6 +14,7 @@ module Value = Lnd_support.Value
 module Univ = Lnd_support.Univ
 module Codecs = Lnd_support.Codecs
 module Rng = Lnd_support.Rng
+module Quorum = Lnd_support.Quorum
 module Register = Lnd_shm.Register
 module Space = Lnd_shm.Space
 module Sched = Lnd_runtime.Sched
@@ -33,15 +34,8 @@ module Monitors = Lnd_history.Monitors
 module Verifiable = Lnd_verifiable.Verifiable
 (** Algorithm 1. *)
 
-module Verifiable_system = Lnd_verifiable.System
-
 module Sticky = Lnd_sticky.Sticky
 (** Algorithm 2. *)
-
-module Sticky_system = Lnd_sticky.System
-
-module Testorset = Lnd_testorset.Testorset
-(** Observation 25. *)
 
 module Impossibility = Lnd_testorset.Impossibility
 (** Theorem 23 / Figures 1-3, executable. *)
@@ -94,5 +88,10 @@ module Synth = Lnd_fuzz.Synth
 (** {1 Parallel backend & differential conformance} *)
 
 module Diff = Lnd_parallel.Diff
+(** The workload plan, and the one way to run a register on the
+    simulator: {!Diff.session} over a per-protocol plan (sticky,
+    verifiable, or Observation 25's test-or-set over either), with
+    clients of plan jobs. *)
+
 module Parallel = Lnd_parallel.Parallel
 module Domains = Lnd_runtime.Domains

@@ -41,18 +41,7 @@ module Trace = Lnd_obs.Trace
 module Audit = Lnd_audit.Audit
 module Diff = Lnd_parallel.Diff
 
-type model = Verifiable | Sticky | Testorset
-
-let model_name = function
-  | Verifiable -> "verifiable"
-  | Sticky -> "sticky"
-  | Testorset -> "testorset"
-
-let model_of_name = function
-  | "verifiable" -> Some Verifiable
-  | "sticky" -> Some Sticky
-  | "testorset" -> Some Testorset
-  | _ -> None
+type model = Diff.proto = Sticky | Verifiable | Testorset
 
 type config = {
   model : model;
@@ -73,7 +62,7 @@ let violated fmt = Printf.ksprintf (fun m -> raise (Property_violated m)) fmt
 
 let note (c : config) : string =
   Printf.sprintf "%s n=%d f=%d byz=[%s]%s readers=[%s] reads=%d writes=%d"
-    (model_name c.model) c.n c.f
+    (Diff.proto_name c.model) c.n c.f
     (String.concat "," (List.map string_of_int c.byzantine))
     (match c.scripts with
     | [] -> ""
@@ -140,17 +129,15 @@ let validate (c : config) : (unit, string) result =
    verifiable, TESTs on test-or-set, which is built from a sticky
    register and whose scripts always claim the set bit. *)
 let work_of (c : config) : Diff.work =
-  let proto, item =
+  let item =
     match c.model with
-    | Sticky -> (Diff.Sticky, fun _ -> Diff.I_read)
-    | Verifiable ->
-        ( Diff.Verifiable,
-          fun i -> if i mod 2 = 0 then Diff.I_verify "a" else Diff.I_read )
-    | Testorset -> (Diff.Testorset, fun _ -> Diff.I_test)
+    | Sticky -> fun _ -> Diff.I_read
+    | Verifiable -> fun i -> if i mod 2 = 0 then Diff.I_verify "a" else Diff.I_read
+    | Testorset -> fun _ -> Diff.I_test
   in
   {
     Diff.seed = 0;
-    proto;
+    proto = c.model;
     n = c.n;
     f = c.f;
     tos_verifiable = false;

@@ -28,10 +28,9 @@ module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module Explore = Lnd_runtime.Explore
 
-type model = Verifiable | Sticky | Testorset
-
-val model_name : model -> string
-val model_of_name : string -> model option
+type model = Lnd_parallel.Diff.proto = Sticky | Verifiable | Testorset
+(** The protocol explored; {!Lnd_parallel.Diff.proto_name} and
+    [proto_of_name] name it. *)
 
 type config = {
   model : model;

@@ -30,6 +30,7 @@
    an error (a format extension must bump the version line). *)
 
 module Explore = Lnd_runtime.Explore
+module Diff = Lnd_parallel.Diff
 
 type expect = Violation | Pass
 
@@ -62,7 +63,7 @@ let to_string (s : t) : string =
   line "%s" magic;
   line "name: %s" (oneline s.sc_name);
   if s.sc_note <> "" then line "note: %s" (oneline s.sc_note);
-  line "model: %s" (Mcheck.model_name c.Mcheck.model);
+  line "model: %s" (Diff.proto_name c.Mcheck.model);
   line "n: %d" c.Mcheck.n;
   line "f: %d" c.Mcheck.f;
   line "byzantine: %s" (ints_to c.Mcheck.byzantine);
@@ -151,7 +152,7 @@ let of_string (text : string) : (t, string) result =
             note := v;
             Ok ()
         | "model" -> (
-            match Mcheck.model_of_name v with
+            match Diff.proto_of_name v with
             | Some m ->
                 cfg := { !cfg with Mcheck.model = m };
                 Ok ()

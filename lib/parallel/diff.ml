@@ -12,7 +12,10 @@
    below, Parallel.run and the model checker (Lnd_fuzz.Mcheck) build
    their systems from a plan with the work's genomes; the scenario
    fuzzer (Lnd_fuzz.Fuzz) builds plans with named strategies and runs
-   them on the sim driver.
+   them on the sim driver. A per-protocol plan without clients, run as a
+   session with clients of jobs spawned before or between runs, is how
+   the tests, the CLI, the bench tables and the examples run a register
+   on the simulator.
 
    The suite asserts three things:
    - the sim run is accepted and its history renders byte-identically to
@@ -35,8 +38,12 @@ module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module Drive = Lnd_runtime.Drive
 module Space = Lnd_shm.Space
+module Register = Lnd_shm.Register
 module History = Lnd_history.History
 module Spec = Lnd_history.Spec
+module Sspec = Spec.Sticky_spec
+module Vspec = Spec.Verifiable_spec
+module Tspec = Spec.Testorset_spec
 module Monitors = Lnd_history.Monitors
 module Byzlin = Lnd_history.Byzlin
 module Trace_replay = Lnd_history.Trace_replay
@@ -334,33 +341,188 @@ type any_plan = Plan : ('reg, 'op, 'res) plan -> any_plan
 let broken_value : Value.t = "zzz"
 
 let job op span prog result text = Job { op; span; prog; result; text }
+let round (c : carry) ck' res = ({ c with ck = ck' }, res)
+
+(* The jobs. [broken] swaps in a core whose final decision step is
+   corrupted (pure and termination-preserving): a reader claiming a
+   never-written value, a verifier that always accepts, a tester
+   returning the impossible bit 2. Only [plan] builds broken jobs. *)
+
+let write_sticky q v =
+  let n = Quorum.n q in
+  job (Sspec.Write v) ("WRITE", Some v)
+    (fun _ -> S_core.write_prog ~n ~q v)
+    (fun c () -> (c, Sspec.Done))
+    (fun _ -> "done")
+
+let read_sticky_job ~broken q ~pid =
+  let n = Quorum.n q in
+  job Sspec.Read ("READ", None)
+    (fun c ->
+      let prog = S_core.read_prog ~n ~q ~pid ~ck:c.ck in
+      if broken then
+        let* _, ck' = prog in
+        ret (Some broken_value, ck')
+      else prog)
+    (fun c (res, ck') -> round c ck' (Sspec.Val res))
+    (function None, _ -> "⊥" | Some v, _ -> "v:" ^ v)
+
+let read_sticky q ~pid = read_sticky_job ~broken:false q ~pid
+
+let write_verifiable v =
+  job (Vspec.Write v) ("WRITE", Some v)
+    (fun _ -> V_core.write_prog v)
+    (fun c () -> ({ c with written = Value.Set.add v c.written }, Vspec.Done))
+    (fun _ -> "done")
+
+let sign v =
+  job (Vspec.Sign v) ("SIGN", Some v)
+    (fun c -> V_core.sign_prog ~written:c.written v)
+    (fun c ok -> (c, Vspec.Signed ok))
+    string_of_bool
+
+let read_verifiable_job ~broken =
+  job Vspec.Read ("READ", None)
+    (fun _ ->
+      if broken then
+        let* _ = V_core.read_prog in
+        ret broken_value
+      else V_core.read_prog)
+    (fun c v -> (c, Vspec.Val v))
+    (fun v -> "v:" ^ v)
+
+let read_verifiable = read_verifiable_job ~broken:false
+
+let verify_job ~broken q ~pid v =
+  let n = Quorum.n q in
+  job (Vspec.Verify v) ("VERIFY", Some v)
+    (fun c ->
+      let prog = V_core.verify_prog ~n ~q ~pid ~ck:c.ck v in
+      if broken then
+        let* _, ck' = prog in
+        ret (true, ck')
+      else prog)
+    (fun c (ok, ck') -> round c ck' (Vspec.Verified ok))
+    (fun (ok, _) -> string_of_bool ok)
+
+let verify q ~pid v = verify_job ~broken:false q ~pid v
+
+let set_sticky q =
+  let n = Quorum.n q in
+  job Tspec.Set ("SET", None)
+    (fun _ -> T_core.set_sticky_prog ~n ~q)
+    (fun c () -> (c, Tspec.Done))
+    (fun _ -> "done")
+
+let set_verifiable =
+  job Tspec.Set ("SET", None)
+    (fun c -> T_core.set_verifiable_prog ~written:c.written)
+    (fun c (signed, written') ->
+      if not signed then failwith "SET: sign failed for correct setter";
+      ({ c with written = written' }, Tspec.Done))
+    (fun _ -> "done")
+
+(* TEST over either register; bit 2 is outside the spec's alphabet, so
+   no linearization can ever produce it. *)
+let test_job ~broken test_prog q ~pid =
+  let n = Quorum.n q in
+  job Tspec.Test ("TEST", None)
+    (fun c ->
+      let prog = test_prog ~n ~q ~pid ~ck:c.ck in
+      if broken then
+        let* _, ck' = prog in
+        ret (2, ck')
+      else prog)
+    (fun c (bit, ck') -> round c ck' (Tspec.Bit bit))
+    (fun (bit, _) -> string_of_int bit)
+
+let test_sticky q ~pid = test_job ~broken:false T_core.test_sticky_prog q ~pid
+
+let test_verifiable q ~pid =
+  test_job ~broken:false T_core.test_verifiable_prog q ~pid
 
 (* The sim's fiber names, formatted once: a reader's is its prefix and
    pid. *)
 let reader_name = Machine.names (Printf.sprintf "r%d")
 let tester_name = Machine.names (Printf.sprintf "t%d")
 
-(* [broken] swaps in cores whose final decision step is corrupted (pure
-   and termination-preserving): a reader claiming a never-written value,
-   a verifier that always accepts, a tester returning the impossible
-   bit 2. A reader's round counter and the writer's written-set travel
-   from job to job in the client's carry. *)
-let plan (w : work) ~(scripts : (int * Byz_script.strategy) list)
-    ~(byzantine : int list) ~(broken : bool) : any_plan =
-  let n = w.n in
-  let q = Quorum.make_relaxed ~n ~f:w.f in
+let correct_of ~n byzantine =
   let correct = Array.make n true in
   List.iter (fun pid -> correct.(pid) <- false) byzantine;
-  let helps help_prog =
-    List.filter_map
-      (fun pid -> if correct.(pid) then Some (pid, help_prog ~pid) else None)
-      (List.init n Fun.id)
-  in
-  let scripts prog =
-    List.map (fun (pid, s) -> (pid, s, prog ~n ~pid s)) scripts
-  in
-  (* The writer (if correct), then each correct reader in [programs]
-     order. *)
+  correct
+
+(* The register's half of a plan: its layout, a Help program per correct
+   pid and each scripted pid's responder. *)
+let helps correct help_prog =
+  List.filter_map
+    (fun pid -> if correct.(pid) then Some (pid, help_prog ~pid) else None)
+    (List.init (Array.length correct) Fun.id)
+
+let on_sticky q ~correct ~scripts ~names ~judge ~render clients =
+  let n = Quorum.n q in
+  {
+    layout = (fun alloc -> S_core.layout ~n alloc);
+    correct;
+    helps = helps correct (S_core.help_prog ~n ~q);
+    scripts =
+      List.map
+        (fun (pid, s) -> (pid, s, Lnd_byz.Byz_sticky.prog ~n ~pid s))
+        scripts;
+    clients;
+    fiber_names = names;
+    judge;
+    render;
+  }
+
+let on_verifiable q ~correct ~scripts ~names ~judge ~render clients =
+  let n = Quorum.n q in
+  {
+    layout = (fun alloc -> V_core.layout ~n alloc);
+    correct;
+    helps = helps correct (V_core.help_prog ~n ~q);
+    scripts =
+      List.map
+        (fun (pid, s) -> (pid, s, Lnd_byz.Byz_verifiable.prog ~n ~pid s))
+        scripts;
+    clients;
+    fiber_names = names;
+    judge;
+    render;
+  }
+
+let rw_names = ("writer", reader_name)
+let st_names = ("setter", tester_name)
+
+let sticky_plan q ~byzantine ~scripts =
+  on_sticky q
+    ~correct:(correct_of ~n:(Quorum.n q) byzantine)
+    ~scripts ~names:rw_names ~judge:check_sticky_history
+    ~render:render_sticky []
+
+let verifiable_plan q ~byzantine ~scripts =
+  on_verifiable q
+    ~correct:(correct_of ~n:(Quorum.n q) byzantine)
+    ~scripts ~names:rw_names ~judge:check_verifiable_history
+    ~render:render_verifiable []
+
+let testorset_sticky_plan q ~byzantine ~scripts =
+  on_sticky q
+    ~correct:(correct_of ~n:(Quorum.n q) byzantine)
+    ~scripts ~names:st_names ~judge:check_testorset_history
+    ~render:render_testorset []
+
+let testorset_verifiable_plan q ~byzantine ~scripts =
+  on_verifiable q
+    ~correct:(correct_of ~n:(Quorum.n q) byzantine)
+    ~scripts ~names:st_names ~judge:check_testorset_history
+    ~render:render_testorset []
+
+(* The work's clients on the protocol's plan: the writer (if correct),
+   then each correct reader in [programs] order. *)
+let plan (w : work) ~(scripts : (int * Byz_script.strategy) list)
+    ~(byzantine : int list) ~(broken : bool) : any_plan =
+  let q = Quorum.make_relaxed ~n:w.n ~f:w.f in
+  let correct = correct_of ~n:w.n byzantine in
   let clients writes read =
     (if correct.(0) then [ (0, List.concat (List.init w.writes writes)) ]
      else [])
@@ -370,145 +532,48 @@ let plan (w : work) ~(scripts : (int * Byz_script.strategy) list)
           else None)
         w.programs
   in
-  (* The register's half of a plan: its layout, Help and responders. *)
-  let on_sticky ~names ~judge ~render clients =
-    Plan
-      {
-        layout = (fun alloc -> S_core.layout ~n alloc);
-        correct;
-        helps = helps (S_core.help_prog ~n ~q);
-        scripts = scripts Lnd_byz.Byz_sticky.prog;
-        clients;
-        fiber_names = names;
-        judge;
-        render;
-      }
-  in
-  let on_verifiable ~names ~judge ~render clients =
-    Plan
-      {
-        layout = (fun alloc -> V_core.layout ~n alloc);
-        correct;
-        helps = helps (V_core.help_prog ~n ~q);
-        scripts = scripts Lnd_byz.Byz_verifiable.prog;
-        clients;
-        fiber_names = names;
-        judge;
-        render;
-      }
-  in
   let value i = value_pool.(i mod Array.length value_pool) in
-  let round (c : carry) ck' res = ({ c with ck = ck' }, res) in
   match w.proto with
   | Sticky ->
-      let module S = Spec.Sticky_spec in
-      on_sticky ~names:("writer", reader_name) ~judge:check_sticky_history
-        ~render:render_sticky
-        (clients
-           (fun i ->
-             let v = value i in
-             [
-               job (S.Write v) ("WRITE", Some v)
-                 (fun _ -> S_core.write_prog ~n ~q v)
-                 (fun c () -> (c, S.Done))
-                 (fun _ -> "done");
-             ])
-           (fun pid -> function
-             | I_read ->
-                 job S.Read ("READ", None)
-                   (fun c ->
-                     let prog = S_core.read_prog ~n ~q ~pid ~ck:c.ck in
-                     if broken then
-                       let* _, ck' = prog in
-                       ret (Some broken_value, ck')
-                     else prog)
-                   (fun c (res, ck') -> round c ck' (S.Val res))
-                   (function None, _ -> "⊥" | Some v, _ -> "v:" ^ v)
-             | I_verify _ | I_test -> invalid_arg "Diff: sticky program"))
+      Plan
+        (on_sticky q ~correct ~scripts ~names:rw_names
+           ~judge:check_sticky_history ~render:render_sticky
+           (clients
+              (fun i -> [ write_sticky q (value i) ])
+              (fun pid -> function
+                | I_read -> read_sticky_job ~broken q ~pid
+                | I_verify _ | I_test -> invalid_arg "Diff: sticky program")))
   | Verifiable ->
-      let module V = Spec.Verifiable_spec in
-      on_verifiable ~names:("writer", reader_name)
-        ~judge:check_verifiable_history ~render:render_verifiable
-        (clients
-           (fun i ->
-             let v = value i in
-             [
-               job (V.Write v) ("WRITE", Some v)
-                 (fun _ -> V_core.write_prog v)
-                 (fun c () ->
-                   ({ c with written = Value.Set.add v c.written }, V.Done))
-                 (fun _ -> "done");
-               job (V.Sign v) ("SIGN", Some v)
-                 (fun c -> V_core.sign_prog ~written:c.written v)
-                 (fun c ok -> (c, V.Signed ok))
-                 string_of_bool;
-             ])
-           (fun pid -> function
-             | I_read ->
-                 job V.Read ("READ", None)
-                   (fun _ ->
-                     if broken then
-                       let* _ = V_core.read_prog in
-                       ret broken_value
-                     else V_core.read_prog)
-                   (fun c v -> (c, V.Val v))
-                   (fun v -> "v:" ^ v)
-             | I_verify v ->
-                 job (V.Verify v) ("VERIFY", Some v)
-                   (fun c ->
-                     let prog = V_core.verify_prog ~n ~q ~pid ~ck:c.ck v in
-                     if broken then
-                       let* _, ck' = prog in
-                       ret (true, ck')
-                     else prog)
-                   (fun c (ok, ck') -> round c ck' (V.Verified ok))
-                   (fun (ok, _) -> string_of_bool ok)
-             | I_test -> invalid_arg "Diff: verifiable program"))
+      Plan
+        (on_verifiable q ~correct ~scripts ~names:rw_names
+           ~judge:check_verifiable_history ~render:render_verifiable
+           (clients
+              (fun i ->
+                let v = value i in
+                [ write_verifiable v; sign v ])
+              (fun pid -> function
+                | I_read -> read_verifiable_job ~broken
+                | I_verify v -> verify_job ~broken q ~pid v
+                | I_test -> invalid_arg "Diff: verifiable program")))
   | Testorset ->
-      let module T = Spec.Testorset_spec in
-      (* TEST over either register; bit 2 is outside the spec's alphabet,
-         so no linearization can ever produce it. *)
       let test test_prog pid = function
-        | I_test ->
-            job T.Test ("TEST", None)
-              (fun c ->
-                let prog = test_prog ~pid ~ck:c.ck in
-                if broken then
-                  let* _, ck' = prog in
-                  ret (2, ck')
-                else prog)
-              (fun c (bit, ck') -> round c ck' (T.Bit bit))
-              (fun (bit, _) -> string_of_int bit)
+        | I_test -> test_job ~broken test_prog q ~pid
         | I_read | I_verify _ -> invalid_arg "Diff: testorset program"
       in
-      let names = ("setter", tester_name) in
       if w.tos_verifiable then
-        on_verifiable ~names ~judge:check_testorset_history
-          ~render:render_testorset
-          (clients
-             (fun _ ->
-               [
-                 job T.Set ("SET", None)
-                   (fun c -> T_core.set_verifiable_prog ~written:c.written)
-                   (fun c (signed, written') ->
-                     if not signed then
-                       failwith "SET: sign failed for correct setter";
-                     ({ c with written = written' }, T.Done))
-                   (fun _ -> "done");
-               ])
-             (test (T_core.test_verifiable_prog ~n ~q)))
+        Plan
+          (on_verifiable q ~correct ~scripts ~names:st_names
+             ~judge:check_testorset_history ~render:render_testorset
+             (clients
+                (fun _ -> [ set_verifiable ])
+                (test T_core.test_verifiable_prog)))
       else
-        on_sticky ~names ~judge:check_testorset_history
-          ~render:render_testorset
-          (clients
-             (fun _ ->
-               [
-                 job T.Set ("SET", None)
-                   (fun _ -> T_core.set_sticky_prog ~n ~q)
-                   (fun c () -> (c, T.Done))
-                   (fun _ -> "done");
-               ])
-             (test (T_core.test_sticky_prog ~n ~q)))
+        Plan
+          (on_sticky q ~correct ~scripts ~names:st_names
+             ~judge:check_testorset_history ~render:render_testorset
+             (clients
+                (fun _ -> [ set_sticky q ])
+                (test T_core.test_sticky_prog)))
 
 (* ---------------- Driver #1: the deterministic simulator ---------------- *)
 
@@ -517,6 +582,110 @@ type run = {
   steps : int; (* scheduler steps (sim) or machine turns (domains) *)
   verdict : (unit, string) result;
 }
+
+(* What a client fiber carries: its finished history entries, newest
+   first, the job in flight — its operation and invocation time — and
+   the carry its next job starts from. *)
+type ('op, 'res) client = {
+  entries : ('op, 'res) History.entry list;
+  pending : ('op * int) option;
+  carry : carry;
+}
+
+type ('reg, 'op, 'res) session = {
+  space : Space.t;
+  sched : Sched.t;
+  regs : 'reg -> Register.t;
+  correct : bool array;
+  client : pid:int -> name:string -> ('reg, 'op, 'res) job list -> unit;
+  history : unit -> ('op, 'res) History.t;
+}
+
+let help_name = Machine.names (Printf.sprintf "help%d")
+
+(* The spawn order — help daemons, script daemons, the plan's clients,
+   then each client spawned later — fixes the fiber ids, which the DPOR
+   counts and the .scn fid trails depend on. Every fiber is a machine
+   fiber, so a session with no Obs sink can journal its steps and rewind
+   once switched on (Sched.journal). A client's jobs stamp their
+   invocation and response, and open and close their span, where
+   History.record did around an operation: moving one would shift every
+   span stamp by one tick. A pid's client starts from the carry that
+   pid's previous client carries when it is spawned, so a reader's round
+   counter stays monotone and the writer can SIGN what an earlier client
+   wrote. *)
+let session (policy : Policy.t) (p : ('reg, 'op, 'res) plan) :
+    ('reg, 'op, 'res) session =
+  let n = Array.length p.correct in
+  let space = Space.create ~n in
+  let sched = Sched.create ~space ~choose:policy in
+  let at = p.layout (Space.alloc space) in
+  let daemon ?note pid name prog =
+    ignore
+      (Sched.spawn_machine sched ~pid ~name ~daemon:true ?note ~at ~data:()
+         (fun () -> Sched.Job (prog, (fun () -> Sched.Done ()), ()))
+        : unit -> unit)
+  in
+  List.iter
+    (fun (pid, prog) ->
+      daemon ~note:(Drive.help_note ()) pid (help_name pid) prog)
+    p.helps;
+  List.iter
+    (fun (pid, s, prog) -> daemon pid (Byz_script.name ~pid s) prog)
+    p.scripts;
+  (* Every client's data, in spawn order, and each pid's newest. *)
+  let clients = ref [] and last = Array.make n None in
+  let client ~pid ~name jobs =
+    let rec from jobs c entries =
+      match jobs with
+      | [] -> Sched.Done { entries; pending = None; carry = c }
+      | Job j :: rest ->
+          let name, arg = j.span in
+          let inv = Sched.stamp sched in
+          let sp = if Obs.enabled () then Obs.span_open ~name ?arg () else 0 in
+          let prog = j.prog c in
+          Sched.Job
+            ( prog,
+              (fun a ->
+                let c', res = j.result c a in
+                if Obs.enabled () then
+                  Obs.span_close ~result:(j.text a) ~name sp;
+                let ret = Sched.stamp sched in
+                from rest c'
+                  ({ History.pid; op = j.op; inv; ret = Some (res, ret) }
+                  :: entries)),
+              { entries; pending = Some (j.op, inv); carry = c } )
+    in
+    let c0 =
+      match last.(pid) with None -> carry0 | Some data -> (data ()).carry
+    in
+    let data =
+      Sched.spawn_machine sched ~pid ~name ~at
+        ~data:{ entries = []; pending = None; carry = c0 }
+        (fun () -> from jobs c0 [])
+    in
+    clients := !clients @ [ (pid, data) ];
+    last.(pid) <- Some data
+  in
+  let writer, reader = p.fiber_names in
+  List.iter
+    (fun (pid, jobs) ->
+      client ~pid ~name:(if pid = 0 then writer else reader pid) jobs)
+    p.clients;
+  let history () =
+    {
+      History.entries =
+        List.concat_map
+          (fun (pid, data) ->
+            let d = data () in
+            match d.pending with
+            | None -> d.entries
+            | Some (op, inv) ->
+                { History.pid; op; inv; ret = None } :: d.entries)
+          !clients;
+    }
+  in
+  { space; sched; regs = at; correct = p.correct; client; history }
 
 type system = {
   space : Space.t;
@@ -539,92 +708,19 @@ let sim_verdict sched ~correct judge h : (bool, string) result =
            (Printexc.to_string e))
   | None -> judge ~correct h
 
-(* What a client fiber carries: its finished history entries, newest
-   first, and the job in flight — its operation and invocation time. *)
-type ('op, 'res) client = {
-  entries : ('op, 'res) History.entry list;
-  pending : ('op * int) option;
-}
-
-let help_name = Machine.names (Printf.sprintf "help%d")
-
-(* The spawn order — help daemons, script daemons, clients — fixes the
-   fiber ids, which the DPOR counts and the .scn fid trails depend on.
-   Every fiber is a machine fiber, so a system with no Obs sink can
-   journal its steps and rewind once switched on (Sched.journal). A
-   client's jobs stamp their invocation and response, and open
-   and close their span, at the points where History.record and the
-   Sticky/Verifiable sim wrappers did: moving one would shift every span
-   stamp by one tick. *)
 let system (policy : Policy.t) (Plan p : any_plan) : system =
-  let space = Space.create ~n:(Array.length p.correct) in
-  let sched = Sched.create ~space ~choose:policy in
-  let at = p.layout (Space.alloc space) in
-  let daemon ?note pid name prog =
-    ignore
-      (Sched.spawn_machine sched ~pid ~name ~daemon:true ?note ~at ~data:()
-         (fun () -> Sched.Job (prog, (fun () -> Sched.Done ()), ()))
-        : unit -> unit)
-  in
-  List.iter
-    (fun (pid, prog) ->
-      daemon ~note:(Drive.help_note ()) pid (help_name pid) prog)
-    p.helps;
-  List.iter
-    (fun (pid, s, prog) -> daemon pid (Byz_script.name ~pid s) prog)
-    p.scripts;
-  let writer, reader = p.fiber_names in
-  let client (pid, jobs) =
-    let rec from jobs c entries =
-      match jobs with
-      | [] -> Sched.Done { entries; pending = None }
-      | Job j :: rest ->
-          let name, arg = j.span in
-          let inv = Sched.stamp sched in
-          let sp = if Obs.enabled () then Obs.span_open ~name ?arg () else 0 in
-          let prog = j.prog c in
-          Sched.Job
-            ( prog,
-              (fun a ->
-                let c, res = j.result c a in
-                if Obs.enabled () then
-                  Obs.span_close ~result:(j.text a) ~name sp;
-                let ret = Sched.stamp sched in
-                from rest c
-                  ({ History.pid; op = j.op; inv; ret = Some (res, ret) }
-                  :: entries)),
-              { entries; pending = Some (j.op, inv) } )
-    in
-    ( pid,
-      Sched.spawn_machine sched ~pid
-        ~name:(if pid = 0 then writer else reader pid)
-        ~at ~data:{ entries = []; pending = None }
-        (fun () -> from jobs carry0 []) )
-  in
-  let clients = List.map client p.clients in
-  let history () =
-    {
-      History.entries =
-        List.concat_map
-          (fun (pid, data) ->
-            let d = data () in
-            match d.pending with
-            | None -> d.entries
-            | Some (op, inv) -> { History.pid; op; inv; ret = None } :: d.entries)
-          clients;
-    }
-  in
+  let s = session policy p in
   {
-    space;
-    sched;
+    space = s.space;
+    sched = s.sched;
     correct = p.correct;
     verdict =
       (fun () ->
-        sim_verdict sched
+        sim_verdict s.sched
           ~correct:(fun pid -> p.correct.(pid))
-          p.judge (history ()));
-    ops = (fun () -> List.length (History.complete_entries (history ())));
-    rendered = (fun () -> p.render (history ()));
+          p.judge (s.history ()));
+    ops = (fun () -> List.length (History.complete_entries (s.history ())));
+    rendered = (fun () -> p.render (s.history ()));
   }
 
 let sim_max_steps = 8_000_000

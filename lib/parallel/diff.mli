@@ -11,8 +11,13 @@
     (driver #2, [Parallel.run]) and the model checker
     ([Lnd_fuzz.Mcheck]) run it with the work's {!genomes}, the scenario
     fuzzer ([Lnd_fuzz.Fuzz]) with named strategies. Each run folds into
-    a {!Lnd_history.History.t} judged by the one checker per protocol
+    a {!History.t} judged by the one checker per protocol
     below.
+
+    The plan is also the one way to run a register on the simulator
+    outside the suite: a per-protocol plan ({!sticky_plan}, ...) run as
+    a {!session}, whose clients of jobs ({!write_sticky}, ...) can be
+    spawned before or between runs.
 
     The sim driver additionally renders each history to a canonical
     one-line string and compares it byte-for-byte against the committed
@@ -20,6 +25,9 @@
     ([test/fixtures/diff/golden_sim.txt]). *)
 
 open Lnd_support
+open Lnd_history
+open Lnd_sticky
+open Lnd_verifiable
 
 type proto = Sticky | Verifiable | Testorset
 
@@ -73,23 +81,23 @@ val byzlin_op_cap : int
 
 val check_sticky_history :
   correct:(int -> bool) ->
-  (Lnd_history.Spec.Sticky_spec.op, Lnd_history.Spec.Sticky_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Sticky_spec.op, Spec.Sticky_spec.res)
+  History.t ->
   (bool, string) result
 (** Uniqueness (which includes stickiness, Observation 18) and validity,
     then Theorem 19. *)
 
 val check_verifiable_history :
   correct:(int -> bool) ->
-  (Lnd_history.Spec.Verifiable_spec.op, Lnd_history.Spec.Verifiable_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res)
+  History.t ->
   (bool, string) result
 (** Relay, validity and unforgeability, then Theorem 14. *)
 
 val check_testorset_history :
   correct:(int -> bool) ->
-  (Lnd_history.Spec.Testorset_spec.op, Lnd_history.Spec.Testorset_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Testorset_spec.op, Spec.Testorset_spec.res)
+  History.t ->
   (bool, string) result
 (** A correct TEST=1 never precedes a correct TEST=0, then
     Observation 25. *)
@@ -97,18 +105,18 @@ val check_testorset_history :
 (** {2 Canonical history rendering} *)
 
 val render_sticky :
-  (Lnd_history.Spec.Sticky_spec.op, Lnd_history.Spec.Sticky_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Sticky_spec.op, Spec.Sticky_spec.res)
+  History.t ->
   string
 
 val render_verifiable :
-  (Lnd_history.Spec.Verifiable_spec.op, Lnd_history.Spec.Verifiable_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res)
+  History.t ->
   string
 
 val render_testorset :
-  (Lnd_history.Spec.Testorset_spec.op, Lnd_history.Spec.Testorset_spec.res)
-  Lnd_history.History.t ->
+  (Spec.Testorset_spec.op, Spec.Testorset_spec.res)
+  History.t ->
   string
 
 (** {2 The workload plan}
@@ -151,21 +159,109 @@ type ('reg, 'op, 'res) plan = {
     (int * Lnd_byz.Byz_script.strategy * ('reg, unit) Lnd_support.Machine.prog)
     list;
       (** each scripted pid's strategy and its program, in the order
-          {!plan} was given them *)
+          the plan was given them *)
   clients : (int * ('reg, 'op, 'res) job list) list;
-      (** the writer (pid 0, if correct), then each correct reader in
-          [work.programs] order; each client threads one {!carry}
-          through its jobs, starting from {!carry0} *)
+      (** the clients a session spawns with the plan: for {!plan}, the
+          writer (pid 0, if correct), then each correct reader in
+          [work.programs] order; none for the per-protocol plans *)
   fiber_names : string * (int -> string);
       (** the sim's name for the writer's fiber, and a reader's by pid *)
   judge :
     correct:(int -> bool) ->
-    ('op, 'res) Lnd_history.History.t ->
+    ('op, 'res) History.t ->
     (bool, string) result;
-  render : ('op, 'res) Lnd_history.History.t -> string;
+  render : ('op, 'res) History.t -> string;
 }
 
 type any_plan = Plan : ('reg, 'op, 'res) plan -> any_plan
+
+(** {3 Jobs}
+
+    Each takes the system's {!Lnd_support.Quorum.t} where its core
+    needs the thresholds, and a reader's pid; the carry supplies the
+    rest. *)
+
+val write_sticky :
+  Quorum.t ->
+  Value.t ->
+  (Sticky_core.reg, Spec.Sticky_spec.op, Spec.Sticky_spec.res) job
+
+val read_sticky :
+  Quorum.t ->
+  pid:int ->
+  (Sticky_core.reg, Spec.Sticky_spec.op, Spec.Sticky_spec.res) job
+
+val write_verifiable :
+  Value.t ->
+  (Verifiable_core.reg, Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) job
+(** Adds the value to the carry's written-set. *)
+
+val sign :
+  Value.t ->
+  (Verifiable_core.reg, Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) job
+(** SIGN against the carry's written-set. *)
+
+val read_verifiable :
+  (Verifiable_core.reg, Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) job
+
+val verify :
+  Quorum.t ->
+  pid:int ->
+  Value.t ->
+  (Verifiable_core.reg, Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) job
+
+(** Test-or-set over a sticky register ([_sticky]) or a verifiable one
+    ([_verifiable]), Observation 25. *)
+
+val set_sticky :
+  Quorum.t ->
+  (Sticky_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) job
+
+val test_sticky :
+  Quorum.t ->
+  pid:int ->
+  (Sticky_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) job
+
+val set_verifiable :
+  (Verifiable_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) job
+(** Fails the client if its SIGN fails. *)
+
+val test_verifiable :
+  Quorum.t ->
+  pid:int ->
+  (Verifiable_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) job
+
+(** {3 Plans}
+
+    A register's plan with no clients: the pids in [byzantine] faulty —
+    no Help program, and only those in [scripts] run an adversary — and
+    the protocol's judge and renderer. A strategy that does not apply
+    raises [Invalid_argument] ([Lnd_byz.Byz_sticky.prog],
+    [Lnd_byz.Byz_verifiable.prog]). *)
+
+val sticky_plan :
+  Quorum.t ->
+  byzantine:int list ->
+  scripts:(int * Lnd_byz.Byz_script.strategy) list ->
+  (Sticky_core.reg, Spec.Sticky_spec.op, Spec.Sticky_spec.res) plan
+
+val verifiable_plan :
+  Quorum.t ->
+  byzantine:int list ->
+  scripts:(int * Lnd_byz.Byz_script.strategy) list ->
+  (Verifiable_core.reg, Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) plan
+
+val testorset_sticky_plan :
+  Quorum.t ->
+  byzantine:int list ->
+  scripts:(int * Lnd_byz.Byz_script.strategy) list ->
+  (Sticky_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) plan
+
+val testorset_verifiable_plan :
+  Quorum.t ->
+  byzantine:int list ->
+  scripts:(int * Lnd_byz.Byz_script.strategy) list ->
+  (Verifiable_core.reg, Spec.Testorset_spec.op, Spec.Testorset_spec.res) plan
 
 val plan :
   work ->
@@ -173,16 +269,13 @@ val plan :
   byzantine:int list ->
   broken:bool ->
   any_plan
-(** The plan of [work] with the pids in [byzantine] faulty: they get no
-    Help program and no client, and only the pids in [scripts] run an
-    adversary, their strategy (so a Byzantine pid without one crashes;
-    [work.scripts] runs only as {!genomes}). A strategy that does not
-    apply raises [Invalid_argument] ([Lnd_byz.Byz_sticky.prog],
-    [Lnd_byz.Byz_verifiable.prog]). [broken] substitutes cores whose final
-    decision step is corrupted (pure and termination-preserving): a
-    reader that claims a value no workload writes, a verifier that
-    always accepts, a tester that returns the impossible bit 2. A plan
-    holds no run state: its clients pass theirs along in carries. *)
+(** The plan of [work]'s protocol, as above, with the work's clients
+    ([work.scripts] runs only as {!genomes}). [broken] substitutes cores
+    whose final decision step is corrupted (pure and
+    termination-preserving): a reader that claims a value no workload
+    writes, a verifier that always accepts, a tester that returns the
+    impossible bit 2. A plan holds no run state: its clients pass theirs
+    along in carries. *)
 
 (** {2 Driver #1: the deterministic simulator} *)
 
@@ -191,6 +284,36 @@ type run = {
   steps : int;  (** scheduler steps (sim) or machine turns (domains) *)
   verdict : (unit, string) result;
 }
+
+(** A plan on the simulator. *)
+type ('reg, 'op, 'res) session = {
+  space : Lnd_shm.Space.t;
+  sched : Lnd_runtime.Sched.t;
+  regs : 'reg -> Lnd_shm.Register.t;  (** the layout, allocated in [space] *)
+  correct : bool array;
+  client : pid:int -> name:string -> ('reg, 'op, 'res) job list -> unit;
+      (** spawn one more client machine fiber, for any pid (Byzantine
+          ones too), before a run or between runs; it starts from the
+          carry that pid's previous client carries now, {!carry0} for
+          its first *)
+  history : unit -> ('op, 'res) History.t;
+      (** every client's operations so far; one in flight, or in a
+          killed client, is incomplete *)
+}
+
+val session :
+  Lnd_runtime.Policy.t -> ('reg, 'op, 'res) plan -> ('reg, 'op, 'res) session
+(** A Space and a Sched choosing by [policy], the layout allocated in
+    the Space, then one machine fiber ({!Lnd_runtime.Sched.spawn_machine})
+    per program — help daemons ([help<pid>], with their HELP spans),
+    script daemons (named by {!Lnd_byz.Byz_script.name}:
+    [byz-script<pid>] for a genome), the plan's clients — in that order,
+    which fixes the fiber ids. A client carries its job cursor, its
+    {!carry} and its finished history entries as values; each job stamps
+    its invocation and response around its span and its program. Once
+    {!Lnd_runtime.Sched.journal} switched its journal on, as the model
+    checker does, and while no Obs sink is installed, the session can
+    rewind ({!Lnd_runtime.Sched.rewind}), its history with it. *)
 
 type system = {
   space : Lnd_shm.Space.t;
@@ -204,19 +327,7 @@ type system = {
 }
 
 val system : Lnd_runtime.Policy.t -> any_plan -> system
-(** The plan on the simulator: a Space and a Sched choosing by
-    [policy], the layout allocated in the Space, then one machine fiber
-    ({!Lnd_runtime.Sched.spawn_machine}) per program — help daemons
-    ([help<pid>], with their HELP spans), script daemons
-    (named by {!Lnd_byz.Byz_script.name}: [byz-script<pid>] for a
-    genome), clients — in that order, which fixes the fiber ids. A
-    client carries its job cursor, its {!carry} and its finished
-    history entries as values; each job stamps its invocation and
-    response around its span and its program, as
-    {!Lnd_history.History.record} does. Once {!Lnd_runtime.Sched.journal}
-    switched its journal on, as the model checker does, and while no Obs
-    sink is installed, the system can rewind
-    ({!Lnd_runtime.Sched.rewind}), its history and verdict with it. *)
+(** The plan's {!session}, judged and rendered. *)
 
 val quiesce : system -> (bool, string) result
 (** Run the system to quiescence within 8,000,000 steps, then its

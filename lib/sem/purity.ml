@@ -1,5 +1,5 @@
-(* Analysis 3: the machine-checked gate behind ROADMAP item 1's
-   pure-core/driver split. A function annotated [@lnd.pure] — the
+(* Analysis 3: the machine-checked gate behind the pure-core/driver
+   split (DESIGN §4j). A function annotated [@lnd.pure] — the
    contract of the protocol cores, the Machine programs every driver
    runs — may not:
 

@@ -130,8 +130,14 @@ let run_attack ?(seed = 7) ?(max_steps_per_phase = 2_000_000)
         List.mem fb.Sched.pid pids
         && (fb.Sched.daemon || List.exists (fun x -> x == fb) extra))
   in
+  (* Each phase's budget counts from the step it starts at: Sched.run
+     bounds the scheduler's total. *)
   let run_until name pred =
-    match Sched.run ~max_steps:max_steps_per_phase ~until:pred sched with
+    match
+      Sched.run
+        ~max_steps:(Sched.steps sched + max_steps_per_phase)
+        ~until:pred sched
+    with
     | Sched.Condition_met -> ()
     | Sched.Quiescent | Sched.Budget_exhausted -> raise (Phase_stuck name)
   in

@@ -9,9 +9,7 @@
 
    The register's layout, Help program and scripted adversaries are the
    underlying core's, unchanged. The workload plan (Lnd_parallel.Diff)
-   runs these programs on both drivers; the sim-only Testorset reaches
-   the same register cores through the sticky/verifiable sim drivers.
-   Both execute identical access sequences. *)
+   runs these programs on both drivers. *)
 
 open Lnd_support
 open Machine

@@ -4,8 +4,7 @@
     {!Lnd_verifiable.Verifiable_core.reg}), so the register's layout,
     help program and scripted adversaries serve test-or-set unchanged.
     The workload plan ([Lnd_parallel.Diff]) runs these programs on both
-    drivers; the sim-only {!Testorset} reaches the same register cores
-    through the sticky and verifiable sim drivers. *)
+    drivers. *)
 
 open Lnd_support
 

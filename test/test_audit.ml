@@ -18,6 +18,8 @@ module Trace = Lnd_obs.Trace
 module Quorum = Lnd_support.Quorum
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
+module Diff = Lnd_parallel.Diff
+module Byz_script = Lnd_byz.Byz_script
 
 let pids = Alcotest.(list int)
 
@@ -115,147 +117,118 @@ let run_to_quiescence ~what sched_run =
   | Sched.Quiescent | Sched.Condition_met -> ()
   | Sched.Budget_exhausted -> Alcotest.failf "%s: step budget exhausted" what
 
-let sticky_case ~what ~byzantine ~expect spawn () =
-  let module Sys = Lnd_sticky.System in
+(* The adversary's pids are Byzantine and run [strategy]; every other
+   process runs its client. *)
+let sticky_case ~what ~byzantine ~expect strategy () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed:7) ~n ~f ~byzantine () in
+  let q = Quorum.make_relaxed ~n ~f in
   let au =
     with_audit ~n ~f (fun () ->
-        spawn t;
-        (if not (List.mem 0 byzantine) then
-           ignore
-             (Sys.client t ~pid:0 ~name:"w" (fun () -> Sys.op_write t "w")));
+        let t =
+          Diff.session (Policy.random ~seed:7)
+            (Diff.sticky_plan q ~byzantine
+               ~scripts:(List.map (fun pid -> (pid, strategy)) byzantine))
+        in
+        if not (List.mem 0 byzantine) then
+          t.client ~pid:0 ~name:"w" [ Diff.write_sticky q "w" ];
         (* asymmetric read counts: once the short readers finish, the
            survivor's rounds are the only ones a per-reply liar answers,
            so a flip-flopping story lands in one mailbox row *)
         List.iter
           (fun (pid, reads) ->
             if not (List.mem pid byzantine) then
-              ignore
-                (Sys.client t ~pid
-                   ~name:(Printf.sprintf "r%d" pid)
-                   (fun () ->
-                     for _ = 1 to reads do
-                       ignore (Sys.op_read t ~pid)
-                     done)))
+              t.client ~pid
+                ~name:(Printf.sprintf "r%d" pid)
+                (List.init reads (fun _ -> Diff.read_sticky q ~pid)))
           [ (1, 4); (2, 1); (3, 1) ];
-        run_to_quiescence ~what (fun () -> Sys.run ~max_steps:4_000_000 t))
+        run_to_quiescence ~what (fun () ->
+            Sched.run ~max_steps:4_000_000 t.sched))
   in
   check_verdict ~what ~byz:byzantine ~expect (Audit.finalize au)
 
-let verifiable_case ~what ~byzantine ~expect ?(value = "v") spawn () =
-  let module Sys = Lnd_verifiable.System in
+let verifiable_case ~what ~byzantine ~expect ?(value = "v") strategy () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed:7) ~n ~f ~byzantine () in
+  let q = Quorum.make_relaxed ~n ~f in
   let au =
     with_audit ~n ~f (fun () ->
-        spawn t;
-        (if not (List.mem 0 byzantine) then
-           ignore
-             (Sys.client t ~pid:0 ~name:"w" (fun () ->
-                  Sys.op_write t value;
-                  ignore (Sys.op_sign t value))));
+        let t =
+          Diff.session (Policy.random ~seed:7)
+            (Diff.verifiable_plan q ~byzantine
+               ~scripts:(List.map (fun pid -> (pid, strategy)) byzantine))
+        in
+        if not (List.mem 0 byzantine) then
+          t.client ~pid:0 ~name:"w" [ Diff.write_verifiable value; Diff.sign value ];
         List.iter
           (fun pid ->
             if not (List.mem pid byzantine) then
-              ignore
-                (Sys.client t ~pid
-                   ~name:(Printf.sprintf "v%d" pid)
-                   (fun () ->
-                     ignore (Sys.op_verify t ~pid value);
-                     ignore (Sys.op_verify t ~pid value))))
+              t.client ~pid
+                ~name:(Printf.sprintf "v%d" pid)
+                [ Diff.verify q ~pid value; Diff.verify q ~pid value ])
           [ 1; 2; 3 ];
-        run_to_quiescence ~what (fun () -> Sys.run ~max_steps:4_000_000 t))
+        run_to_quiescence ~what (fun () ->
+            Sched.run ~max_steps:4_000_000 t.sched))
   in
   check_verdict ~what ~byz:byzantine ~expect (Audit.finalize au)
-
-module Bs = Lnd_byz.Byz_sticky
-module Bv = Lnd_byz.Byz_verifiable
-module Byz_script = Lnd_byz.Byz_script
 
 let sticky_tests =
   [
     ( "sticky: equivocating writer caught",
       sticky_case ~what:"sticky equivocator" ~byzantine:[ 0 ] ~expect:[ 0 ]
-        (fun t ->
-          ignore
-            (Bs.spawn t.sched t.regs ~pid:0
-               (Byz_script.Equivocating_writer
-                  { va = "a"; vb = "b"; flip_after = 2 }))) );
+        (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 })
+    );
     ( "sticky: denying writer caught",
       sticky_case ~what:"sticky denier" ~byzantine:[ 0 ] ~expect:[ 0 ]
-        (fun t ->
-          ignore
-            (Bs.spawn t.sched t.regs ~pid:0
-               (Byz_script.Denying_writer { v = "kept"; deny_after = 4 })))
+        (Byz_script.Denying_writer { v = "kept"; deny_after = 4 })
     );
     ( "sticky: flip-flopping helper caught",
       sticky_case ~what:"sticky flipflop" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
-                            (Byz_script.Flipflop "w"))) );
+        (Byz_script.Flipflop "w") );
     ( "sticky: garbage writer caught",
       sticky_case ~what:"sticky garbage" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3 Byz_script.Garbage)) );
+        Byz_script.Garbage );
     ( "sticky: naysayer is a consistent liar — unaccused",
       sticky_case ~what:"sticky naysayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
-                            Byz_script.Naysayer)) );
+        Byz_script.Naysayer );
     ( "sticky: stale replayer is consistent — unaccused",
       sticky_case ~what:"sticky stale-replayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bs.spawn t.sched t.regs ~pid:3
-                            Byz_script.Stale_replayer)) );
+        Byz_script.Stale_replayer );
     ( "sticky: false witness sticks to its story — unaccused",
       sticky_case ~what:"sticky false-witness" ~byzantine:[ 3 ] ~expect:[]
-        (fun t ->
-          ignore (Bs.spawn t.sched t.regs ~pid:3
-                    (Byz_script.False_witness "fake"))) );
+        (Byz_script.False_witness "fake") );
   ]
 
 let verifiable_tests =
   [
     ( "verifiable: equivocating writer caught",
       verifiable_case ~what:"verifiable equivocator" ~byzantine:[ 0 ]
-        ~expect:[ 0 ] ~value:"a" (fun t ->
-          ignore (Bv.spawn t.sched t.regs ~pid:0
-                    (Byz_script.Equivocating_writer
-                       { va = "a"; vb = "b"; flip_after = 1 })))
+        ~expect:[ 0 ] ~value:"a"
+        (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 1 })
     );
     ( "verifiable: denying writer caught",
       verifiable_case ~what:"verifiable denier" ~byzantine:[ 0 ] ~expect:[ 0 ]
-        ~value:"lie" (fun t ->
-          ignore
-            (Bv.spawn t.sched t.regs ~pid:0
-               (Byz_script.Denying_writer { v = "lie"; deny_after = 4 })))
+        ~value:"lie" (Byz_script.Denying_writer { v = "lie"; deny_after = 4 })
     );
     ( "verifiable: flip-flopping colluder caught",
       verifiable_case ~what:"verifiable flipflop" ~byzantine:[ 3 ]
-        ~expect:[ 3 ] (fun t ->
-          ignore (Bv.spawn t.sched t.regs ~pid:3 (Byz_script.Flipflop "v"))) );
+        ~expect:[ 3 ] (Byz_script.Flipflop "v") );
     ( "verifiable: garbage writer caught",
       verifiable_case ~what:"verifiable garbage" ~byzantine:[ 3 ] ~expect:[ 3 ]
-        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3 Byz_script.Garbage)) );
+        Byz_script.Garbage );
     ( "verifiable: sign-without-write pinned on the writer",
       verifiable_case ~what:"sign-without-write" ~byzantine:[ 0 ]
-        ~expect:[ 0 ] ~value:"ghost" (fun t ->
-          ignore (Bv.spawn t.sched t.regs ~pid:0
-                    (Byz_script.Sign_without_write "ghost"))) );
+        ~expect:[ 0 ] ~value:"ghost" (Byz_script.Sign_without_write "ghost") );
     ( "verifiable: naysayer unaccused",
       verifiable_case ~what:"verifiable naysayer" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3
-                            Byz_script.Naysayer)) );
+        Byz_script.Naysayer );
     ( "verifiable: stale replayer unaccused",
       verifiable_case ~what:"verifiable stale-replayer" ~byzantine:[ 3 ]
-        ~expect:[] (fun t ->
-          ignore (Bv.spawn t.sched t.regs ~pid:3 Byz_script.Stale_replayer)) );
+        ~expect:[] Byz_script.Stale_replayer );
     ( "verifiable: false witness unaccused",
       verifiable_case ~what:"verifiable false-witness" ~byzantine:[ 3 ]
-        ~expect:[] (fun t ->
-          ignore (Bv.spawn t.sched t.regs ~pid:3
-                    (Byz_script.False_witness "evil"))) );
+        ~expect:[] (Byz_script.False_witness "evil") );
     ( "verifiable: selective responder unaccused",
       verifiable_case ~what:"verifiable selective" ~byzantine:[ 3 ] ~expect:[]
-        (fun t -> ignore (Bv.spawn t.sched t.regs ~pid:3
-                            (Byz_script.Selective "v"))) );
+        (Byz_script.Selective "v") );
   ]
 
 (* ---- signature property: VERIFY without a SIGN, judged end-of-stream ---- *)

@@ -367,6 +367,46 @@ let test_plan_rejects_strategies () =
         B.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 } );
     ]
 
+(* A pid's later client starts from the carry its previous client ended
+   with. The writer SIGNs in a second client what it WROTE in the first
+   (its written-set crossed over), and a reader's second READ of an
+   unwritten sticky register goes on from the round its first READ ended
+   at (its round counter crossed over, as Sticky.reader requires): each
+   READ takes two rounds here, so C_1 reads 2, then 4, never 2 again. *)
+let test_carry_crosses_clients () =
+  let module V = Lnd_history.Spec.Verifiable_spec in
+  let q = Quorum.make_relaxed ~n:4 ~f:1 in
+  let quiesce sched =
+    match Sched.run ~max_steps:1_000_000 sched with
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "no quiescence"
+  in
+  let v =
+    Diff.session (Policy.random ~seed:1)
+      (Diff.verifiable_plan q ~byzantine:[] ~scripts:[])
+  in
+  v.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "v" ];
+  quiesce v.sched;
+  v.client ~pid:0 ~name:"signer" [ Diff.sign "v" ];
+  quiesce v.sched;
+  Alcotest.(check bool) "SIGN(v) in a later client returns true" true
+    (List.exists
+       (fun (e : (V.op, V.res) Lnd_history.History.entry) ->
+         e.ret <> None && fst (Option.get e.ret) = V.Signed true)
+       (Lnd_history.History.entries (v.history ())));
+  let s =
+    Diff.session (Policy.random ~seed:1)
+      (Diff.sticky_plan q ~byzantine:[] ~scripts:[])
+  in
+  List.iter
+    (fun rounds ->
+      s.client ~pid:1 ~name:"r1" [ Diff.read_sticky q ~pid:1 ];
+      quiesce s.sched;
+      Alcotest.(check int) "C_1 counts on across p1's clients" rounds
+        (Univ.prj_default Codecs.counter ~default:0
+           (s.regs (S_core.C 1)).Lnd_shm.Register.value))
+    [ 2; 4 ]
+
 let tests =
   [
     Alcotest.test_case "sim histories byte-identical to golden baselines"
@@ -401,4 +441,6 @@ let tests =
       `Quick test_ownership_byzantine;
     Alcotest.test_case "plan: a strategy that does not apply is rejected"
       `Quick test_plan_rejects_strategies;
+    Alcotest.test_case "session: a carry crosses a pid's clients" `Quick
+      test_carry_crosses_clients;
   ]

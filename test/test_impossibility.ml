@@ -40,8 +40,21 @@ let test_safety_many_seeds () =
         false o.Imp.relay_violated)
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* Each phase's step budget counts from the step the phase starts at.
+   Here the longest phase takes 210 steps and the four take 399: a
+   budget of 250 per phase fits each of them but not their sum, and the
+   attack must end as under the default budget. *)
+let test_budget_per_phase () =
+  let o = attack ~n:4 ~f:1 ~seed:13 () in
+  Alcotest.(check bool) "the phases together outlast one budget" true
+    (o.Imp.steps > 250);
+  let o' = Imp.run_attack ~seed:13 ~max_steps_per_phase:250 ~n:4 ~f:1 () in
+  Alcotest.(check bool) "same outcome under a per-phase budget" true (o = o')
+
 let tests =
   [
+    Alcotest.test_case "step budget is per phase, not cumulative" `Quick
+      test_budget_per_phase;
     Alcotest.test_case "relay violated at n=3 f=1" `Quick
       (test_violation_at_bound ~f:1 ~seed:10);
     Alcotest.test_case "relay violated at n=6 f=2" `Quick

@@ -19,6 +19,7 @@ module History = Lnd_history.History
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module Space = Lnd_shm.Space
+module Diff = Lnd_parallel.Diff
 
 (* ---- the seam ---- *)
 
@@ -253,38 +254,34 @@ let test_golden_nesting () =
    the Obs trace — then check that the trace-reconstructed history and
    access list drive Byzlin / Trace_invariants to the same verdicts. *)
 let test_trace_driven_verifiable () =
-  let module Sys = Lnd_verifiable.System in
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed:11) ~n ~f ~byzantine:[ 3 ] () in
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  let t =
+    Diff.session (Policy.random ~seed:11)
+      (Diff.verifiable_plan q ~byzantine:[ 3 ]
+         ~scripts:[ (3, Lnd_byz.Byz_script.Flipflop "v") ])
+  in
   Space.set_trace t.space ~capacity:300_000;
   let tr = Trace.create () in
   Obs.install (Trace.sink tr);
   Fun.protect
     ~finally:(fun () -> Obs.uninstall ())
     (fun () ->
-      ignore
-        (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:3
-           (Lnd_byz.Byz_script.Flipflop "v"));
-      ignore
-        (Sys.client t ~pid:0 ~name:"w" (fun () ->
-             Sys.op_write t "v";
-             ignore (Sys.op_sign t "v")));
+      t.client ~pid:0 ~name:"w" [ Diff.write_verifiable "v"; Diff.sign "v" ];
       for pid = 1 to 2 do
-        ignore
-          (Sys.client t ~pid
-             ~name:(Printf.sprintf "r%d" pid)
-             (fun () ->
-               ignore (Sys.op_read t ~pid);
-               ignore (Sys.op_verify t ~pid "v")))
+        t.client ~pid
+          ~name:(Printf.sprintf "r%d" pid)
+          [ Diff.read_verifiable; Diff.verify q ~pid "v" ]
       done;
-      match Sys.run ~max_steps:2_000_000 t with
+      match Sched.run ~max_steps:2_000_000 t.sched with
       | Sched.Quiescent -> ()
       | _ -> Alcotest.fail "stuck");
   Trace.finish tr;
   let evs = Trace.events tr in
   let correct pid = t.correct.(pid) in
   (* 1. the reconstructed history matches the directly recorded one *)
-  let direct = History.entries t.history in
+  let h = t.history () in
+  let direct = History.entries h in
   let replayed = History.entries (Replay.verifiable_history evs) in
   Alcotest.(check int) "same operation count" (List.length direct)
     (List.length replayed);
@@ -296,7 +293,7 @@ let test_trace_driven_verifiable () =
         (Option.map fst d.History.ret = Option.map fst r.History.ret))
     direct replayed;
   (* 2. Byzlin reaches the same verdict through either path *)
-  let v_direct = Sys.byz_linearizable t in
+  let v_direct = Byzlin.verifiable ~writer:0 ~correct h in
   let v_trace =
     Byzlin.verifiable ~writer:0 ~correct (Replay.verifiable_history evs)
   in
@@ -323,32 +320,34 @@ let test_trace_driven_verifiable () =
 (* Same double-path check for the sticky register under an equivocating
    Byzantine writer. *)
 let test_trace_driven_sticky () =
-  let module Sys = Lnd_sticky.System in
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed:5) ~n ~f ~byzantine:[ 0 ] () in
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  let t =
+    Diff.session (Policy.random ~seed:5)
+      (Diff.sticky_plan q ~byzantine:[ 0 ]
+         ~scripts:
+           [
+             ( 0,
+               Lnd_byz.Byz_script.Equivocating_writer
+                 { va = "a"; vb = "b"; flip_after = 2 } );
+           ])
+  in
   Space.set_trace t.space ~capacity:300_000;
   let tr = Trace.create () in
   Obs.install (Trace.sink tr);
   Fun.protect
     ~finally:(fun () -> Obs.uninstall ())
     (fun () ->
-      ignore
-        (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
-           (Lnd_byz.Byz_script.Equivocating_writer
-              { va = "a"; vb = "b"; flip_after = 2 }));
       for pid = 1 to 3 do
-        ignore
-          (Sys.client t ~pid
-             ~name:(Printf.sprintf "r%d" pid)
-             (fun () -> ignore (Sys.op_read t ~pid)))
+        t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
       done;
-      match Sys.run ~max_steps:2_000_000 t with
+      match Sched.run ~max_steps:2_000_000 t.sched with
       | Sched.Quiescent -> ()
       | _ -> Alcotest.fail "stuck");
   Trace.finish tr;
   let evs = Trace.events tr in
   let correct pid = t.correct.(pid) in
-  let v_direct = Sys.byz_linearizable t in
+  let v_direct = Byzlin.sticky ~writer:0 ~correct (t.history ()) in
   let v_trace = Byzlin.sticky ~writer:0 ~correct (Replay.sticky_history evs) in
   Alcotest.(check bool) "direct verdict" true v_direct;
   Alcotest.(check bool) "trace-driven verdict agrees" v_direct v_trace;

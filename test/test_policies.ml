@@ -4,8 +4,7 @@
    long mixed soak test. *)
 
 open Lnd_runtime
-module VSys = Lnd_verifiable.System
-module SSys = Lnd_sticky.System
+module Diff = Lnd_parallel.Diff
 
 let policies =
   [
@@ -23,63 +22,70 @@ let run_ok name sched ~max_steps =
 
 let test_verifiable_under_policy (pname, mk_policy) () =
   let n = 4 and f = 1 in
-  let t = VSys.make ~policy:(mk_policy ()) ~n ~f () in
-  ignore
-    (VSys.client t ~pid:0 ~name:"w" (fun () ->
-         VSys.op_write t "p";
-         ignore (VSys.op_sign t "p")));
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  let t =
+    Diff.session (mk_policy ()) (Diff.verifiable_plan q ~byzantine:[] ~scripts:[])
+  in
+  t.client ~pid:0 ~name:"w" [ Diff.write_verifiable "p"; Diff.sign "p" ];
   for pid = 1 to n - 1 do
-    ignore
-      (VSys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (VSys.op_verify t ~pid "p")))
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "p" ]
   done;
   run_ok pname t.sched ~max_steps:4_000_000;
   Alcotest.(check bool)
     (Printf.sprintf "linearizable under %s" pname)
-    true (VSys.byz_linearizable t)
+    true
+    (Lnd_history.Byzlin.verifiable ~writer:0
+       ~correct:(fun pid -> t.correct.(pid))
+       (t.history ()))
 
 let test_sticky_under_policy (pname, mk_policy) () =
   let n = 4 and f = 1 in
-  let t = SSys.make ~policy:(mk_policy ()) ~n ~f () in
-  ignore (SSys.client t ~pid:0 ~name:"w" (fun () -> SSys.op_write t "p"));
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  let t =
+    Diff.session (mk_policy ()) (Diff.sticky_plan q ~byzantine:[] ~scripts:[])
+  in
+  t.client ~pid:0 ~name:"w" [ Diff.write_sticky q "p" ];
   for pid = 1 to n - 1 do
-    ignore
-      (SSys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (SSys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
   done;
   run_ok pname t.sched ~max_steps:4_000_000;
   Alcotest.(check bool)
     (Printf.sprintf "linearizable under %s" pname)
-    true (SSys.byz_linearizable t)
+    true
+    (Lnd_history.Byzlin.sticky ~writer:0
+       ~correct:(fun pid -> t.correct.(pid))
+       (t.history ()))
 
 (* Soak: n=7 with a denying Byzantine writer and a flip-flopping
    colluder; 5 readers each perform a long mixed program. Monitors must
    accept the whole (large) history and everything must terminate. *)
 let test_soak () =
   let n = 7 and f = 2 in
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
   let t =
-    VSys.make ~policy:(Policy.random ~seed:404) ~n ~f ~byzantine:[ 0; 6 ] ()
+    Diff.session (Policy.random ~seed:404)
+      (Diff.verifiable_plan q ~byzantine:[ 0; 6 ]
+         ~scripts:
+           [
+             ( 0,
+               Lnd_byz.Byz_script.Denying_writer { v = "soak"; deny_after = 5 }
+             );
+             (6, Lnd_byz.Byz_script.Flipflop "soak");
+           ])
   in
-  ignore
-    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:0
-       (Lnd_byz.Byz_script.Denying_writer { v = "soak"; deny_after = 5 }));
-  ignore
-    (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:6
-       (Lnd_byz.Byz_script.Flipflop "soak"));
   for pid = 1 to 5 do
-    ignore
-      (VSys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           for _ = 1 to 6 do
-             ignore (VSys.op_verify t ~pid "soak");
-             ignore (VSys.op_read t ~pid)
-           done))
+    t.client ~pid
+      ~name:(Printf.sprintf "r%d" pid)
+      (List.concat
+         (List.init 6 (fun _ -> [ Diff.verify q ~pid "soak"; Diff.read_verifiable ])))
   done;
   run_ok "soak" t.sched ~max_steps:30_000_000;
   let correct pid = t.correct.(pid) in
+  let h = t.history () in
   match
     Lnd_history.Monitors.check_all
-      (Lnd_history.Monitors.relay ~correct t.history
-      @ Lnd_history.Monitors.validity ~correct t.history)
+      (Lnd_history.Monitors.relay ~correct h
+      @ Lnd_history.Monitors.validity ~correct h)
   with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "soak monitor violation: %s" msg

@@ -111,25 +111,30 @@ let prop_verifiable_random_runs =
   QCheck.Test.make ~name:"algorithm 1: random runs linearizable" ~count:20
     QCheck.(pair int (int_range 0 2))
     (fun (seed, extra_ops) ->
-      let module Sys = Lnd_verifiable.System in
+      let module Diff = Lnd_parallel.Diff in
       let module Sched = Lnd_runtime.Sched in
       let module Policy = Lnd_runtime.Policy in
       let n = 4 and f = 1 in
-      let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-      ignore
-        (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-             Sys.op_write t "a";
-             ignore (Sys.op_sign t "a");
-             if extra_ops > 0 then Sys.op_write t "b";
-             if extra_ops > 1 then ignore (Sys.op_sign t "b")));
+      let q = Quorum.make_relaxed ~n ~f in
+      let t =
+        Diff.session (Policy.random ~seed)
+          (Diff.verifiable_plan q ~byzantine:[] ~scripts:[])
+      in
+      t.client ~pid:0 ~name:"writer"
+        ([ Diff.write_verifiable "a"; Diff.sign "a" ]
+        @ (if extra_ops > 0 then [ Diff.write_verifiable "b" ] else [])
+        @ if extra_ops > 1 then [ Diff.sign "b" ] else []);
       for pid = 1 to n - 1 do
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-               ignore (Sys.op_verify t ~pid "a");
-               if pid mod 2 = 0 then ignore (Sys.op_read t ~pid)))
+        t.client ~pid
+          ~name:(Printf.sprintf "r%d" pid)
+          (Diff.verify q ~pid "a"
+          :: (if pid mod 2 = 0 then [ Diff.read_verifiable ] else []))
       done;
-      match Sys.run ~max_steps:2_000_000 t with
-      | Sched.Quiescent -> Sys.byz_linearizable t
+      match Sched.run ~max_steps:2_000_000 t.sched with
+      | Sched.Quiescent ->
+          Lnd_history.Byzlin.verifiable ~writer:0
+            ~correct:(fun _ -> true)
+            (t.history ())
       | _ -> false)
 
 (* Same for the sticky register with a Byzantine equivocating writer:
@@ -137,34 +142,44 @@ let prop_verifiable_random_runs =
 let prop_sticky_random_byz_runs =
   QCheck.Test.make ~name:"algorithm 2: random equivocation runs safe"
     ~count:20 QCheck.int (fun seed ->
-      let module Sys = Lnd_sticky.System in
+      let module Diff = Lnd_parallel.Diff in
       let module Sched = Lnd_runtime.Sched in
       let module Policy = Lnd_runtime.Policy in
+      let module S = Spec.Sticky_spec in
       let n = 4 and f = 1 in
+      let q = Quorum.make_relaxed ~n ~f in
       let t =
-        Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] ()
+        Diff.session (Policy.random ~seed)
+          (Diff.sticky_plan q ~byzantine:[ 0 ]
+             ~scripts:
+               [
+                 ( 0,
+                   Lnd_byz.Byz_script.Equivocating_writer
+                     { va = "a"; vb = "b"; flip_after = (abs seed mod 4) + 1 }
+                 );
+               ])
       in
-      ignore
-        (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
-           (Lnd_byz.Byz_script.Equivocating_writer
-              { va = "a"; vb = "b"; flip_after = ((abs seed mod 4) + 1) }));
-      let results = Array.make n None in
       for pid = 1 to n - 1 do
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-               results.(pid) <- Sys.op_read t ~pid))
+        t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
       done;
-      match Sys.run ~max_steps:2_000_000 t with
+      match Sched.run ~max_steps:2_000_000 t.sched with
       | Sched.Quiescent ->
+          let h = t.history () in
           let non_bot =
-            Array.to_list results |> List.filter_map (fun x -> x)
+            List.filter_map
+              (fun (e : (S.op, S.res) History.entry) ->
+                match e.ret with Some (S.Val v, _) -> v | _ -> None)
+              (History.entries h)
           in
           let agree =
             match non_bot with
             | [] -> true
             | v :: rest -> List.for_all (Value.equal v) rest
           in
-          agree && Sys.byz_linearizable t
+          agree
+          && Lnd_history.Byzlin.sticky ~writer:0
+               ~correct:(fun pid -> t.correct.(pid))
+               h
       | _ -> false)
 
 (* Test-or-set built from either register: TEST results are monotone in
@@ -173,28 +188,46 @@ let prop_testorset_monotone =
   QCheck.Test.make ~name:"test-or-set: monotone in random runs" ~count:16
     QCheck.(pair int bool)
     (fun (seed, use_sticky) ->
-      let module Tos = Lnd_testorset.Testorset in
+      let module Diff = Lnd_parallel.Diff in
       let module Sched = Lnd_runtime.Sched in
       let module Policy = Lnd_runtime.Policy in
-      let impl = if use_sticky then Tos.Sticky_based else Tos.Verifiable_based in
+      let module T = Spec.Testorset_spec in
       let n = 4 and f = 1 in
-      let t = Tos.make ~policy:(Policy.random ~seed) ~impl ~n ~f () in
-      ignore (Tos.client t ~pid:0 ~name:"set" (fun () -> Tos.op_set t));
-      let seqs = Array.make n [] in
-      for pid = 1 to n - 1 do
-        ignore
-          (Tos.client t ~pid ~name:(Printf.sprintf "t%d" pid) (fun () ->
-               let a = Tos.op_test t ~pid in
-               let b = Tos.op_test t ~pid in
-               seqs.(pid) <- [ a; b ]))
-      done;
-      match Tos.run ~max_steps:2_000_000 t with
-      | Sched.Quiescent ->
-          Array.for_all
-            (fun l -> match l with [ 1; 0 ] -> false | _ -> true)
-            seqs
-          && Tos.byz_linearizable t
-      | _ -> false)
+      let q = Quorum.make_relaxed ~n ~f in
+      (* SET, then two TESTs by every tester; the history, or None if
+         the run did not quiesce *)
+      let run plan set test =
+        let t = Diff.session (Policy.random ~seed) plan in
+        t.client ~pid:0 ~name:"set" [ set ];
+        for pid = 1 to n - 1 do
+          t.client ~pid ~name:(Printf.sprintf "t%d" pid) [ test ~pid; test ~pid ]
+        done;
+        match Sched.run ~max_steps:2_000_000 t.sched with
+        | Sched.Quiescent -> Some (t.history ())
+        | _ -> None
+      in
+      let plan p = p q ~byzantine:[] ~scripts:[] in
+      match
+        if use_sticky then
+          run (plan Diff.testorset_sticky_plan) (Diff.set_sticky q)
+            (Diff.test_sticky q)
+        else
+          run
+            (plan Diff.testorset_verifiable_plan)
+            Diff.set_verifiable (Diff.test_verifiable q)
+      with
+      | Some h ->
+          let bits pid =
+            List.filter_map
+              (fun (e : (T.op, T.res) History.entry) ->
+                match e.ret with
+                | Some (T.Bit b, _) when e.pid = pid -> Some b
+                | _ -> None)
+              (History.entries h)
+          in
+          List.for_all (fun pid -> bits pid <> [ 1; 0 ]) [ 1; 2; 3 ]
+          && Lnd_history.Byzlin.testorset ~setter:0 ~correct:(fun _ -> true) h
+      | None -> false)
 
 (* Agreement between the two checking layers on random small sticky
    histories: whenever the full Byzantine-linearizability search accepts

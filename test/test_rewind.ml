@@ -199,7 +199,7 @@ let test_genomes () =
     (fun (g, cfg) ->
       let cfg = { cfg with M.scripts = [ (3, g) ] } in
       same ~max_preempts:0
-        (Printf.sprintf "%s genome [%s]" (M.model_name cfg.M.model)
+        (Printf.sprintf "%s genome [%s]" (Diff.proto_name cfg.M.model)
            (String.concat ";" (List.map string_of_int g)))
         cfg)
     [

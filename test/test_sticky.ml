@@ -1,14 +1,22 @@
 (* Fault-free behaviour of the sticky register (Algorithm 2):
    Definition 15 and Observations 16-18 with all processes correct. *)
 
-module Sys = Lnd_sticky.System
+module Diff = Lnd_parallel.Diff
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
+module History = Lnd_history.History
+module S = Lnd_history.Spec.Sticky_spec
 
-let run_ok ?(max_steps = 2_000_000) (t : Sys.t) =
-  match Sys.run ~max_steps t with
-  | Sched.Quiescent ->
-      (match Sched.failures t.sched with
+let make ~seed ~n ~f =
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  ( q,
+    Diff.session (Policy.random ~seed)
+      (Diff.sticky_plan q ~byzantine:[] ~scripts:[]) )
+
+let run_ok ?(max_steps = 2_000_000) (t : (_, S.op, S.res) Diff.session) =
+  match Sched.run ~max_steps t.sched with
+  | Sched.Quiescent -> (
+      match Sched.failures t.sched with
       | [] -> ()
       | (f, e) :: _ ->
           Alcotest.failf "fiber %s failed: %s" f.Sched.fname
@@ -16,92 +24,97 @@ let run_ok ?(max_steps = 2_000_000) (t : Sys.t) =
   | Sched.Budget_exhausted -> Alcotest.fail "step budget exhausted"
   | Sched.Condition_met -> ()
 
+(* What [pid]'s completed READs returned, oldest first. *)
+let reads (t : (_, S.op, S.res) Diff.session) pid =
+  List.filter_map
+    (fun (e : (S.op, S.res) History.entry) ->
+      match e.ret with
+      | Some (S.Val v, _) when e.pid = pid -> Some v
+      | _ -> None)
+    (History.entries (t.history ()))
+
+let last_read t pid =
+  match List.rev (reads t pid) with
+  | v :: _ -> v
+  | [] -> Alcotest.failf "p%d completed no READ" pid
+
+let byz_linearizable (t : (_, S.op, S.res) Diff.session) =
+  Lnd_history.Byzlin.sticky ~writer:0
+    ~correct:(fun pid -> t.correct.(pid))
+    (t.history ())
+
 let vopt = Alcotest.(option string)
 
 (* VALIDITY (Observation 16): after WRITE(v) completes, every read
    returns v. *)
 let test_write_then_read ~n ~f ~seed () =
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "v"));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "v" ];
   run_ok t;
   for pid = 1 to n - 1 do
-    let got = ref None in
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           got := Sys.op_read t ~pid));
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ];
     run_ok t;
-    Alcotest.check vopt (Printf.sprintf "read at p%d" pid) (Some "v") !got
+    Alcotest.check vopt (Printf.sprintf "read at p%d" pid) (Some "v")
+      (last_read t pid)
   done
 
 (* A read with no write returns ⊥. *)
 let test_read_bot () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  let got = ref (Some "x") in
-  ignore
-    (Sys.client t ~pid:1 ~name:"r1" (fun () -> got := Sys.op_read t ~pid:1));
+  let q, t = make ~seed:42 ~n:4 ~f:1 in
+  t.client ~pid:1 ~name:"r1" [ Diff.read_sticky q ~pid:1 ];
   run_ok t;
-  Alcotest.check vopt "read of unwritten register" None !got
+  Alcotest.check vopt "read of unwritten register" None (last_read t 1)
 
 (* Stickiness: a second WRITE does not change the value. *)
 let test_second_write_ignored () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "first";
-         Sys.op_write t "second"));
+  let q, t = make ~seed:42 ~n:4 ~f:1 in
+  t.client ~pid:0 ~name:"writer"
+    [ Diff.write_sticky q "first"; Diff.write_sticky q "second" ];
   run_ok t;
-  let got = ref None in
-  ignore
-    (Sys.client t ~pid:2 ~name:"r2" (fun () -> got := Sys.op_read t ~pid:2));
+  t.client ~pid:2 ~name:"r2" [ Diff.read_sticky q ~pid:2 ];
   run_ok t;
-  Alcotest.check vopt "sticky keeps first value" (Some "first") !got
+  Alcotest.check vopt "sticky keeps first value" (Some "first") (last_read t 2)
 
 (* UNIQUENESS (Observation 18): concurrent reads under many schedules
    agree — never two different non-⊥ values. *)
 let test_uniqueness_concurrent ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  let results = Array.make n None in
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "u"));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "u" ];
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           results.(pid) <- Sys.op_read t ~pid))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
   done;
   run_ok t;
-  let non_bot = Array.to_list results |> List.filter_map (fun x -> x) in
   List.iter
-    (fun v -> Alcotest.(check string) "all non-⊥ reads agree" "u" v)
-    non_bot;
+    (fun pid ->
+      List.iter
+        (Option.iter (Alcotest.(check string) "all non-⊥ reads agree" "u"))
+        (reads t pid))
+    [ 1; 2; 3 ];
   Alcotest.(check bool)
-    "history linearizable (correct writer)" true
-    (Sys.byz_linearizable t)
+    "history linearizable (correct writer)" true (byz_linearizable t)
 
 (* Reads racing the write may see ⊥ or v, but the recorded history must be
    linearizable: no ⊥-read after a v-read. *)
 let test_linearizable_race ~seed () =
   let n = 7 and f = 2 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "w"));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "w" ];
   for pid = 1 to 4 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid
+      ~name:(Printf.sprintf "r%d" pid)
+      [ Diff.read_sticky q ~pid; Diff.read_sticky q ~pid ]
   done;
   run_ok t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 let test_termination_sizes () =
   List.iter
     (fun (n, f) ->
-      let t = Sys.make ~policy:(Policy.random ~seed:(n * 31)) ~n ~f () in
-      ignore
-        (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "v"));
+      let q, t = make ~seed:(n * 31) ~n ~f in
+      t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "v" ];
       for pid = 1 to min 4 (n - 1) do
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-               ignore (Sys.op_read t ~pid)))
+        t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
       done;
       run_ok ~max_steps:5_000_000 t)
     [ (4, 1); (7, 2); (10, 3); (13, 4) ]

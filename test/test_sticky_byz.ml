@@ -1,16 +1,23 @@
 (* Adversarial behaviour of the sticky register (Algorithm 2):
    Observations 16-18 and Theorem 19 under the strategies of lnd_byz. *)
 
-module Sys = Lnd_sticky.System
-module Byz = Lnd_byz.Byz_sticky
+module Diff = Lnd_parallel.Diff
 module Byz_script = Lnd_byz.Byz_script
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
 module S = Lnd_history.Spec.Sticky_spec
 
-let run_ok ?(max_steps = 4_000_000) (t : Sys.t) =
-  match Sys.run ~max_steps t with
+type session = (Lnd_sticky.Sticky_core.reg, S.op, S.res) Diff.session
+
+(* The pids in [byzantine] faulty, each in [scripts] running its
+   strategy and the rest crashed. *)
+let make ~seed ~n ~f ~byzantine scripts =
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  (q, Diff.session (Policy.random ~seed) (Diff.sticky_plan q ~byzantine ~scripts))
+
+let run_ok ?(max_steps = 4_000_000) (t : session) =
+  match Sched.run ~max_steps t.sched with
   | Sched.Quiescent ->
       List.iter
         (fun ((f : Sched.fiber), e) ->
@@ -22,10 +29,26 @@ let run_ok ?(max_steps = 4_000_000) (t : Sys.t) =
       Alcotest.fail "step budget exhausted (termination violated?)"
   | Sched.Condition_met -> ()
 
+let reads_of q pid k = List.init k (fun _ -> Diff.read_sticky q ~pid)
+
+(* What [pid]'s completed READs returned, oldest first. *)
+let reads (t : session) pid =
+  List.filter_map
+    (fun (e : (S.op, S.res) History.entry) ->
+      match e.ret with
+      | Some (S.Val v, _) when e.pid = pid -> Some v
+      | _ -> None)
+    (History.entries (t.history ()))
+
+let byz_linearizable (t : session) =
+  Lnd_history.Byzlin.sticky ~writer:0
+    ~correct:(fun pid -> t.correct.(pid))
+    (t.history ())
+
 (* UNIQUENESS (Observation 18) over a recorded history: if a correct READ
    returned v ≠ ⊥ and precedes another correct READ, the later READ also
    returns v; and no two correct reads return different non-⊥ values. *)
-let check_uniqueness (t : Sys.t) =
+let check_uniqueness (t : session) =
   let reads =
     List.filter_map
       (fun (e : (S.op, S.res) History.entry) ->
@@ -34,7 +57,7 @@ let check_uniqueness (t : Sys.t) =
           match (e.op, e.ret) with
           | S.Read, Some (S.Val r, rt) -> Some (r, e.inv, rt)
           | _ -> None)
-      (History.complete_entries t.history)
+      (History.complete_entries (t.history ()))
   in
   (* agreement *)
   let non_bot = List.filter_map (fun (r, _, _) -> r) reads in
@@ -61,161 +84,151 @@ let check_uniqueness (t : Sys.t) =
 (* Equivocating Byzantine writer pushing two values: correct readers must
    never disagree. *)
 let test_equivocation ~n ~f ~seed () =
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore
-    (Byz.spawn t.sched t.regs ~pid:0
-       (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 3 }));
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0 ]
+      [
+        ( 0,
+          Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 3 }
+        );
+      ]
+  in
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
   Alcotest.(check bool)
-    "linearizable with faulty writer" true (Sys.byz_linearizable t)
+    "linearizable with faulty writer" true (byz_linearizable t)
 
 (* Split collusion: the writer equivocates and f-1 colluders back the
    second value. Still no disagreement among correct readers. *)
 let test_equivocation_with_colluders ~seed () =
   let n = 7 and f = 2 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0; 6 ] () in
-  ignore
-    (Byz.spawn t.sched t.regs ~pid:0
-       (Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 }));
-  ignore (Byz.spawn t.sched t.regs ~pid:6 (Byz_script.False_witness "b"));
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0; 6 ]
+      [
+        ( 0,
+          Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 2 }
+        );
+        (6, Byz_script.False_witness "b");
+      ]
+  in
   for pid = 1 to 5 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Denying writer: writes, lets the value spread, then erases its echo
    register. Stickiness must survive the denial. *)
 let test_deny ~n ~f ~seed () =
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:0
-            (Byz_script.Denying_writer { v = "kept"; deny_after = 4 }));
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0 ]
+      [ (0, Byz_script.Denying_writer { v = "kept"; deny_after = 4 }) ]
+  in
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
+
+(* The last f pids, each running [strategy] ([None]: crashed). *)
+let colluders ~n ~f strategy =
+  let byz = List.init f (fun i -> n - 1 - i) in
+  ( byz,
+    match strategy with
+    | None -> []
+    | Some s -> List.map (fun pid -> (pid, s)) byz )
 
 (* f colluders fabricate a value nobody wrote: no correct read may return
    it (UNFORGEABILITY, Observation 17). *)
 let test_fabricated_value ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter
-    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                          (Byz_script.False_witness "fake")))
-    byz;
-  let results = ref [] in
+  let byzantine, scripts =
+    colluders ~n ~f (Some (Byz_script.False_witness "fake"))
+  in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           results := Sys.op_read t ~pid :: !results))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 1)
   done;
   run_ok t;
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        "UNFORGEABILITY: fabricated value never read" true (r <> Some "fake"))
-    !results;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  for pid = 1 to n - 1 - f do
+    List.iter
+      (fun r ->
+        Alcotest.(check bool)
+          "UNFORGEABILITY: fabricated value never read" true (r <> Some "fake"))
+      (reads t pid)
+  done;
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Correct writer vs f naysayers: WRITE completes and later reads return
    the value (VALIDITY, Observation 16). *)
 let test_validity_vs_naysayers ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                                  Byz_script.Naysayer)) byz;
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "v"));
+  let byzantine, scripts = colluders ~n ~f (Some Byz_script.Naysayer) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "v" ];
   run_ok t;
   for pid = 1 to n - 1 - f do
-    let got = ref None in
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           got := Sys.op_read t ~pid));
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 1);
     run_ok t;
-    Alcotest.(check (option string))
+    Alcotest.(check (list (option string)))
       (Printf.sprintf "VALIDITY vs naysayers at p%d" pid)
-      (Some "v") !got
+      [ Some "v" ] (reads t pid)
   done
 
 (* Flip-flopping colluders racing concurrent reads. *)
 let test_flipflop ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:3 (Byz_script.Flipflop "w"));
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "w"));
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 3 ] [ (3, Byz_script.Flipflop "w") ]
+  in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "w" ];
   for pid = 1 to 2 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Garbage writers: correct operations terminate and linearize. *)
 let test_garbage ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                                  Byz_script.Garbage)) byz;
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "g"));
+  let byzantine, scripts = colluders ~n ~f (Some Byz_script.Garbage) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "g" ];
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 1)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Crashed processes (a special case of Byzantine). *)
 let test_crashed ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "c"));
+  let byzantine, scripts = colluders ~n ~f None in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "c" ];
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 1)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Stale replayer: frozen first-observation answers with fresh stamps
    must not break uniqueness or linearizability. *)
 let test_stale_replayer ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:3 Byz_script.Stale_replayer);
-  ignore (Sys.client t ~pid:0 ~name:"writer" (fun () -> Sys.op_write t "z"));
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 3 ] [ (3, Byz_script.Stale_replayer) ]
+  in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "z" ];
   for pid = 1 to 2 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* The writer crashes mid-WRITE (during its witness wait): readers must
    still agree (they may all see the value or all see ⊥-then-value, but
@@ -223,30 +236,33 @@ let test_stale_replayer ~seed () =
    treated as faulty (crash ⊂ Byzantine). *)
 let test_writer_crash_mid_write ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
+  let q, t = make ~seed ~n ~f ~byzantine:[ 0 ] [] in
   (* the crasher runs the real protocol until it dies *)
   ignore
-    (Sched.spawn t.sched ~pid:0 ~name:"help0" ~daemon:true (fun () ->
-         Lnd_sticky.Sticky.help t.regs ~pid:0));
-  let victim =
-    Sched.spawn t.sched ~pid:0 ~name:"doomed-writer" (fun () ->
-        Lnd_sticky.Sticky.write t.writer "w")
-  in
+    (Sched.spawn_machine t.sched ~pid:0 ~name:"help0" ~daemon:true
+       ~note:(Lnd_runtime.Drive.help_note ()) ~at:t.regs ~data:()
+       (fun () ->
+         Sched.Job
+           ( Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0,
+             (fun () -> Sched.Done ()),
+             () ))
+      : unit -> unit);
+  t.client ~pid:0 ~name:"doomed-writer" [ Diff.write_sticky q "w" ];
   ignore
-    (Sys.run ~max_steps:200_000
+    (Sched.run ~max_steps:200_000
        ~until:(fun sc -> Sched.steps sc > 30)
-       t);
-  Sched.kill victim;
+       t.sched);
+  Sched.kill
+    (List.find
+       (fun (fb : Sched.fiber) -> fb.fname = "doomed-writer")
+       t.sched.fibers);
   for pid = 1 to 3 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid);
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) (reads_of q pid 2)
   done;
   run_ok t;
   check_uniqueness t;
   Alcotest.(check bool)
-    "linearizable with crashed writer" true (Sys.byz_linearizable t)
+    "linearizable with crashed writer" true (byz_linearizable t)
 
 let seeds = [ 11; 22; 33 ]
 

@@ -7,6 +7,7 @@ open Lnd_shm
 module Inv = Lnd_history.Trace_invariants
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
+module Diff = Lnd_parallel.Diff
 
 let no_violations name vs =
   match vs with
@@ -84,24 +85,19 @@ let test_stamp_checker () =
 (* ---- real adversarial executions satisfy the invariants ---- *)
 
 let test_verifiable_run_invariants ~seed () =
-  let module Sys = Lnd_verifiable.System in
   let n = 4 and f = 1 in
+  let q = Quorum.make_relaxed ~n ~f in
   let t =
-    Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] ()
+    Diff.session (Policy.random ~seed)
+      (Diff.verifiable_plan q ~byzantine:[ 3 ]
+         ~scripts:[ (3, Lnd_byz.Byz_script.Flipflop "v") ])
   in
   Space.set_trace t.space ~capacity:300_000;
-  ignore (Lnd_byz.Byz_verifiable.spawn t.sched t.regs ~pid:3
-            (Lnd_byz.Byz_script.Flipflop "v"));
-  ignore
-    (Sys.client t ~pid:0 ~name:"w" (fun () ->
-         Sys.op_write t "v";
-         ignore (Sys.op_sign t "v")));
+  t.client ~pid:0 ~name:"w" [ Diff.write_verifiable "v"; Diff.sign "v" ];
   for pid = 1 to 2 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "v")))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.verify q ~pid "v" ]
   done;
-  (match Sys.run ~max_steps:2_000_000 t with
+  (match Sched.run ~max_steps:2_000_000 t.sched with
   | Sched.Quiescent -> ()
   | _ -> Alcotest.fail "stuck");
   no_violations "verifiable trace"
@@ -110,20 +106,23 @@ let test_verifiable_run_invariants ~seed () =
        (Space.trace t.space))
 
 let test_sticky_run_invariants ~seed () =
-  let module Sys = Lnd_sticky.System in
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
+  let q = Quorum.make_relaxed ~n ~f in
+  let t =
+    Diff.session (Policy.random ~seed)
+      (Diff.sticky_plan q ~byzantine:[ 0 ]
+         ~scripts:
+           [
+             ( 0,
+               Lnd_byz.Byz_script.Equivocating_writer
+                 { va = "a"; vb = "b"; flip_after = 2 } );
+           ])
+  in
   Space.set_trace t.space ~capacity:300_000;
-  ignore
-    (Lnd_byz.Byz_sticky.spawn t.sched t.regs ~pid:0
-       (Lnd_byz.Byz_script.Equivocating_writer
-          { va = "a"; vb = "b"; flip_after = 2 }));
   for pid = 1 to 3 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "r%d" pid) (fun () ->
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid ~name:(Printf.sprintf "r%d" pid) [ Diff.read_sticky q ~pid ]
   done;
-  (match Sys.run ~max_steps:2_000_000 t with
+  (match Sched.run ~max_steps:2_000_000 t.sched with
   | Sched.Quiescent -> ()
   | _ -> Alcotest.fail "stuck");
   no_violations "sticky trace"

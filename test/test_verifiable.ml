@@ -3,14 +3,22 @@
    correct, across system sizes and schedules. *)
 
 open Lnd_support
-module Sys = Lnd_verifiable.System
+module Diff = Lnd_parallel.Diff
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
+module History = Lnd_history.History
+module V = Lnd_history.Spec.Verifiable_spec
 
-let run_ok ?(max_steps = 2_000_000) (t : Sys.t) =
-  match Sys.run ~max_steps t with
-  | Sched.Quiescent ->
-      (match Sched.failures t.sched with
+let make ~seed ~n ~f =
+  let q = Quorum.make_relaxed ~n ~f in
+  ( q,
+    Diff.session (Policy.random ~seed)
+      (Diff.verifiable_plan q ~byzantine:[] ~scripts:[]) )
+
+let run_ok ?(max_steps = 2_000_000) (t : (_, V.op, V.res) Diff.session) =
+  match Sched.run ~max_steps t.sched with
+  | Sched.Quiescent -> (
+      match Sched.failures t.sched with
       | [] -> ()
       | (f, e) :: _ ->
           Alcotest.failf "fiber %s failed: %s" f.Sched.fname
@@ -18,112 +26,109 @@ let run_ok ?(max_steps = 2_000_000) (t : Sys.t) =
   | Sched.Budget_exhausted -> Alcotest.fail "step budget exhausted"
   | Sched.Condition_met -> ()
 
+(* The results of [pid]'s completed operations, oldest first. *)
+let results (t : (_, V.op, V.res) Diff.session) pid =
+  List.filter_map
+    (fun (e : (V.op, V.res) History.entry) ->
+      if e.pid = pid then Option.map fst e.ret else None)
+    (History.entries (t.history ()))
+
+let last_result t pid =
+  match List.rev (results t pid) with
+  | r :: _ -> r
+  | [] -> Alcotest.failf "p%d completed no operation" pid
+
+let verified t pid =
+  match last_result t pid with
+  | V.Verified b -> b
+  | _ -> Alcotest.failf "p%d's last operation was no VERIFY" pid
+
+let byz_linearizable (t : (_, V.op, V.res) Diff.session) =
+  Lnd_history.Byzlin.verifiable ~writer:0
+    ~correct:(fun pid -> t.correct.(pid))
+    (t.history ())
+
 let test_write_read_basic () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  let result = ref None in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a";
-         Sys.op_write t "b"));
-  ignore
-    (Sys.client t ~pid:1 ~name:"reader" (fun () ->
-         result := Some (Sys.op_read t ~pid:1)));
+  let _, t = make ~seed:42 ~n:4 ~f:1 in
+  t.client ~pid:0 ~name:"writer"
+    [ Diff.write_verifiable "a"; Diff.write_verifiable "b" ];
+  t.client ~pid:1 ~name:"reader" [ Diff.read_verifiable ];
   run_ok t;
-  match !result with
-  | Some v ->
+  match last_result t 1 with
+  | V.Val v ->
       Alcotest.(check bool)
         "read returns v0, a or b" true
         (List.mem v [ Value.v0; "a"; "b" ])
-  | None -> Alcotest.fail "read did not complete"
+  | _ -> Alcotest.fail "read did not complete"
 
 let test_sign_then_verify ~n ~f ~seed () =
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  let verified = Array.make n true in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a";
-         let ok = Sys.op_sign t "a" in
-         if not ok then Alcotest.fail "sign of written value failed"));
-  (* readers verify only after the sign completed: sequence via a flag *)
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "a"; Diff.sign "a" ];
   run_ok t;
+  if last_result t 0 <> V.Signed true then
+    Alcotest.fail "sign of written value failed";
+  (* readers verify only after the sign completed *)
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "verifier%d" pid) (fun () ->
-           verified.(pid) <- Sys.op_verify t ~pid "a"))
+    t.client ~pid
+      ~name:(Printf.sprintf "verifier%d" pid)
+      [ Diff.verify q ~pid "a" ]
   done;
   run_ok t;
   for pid = 1 to n - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "VALIDITY: verify after sign at p%d" pid)
-      true verified.(pid)
+      true (verified t pid)
   done
 
 (* VERIFY of a value that was never signed returns false (Definition 10 /
    Observation 12 with a correct writer). *)
 let test_verify_unsigned () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  let res = ref true in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a" (* written but never signed *)));
-  ignore
-    (Sys.client t ~pid:2 ~name:"verifier" (fun () ->
-         res := Sys.op_verify t ~pid:2 "a"));
+  let q, t = make ~seed:42 ~n:4 ~f:1 in
+  (* written but never signed *)
+  t.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "a" ];
+  t.client ~pid:2 ~name:"verifier" [ Diff.verify q ~pid:2 "a" ];
   run_ok t;
-  Alcotest.(check bool) "verify of unsigned value is false" false !res
+  Alcotest.(check bool) "verify of unsigned value is false" false
+    (verified t 2)
 
 (* SIGN of a value never written fails. *)
 let test_sign_unwritten () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  let res = ref true in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a";
-         res := Sys.op_sign t "zz"));
+  let _, t = make ~seed:42 ~n:4 ~f:1 in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "a"; Diff.sign "zz" ];
   run_ok t;
-  Alcotest.(check bool) "sign of unwritten value fails" false !res
+  Alcotest.(check bool) "sign of unwritten value fails" true
+    (last_result t 0 = V.Signed false)
 
 (* Writer may sign an old value it overwrote (Section 4: "it is allowed to
    sign any of the values that it previously wrote, even older ones"). *)
 let test_sign_old_value () =
-  let t = Sys.make ~n:4 ~f:1 () in
-  let signed = ref false and verified = ref false in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "old";
-         Sys.op_write t "new";
-         signed := Sys.op_sign t "old"));
+  let q, t = make ~seed:42 ~n:4 ~f:1 in
+  t.client ~pid:0 ~name:"writer"
+    [
+      Diff.write_verifiable "old"; Diff.write_verifiable "new"; Diff.sign "old";
+    ];
   run_ok t;
-  ignore
-    (Sys.client t ~pid:3 ~name:"verifier" (fun () ->
-         verified := Sys.op_verify t ~pid:3 "old"));
+  t.client ~pid:3 ~name:"verifier" [ Diff.verify q ~pid:3 "old" ];
   run_ok t;
-  Alcotest.(check bool) "sign old value succeeds" true !signed;
-  Alcotest.(check bool) "verify old value succeeds" true !verified
+  Alcotest.(check bool) "sign old value succeeds" true
+    (last_result t 0 = V.Signed true);
+  Alcotest.(check bool) "verify old value succeeds" true (verified t 3)
 
 (* RELAY (Observation 13): once a verify returns true, later verifies of
    the same value return true, across readers and schedules. *)
 let test_relay_sequential ~seed () =
   let n = 7 and f = 2 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "x";
-         ignore (Sys.op_sign t "x")));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "x"; Diff.sign "x" ];
   run_ok t;
-  let first = ref false in
-  ignore
-    (Sys.client t ~pid:1 ~name:"v1" (fun () ->
-         first := Sys.op_verify t ~pid:1 "x"));
+  t.client ~pid:1 ~name:"v1" [ Diff.verify q ~pid:1 "x" ];
   run_ok t;
-  Alcotest.(check bool) "first verify true" true !first;
+  Alcotest.(check bool) "first verify true" true (verified t 1);
   for pid = 2 to n - 1 do
-    let later = ref false in
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           later := Sys.op_verify t ~pid "x"));
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "x" ];
     run_ok t;
-    Alcotest.(check bool) (Printf.sprintf "RELAY at p%d" pid) true !later
+    Alcotest.(check bool) (Printf.sprintf "RELAY at p%d" pid) true
+      (verified t pid)
   done
 
 (* Concurrent verifies racing the sign: whatever each returns, the
@@ -131,100 +136,82 @@ let test_relay_sequential ~seed () =
    Theorem 91). *)
 let test_concurrent_verify_linearizable ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a";
-         ignore (Sys.op_sign t "a")));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer" [ Diff.write_verifiable "a"; Diff.sign "a" ];
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "a");
-           ignore (Sys.op_verify t ~pid "a")))
+    t.client ~pid
+      ~name:(Printf.sprintf "v%d" pid)
+      [ Diff.verify q ~pid "a"; Diff.verify q ~pid "a" ]
   done;
   run_ok t;
   Alcotest.(check bool)
-    "history linearizable (correct writer)" true
-    (Sys.byz_linearizable t)
+    "history linearizable (correct writer)" true (byz_linearizable t)
 
 (* Multiple values, interleaved writes/signs/verifies, many seeds. *)
 let test_multivalue ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "a";
-         ignore (Sys.op_sign t "a");
-         Sys.op_write t "b";
-         ignore (Sys.op_sign t "b");
-         Sys.op_write t "c"));
+  let q, t = make ~seed ~n ~f in
+  t.client ~pid:0 ~name:"writer"
+    [
+      Diff.write_verifiable "a";
+      Diff.sign "a";
+      Diff.write_verifiable "b";
+      Diff.sign "b";
+      Diff.write_verifiable "c";
+    ];
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "a");
-           ignore (Sys.op_verify t ~pid "c");
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid
+      ~name:(Printf.sprintf "v%d" pid)
+      [ Diff.verify q ~pid "a"; Diff.verify q ~pid "c"; Diff.read_verifiable ]
   done;
   run_ok t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Multivalue stress: many values signed and verified concurrently; the
    streaming monitors must accept the (large) history. *)
 let test_multivalue_stress ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f () in
+  let q, t = make ~seed ~n ~f in
   let values = [ "v1"; "v2"; "v3"; "v4"; "v5" ] in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         List.iter
-           (fun v ->
-             Sys.op_write t v;
-             ignore (Sys.op_sign t v))
-           values));
+  t.client ~pid:0 ~name:"writer"
+    (List.concat_map (fun v -> [ Diff.write_verifiable v; Diff.sign v ]) values);
   for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           (* each reader verifies every value, in a pid-dependent order *)
-           let order = if pid mod 2 = 0 then values else List.rev values in
-           List.iter (fun v -> ignore (Sys.op_verify t ~pid v)) order;
-           ignore (Sys.op_verify t ~pid "never-signed")))
+    (* each reader verifies every value, in a pid-dependent order *)
+    let order = if pid mod 2 = 0 then values else List.rev values in
+    t.client ~pid
+      ~name:(Printf.sprintf "v%d" pid)
+      (List.map (Diff.verify q ~pid) (order @ [ "never-signed" ]))
   done;
   run_ok ~max_steps:8_000_000 t;
+  let h = t.history () in
   let correct _ = true in
   (match
      Lnd_history.Monitors.check_all
-       (Lnd_history.Monitors.relay ~correct t.history
-       @ Lnd_history.Monitors.validity ~correct t.history
-       @ Lnd_history.Monitors.unforgeability ~correct ~writer:0 t.history)
+       (Lnd_history.Monitors.relay ~correct h
+       @ Lnd_history.Monitors.validity ~correct h
+       @ Lnd_history.Monitors.unforgeability ~correct ~writer:0 h)
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "monitor violation: %s" msg);
   (* never-signed value must be false everywhere *)
   List.iter
-    (fun (e : (Lnd_history.Spec.Verifiable_spec.op,
-               Lnd_history.Spec.Verifiable_spec.res)
-              Lnd_history.History.entry) ->
+    (fun (e : (V.op, V.res) History.entry) ->
       match (e.op, e.ret) with
-      | ( Lnd_history.Spec.Verifiable_spec.Verify "never-signed",
-          Some (Lnd_history.Spec.Verifiable_spec.Verified r, _) ) ->
+      | V.Verify "never-signed", Some (V.Verified r, _) ->
           Alcotest.(check bool) "never-signed rejected" false r
       | _ -> ())
-    (Lnd_history.History.complete_entries t.history)
+    (History.complete_entries h)
 
 (* Termination across sizes: every operation completes under a fair random
    scheduler (Theorem 40), including at larger n. *)
 let test_termination_sizes () =
   List.iter
     (fun (n, f) ->
-      let t = Sys.make ~policy:(Policy.random ~seed:(n * 17)) ~n ~f () in
-      ignore
-        (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-             Sys.op_write t "v";
-             ignore (Sys.op_sign t "v")));
+      let q, t = make ~seed:(n * 17) ~n ~f in
+      t.client ~pid:0 ~name:"writer"
+        [ Diff.write_verifiable "v"; Diff.sign "v" ];
       for pid = 1 to min 4 (n - 1) do
-        ignore
-          (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-               ignore (Sys.op_verify t ~pid "v")))
+        t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "v" ]
       done;
       run_ok ~max_steps:5_000_000 t)
     [ (4, 1); (7, 2); (10, 3); (13, 4) ]

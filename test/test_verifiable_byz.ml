@@ -2,16 +2,33 @@
    to f Byzantine processes: Observations 11-13 and Theorem 14 under the
    attack strategies of lnd_byz. *)
 
-module Sys = Lnd_verifiable.System
-module Byz = Lnd_byz.Byz_verifiable
+module Diff = Lnd_parallel.Diff
 module Byz_script = Lnd_byz.Byz_script
 module Sched = Lnd_runtime.Sched
 module Policy = Lnd_runtime.Policy
 module History = Lnd_history.History
 module V = Lnd_history.Spec.Verifiable_spec
 
-let run_ok ?(max_steps = 4_000_000) (t : Sys.t) =
-  match Sys.run ~max_steps t with
+type session = (Lnd_verifiable.Verifiable_core.reg, V.op, V.res) Diff.session
+
+(* The pids in [byzantine] faulty, each in [scripts] running its
+   strategy and the rest crashed. *)
+let make ~seed ~n ~f ~byzantine scripts =
+  let q = Lnd_support.Quorum.make_relaxed ~n ~f in
+  ( q,
+    Diff.session (Policy.random ~seed)
+      (Diff.verifiable_plan q ~byzantine ~scripts) )
+
+(* The last f pids, each running [strategy] ([None]: crashed). *)
+let colluders ~n ~f strategy =
+  let byz = List.init f (fun i -> n - 1 - i) in
+  ( byz,
+    match strategy with
+    | None -> []
+    | Some s -> List.map (fun pid -> (pid, s)) byz )
+
+let run_ok ?(max_steps = 4_000_000) (t : session) =
+  match Sched.run ~max_steps t.sched with
   | Sched.Quiescent ->
       List.iter
         (fun ((f : Sched.fiber), e) ->
@@ -23,11 +40,27 @@ let run_ok ?(max_steps = 4_000_000) (t : Sys.t) =
       Alcotest.fail "step budget exhausted (termination violated?)"
   | Sched.Condition_met -> ()
 
+let byz_linearizable (t : session) =
+  Lnd_history.Byzlin.verifiable ~writer:0
+    ~correct:(fun pid -> t.correct.(pid))
+    (t.history ())
+
+let write_sign v = [ Diff.write_verifiable v; Diff.sign v ]
+
+(* What [pid]'s completed VERIFYs returned, oldest first. *)
+let verifies (t : session) pid =
+  List.filter_map
+    (fun (e : (V.op, V.res) History.entry) ->
+      match e.ret with
+      | Some (V.Verified b, _) when e.pid = pid -> Some b
+      | _ -> None)
+    (History.entries (t.history ()))
+
 (* RELAY (Observation 13) over a recorded history: for every pair of
    completed VERIFY(v) operations by correct readers where the first
    returned true and precedes the second, the second must return true. *)
-let check_relay (t : Sys.t) =
-  let entries = History.complete_entries t.history in
+let check_relay (t : session) =
+  let entries = History.complete_entries (t.history ()) in
   let verifies =
     List.filter_map
       (fun (e : (V.op, V.res) History.entry) ->
@@ -53,213 +86,141 @@ let check_relay (t : Sys.t) =
 (* UNFORGEABILITY: correct writer never signs "evil"; f colluders claim to
    witness it. No correct VERIFY("evil") may return true. *)
 let test_unforgeability ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter
-    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                          (Byz_script.False_witness "evil")))
-    byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "good";
-         ignore (Sys.op_sign t "good")));
-  let evil_results = ref [] in
+  let byzantine, scripts =
+    colluders ~n ~f (Some (Byz_script.False_witness "evil"))
+  in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "good");
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           let r = Sys.op_verify t ~pid "evil" in
-           evil_results := r :: !evil_results))
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "evil" ]
   done;
   run_ok t;
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "UNFORGEABILITY: verify of unsigned value" false r)
-    !evil_results;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  for pid = 1 to n - 1 - f do
+    List.iter
+      (Alcotest.(check bool) "UNFORGEABILITY: verify of unsigned value" false)
+      (verifies t pid)
+  done;
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* VALIDITY under f instant naysayers: a signed value still verifies true
    for every correct reader. *)
 let test_validity_vs_naysayers ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                                  Byz_script.Naysayer)) byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "v";
-         ignore (Sys.op_sign t "v")));
+  let byzantine, scripts = colluders ~n ~f (Some Byz_script.Naysayer) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "v");
   run_ok t;
   for pid = 1 to n - 1 - f do
-    let r = ref false in
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           r := Sys.op_verify t ~pid "v"));
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "v" ];
     run_ok t;
-    Alcotest.(check bool)
+    Alcotest.(check (list bool))
       (Printf.sprintf "VALIDITY vs naysayers at p%d" pid)
-      true !r
+      [ true ] (verifies t pid)
   done;
+  check_relay t
+
+(* Each correct reader 1 .. n-1-f verifies every value of [vs], in
+   order, in one client; then relay and Byzantine linearizability. *)
+let verifiers_then_check q (t : session) ~n ~f vs =
+  for pid = 1 to n - 1 - f do
+    t.client ~pid
+      ~name:(Printf.sprintf "v%d" pid)
+      (List.map (Diff.verify q ~pid) vs)
+  done;
+  run_ok t;
   check_relay t
 
 (* RELAY under f vote-flipping colluders racing many concurrent verifies. *)
 let test_relay_vs_flipflop ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter
-    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                          (Byz_script.Flipflop "x")))
-    byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "x";
-         ignore (Sys.op_sign t "x")));
-  for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "x");
-           ignore (Sys.op_verify t ~pid "x")))
-  done;
-  run_ok t;
-  check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  let byzantine, scripts = colluders ~n ~f (Some (Byz_script.Flipflop "x")) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "x");
+  verifiers_then_check q t ~n ~f [ "x"; "x" ];
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* The title attack: a Byzantine writer signs, lets readers verify, then
    erases everything and denies. Relay and Byzantine linearizability must
    survive; every correct operation must terminate. *)
 let test_lie_but_not_deny ~n ~f ~seed ~deny_after () =
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:0
-            (Byz_script.Denying_writer { v = "lie"; deny_after }));
-  for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "lie");
-           ignore (Sys.op_verify t ~pid "lie")))
-  done;
-  run_ok t;
-  check_relay t;
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0 ]
+      [ (0, Byz_script.Denying_writer { v = "lie"; deny_after }) ]
+  in
+  verifiers_then_check q t ~n ~f:0 [ "lie"; "lie" ];
   Alcotest.(check bool)
-    "linearizable with faulty writer" true (Sys.byz_linearizable t)
+    "linearizable with faulty writer" true (byz_linearizable t)
 
 (* A writer that signs without writing: correct readers may verify the
    value; the history must still be explainable (Byzantine
    linearizability), and relay must hold. *)
 let test_sign_without_write ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:0
-            (Byz_script.Sign_without_write "ghost"));
-  for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "ghost")))
-  done;
-  run_ok t;
-  check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0 ]
+      [ (0, Byz_script.Sign_without_write "ghost") ]
+  in
+  verifiers_then_check q t ~n ~f:0 [ "ghost" ];
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* An equivocating writer pushing two values: relay must hold per value and
    the history must linearize (the writer may legitimately sign both). *)
 let test_equivocating_writer ~seed () =
   let n = 4 and f = 1 in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 0 ] () in
-  ignore (Byz.spawn t.sched t.regs ~pid:0
-            (Byz_script.Equivocating_writer
-               { va = "a"; vb = "b"; flip_after = 1 }));
-  for pid = 1 to n - 1 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "a");
-           ignore (Sys.op_verify t ~pid "b")))
-  done;
-  run_ok t;
-  check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  let q, t =
+    make ~seed ~n ~f ~byzantine:[ 0 ]
+      [
+        ( 0,
+          Byz_script.Equivocating_writer { va = "a"; vb = "b"; flip_after = 1 }
+        );
+      ]
+  in
+  verifiers_then_check q t ~n ~f:0 [ "a"; "b" ];
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Ill-typed garbage from f processes: correct operations terminate and
    the history linearizes. *)
 let test_garbage ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                                  Byz_script.Garbage)) byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "ok";
-         ignore (Sys.op_sign t "ok")));
+  let byzantine, scripts = colluders ~n ~f (Some Byz_script.Garbage) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "ok");
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "ok");
-           ignore (Sys.op_read t ~pid)))
+    t.client ~pid
+      ~name:(Printf.sprintf "v%d" pid)
+      [ Diff.verify q ~pid "ok"; Diff.read_verifiable ]
   done;
   run_ok t;
   check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Stale-stamp replayers: old witness evidence with fresh timestamps must
    not break relay or linearizability. *)
 let test_stale_replayer ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter
-    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                          Byz_script.Stale_replayer))
-    byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "s";
-         ignore (Sys.op_sign t "s")));
-  for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "s");
-           ignore (Sys.op_verify t ~pid "s")))
-  done;
-  run_ok t;
-  check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  let byzantine, scripts = colluders ~n ~f (Some Byz_script.Stale_replayer) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "s");
+  verifiers_then_check q t ~n ~f [ "s"; "s" ];
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Selective responders starving odd-numbered readers: every VERIFY still
    terminates (the correct helpers answer everyone). *)
 let test_selective_starvation ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  List.iter
-    (fun pid -> ignore (Byz.spawn t.sched t.regs ~pid
-                          (Byz_script.Selective "s")))
-    byz;
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "s";
-         ignore (Sys.op_sign t "s")));
-  for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           (* odd readers are the starved ones; all must terminate *)
-           ignore (Sys.op_verify t ~pid "s")))
-  done;
-  run_ok t;
-  check_relay t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  let byzantine, scripts = colluders ~n ~f (Some (Byz_script.Selective "s")) in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "s");
+  (* odd readers are the starved ones; all must terminate *)
+  verifiers_then_check q t ~n ~f [ "s" ];
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* Crash faults are a special case of Byzantine: f processes that never
    take a single step. All correct operations must still terminate. *)
 let test_crashed_processes ~n ~f ~seed () =
-  let byz = List.init f (fun i -> n - 1 - i) in
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:byz () in
-  (* spawn nothing for the crashed pids *)
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "v";
-         ignore (Sys.op_sign t "v")));
+  let byzantine, scripts = colluders ~n ~f None in
+  let q, t = make ~seed ~n ~f ~byzantine scripts in
+  t.client ~pid:0 ~name:"writer" (write_sign "v");
   for pid = 1 to n - 1 - f do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "v")))
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "v" ]
   done;
   run_ok t;
-  Alcotest.(check bool) "linearizable" true (Sys.byz_linearizable t)
+  Alcotest.(check bool) "linearizable" true (byz_linearizable t)
 
 (* A reader crashes mid-VERIFY: its operation stays incomplete in the
    history; Byzantine linearizability must still hold for the rest (the
@@ -267,37 +228,36 @@ let test_crashed_processes ~n ~f ~seed () =
 let test_reader_crash_mid_verify ~seed () =
   let n = 4 and f = 1 in
   (* p3 is the crasher: counts as the one Byzantine process *)
-  let t = Sys.make ~policy:(Policy.random ~seed) ~n ~f ~byzantine:[ 3 ] () in
-  ignore
-    (Sys.client t ~pid:0 ~name:"writer" (fun () ->
-         Sys.op_write t "c";
-         ignore (Sys.op_sign t "c")));
+  let q, t = make ~seed ~n ~f ~byzantine:[ 3 ] [] in
+  t.client ~pid:0 ~name:"writer" (write_sign "c");
   (* the crasher still RUNS the protocol (it is not malicious, just
      doomed): give it a help daemon and a verify it will never finish *)
   ignore
-    (Sched.spawn t.sched ~pid:3 ~name:"help3" ~daemon:true (fun () ->
-         Lnd_verifiable.Verifiable.help t.regs ~pid:3));
-  let victim =
-    Sys.client t ~pid:3 ~name:"doomed" (fun () ->
-        ignore (Sys.op_verify t ~pid:3 "c"))
-  in
+    (Sched.spawn_machine t.sched ~pid:3 ~name:"help3" ~daemon:true
+       ~note:(Lnd_runtime.Drive.help_note ()) ~at:t.regs ~data:()
+       (fun () ->
+         Sched.Job
+           ( Lnd_verifiable.Verifiable_core.help_prog ~n ~q ~pid:3,
+             (fun () -> Sched.Done ()),
+             () ))
+      : unit -> unit);
+  t.client ~pid:3 ~name:"doomed" [ Diff.verify q ~pid:3 "c" ];
   (* let it take a few steps, then crash it *)
   ignore
-    (Sys.run ~max_steps:200_000
+    (Sched.run ~max_steps:200_000
        ~until:(fun sc -> Sched.steps sc > 50)
-       t);
-  Sched.kill victim;
+       t.sched);
+  Sched.kill
+    (List.find (fun (fb : Sched.fiber) -> fb.fname = "doomed") t.sched.fibers);
   for pid = 1 to 2 do
-    ignore
-      (Sys.client t ~pid ~name:(Printf.sprintf "v%d" pid) (fun () ->
-           ignore (Sys.op_verify t ~pid "c")))
+    t.client ~pid ~name:(Printf.sprintf "v%d" pid) [ Diff.verify q ~pid "c" ]
   done;
   run_ok t;
   Alcotest.(check bool)
     "incomplete op recorded" true
-    (List.length (History.incomplete_entries t.history) <= 1);
+    (List.length (History.incomplete_entries (t.history ())) <= 1);
   Alcotest.(check bool)
-    "linearizable with crashed reader" true (Sys.byz_linearizable t)
+    "linearizable with crashed reader" true (byz_linearizable t)
 
 let seeds = [ 101; 202; 303 ]
 
