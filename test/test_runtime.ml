@@ -87,6 +87,33 @@ let test_budget () =
   | Sched.Budget_exhausted -> ()
   | _ -> Alcotest.fail "expected budget exhaustion"
 
+(* [max_steps] bounds the scheduler's step count, not the run's: a run
+   after [spawn] gets only what the runs before it left. A client of 30
+   reads takes 31 steps (its start, then one per read). *)
+let test_budget_is_total () =
+  let space, sched = mk_sys (Policy.round_robin ()) in
+  let r = int_reg space ~owner:0 in
+  let client () =
+    ignore
+      (Sched.spawn sched ~pid:1 ~name:"reads" (fun () ->
+           for _ = 1 to 30 do
+             ignore (Sched.read r)
+           done))
+  in
+  client ();
+  (match Sched.run ~max_steps:50 sched with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "the first client fits the budget");
+  Alcotest.(check int) "first run" 31 (Sched.steps sched);
+  client ();
+  (match Sched.run ~max_steps:50 sched with
+  | Sched.Budget_exhausted -> ()
+  | _ -> Alcotest.fail "the second run gets only 19 steps");
+  Alcotest.(check int) "the budget counts both runs" 50 (Sched.steps sched);
+  match Sched.run ~max_steps:62 sched with
+  | Sched.Quiescent -> Alcotest.(check int) "both clients" 62 (Sched.steps sched)
+  | _ -> Alcotest.fail "62 steps in all finish both clients"
+
 let test_kill () =
   let space, sched = mk_sys (Policy.round_robin ()) in
   let r = int_reg space ~owner:0 in
@@ -456,6 +483,8 @@ let tests =
     Alcotest.test_case "daemons don't block quiescence" `Quick
       test_daemon_quiescence;
     Alcotest.test_case "budget exhaustion" `Quick test_budget;
+    Alcotest.test_case "max_steps bounds the total over run; spawn; run"
+      `Quick test_budget_is_total;
     Alcotest.test_case "kill" `Quick test_kill;
     Alcotest.test_case "enabled mask" `Quick test_enabled_mask;
     Alcotest.test_case "exception captured" `Quick test_exception_captured;
