@@ -94,15 +94,20 @@ let warn_bound ~alg ~n ~f =
   if n <= 3 * f then
     pr "warning: n <= 3f — outside Algorithm %d's requirement\n" alg
 
-(* How many scenarios or seeds a sweep runs: a negative count is a usage
-   error (exit 124), not an empty sweep reported as a pass. *)
-let count_conv =
+(* An integer of at least [lo]; anything less is a usage error (exit
+   124). *)
+let at_least lo =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok c when c < 0 -> Error (`Msg (Printf.sprintf "need N >= 0, not %d" c))
+    | Ok c when c < lo ->
+        Error (`Msg (Printf.sprintf "need N >= %d, not %d" lo c))
     | r -> r
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* How many scenarios or seeds a sweep runs: a negative count is a usage
+   error, not an empty sweep reported as a pass. *)
+let count_conv = at_least 0
 
 let run_to_quiescence sched ~max_steps =
   match Sched.run ~max_steps sched with
@@ -781,19 +786,22 @@ let explore_cmd =
       & opt (enum [ ("dpor", `Dpor); ("naive", `Naive) ]) `Dpor
       & info [ "mode" ] ~docv:"MODE" ~doc:"dpor or naive (baseline DFS).")
   in
+  (* Bounds that leave nothing to explore are usage errors: a run of no
+     steps, or one that cannot afford its first choice, would report a
+     space it never entered as exhausted. *)
   let max_steps =
     Arg.(
-      value & opt int 600
+      value & opt (at_least 1) 600
       & info [ "max-steps" ] ~docv:"STEPS" ~doc:"Per-run step budget.")
   in
   let max_runs =
     Arg.(
-      value & opt int 200_000
+      value & opt count_conv 200_000
       & info [ "max-runs" ] ~docv:"RUNS" ~doc:"Total schedule budget.")
   in
   let preempts =
     Arg.(
-      value & opt int 0
+      value & opt count_conv 0
       & info [ "preempts" ] ~docv:"P"
           ~doc:"CHESS-style preemption bound (involuntary switches per run).")
   in

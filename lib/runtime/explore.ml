@@ -104,10 +104,24 @@ let resume ~(prev : Sched.t option) (sched : Sched.t) ~shared =
       if Sched.steps sched > 0 then Sched.rewind sched 0;
       0
 
+(* A bound that leaves nothing to explore is an error, not an exhausted
+   space: a run of no steps, or none affordable, ends at once and the
+   explorer would report a space it never entered as covered. *)
+let check_bounds fn ~max_steps ~max_runs ~max_preempts =
+  let bad what v need =
+    invalid_arg (Printf.sprintf "Explore.%s: %s must be %s, not %d" fn what need v)
+  in
+  if max_steps < 1 then bad "max_steps" max_steps ">= 1";
+  if max_runs < 0 then bad "max_runs" max_runs ">= 0";
+  match max_preempts with
+  | Some p when p < 0 -> bad "max_preempts" p ">= 0"
+  | _ -> ()
+
 (* ---------------- Naive DFS (the baseline) ---------------- *)
 
 let exhaustive ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     ?(max_steps = 400) ?(max_runs = 20_000) ?(note = "") () : result =
+  check_bounds "exhaustive" ~max_steps ~max_runs ~max_preempts:None;
   let runs = ref 0 in
   let pruned = ref 0 in
   let exhausted = ref false in
@@ -208,12 +222,25 @@ let max_fibers = 62
 let bit q = 1 lsl q
 let mem q s = s land (1 lsl q) <> 0
 
-(* The smallest fid in [s] that is at least [q], or -1. Choices walk
-   their sets upwards, in the ascending-fid order the explorer has
-   always used: which fiber the rotation picks and which backtrack
-   candidate goes first decide the order schedules are explored in. *)
-let rec next_fid s q =
-  if s lsr q = 0 then -1 else if mem q s then q else next_fid s (q + 1)
+(* The fid of a one-bit set [b]. Multiplying by a de Bruijn sequence
+   moves a different 6-bit window of it into the top bits for each of
+   the 62 bits, and the table maps the window back. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let fid_of_window =
+  let t = Array.make 64 0 in
+  for q = 0 to max_fibers - 1 do
+    t.((bit q * debruijn) lsr 57) <- q
+  done;
+  t
+
+let fid_of_bit b = fid_of_window.((b * debruijn) lsr 57)
+
+(* The smallest fid in a nonempty [s]. Choices take their sets from the
+   bottom up, in the ascending-fid order the explorer has always used:
+   which fiber the rotation picks and which backtrack candidate goes
+   first decide the order schedules are explored in. *)
+let lowest s = fid_of_bit (s land (-s))
 
 let rec popcount s = if s = 0 then 0 else 1 + popcount (s land (s - 1))
 
@@ -240,20 +267,21 @@ type node = {
   mutable nd_done : int;
   mutable nd_sleep : int;
   mutable nd_enabled : int;
-  mutable nd_alpha : Sched.footprint; (* footprint the chosen step executed *)
   mutable nd_preempts : int; (* preemptions consumed up to and incl. this step *)
   mutable nd_width : int; (* the run's clock width after this step: 1 + its largest fid yet *)
   nd_clock : int array;
   mutable nd_clock_used : int; (* entries of [nd_clock] written by some run *)
   mutable nd_prev_fiber : int; (* the chosen fiber's previous step, or -1 *)
-  mutable nd_reg : int; (* the register id the step accessed, or -1 *)
+  mutable nd_reg : int;
+      (* the register id the step accessed, or -1 for a yield or a
+         spawn prefix ([A_none]): a voluntary switch point *)
   mutable nd_prev_reg : int; (* the previous access to that register, or -1 *)
   mutable nd_last_write : int; (* its latest write up to this step, or -1 *)
 }
 
 let fresh_node () =
   { nd_chosen = -1; nd_backtrack = 0; nd_done = 0; nd_sleep = 0;
-    nd_enabled = 0; nd_alpha = Sched.A_none; nd_preempts = 0; nd_width = 0;
+    nd_enabled = 0; nd_preempts = 0; nd_width = 0;
     nd_clock = Array.make max_fibers (-1); nd_clock_used = 0;
     nd_prev_fiber = -1; nd_reg = -1; nd_prev_reg = -1; nd_last_write = -1 }
 
@@ -275,6 +303,7 @@ let rec index_of q (ready : Sched.fiber array) ~at i =
 let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     ?(max_steps = 2_000) ?(max_runs = 200_000) ?max_preempts ?(note = "") () :
     result =
+  check_bounds "dpor" ~max_steps ~max_runs ~max_preempts;
   (* The execution prefix is [!stack.(0 .. !len - 1)]; the records past
      [!len] are spares that the next pushes overwrite. *)
   let stack = ref (Array.init 256 (fun _ -> fresh_node ())) in
@@ -292,8 +321,6 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     nd.nd_done <- 0;
     nd.nd_sleep <- sleep;
     nd.nd_enabled <- enabled;
-    nd.nd_alpha <- Sched.A_none;
-    nd.nd_preempts <- 0;
     incr len;
     nd
   in
@@ -301,29 +328,35 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
   (* forced prefix: nodes [0, plan_len) replay their recorded choice *)
   (* Preemption accounting (CHESS-style context bounding): scheduling
      [c] at node [d] is a preemption iff the previous step's fiber is
-     still enabled, was not at a voluntary switch point (its executed
-     footprint was a real access, not a yield/spawn [A_none]), and
-     [c] is a different fiber. Voluntary switch points branch freely. *)
+     still enabled, was not at a voluntary switch point (its step was a
+     real access, not a yield/spawn [A_none]), and [c] is a different
+     fiber. Voluntary switch points branch freely. *)
   let cost d c enabled =
     if d = 0 then 0
     else begin
       let pv = !stack.(d - 1) in
-      let involuntary =
-        match pv.nd_alpha with Sched.A_none -> false | _ -> true
-      in
-      if c <> pv.nd_chosen && involuntary && mem pv.nd_chosen enabled
+      if c <> pv.nd_chosen && pv.nd_reg >= 0 && mem pv.nd_chosen enabled
       then pv.nd_preempts + 1
       else pv.nd_preempts
     end
   in
-  let afford d c enabled =
-    match max_preempts with None -> true | Some p -> cost d c enabled <= p
-  in
-  (* The smallest fid of [s] at least [q] that [d] can afford, or -1. *)
-  let rec first_affordable d s enabled q =
-    let q = next_fid s q in
-    if q < 0 || afford d q enabled then q
-    else first_affordable d s enabled (q + 1)
+  (* The fibers of [s] that node [d] can afford. The cost depends on the
+     previous node alone: every fiber costs its count, except that once
+     the count reaches the bound after a real access by a fiber still
+     [enabled], only that fiber goes on without a preemption. *)
+  let affordable d s enabled =
+    match max_preempts with
+    | None -> s
+    | Some p ->
+        if d = 0 then s
+        else begin
+          let pv = !stack.(d - 1) in
+          if pv.nd_preempts < p then s
+          else if pv.nd_preempts > p then 0
+          else if pv.nd_reg >= 0 && mem pv.nd_chosen enabled then
+            s land bit pv.nd_chosen
+          else s
+        end
   in
   let runs = ref 0 and pruned = ref 0 and blocked = ref 0 in
   let races = ref 0 in
@@ -373,9 +406,11 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
     fiber_last.(nd.nd_chosen) <- nd.nd_prev_fiber;
     if nd.nd_reg >= 0 then !reg_last.(nd.nd_reg) <- nd.nd_prev_reg
   in
+  (* The smallest fid of a nonempty [s] after the last one chosen, else
+     its smallest. *)
   let rotate s =
-    let q = next_fid s (!last_rot + 1) in
-    if q >= 0 then q else next_fid s 0
+    let after = s land (-1 lsl (!last_rot + 1)) in
+    lowest (if after <> 0 then after else s)
   in
   let choose (_sched : Sched.t) (ready : Sched.fiber array) : int =
     let d = !depth in
@@ -420,13 +455,7 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
                    fibers so base runs are fair and reach quiescence *)
                 rotate free
             | Some _ ->
-                let affordable = ref 0 in
-                let q = ref (first_affordable d free enabled 0) in
-                while !q >= 0 do
-                  affordable := !affordable lor bit !q;
-                  q := first_affordable d free enabled (!q + 1)
-                done;
-                let affordable = !affordable in
+                let affordable = affordable d free enabled in
                 if affordable = 0 then raise Preempt_blocked;
                 (* prefer running the previous fiber on (preemptions
                    cost budget); rotate freely at voluntary points *)
@@ -434,9 +463,7 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
                   if d = 0 then -1
                   else
                     let pv = !stack.(d - 1) in
-                    match pv.nd_alpha with
-                    | Sched.A_none -> -1
-                    | _ -> pv.nd_chosen
+                    if pv.nd_reg >= 0 then pv.nd_chosen else -1
                 in
                 if pv >= 0 && mem pv affordable then pv else rotate affordable
           in
@@ -448,8 +475,7 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       if not (mem c enabled) then
         raise (Replay_diverged { at = d; reason = "planned fiber not ready" });
       let alpha = ready.(slot.(c)).Sched.next_access in
-      nd.nd_alpha <- alpha;
-      nd.nd_preempts <- cost d c nd.nd_enabled;
+      nd.nd_preempts <- cost d c enabled;
       let w = !width in
       nd.nd_width <- w;
       (* The step's clock starts as [c]'s previous one ([cp]); then it
@@ -458,8 +484,13 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       let prev = fiber_last.(c) in
       let cp = if prev >= 0 then !stack.(prev).nd_clock else no_clock in
       let vc = nd.nd_clock in
-      Array.blit cp 0 vc 0 w;
-      if nd.nd_clock_used > w then Array.fill vc w (nd.nd_clock_used - w) (-1);
+      (* about ten entries: loops beat the calls into the runtime *)
+      for q = 0 to w - 1 do
+        vc.(q) <- cp.(q)
+      done;
+      for q = w to nd.nd_clock_used - 1 do
+        vc.(q) <- -1
+      done;
       nd.nd_clock_used <- w;
       nd.nd_prev_fiber <- prev;
       fiber_last.(c) <- d;
@@ -493,13 +524,13 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
       (* Sleep-set propagation: siblings already explored from this node
          join the sleep set; fibers whose pending step depends on the
          executed one wake up. *)
-      let out = (sleep_in lor nd.nd_done) land enabled in
+      let out = ref ((sleep_in lor nd.nd_done) land enabled) in
       let sleep = ref 0 in
-      let q = ref (next_fid out 0) in
-      while !q >= 0 do
-        if not (conflict alpha ready.(slot.(!q)).Sched.next_access) then
-          sleep := !sleep lor bit !q;
-        q := next_fid out (!q + 1)
+      while !out <> 0 do
+        let b = !out land (- !out) in
+        out := !out lxor b;
+        if not (conflict alpha ready.(slot.(fid_of_bit b)).Sched.next_access)
+        then sleep := !sleep lor b
       done;
       cur_sleep := !sleep;
       depth := d + 1;
@@ -559,11 +590,12 @@ let dpor ~(make : Policy.t -> Sched.t) ~(check : Sched.t -> unit)
         unlink d;
         ndd.nd_done <- ndd.nd_done lor bit ndd.nd_chosen;
         let cands =
-          ndd.nd_backtrack land lnot ndd.nd_done land lnot ndd.nd_sleep
+          affordable d
+            (ndd.nd_backtrack land lnot ndd.nd_done land lnot ndd.nd_sleep)
+            ndd.nd_enabled
         in
-        let c = first_affordable d cands ndd.nd_enabled 0 in
-        if c >= 0 then begin
-          ndd.nd_chosen <- c;
+        if cands <> 0 then begin
+          ndd.nd_chosen <- lowest cands;
           len := d + 1;
           plan_len := d + 1
         end

@@ -107,7 +107,10 @@ and t = {
          fiber until the next write by anyone. Off by default — normal
          runs keep the paper's fully asynchronous semantics. *)
   mutable clock : int; (* logical time: advanced by steps and by E_clock *)
-  mutable enabled : fiber -> bool; (* scheduling mask, used by targeted scenarios *)
+  mutable enabled : (fiber -> bool) option;
+      (* scheduling mask, used by targeted scenarios; [None], every fiber,
+         until [set_enabled] installs one, so an unmasked rebuild of
+         [ready] calls no closure *)
   mutable choose : t -> fiber array -> int; (* policy: pick among ready fibers *)
   mutable ready : fiber array;
       (* the ready fibers in spawn order, kept from step to step and
@@ -158,7 +161,7 @@ let create ~space ~choose =
       writes = 0;
       park_on_yield = false;
       clock = 0;
-      enabled = (fun _ -> true);
+      enabled = None;
       choose;
       ready = [||];
       stale = true;
@@ -192,7 +195,7 @@ let no_journal t =
   t.rewindable <- false
 
 let set_enabled t mask =
-  t.enabled <- mask;
+  t.enabled <- Some mask;
   no_journal t;
   t.stale <- true
 
@@ -348,6 +351,14 @@ let footprint t (r : Register.t) kind =
       fp
   | fp -> fp
 
+(* [f] pauses at footprint [fp], runnable again. Both fields mostly
+   hold these very values already (the fiber's prebuilt stepper, the
+   interned footprints), and a pointer store costs a write barrier even
+   when it changes nothing, so only a change is stored. *)
+let ready_at (f : fiber) (m : (_, _) mstate) fp =
+  if f.next_access != fp then f.next_access <- fp;
+  if f.state != m.resume then f.state <- m.resume
+
 (* Pause [f] at the next Read, Write or Yield (which parks the fiber in
    park-on-yield mode) of [p], its job being [(k, d)]. Notes on the way
    go to the fiber's handler; a Ret runs the job's continuation at once
@@ -359,17 +370,14 @@ let rec pause : type r a d.
   match p with
   | Machine.Read (r, _) ->
       m.cur <- Job (p, k, d);
-      f.next_access <- footprint t (m.at r) 0;
-      f.state <- m.resume
+      ready_at f m (footprint t (m.at r) 0)
   | Machine.Write (r, _, _) ->
       m.cur <- Job (p, k, d);
-      f.next_access <- footprint t (m.at r) 1;
-      f.state <- m.resume
+      ready_at f m (footprint t (m.at r) 1)
   | Machine.Yield _ ->
       m.cur <- Job (p, k, d);
-      f.next_access <- A_none;
       if t.park_on_yield then f.parked_at <- t.writes;
-      f.state <- m.resume
+      ready_at f m A_none
   | Machine.Note _ ->
       pause t f m (Machine.step ~read:m.read ~write:m.write ~note:m.note p) k d
   | Machine.Ret a -> (
@@ -422,8 +430,9 @@ let spawn_machine t ~pid ~name ?(daemon = false) ?(note = fun _ -> ())
     let old = reg.Register.value in
     Space.write space ~by:pid reg u;
     if t.rewindable then begin
-      t.j_access.(t.steps - 1) <- 2;
-      t.j_old.(t.steps - 1) <- old
+      let i = t.steps - 1 in
+      t.j_access.(i) <- 2;
+      if t.j_old.(i) != old then t.j_old.(i) <- old
     end
   in
   let m =
@@ -466,14 +475,16 @@ let record_step t (f : fiber) =
       t.j_access <- grow t.j_access 0;
       t.j_old <- grow t.j_old Univ.(inj unit ())
     end;
-    t.j_fiber.(i) <- f;
+    if t.j_fiber.(i) != f then t.j_fiber.(i) <- f;
     t.j_parked.(i) <- f.parked_at;
     t.j_clock.(i) <- t.clock;
     t.j_access.(i) <- 0;
     match f.machine with
     | Machine m ->
         if m.npast = Array.length m.past then m.past <- grow m.past m.cur;
-        m.past.(m.npast) <- m.cur;
+        (* a step replayed after a rewind leaves from the job it left
+           from last time *)
+        if m.past.(m.npast) != m.cur then m.past.(m.npast) <- m.cur;
         m.npast <- m.npast + 1
     | No_machine -> invalid_arg "Sched: journalling an effect fiber"
   end
@@ -486,21 +497,20 @@ let undo t i =
       m.npast <- m.npast - 1;
       let j = m.past.(m.npast) in
       m.cur <- j;
-      f.state <- m.resume;
       match j with
       | Job (Machine.Read (r, _), _, _) ->
           let reg = m.at r in
           if t.j_access.(i) = 1 then Space.unread t.space ~by:f.pid reg;
-          f.next_access <- footprint t reg 0
+          ready_at f m (footprint t reg 0)
       | Job (Machine.Write (r, _, _), _, _) ->
           let reg = m.at r in
           t.writes <- t.writes - 1;
           if t.j_access.(i) = 2 then
             Space.unwrite t.space ~by:f.pid reg ~old:t.j_old.(i);
-          f.next_access <- footprint t reg 1
+          ready_at f m (footprint t reg 1)
       | Job ((Machine.Yield _ | Machine.Ret _ | Machine.Note _), _, _) | Done _
         ->
-          f.next_access <- A_none)
+          ready_at f m A_none)
   | No_machine -> invalid_arg "Sched: journalling an effect fiber");
   f.parked_at <- t.j_parked.(i)
 
@@ -520,7 +530,9 @@ let rewind t k =
 (* Runnable = Ready + passing the scenario mask; parked fibers (see
    [park_on_yield]) additionally wait for the next write by anyone. *)
 let runnable t f =
-  (match f.state with Ready _ -> true | _ -> false) && t.enabled f
+  match f.state with
+  | Finished _ -> false
+  | Ready _ -> ( match t.enabled with None -> true | Some mask -> mask f)
 
 let parked t f = f.parked_at >= 0 && t.writes <= f.parked_at
 let is_ready t f = runnable t f && not (parked t f)
@@ -532,8 +544,11 @@ let step_fiber t (f : fiber) : unit =
   | Finished _ -> invalid_arg "Sched.step_fiber: fiber not ready"
   | Ready go ->
       if t.rewindable then record_step t f;
-      (* Mark running; [go] re-installs Ready on the next effect. *)
-      f.state <- Finished Completed;
+      (* Mark an effect fiber running; [go] re-installs Ready on the next
+         effect. A machine step ends by setting the state itself. *)
+      (match f.machine with
+      | No_machine -> f.state <- Finished Completed
+      | Machine _ -> ());
       f.parked_at <- -1;
       (match f.next_access with
       | A_write _ | A_update _ ->
@@ -608,28 +623,29 @@ let refresh t =
   t.stale <- false
 
 (* Run until every enabled non-daemon fiber has finished, the predicate
-   [until] holds, or [max_steps] elapse. Daemons keep getting scheduled
-   while clients run, but never keep the run alive on their own. *)
-let run ?(max_steps = 1_000_000) ?(until = fun (_ : t) -> false) (t : t) :
-    stop_reason =
+   [until] holds, or the scheduler has taken [max_steps] steps in all.
+   Daemons keep getting scheduled while clients run, but never keep the
+   run alive on their own. *)
+let run ?(max_steps = 1_000_000) ?until (t : t) : stop_reason =
   (* a run that an exception ended (a raising failure hook or policy)
      may have left [ready] behind *)
   t.stale <- true;
   let rec loop () =
-    if until t then Condition_met
-    else begin
-      if t.stale then refresh t;
-      if not t.client_left then Quiescent
-      else if Array.length t.ready = 0 then
-        (* park-on-yield livelock: every runnable fiber waits for a write
-           that can never come. Inconclusive, like a blown step budget. *)
-        Budget_exhausted
-      else if t.steps >= max_steps then Budget_exhausted
-      else begin
-        step_fiber t t.ready.(t.choose t t.ready);
-        loop ()
-      end
-    end
+    match until with
+    | Some until when until t -> Condition_met
+    | _ ->
+        if t.stale then refresh t;
+        if not t.client_left then Quiescent
+        else if Array.length t.ready = 0 then
+          (* park-on-yield livelock: every runnable fiber waits for a
+             write that can never come. Inconclusive, like a blown step
+             budget. *)
+          Budget_exhausted
+        else if t.steps >= max_steps then Budget_exhausted
+        else begin
+          step_fiber t t.ready.(t.choose t t.ready);
+          loop ()
+        end
   in
   loop ()
 

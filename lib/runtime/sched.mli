@@ -61,7 +61,10 @@ type fiber = private {
   sched : t; (** the scheduler that spawned this fiber *)
   mutable state : state;
       (** [Ready k] while the fiber can take a step, [Finished] for good
-          once it returned, raised or was killed *)
+          once it returned, raised or was killed (or until {!rewind}
+          takes that step back). An effect fiber reads [Finished] while
+          its own step runs; a machine fiber keeps its [Ready] state,
+          which its step overwrites only when the step changes it. *)
   mutable next_access : footprint;
       (** footprint of the next step, maintained by the effect handlers
           and the machine stepper *)
@@ -84,9 +87,9 @@ and t = private {
       (** register writes executed so far; drives park-on-yield *)
   mutable park_on_yield : bool;  (** see {!set_park_on_yield} *)
   mutable clock : int; (** logical time: steps plus {!tick} stamps *)
-  mutable enabled : fiber -> bool;
-      (** scheduling mask, used by targeted phase scenarios; set it with
-          {!set_enabled} *)
+  mutable enabled : (fiber -> bool) option;
+      (** scheduling mask, used by targeted phase scenarios: [None], every
+          fiber, until {!set_enabled} installs one *)
   mutable choose : t -> fiber array -> int;
       (** the policy: pick the index of the next fiber among the ready.
           {!run} hands it the same array from step to step and rebuilds
@@ -152,7 +155,9 @@ val set_enabled : t -> (fiber -> bool) -> unit
     accepted non-daemon fiber is left. The mask must be a fixed
     predicate on fibers — {!run} consults it only when it recomputes the
     ready fibers — so change it only through this function, which makes
-    the next step recompute them. The system can no longer {!rewind}. *)
+    the next step recompute them. Until the first call there is no mask,
+    and recomputing the ready fibers calls no closure. The system can no
+    longer {!rewind}. *)
 
 val set_choose : t -> (t -> fiber array -> int) -> unit
 (** Replace the policy from the next step on: what a harness does to a
@@ -266,11 +271,20 @@ type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
 val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
 (** Run until every enabled non-daemon fiber has finished ([Quiescent]),
-    the predicate holds ([Condition_met]), or [max_steps] elapse.
-    Daemons keep getting scheduled while clients run but never keep the
-    run alive on their own. Each step hands [choose] the ready fibers —
-    [Ready], accepted by the mask, not parked — in spawn order, in an
-    array of exactly that length (see [choose]).
+    the predicate holds ([Condition_met]), or the scheduler has taken
+    [max_steps] steps ([Budget_exhausted]). Daemons keep getting
+    scheduled while clients run but never keep the run alive on their
+    own. Each step hands [choose] the ready fibers — [Ready], accepted
+    by the mask, not parked — in spawn order, in an array of exactly
+    that length (see [choose]). [until] is called before each step.
+
+    [max_steps] (default 1,000,000) bounds {!steps}, the scheduler's
+    total, not the steps of this call: after [run; spawn; run] the
+    second run gets only what the first one left, and a system rewound
+    to step [d] takes at most [max_steps - d] more. {!Explore}'s depth
+    bound relies on that: a run it resumes at depth [d] is still cut at
+    depth [max_steps]. A harness that wants a budget per run passes
+    [steps t + budget].
 
     The ready fibers are computed at entry and then kept from step to
     step. They are recomputed from [fibers] only before

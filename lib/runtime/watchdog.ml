@@ -20,16 +20,34 @@ type entry = {
   mutable wd_deadline : int; (* logical-clock deadline *)
 }
 
-type t = { sched : Sched.t; mutable entries : entry list }
+(* [earliest] is at most the deadline of every live entry, so until the
+   clock passes it nothing can be overdue. Arming or touching an entry
+   lowers it to the new deadline if that is lower; a scan that finds
+   nothing overdue raises it to the earliest live deadline. An entry
+   finished at that scan stays finished unless the scheduler rewinds,
+   which [rewound], its count of rewound steps then, gives away: the
+   next call scans again. *)
+type t = {
+  sched : Sched.t;
+  mutable entries : entry list;
+  mutable earliest : int;
+  mutable rewound : int;
+}
 
-let create sched = { sched; entries = [] }
+let create sched =
+  { sched; entries = []; earliest = max_int; rewound = sched.Sched.rewound }
+
+let lower t deadline = if deadline < t.earliest then t.earliest <- deadline
 
 let arm t ~fiber ~op ~timeout =
   let e = { wd_fiber = fiber; wd_op = op; wd_deadline = Sched.clock t.sched + timeout } in
   t.entries <- e :: t.entries;
+  lower t e.wd_deadline;
   e
 
-let touch t e ~timeout = e.wd_deadline <- Sched.clock t.sched + timeout
+let touch t e ~timeout =
+  e.wd_deadline <- Sched.clock t.sched + timeout;
+  lower t e.wd_deadline
 
 let live (e : entry) =
   match e.wd_fiber.Sched.state with
@@ -42,13 +60,25 @@ let rec any_overdue clock = function
   | [] -> false
   | e :: rest -> overdue clock e || any_overdue clock rest
 
+let rec earliest_live d = function
+  | [] -> d
+  | e :: rest ->
+      earliest_live (if live e && e.wd_deadline < d then e.wd_deadline else d) rest
+
 (* Harnesses poll this on every scheduler step, so the common answer,
-   nothing stalled, allocates nothing. *)
+   nothing stalled, takes two comparisons until the earliest deadline
+   passes, and allocates nothing. *)
 let stalled t =
   let clock = Sched.clock t.sched in
-  if any_overdue clock t.entries then
+  let rewound = t.sched.Sched.rewound in
+  if clock <= t.earliest && rewound = t.rewound then []
+  else if any_overdue clock t.entries then
     List.filter (overdue clock) (List.rev t.entries)
-  else []
+  else begin
+    t.earliest <- earliest_live max_int t.entries;
+    t.rewound <- rewound;
+    []
+  end
 
 (* Publish the current stall diagnosis as typed events, one per stalled
    entry, each attributed to the stalled fiber's pid. Stalls land in

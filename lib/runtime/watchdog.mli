@@ -10,10 +10,10 @@
     replayable byte-for-byte from their seeds. Drive detection with
     [Sched.run ~until:(fun _ -> Watchdog.stalled w <> [])]. *)
 
-type entry = {
+type entry = private {
   wd_fiber : Sched.fiber;
   wd_op : string;  (** what the fiber is trying to complete *)
-  mutable wd_deadline : int;
+  mutable wd_deadline : int;  (** moved only by {!touch} *)
 }
 
 type t
@@ -30,7 +30,9 @@ val touch : t -> entry -> timeout:int -> unit
 val stalled : t -> entry list
 (** Entries whose fiber is unfinished past its deadline, in arm order.
     Pure — safe to call every scheduler step — and allocation-free
-    while no entry is stalled. *)
+    while no entry is stalled. Until the clock passes the earliest
+    deadline of an unfinished entry it answers in constant time; then it
+    scans the entries. *)
 
 val emit_stalled : t -> unit
 (** Publish the current {!stalled} diagnosis as typed

@@ -253,6 +253,26 @@ let test_dpor_fiber_limit () =
         "Explore.dpor: fiber id 62 is beyond the 62-fiber limit (fids 0-61)"
         msg
 
+(* Bounds that leave nothing to explore are refused, not reported as an
+   exhausted space: a run of no steps, or one that cannot afford its
+   first choice, would end at once with nothing left to backtrack to. *)
+let test_bounds_refused () =
+  let check _sched = () in
+  let refused what f =
+    match f () with
+    | (_ : Explore.result) -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let make = readers 2 in
+  refused "dpor, max_preempts -1" (fun () ->
+      Explore.dpor ~make ~check ~max_preempts:(-1) ());
+  refused "dpor, max_steps 0" (fun () -> Explore.dpor ~make ~check ~max_steps:0 ());
+  refused "dpor, max_runs -1" (fun () -> Explore.dpor ~make ~check ~max_runs:(-1) ());
+  refused "exhaustive, max_steps -3" (fun () ->
+      Explore.exhaustive ~make ~check ~max_steps:(-3) ());
+  refused "exhaustive, max_runs -1" (fun () ->
+      Explore.exhaustive ~make ~check ~max_runs:(-1) ())
+
 let tests =
   [
     Alcotest.test_case "dpor agrees with naive DFS on outcomes" `Quick
@@ -271,4 +291,6 @@ let tests =
       test_replay_diverged;
     Alcotest.test_case "dpor refuses fibers beyond its 62-fiber limit" `Quick
       test_dpor_fiber_limit;
+    Alcotest.test_case "explorers refuse bounds that leave nothing to explore"
+      `Quick test_bounds_refused;
   ]

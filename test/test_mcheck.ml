@@ -60,43 +60,41 @@ let test_dpor_exhausts_testorset () =
     r
 
 (* The two other paths of the DPOR choice, on a budget: the
-   preemption-bounded one past bound 0, and the unbounded rotation. *)
+   preemption-bounded one past bound 0, and the unbounded rotation.
+   Under a bound, a choice at node d costs the previous node's count,
+   plus one for every fiber but the previous one when that one is still
+   enabled after a real access. Only from bound 2 on does that "+1" fall
+   on a node whose count is already nonzero, and each model runs out of
+   budget at different depths: each pin fixes which choices were
+   affordable, node by node, over 2,000 schedules. *)
+let bounded ~bound cfg =
+  M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:bound cfg
+
+let verifiable2 = { M.default with M.model = M.Verifiable; reads = 2 }
+
 let test_dpor_pins_bound_1 () =
-  let r = M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:1 M.default in
   Alcotest.check result "sticky, bound 1, 2,000 runs"
     (pinned ~runs:1_708 ~pruned:0 ~blocked:292 ~races:27_136 ~exhausted:false
        ~max_depth:383)
-    r
-
-(* Preemption accounting past the first preemption. Under a bound, a
-   choice at node d costs the previous node's count, plus one for every
-   fiber but the previous one when that one is still enabled after a
-   real access. Only from bound 2 on does that "+1" fall on a node whose
-   count is already nonzero, and at bound 1 the budget runs out at
-   different depths for each model: each pin below fixes which
-   choices were affordable, node by node, over 2,000 schedules. *)
-let verifiable2 = { M.default with M.model = M.Verifiable; reads = 2 }
-let testorset = { M.default with M.model = M.Testorset }
+    (bounded ~bound:1 M.default);
+  Alcotest.check result "verifiable with two reads, bound 1, 2,000 runs"
+    (pinned ~runs:1_955 ~pruned:0 ~blocked:45 ~races:14_607 ~exhausted:false
+       ~max_depth:252)
+    (bounded ~bound:1 verifiable2);
+  Alcotest.check result "test-or-set, bound 1, 2,000 runs"
+    (pinned ~runs:1_708 ~pruned:0 ~blocked:292 ~races:27_136 ~exhausted:false
+       ~max_depth:383)
+    (bounded ~bound:1 { M.default with M.model = M.Testorset })
 
 let test_dpor_pins_bound_2 () =
   Alcotest.check result "sticky, bound 2, 2,000 runs"
     (pinned ~runs:1_745 ~pruned:0 ~blocked:255 ~races:13_685 ~exhausted:false
        ~max_depth:419)
-    (M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:2 M.default);
+    (bounded ~bound:2 M.default);
   Alcotest.check result "verifiable with two reads, bound 2, 2,000 runs"
     (pinned ~runs:1_994 ~pruned:0 ~blocked:6 ~races:10_153 ~exhausted:false
        ~max_depth:217)
-    (M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:2 verifiable2)
-
-let test_dpor_pins_bound_1_models () =
-  Alcotest.check result "verifiable with two reads, bound 1, 2,000 runs"
-    (pinned ~runs:1_955 ~pruned:0 ~blocked:45 ~races:14_607 ~exhausted:false
-       ~max_depth:252)
-    (M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:1 verifiable2);
-  Alcotest.check result "test-or-set, bound 1, 2,000 runs"
-    (pinned ~runs:1_708 ~pruned:0 ~blocked:292 ~races:27_136 ~exhausted:false
-       ~max_depth:383)
-    (M.explore ~max_steps:600 ~max_runs:2_000 ~max_preempts:1 testorset)
+    (bounded ~bound:2 verifiable2)
 
 let test_dpor_pins_unbounded () =
   let r = M.explore ~max_steps:600 ~max_runs:2_000 M.default in
@@ -421,9 +419,6 @@ let tests =
       `Quick test_dpor_pins_bound_1;
     Alcotest.test_case "dpor pins budgeted runs at preemption bound 2"
       `Quick test_dpor_pins_bound_2;
-    Alcotest.test_case
-      "dpor pins budgeted verifiable and test-or-set runs at bound 1" `Quick
-      test_dpor_pins_bound_1_models;
     Alcotest.test_case "dpor pins a budgeted unbounded run" `Quick
       test_dpor_pins_unbounded;
     Alcotest.test_case "dpor beats the naive DFS on the same budget" `Quick

@@ -114,6 +114,67 @@ let test_budget_is_total () =
   | Sched.Quiescent -> Alcotest.(check int) "both clients" 62 (Sched.steps sched)
   | _ -> Alcotest.fail "62 steps in all finish both clients"
 
+(* [Watchdog.stalled] skips its scan until the clock passes the earliest
+   deadline it knows of; it must still answer, before every step, what a
+   scan of every entry answers. The entries cover a fiber that finishes
+   before its deadline, deadlines that pass while fibers run, a touch
+   that pushes an overdue deadline out and one that pulls a deadline
+   in. *)
+let watchdog_oracle seed =
+  let space, sched = mk_sys (Policy.random ~seed) in
+  let r = int_reg space ~owner:0 in
+  let reads k () =
+    for _ = 1 to k do
+      ignore (Sched.read r)
+    done
+  in
+  let w = Watchdog.create sched in
+  let arm pid name k ~timeout =
+    let fiber = Sched.spawn sched ~pid ~name (reads k) in
+    Watchdog.arm w ~fiber ~op:name ~timeout
+  in
+  let short = arm 0 "short" 3 ~timeout:40 in
+  let long = arm 1 "long" 60 ~timeout:90 in
+  let mid = arm 2 "mid" 30 ~timeout:20 in
+  let late = ref [] in
+  let entries () = [ short; long; mid ] @ !late in
+  let scan () =
+    let clock = Sched.clock sched in
+    List.filter
+      (fun (e : Watchdog.entry) ->
+        (match e.Watchdog.wd_fiber.Sched.state with
+        | Sched.Ready _ -> true
+        | Sched.Finished _ -> false)
+        && clock > e.Watchdog.wd_deadline)
+      (entries ())
+  in
+  let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+  let bad = ref [] and stalls = ref 0 in
+  let until t =
+    let got = Watchdog.stalled w in
+    if not (same got (scan ())) then bad := Sched.clock t :: !bad;
+    if got <> [] then begin
+      incr stalls;
+      List.iter (fun e -> Watchdog.touch w e ~timeout:25) got
+    end;
+    if Sched.steps t = 10 then Watchdog.touch w long ~timeout:1;
+    if Sched.steps t = 30 then late := [ arm 0 "late" 40 ~timeout:15 ];
+    false
+  in
+  (match Sched.run ~until sched with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "expected quiescence");
+  Alcotest.(check (list int))
+    (Printf.sprintf "seed %d: clocks where stalled and a scan disagree" seed)
+    [] (List.rev !bad);
+  Alcotest.(check bool) (Printf.sprintf "seed %d: stalls seen (%d)" seed !stalls)
+    true (!stalls >= 3)
+
+let test_watchdog_oracle () =
+  for seed = 1 to 20 do
+    watchdog_oracle seed
+  done
+
 let test_kill () =
   let space, sched = mk_sys (Policy.round_robin ()) in
   let r = int_reg space ~owner:0 in
@@ -296,7 +357,7 @@ let reference_ready (t : Sched.t) =
   List.filter
     (fun (f : Sched.fiber) ->
       (match f.Sched.state with Sched.Ready _ -> true | Sched.Finished _ -> false)
-      && t.Sched.enabled f
+      && (match t.Sched.enabled with None -> true | Some mask -> mask f)
       && not (f.Sched.parked_at >= 0 && t.Sched.writes <= f.Sched.parked_at))
     t.Sched.fibers
 
@@ -485,6 +546,8 @@ let tests =
     Alcotest.test_case "budget exhaustion" `Quick test_budget;
     Alcotest.test_case "max_steps bounds the total over run; spawn; run"
       `Quick test_budget_is_total;
+    Alcotest.test_case "watchdog: stalled agrees with a full scan" `Quick
+      test_watchdog_oracle;
     Alcotest.test_case "kill" `Quick test_kill;
     Alcotest.test_case "enabled mask" `Quick test_enabled_mask;
     Alcotest.test_case "exception captured" `Quick test_exception_captured;
