@@ -121,6 +121,7 @@ let test_a1_naive_breaks_relay () =
   in
   run_until sched "naiveB" (fiber_done vb);
   Alcotest.(check bool) "later naive verify returns false" false !second;
+  Alcotest.(check int) "steps" 163 (Sched.steps sched);
   ignore space
 
 (* The real Algorithm 1 in the same scenario: whatever the first VERIFY
@@ -273,6 +274,7 @@ let a3_run ~lax =
       fiber_done w1 st
       && (not lax)
       || (lax && peek_vopt space ~n ~name:"R_1" = Some "a"));
+  let phase_a = Sched.steps sched in
   (* phase 2: flip E_0 to b, wake everyone *)
   let w2 =
     Sched.spawn sched ~pid:0 ~name:"byz-b" (fun () ->
@@ -281,6 +283,7 @@ let a3_run ~lax =
   in
   Sched.set_enabled sched (fun _ -> true);
   run_until sched "flip" (fiber_done w2);
+  let phases = (phase_a, Sched.steps sched) in
   (* let the system settle for a while *)
   ignore
     (Sched.spawn sched ~pid:2 ~name:"settle" (fun () ->
@@ -293,10 +296,23 @@ let a3_run ~lax =
       (fun name -> peek_vopt space ~n ~name)
       [ "R_1"; "R_2"; "R_3" ]
   in
-  (space, sched, regs, witnesses)
+  (space, sched, regs, witnesses, phases)
+
+(* The phases end, and the settled system stands, where they always
+   have: the schedule of the whole experiment is pinned. *)
+let check_a3 ~lax ~phases ~reads (space, _, _, _, got_phases) =
+  let what = if lax then "lax" else "strict" in
+  Alcotest.(check (pair int int)) (what ^ ": phases end at") phases got_phases;
+  let st = Space.stats space in
+  Alcotest.(check (pair int int))
+    (what ^ ": reads and writes after 500,000 steps")
+    (reads, 12)
+    (st.Space.reads, st.Space.writes)
 
 let test_a3_lax_splits_witnesses () =
-  let _, _, _, witnesses = a3_run ~lax:true in
+  let run = a3_run ~lax:true in
+  check_a3 ~lax:true ~phases:(25, 49) ~reads:249_130 run;
+  let _, _, _, witnesses, _ = run in
   let distinct = List.sort_uniq compare witnesses in
   Alcotest.(check bool)
     (Printf.sprintf "lax policy splits correct witnesses (%s)"
@@ -305,7 +321,9 @@ let test_a3_lax_splits_witnesses () =
     (List.length distinct > 1)
 
 let test_a3_strict_never_splits () =
-  let _, _, _, witnesses = a3_run ~lax:false in
+  let run = a3_run ~lax:false in
+  check_a3 ~lax:false ~phases:(6, 16) ~reads:249_136 run;
+  let _, _, _, witnesses, _ = run in
   let distinct = List.sort_uniq compare witnesses in
   Alcotest.(check bool)
     (Printf.sprintf "strict policy keeps witnesses unanimous (%s)"
@@ -316,7 +334,7 @@ let test_a3_strict_never_splits () =
 (* With split witnesses, a READ cannot assemble an n-f quorum and stalls;
    with the strict policy it terminates. *)
 let test_a3_lax_read_stalls () =
-  let _, sched, regs, _ = a3_run ~lax:true in
+  let _, sched, regs, _, _ = a3_run ~lax:true in
   let finished = ref false in
   ignore
     (Sched.spawn sched ~pid:2 ~name:"reader" (fun () ->
@@ -326,7 +344,7 @@ let test_a3_lax_read_stalls () =
   Alcotest.(check bool) "read stalls under split witnesses" false !finished
 
 let test_a3_strict_read_terminates () =
-  let _, sched, regs, _ = a3_run ~lax:false in
+  let _, sched, regs, _, _ = a3_run ~lax:false in
   let finished = ref false in
   ignore
     (Sched.spawn sched ~pid:2 ~name:"reader" (fun () ->

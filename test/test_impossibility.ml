@@ -46,8 +46,7 @@ let test_safety_many_seeds () =
    attack must end as under the default budget. *)
 let test_budget_per_phase () =
   let o = attack ~n:4 ~f:1 ~seed:13 () in
-  Alcotest.(check bool) "the phases together outlast one budget" true
-    (o.Imp.steps > 250);
+  Alcotest.(check int) "the four phases take 399 steps" 399 o.Imp.steps;
   let o' = Imp.run_attack ~seed:13 ~max_steps_per_phase:250 ~n:4 ~f:1 () in
   Alcotest.(check bool) "same outcome under a per-phase budget" true (o = o')
 
