@@ -394,18 +394,18 @@ let table_t6 () =
           List.iter
             (fun (impl, impl_name) ->
               let o =
-                Lnd_testorset.Impossibility.run_attack ~seed:5 ~impl ~n ~f ()
+                Lnd_fuzz.Impossibility.run_attack ~seed:5 ~impl ~n ~f ()
               in
               pf "%4d %4d | %-10s | %8s | %9d | %9d | %s\n" n f impl_name
                 (if n <= 3 * f then "n<=3f" else "n>3f")
-                o.Lnd_testorset.Impossibility.test_a
-                o.Lnd_testorset.Impossibility.test_b
-                (if o.Lnd_testorset.Impossibility.relay_violated then
+                o.Lnd_fuzz.Impossibility.test_a
+                o.Lnd_fuzz.Impossibility.test_b
+                (if o.Lnd_fuzz.Impossibility.relay_violated then
                    "VIOLATED (impossibility)"
                  else "holds (Theorems 14/19)"))
             [
-              (Lnd_testorset.Impossibility.Via_verifiable, "verifiable");
-              (Lnd_testorset.Impossibility.Via_sticky, "sticky");
+              (Lnd_fuzz.Impossibility.Via_verifiable, "verifiable");
+              (Lnd_fuzz.Impossibility.Via_sticky, "sticky");
             ])
         [ 3 * f; (3 * f) + 1 ])
     [ 1; 2; 3 ]
@@ -460,66 +460,48 @@ let table_t8 () =
     "T8  Ablations: each design choice removed -> predicted failure appears\n\
     \    (see test/test_ablation.ml for the full scenarios)";
   pf "%-34s | %-22s | %s\n" "variant" "paper anchor" "observed";
-  (* A2: no-wait write *)
-  let module St = Lnd_sticky.Sticky in
-  let module Sabl = Lnd_sticky.Ablation in
+  (* A2: no-wait write. p1..p4 are very slow: they take no step during
+     the first 50,000 steps. *)
+  let module Sspec = Lnd_history.Spec.Sticky_spec in
   let a2 nowait seed =
-    let n = 7 and f = 2 in
-    let space = Space.create ~n in
-    let base = Policy.random ~seed in
-    let freeze = 50_000 in
-    let choose (sched : Sched.t) (ready : Sched.fiber array) =
-      if sched.Sched.steps > freeze then base sched ready
-      else begin
-        let awake =
-          Array.to_list ready
-          |> List.mapi (fun i fb -> (i, fb))
-          |> List.filter (fun (_, (fb : Sched.fiber)) ->
-                 fb.Sched.pid < 1 || fb.Sched.pid > 4)
-        in
-        match awake with
-        | [] -> base sched ready
-        | _ ->
-            let i = base sched (Array.of_list (List.map snd awake)) in
-            fst (List.nth awake i)
-      end
+    let q = Quorum.make_relaxed ~n:7 ~f:2 in
+    let t =
+      Diff.session
+        (Policy.only
+           (fun sched (fb : Sched.fiber) ->
+             Sched.steps sched > 50_000 || fb.pid < 1 || fb.pid > 4)
+           (Policy.random ~seed))
+        (Diff.sticky_plan q ~byzantine:[] ~scripts:[])
     in
-    let sched = Sched.create ~space ~choose in
-    let regs = St.alloc space { St.n; f } in
-    for pid = 0 to n - 1 do
+    (* run the client just spawned to its end, paced by a yielding p5 *)
+    let pace name =
+      let fb = List.nth t.sched.fibers (List.length t.sched.fibers - 1) in
       ignore
-        (Sched.spawn sched ~pid ~name:"h" ~daemon:true (fun () ->
-             St.help regs ~pid))
-    done;
-    let writer = St.writer regs in
-    let wf =
-      Sched.spawn sched ~pid:0 ~name:"w" (fun () ->
-          if nowait then Sabl.write_nowait writer "v" else St.write writer "v")
+        (Sched.spawn t.sched ~pid:5 ~name (fun () ->
+             for _ = 1 to 200_000 do
+               Sched.yield ()
+             done));
+      let finished (_ : Sched.t) =
+        match fb.Sched.state with Sched.Finished _ -> true | _ -> false
+      in
+      ignore (Sched.run ~max_steps:4_000_000 ~until:finished t.sched)
     in
-    ignore
-      (Sched.spawn sched ~pid:5 ~name:"pace" (fun () ->
-           for _ = 1 to 200_000 do
-             Sched.yield ()
-           done));
-    let wdone (_ : Sched.t) =
-      match wf.Sched.state with Sched.Finished _ -> true | _ -> false
+    let write_nowait =
+      Diff.Job
+        {
+          op = Sspec.Write "v";
+          span = ("WRITE", Some "v");
+          prog = (fun _ -> Lnd_sticky.Sticky_core.write_nowait_prog "v");
+          result = (fun c () -> (c, Sspec.Done));
+          text = (fun () -> "done");
+        }
     in
-    ignore (Sched.run ~max_steps:4_000_000 ~until:wdone sched);
-    let got = ref None in
-    let rf =
-      Sched.spawn sched ~pid:6 ~name:"r" (fun () ->
-          got := St.read (St.reader regs ~pid:6))
-    in
-    ignore
-      (Sched.spawn sched ~pid:5 ~name:"pace2" (fun () ->
-           for _ = 1 to 200_000 do
-             Sched.yield ()
-           done));
-    let rdone (_ : Sched.t) =
-      match rf.Sched.state with Sched.Finished _ -> true | _ -> false
-    in
-    ignore (Sched.run ~max_steps:4_000_000 ~until:rdone sched);
-    !got
+    t.client ~pid:0 ~name:"w"
+      [ (if nowait then write_nowait else Diff.write_sticky q "v") ];
+    pace "pace";
+    t.client ~pid:6 ~name:"r" [ Diff.read_sticky q ~pid:6 ];
+    pace "pace2";
+    match last_result t ~pid:6 with Sspec.Val v -> v | Sspec.Done -> None
   in
   let count_bot nowait =
     List.length

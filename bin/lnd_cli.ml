@@ -109,6 +109,13 @@ let at_least lo =
    error, not an empty sweep reported as a pass. *)
 let count_conv = at_least 0
 
+(* A protocol or backend named on the command line; an unknown name is a
+   usage error (exit 124), like any other bad option value. *)
+let proto_conv =
+  Arg.enum (List.map (fun p -> (Diff.proto_name p, p)) Diff.all_protos)
+
+let backend_name = function `Sim -> "sim" | `Domains -> "domains"
+
 let run_to_quiescence sched ~max_steps =
   match Sched.run ~max_steps sched with
   | Sched.Quiescent -> ()
@@ -488,14 +495,7 @@ let trace_cmd =
 
 (* ---------------- profile ---------------- *)
 
-let profile_cmd_run seed proto_s backend_s out metrics_json =
-  let proto =
-    match Diff.proto_of_name proto_s with
-    | Some p -> p
-    | None ->
-        pr "unknown protocol %S (sticky|verifiable|testorset)\n" proto_s;
-        exit 2
-  in
+let profile_cmd_run seed proto backend out metrics_json =
   let w = Diff.generate ~proto seed in
   (* The sim records everything (bounded and deterministic: the folded
      output is byte-identical across replays of the same seed); the
@@ -503,12 +503,9 @@ let profile_cmd_run seed proto_s backend_s out metrics_json =
      the parity fold reads nothing else, and recording its register
      accesses is an open ROADMAP item. *)
   let r, ti =
-    match backend_s with
-    | "sim" -> Diff.sim_traced ~keep:(fun _ -> true) w
-    | "domains" -> Parallel.run_traced w
-    | s ->
-        pr "unknown backend %S (sim|domains)\n" s;
-        exit 2
+    match backend with
+    | `Sim -> Diff.sim_traced ~keep:(fun _ -> true) w
+    | `Domains -> Parallel.run_traced w
   in
   let evs = Trace.events ti.Diff.t_trace in
   let folded = Profile.to_folded evs in
@@ -530,22 +527,24 @@ let profile_cmd_run seed proto_s backend_s out metrics_json =
       output_char oc '\n';
       close_out oc;
       Printf.eprintf "metrics snapshot -> %s\n" file);
+  let bname = backend_name backend in
   match r.Diff.verdict with
-  | Ok () -> Printf.eprintf "ok   [%s] %s\n" backend_s (Diff.describe w)
+  | Ok () -> Printf.eprintf "ok   [%s] %s\n" bname (Diff.describe w)
   | Error msg ->
-      Printf.eprintf "FAIL [%s] %s: %s\n" backend_s (Diff.describe w) msg;
+      Printf.eprintf "FAIL [%s] %s: %s\n" bname (Diff.describe w) msg;
       exit 1
 
 let profile_cmd =
   let proto =
     Arg.(
-      value & opt string "sticky"
+      value & opt proto_conv Diff.Sticky
       & info [ "proto" ] ~docv:"PROTO"
           ~doc:"Protocol to profile (sticky|verifiable|testorset).")
   in
   let backend =
     Arg.(
-      value & opt string "sim"
+      value
+      & opt (enum [ ("sim", `Sim); ("domains", `Domains) ]) `Sim
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Driver to profile: the deterministic simulator ($(b,sim)) or \
@@ -729,9 +728,7 @@ let sweep_cmd =
 let model_arg =
   Arg.(
     value
-    & opt
-        (enum (List.map (fun p -> (Diff.proto_name p, p)) Diff.all_protos))
-        Mcheck.Sticky
+    & opt proto_conv Mcheck.Sticky
     & info [ "model" ] ~docv:"MODEL"
         ~doc:"Register model: sticky, verifiable or testorset.")
 
@@ -755,12 +752,16 @@ let explore_cmd_run model weakened mode max_steps max_runs preempts strict save
     if weakened then Mcheck.weakened
     else { Mcheck.default with Mcheck.model }
   in
-  pr "exploring %s (mode=%s preempts=%d max-steps=%d)\n" (Mcheck.note cfg)
-    (match mode with `Dpor -> "dpor" | `Naive -> "naive")
-    preempts max_steps;
-  match
-    Mcheck.explore ~mode ~max_steps ~max_runs ~max_preempts:preempts cfg
-  with
+  (* DPOR's preemption bound defaults to 0; the naive DFS has none *)
+  let max_preempts, bound =
+    match mode with
+    | `Dpor ->
+        let p = Option.value preempts ~default:0 in
+        (Some p, Printf.sprintf "mode=dpor preempts=%d" p)
+    | `Naive -> (None, "mode=naive")
+  in
+  pr "exploring %s (%s max-steps=%d)\n" (Mcheck.note cfg) bound max_steps;
+  match Mcheck.explore ~mode ~max_steps ~max_runs ?max_preempts cfg with
   | r ->
       pr "runs=%d pruned=%d blocked=%d races=%d exhausted=%b max-depth=%d\n"
         r.Explore.runs r.Explore.pruned r.Explore.blocked r.Explore.races
@@ -801,9 +802,12 @@ let explore_cmd =
   in
   let preempts =
     Arg.(
-      value & opt count_conv 0
+      value
+      & opt (some count_conv) None
       & info [ "preempts" ] ~docv:"P"
-          ~doc:"CHESS-style preemption bound (involuntary switches per run).")
+          ~doc:
+            "CHESS-style preemption bound (involuntary switches per run) of \
+             the DPOR search; 0 by default. The naive DFS takes none.")
   in
   let strict =
     Arg.(
@@ -819,8 +823,23 @@ let explore_cmd =
           stickiness, Byzantine linearizability and blame soundness at \
           quiescence")
     Term.(
-      const explore_cmd_run $ model_arg $ weakened $ mode $ max_steps
-      $ max_runs $ preempts $ strict $ save_arg)
+      ret
+        (const
+           (fun model weakened mode max_steps max_runs preempts strict save ->
+             match (mode, preempts) with
+             | `Naive, Some p ->
+                 `Error
+                   ( true,
+                     Printf.sprintf
+                       "the naive DFS has no preemption bound: --preempts \
+                        needs --mode dpor (--preempts %d)"
+                       p )
+             | _ ->
+                 `Ok
+                   (explore_cmd_run model weakened mode max_steps max_runs
+                      preempts strict save))
+        $ model_arg $ weakened $ mode $ max_steps $ max_runs $ preempts
+        $ strict $ save_arg))
 
 let synth_cmd_run seed rounds batch scname from_honest save =
   let base =
@@ -845,14 +864,16 @@ let synth_cmd_run seed rounds batch scname from_honest save =
           pr "scenario saved to %s\n" path)
 
 let synth_cmd =
+  (* A search of no round, or of candidates of no schedule, evaluates
+     nothing: a usage error, not "no violating adversary found". *)
   let rounds =
     Arg.(
-      value & opt int 50
+      value & opt (at_least 1) 50
       & info [ "rounds" ] ~docv:"R" ~doc:"Hill-climbing rounds.")
   in
   let batch =
     Arg.(
-      value & opt int 6
+      value & opt (at_least 1) 6
       & info [ "batch" ] ~docv:"B" ~doc:"Schedule seeds per candidate.")
   in
   let scname =
@@ -906,18 +927,9 @@ let scenario_cmd =
           meets its recorded expectation (violation or pass)")
     Term.(const scenario_cmd_run $ files)
 
-let diff_cmd_run write_golden check_golden seeds from proto_s backend_s traced
+let diff_cmd_run write_golden check_golden seeds from proto backends traced
     trace_out =
-  let protos =
-    match proto_s with
-    | None -> Diff.all_protos
-    | Some s -> (
-        match Diff.proto_of_name s with
-        | Some p -> [ p ]
-        | None ->
-            pr "unknown protocol %S (sticky|verifiable|testorset)\n" s;
-            exit 2)
-  in
+  let protos = match proto with None -> Diff.all_protos | Some p -> [ p ] in
   match (write_golden, check_golden) with
   | Some path, _ ->
       Diff.write_golden path;
@@ -937,23 +949,14 @@ let diff_cmd_run write_golden check_golden seeds from proto_s backend_s traced
           exit 1)
   | None, None ->
       let traced = traced || trace_out <> None in
-      let backends =
-        match backend_s with
-        | "sim" -> [ "sim" ]
-        | "domains" -> [ "domains" ]
-        | "both" -> [ "sim"; "domains" ]
-        | s ->
-            pr "unknown backend %S (sim|domains|both)\n" s;
-            exit 2
-      in
-      let exec bname w =
-        match (bname, traced) with
-        | "sim", false -> (Diff.sim w, None)
-        | "sim", true ->
+      let exec backend w =
+        match (backend, traced) with
+        | `Sim, false -> (Diff.sim w, None)
+        | `Sim, true ->
             let r, ti = Diff.sim_traced w in
             (r, Some ti)
-        | _, false -> (Parallel.run w, None)
-        | _, true ->
+        | `Domains, false -> (Parallel.run w, None)
+        | `Domains, true ->
             let r, ti = Parallel.run_traced w in
             (r, Some ti)
       in
@@ -963,8 +966,9 @@ let diff_cmd_run write_golden check_golden seeds from proto_s backend_s traced
           (fun proto ->
             let w = Diff.generate ~proto seed in
             List.iter
-              (fun bname ->
-                let r, ti = exec bname w in
+              (fun backend ->
+                let bname = backend_name backend in
+                let r, ti = exec backend w in
                 (match r.Diff.verdict with
                 | Ok () ->
                     pr "ok   [%s] %s ops=%d steps=%d\n" bname (Diff.describe w)
@@ -1053,13 +1057,21 @@ let diff_cmd =
   let proto =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some proto_conv) None
       & info [ "proto" ] ~docv:"PROTO"
           ~doc:"Restrict to one protocol (sticky|verifiable|testorset).")
   in
   let backend =
     Arg.(
-      value & opt string "sim"
+      value
+      & opt
+          (enum
+             [
+               ("sim", [ `Sim ]);
+               ("domains", [ `Domains ]);
+               ("both", [ `Sim; `Domains ]);
+             ])
+          [ `Sim ]
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Which driver(s) to sweep: the deterministic simulator ($(b,sim)), \

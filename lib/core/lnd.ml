@@ -26,7 +26,7 @@ module Byzlin = Lnd_history.Byzlin
 (* The paper's contributions *)
 module Verifiable = Lnd_verifiable.Verifiable
 module Sticky = Lnd_sticky.Sticky
-module Impossibility = Lnd_testorset.Impossibility
+module Impossibility = Lnd_fuzz.Impossibility
 
 (* Adversaries *)
 module Byz_verifiable = Lnd_byz.Byz_verifiable

@@ -37,7 +37,7 @@ module Verifiable = Lnd_verifiable.Verifiable
 module Sticky = Lnd_sticky.Sticky
 (** Algorithm 2. *)
 
-module Impossibility = Lnd_testorset.Impossibility
+module Impossibility = Lnd_fuzz.Impossibility
 (** Theorem 23 / Figures 1-3, executable. *)
 
 (** {1 Adversaries} *)

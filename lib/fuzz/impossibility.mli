@@ -7,11 +7,14 @@
     p_a returned 1.
 
     {!run_attack} runs that adversary against the test-or-set built from
-    the paper's own verifiable register, instantiated {e deliberately} at
-    n = 3f: phase 1-2 perform SET and TEST (H1), phase 3 has the
-    coalition reset every register it owns ("deny"), phase 4 wakes p_b
-    for TEST'. At n = 3f the relay property of Lemma 22(3) is violated;
-    at n = 3f + 1 the identical adversary is powerless.
+    either register, instantiated {e deliberately} at n = 3f, as a
+    session of the construction's plan ([Lnd_parallel.Diff]): phase 1-2
+    perform SET and TEST (H1), phase 3 has the coalition reset every
+    register it owns ("deny"), phase 4 wakes p_b for TEST'. The clients
+    are spawned up front and each phase steps only its own processes
+    ([Lnd_runtime.Policy.only] over one seeded random policy). At n = 3f
+    the relay property of Lemma 22(3) is violated; at n = 3f + 1 the
+    identical adversary is powerless.
 
     (The paper's H2 coalition goes mute after the reset, which makes
     TEST' {e hang} under Algorithm 1; actively answering "no" is within
@@ -24,7 +27,10 @@ type outcome = {
   f : int;
   test_a : int; (** TEST by p_a after SET completes *)
   test_b : int; (** TEST' by p_b after the deny phase *)
-  relay_violated : bool; (** [test_a = 1 && test_b = 0] *)
+  relay_violated : bool;
+      (** the plan's judge rejected the history, with the coalition as
+          the Byzantine set: a correct TEST = 1 preceded a correct
+          TEST = 0, i.e. [test_a = 1 && test_b = 0] *)
   steps : int;
 }
 

@@ -253,6 +253,8 @@ let instance (c : config) : instance =
 
 let explore ?(mode = `Dpor) ?max_steps ?max_runs ?max_preempts (c : config) :
     Explore.result =
+  if mode = `Naive && max_preempts <> None then
+    invalid_arg "Mcheck.explore: the naive DFS takes no preemption bound";
   let i = instance c in
   Fun.protect ~finally:i.teardown (fun () ->
       match mode with

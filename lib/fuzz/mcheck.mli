@@ -95,7 +95,8 @@ val explore :
   Explore.result
 (** Systematic exploration of the configuration (default: DPOR).
     Raises {!Explore.Violation} whose [cx_exn] is the
-    {!Property_violated}. *)
+    {!Property_violated}. [max_preempts] bounds DPOR only: the naive
+    DFS raises [Invalid_argument] when given one. *)
 
 val swarm : ?max_steps:int -> seeds:int list -> config -> Explore.result
 (** Seeded-random sampling of the configuration's schedules. *)

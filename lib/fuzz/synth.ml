@@ -92,6 +92,8 @@ let eval ~max_steps (base : Mcheck.config) (c : cand) :
 
 let hillclimb ?(rounds = 50) ?(batch = 6) ?(max_steps = 20_000) ~seed ~name
     (base : Mcheck.config) : outcome =
+  if rounds < 1 then invalid_arg "Synth.hillclimb: rounds must be positive";
+  if batch < 1 then invalid_arg "Synth.hillclimb: batch must be positive";
   let rng = Rng.create seed in
   let evals = ref 0 in
   let current =

@@ -31,4 +31,6 @@ val hillclimb :
   outcome
 (** Deterministic in [seed]. [base.scripts] is the starting genome;
     exploration runs with [audit = true] so traces (and hence fitness)
-    are available. Defaults: 50 rounds of 6 seeds, 20k-step runs. *)
+    are available. Defaults: 50 rounds of 6 seeds, 20k-step runs.
+    Raises [Invalid_argument] unless [rounds] and [batch] are at least
+    1: a search that evaluates nothing finds nothing. *)

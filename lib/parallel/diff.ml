@@ -597,6 +597,7 @@ type ('reg, 'op, 'res) session = {
   sched : Sched.t;
   regs : 'reg -> Register.t;
   correct : bool array;
+  daemon : pid:int -> name:string -> ('reg, unit) Machine.prog -> unit;
   client : pid:int -> name:string -> ('reg, 'op, 'res) job list -> unit;
   history : unit -> ('op, 'res) History.t;
 }
@@ -620,18 +621,20 @@ let session (policy : Policy.t) (p : ('reg, 'op, 'res) plan) :
   let space = Space.create ~n in
   let sched = Sched.create ~space ~choose:policy in
   let at = p.layout (Space.alloc space) in
-  let daemon ?note pid name prog =
+  (* Byzantine programs emit no notes, so every daemon gets the HELP
+     span handler. *)
+  let daemon ~pid ~name prog =
     ignore
-      (Sched.spawn_machine sched ~pid ~name ~daemon:true ?note ~at ~data:()
+      (Sched.spawn_machine sched ~pid ~name ~daemon:true
+         ~note:(Drive.help_note ()) ~at ~data:()
          (fun () -> Sched.Job (prog, (fun () -> Sched.Done ()), ()))
         : unit -> unit)
   in
   List.iter
-    (fun (pid, prog) ->
-      daemon ~note:(Drive.help_note ()) pid (help_name pid) prog)
+    (fun (pid, prog) -> daemon ~pid ~name:(help_name pid) prog)
     p.helps;
   List.iter
-    (fun (pid, s, prog) -> daemon pid (Byz_script.name ~pid s) prog)
+    (fun (pid, s, prog) -> daemon ~pid ~name:(Byz_script.name ~pid s) prog)
     p.scripts;
   (* Every client's data, in spawn order, and each pid's newest. *)
   let clients = ref [] and last = Array.make n None in
@@ -685,7 +688,7 @@ let session (policy : Policy.t) (p : ('reg, 'op, 'res) plan) :
           !clients;
     }
   in
-  { space; sched; regs = at; correct = p.correct; client; history }
+  { space; sched; regs = at; correct = p.correct; daemon; client; history }
 
 type system = {
   space : Space.t;

@@ -291,6 +291,12 @@ type ('reg, 'op, 'res) session = {
   sched : Lnd_runtime.Sched.t;
   regs : 'reg -> Lnd_shm.Register.t;  (** the layout, allocated in [space] *)
   correct : bool array;
+  daemon :
+    pid:int -> name:string -> ('reg, unit) Lnd_support.Machine.prog -> unit;
+      (** spawn one more daemon machine fiber running the program, as
+          the session spawns the plan's help and script daemons: for a
+          crashing process's Help, or a Byzantine program a scenario
+          turns on between runs *)
   client : pid:int -> name:string -> ('reg, 'op, 'res) job list -> unit;
       (** spawn one more client machine fiber, for any pid (Byzantine
           ones too), before a run or between runs; it starts from the

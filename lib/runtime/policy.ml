@@ -51,6 +51,27 @@ let random_biased ~seed ~slow ~penalty : t =
       Rng.int rng n
     else i
 
+(* Step only the ready fibers [ok] accepts: hand [inner] those, in spawn
+   order, and map its pick back. When [ok] accepts every ready fiber,
+   [inner] gets the very array Sched.run handed over; otherwise a fresh
+   one. Either way it sees the same fibers in the same order a run
+   restricted to them would hand it, so it makes the same draws. This is
+   how a phased scenario keeps processes asleep. *)
+let only (ok : Sched.t -> Sched.fiber -> bool) (inner : t) : t =
+ fun sched ready ->
+  let n = Array.length ready in
+  let picks = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if ok sched ready.(i) then begin
+      picks.(!k) <- i;
+      incr k
+    end
+  done;
+  if !k = n then inner sched ready
+  else if !k = 0 then invalid_arg "Policy.only: no ready fiber is accepted"
+  else picks.(inner sched (Array.init !k (fun j -> ready.(picks.(j)))))
+
 (* Replay an explicit choice sequence (indices into the ready array,
    ordered by fid); used by the systematic explorer. Past the end of the
    script, fall back to index 0 and record the branching degree so the

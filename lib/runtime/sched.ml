@@ -107,18 +107,14 @@ and t = {
          fiber until the next write by anyone. Off by default — normal
          runs keep the paper's fully asynchronous semantics. *)
   mutable clock : int; (* logical time: advanced by steps and by E_clock *)
-  mutable enabled : (fiber -> bool) option;
-      (* scheduling mask, used by targeted scenarios; [None], every fiber,
-         until [set_enabled] installs one, so an unmasked rebuild of
-         [ready] calls no closure *)
   mutable choose : t -> fiber array -> int; (* policy: pick among ready fibers *)
   mutable ready : fiber array;
       (* the ready fibers in spawn order, kept from step to step and
          rebuilt only once [stale] is set *)
   mutable stale : bool;
       (* readiness may have changed since [ready] was built: a spawn, a
-         kill, a mask change, or a step that finished or parked its
-         fiber or wrote while a fiber was parked *)
+         kill, or a step that finished or parked its fiber or wrote while
+         a fiber was parked *)
   mutable client_left : bool;
       (* some runnable fiber is not a daemon (as of the last rebuild) *)
   mutable any_parked : bool;
@@ -137,8 +133,8 @@ and t = {
          its read at [2 * id], its write at [2 * id + 1] *)
   (* The journal: one entry per step while the system journals —
      switched on by [journal] before the first step, and only while
-     [can_journal]: only machine fibers, no spawn, kill or mask change
-     once it ran, no step under an Obs sink. Entry [i] holds what step
+     [can_journal]: only machine fibers, no spawn or kill once it ran,
+     no step under an Obs sink. Entry [i] holds what step
      [i] changed besides the stepped fiber's job, which that fiber's own
      [past] keeps. *)
   mutable can_journal : bool;
@@ -161,7 +157,6 @@ let create ~space ~choose =
       writes = 0;
       park_on_yield = false;
       clock = 0;
-      enabled = None;
       choose;
       ready = [||];
       stale = true;
@@ -193,11 +188,6 @@ let set_park_on_yield t b = t.park_on_yield <- b
 let no_journal t =
   t.can_journal <- false;
   t.rewindable <- false
-
-let set_enabled t mask =
-  t.enabled <- Some mask;
-  no_journal t;
-  t.stale <- true
 
 let set_choose t choose = t.choose <- choose
 let space t = t.space
@@ -527,15 +517,11 @@ let rewind t k =
     t.stale <- true
   end
 
-(* Runnable = Ready + passing the scenario mask; parked fibers (see
-   [park_on_yield]) additionally wait for the next write by anyone. *)
-let runnable t f =
-  match f.state with
-  | Finished _ -> false
-  | Ready _ -> ( match t.enabled with None -> true | Some mask -> mask f)
-
+(* Runnable = Ready; parked fibers (see [park_on_yield]) additionally
+   wait for the next write by anyone. *)
+let runnable f = match f.state with Finished _ -> false | Ready _ -> true
 let parked t f = f.parked_at >= 0 && t.writes <= f.parked_at
-let is_ready t f = runnable t f && not (parked t f)
+let is_ready t f = runnable f && not (parked t f)
 
 (* Run one step of one chosen fiber. Raises nothing: fiber exceptions are
    captured in the fiber's outcome. *)
@@ -585,7 +571,7 @@ let rec count_ready t fs n =
   match fs with
   | [] -> n
   | f :: rest ->
-      if not (runnable t f) then count_ready t rest n
+      if not (runnable f) then count_ready t rest n
       else begin
         if not f.daemon then t.client_left <- true;
         if parked t f then begin
@@ -622,7 +608,7 @@ let refresh t =
   t.ready <- buf;
   t.stale <- false
 
-(* Run until every enabled non-daemon fiber has finished, the predicate
+(* Run until every non-daemon fiber has finished, the predicate
    [until] holds, or the scheduler has taken [max_steps] steps in all.
    Daemons keep getting scheduled while clients run, but never keep the
    run alive on their own. *)

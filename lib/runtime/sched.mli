@@ -17,9 +17,11 @@
 
     The records below are readable but private: scenario harnesses (the
     impossibility construction, the ablation tests) script phases by
-    reading fiber states, and change them only through {!spawn},
-    {!kill} and {!set_enabled}, which tell {!run} to recompute the ready
-    fibers. *)
+    reading fiber states, and change them only through {!spawn} and
+    {!kill}, which tell {!run} to recompute the ready fibers. Which of
+    the ready fibers may step is the policy's choice alone: a phase that
+    keeps some asleep installs a policy that never picks them
+    ([Policy.only], through {!set_choose}). *)
 
 exception Killed
 (** Carried by fibers terminated with {!kill}. *)
@@ -87,9 +89,6 @@ and t = private {
       (** register writes executed so far; drives park-on-yield *)
   mutable park_on_yield : bool;  (** see {!set_park_on_yield} *)
   mutable clock : int; (** logical time: steps plus {!tick} stamps *)
-  mutable enabled : (fiber -> bool) option;
-      (** scheduling mask, used by targeted phase scenarios: [None], every
-          fiber, until {!set_enabled} installs one *)
   mutable choose : t -> fiber array -> int;
       (** the policy: pick the index of the next fiber among the ready.
           {!run} hands it the same array from step to step and rebuilds
@@ -149,19 +148,10 @@ val set_park_on_yield : t -> bool -> unit
     returns [Budget_exhausted] (inconclusive). Off by default: normal
     runs keep the paper's fully asynchronous semantics. *)
 
-val set_enabled : t -> (fiber -> bool) -> unit
-(** Replace the scheduling mask: from the next step on, {!run} steps
-    only fibers the mask accepts, and a run is quiescent once no
-    accepted non-daemon fiber is left. The mask must be a fixed
-    predicate on fibers — {!run} consults it only when it recomputes the
-    ready fibers — so change it only through this function, which makes
-    the next step recompute them. Until the first call there is no mask,
-    and recomputing the ready fibers calls no closure. The system can no
-    longer {!rewind}. *)
-
 val set_choose : t -> (t -> fiber array -> int) -> unit
 (** Replace the policy from the next step on: what a harness does to a
-    system it hands back for another run (see {!rewind}). *)
+    system it hands back for another run (see {!rewind}), and what a
+    phased scenario does between its phases. *)
 
 val space : t -> Lnd_shm.Space.t
 val steps : t -> int
@@ -243,7 +233,7 @@ val journal : t -> unit
 val rewindable : t -> bool
 (** The system journals its steps and can {!rewind}: {!journal} switched
     its journal on, every fiber is a machine fiber, no fiber was
-    spawned, killed or masked once it ran, no step ran under an
+    spawned or killed once it ran, no step ran under an
     installed Obs sink, and no run passed the journal's limit of 65,536
     steps. Once one of those fails, false for good. *)
 
@@ -270,13 +260,13 @@ val step_fiber : t -> fiber -> unit
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
 val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
-(** Run until every enabled non-daemon fiber has finished ([Quiescent]),
+(** Run until every non-daemon fiber has finished ([Quiescent]),
     the predicate holds ([Condition_met]), or the scheduler has taken
     [max_steps] steps ([Budget_exhausted]). Daemons keep getting
     scheduled while clients run but never keep the run alive on their
-    own. Each step hands [choose] the ready fibers — [Ready], accepted
-    by the mask, not parked — in spawn order, in an array of exactly
-    that length (see [choose]). [until] is called before each step.
+    own. Each step hands [choose] the ready fibers — [Ready], not parked
+    — in spawn order, in an array of exactly that length (see
+    [choose]). [until] is called before each step.
 
     [max_steps] (default 1,000,000) bounds {!steps}, the scheduler's
     total, not the steps of this call: after [run; spawn; run] the
@@ -289,8 +279,8 @@ val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
     The ready fibers are computed at entry and then kept from step to
     step. They are recomputed from [fibers] only before
     a step that follows a change to readiness: a {!spawn}, a {!kill}, a
-    {!set_enabled}, a step whose fiber finished or parked, or a write
-    while some fiber was parked. Everything else a step does leaves
+    step whose fiber finished or parked, or a write while some fiber was
+    parked. Everything else a step does leaves
     readiness as it was, so a run takes the same decisions as one that
     recomputed them before every step. *)
 

@@ -118,6 +118,13 @@ let[@lnd.pure] write_prog ~n ~(q : Quorum.t) (v : Value.t) : (reg, unit) prog =
     in
     wait ()
 
+(* The Section 7.1 ablation of WRITE: lines 1-2 without the lines 3-5
+   wait. "Without this wait, a process may invoke a READ after a
+   WRITE(v) completes and get back ⊥" (test A2, bench T8). *)
+let[@lnd.pure] write_nowait_prog (v : Value.t) : (reg, unit) prog =
+  let* e0 = read (E 0) in
+  if dec_vopt e0 <> None then ret () else write (E 0) (enc_vopt (Some v))
+
 (* ---------------- Readers: READ(), lines 7-22 ---------------- *)
 
 module PidSet = Set.Make (Int)
@@ -273,3 +280,49 @@ let[@lnd.pure] help_prog ~n ~(q : Quorum.t) ~pid : (reg, unit) prog =
     idle served
   in
   idle (Array.make n 0)
+
+(* The Section 7.1 ablation of Help: Algorithm 1's lax witness policy.
+   Each round echoes E_0 into E_pid, then copies E_0 into R_pid while
+   R_pid is ⊥ (no echo quorum), then reads C_1..C_{n-1} and answers the
+   askers from R_pid, or yields. An equivocating writer can then split
+   the correct witnesses between two values (test A3). *)
+let[@lnd.pure] help_lax_prog ~n ~pid : (reg, unit) prog =
+  (* copy E_0 into [r] while [r] is ⊥ *)
+  let adopt r =
+    let* u = read r in
+    if dec_vopt u <> None then ret ()
+    else
+      let* e0 = read (E 0) in
+      match dec_vopt e0 with
+      | Some _ as v -> write r (enc_vopt v)
+      | None -> ret ()
+  in
+  let rec askers prev k acc =
+    if k >= n then ret (List.rev acc)
+    else
+      let* u = read (C k) in
+      let ck = dec_counter u in
+      askers prev (k + 1) (if ck > prev.(k) then (k, ck) :: acc else acc)
+  in
+  let rec round prev =
+    let* () = adopt (E pid) in
+    let* () = adopt (R pid) in
+    let* found = askers prev 1 [] in
+    if found = [] then
+      let* () = yield in
+      round prev
+    else
+      let* rj_u = read (R pid) in
+      let rj = dec_vopt rj_u in
+      let rec answer = function
+        | [] -> ret ()
+        | (k, ck) :: rest ->
+            let* () = write (Rjk (pid, k)) (enc_stamped rj ck) in
+            answer rest
+      in
+      let* () = answer found in
+      let served = Array.copy prev in
+      List.iter (fun (k, ck) -> served.(k) <- ck) found;
+      round served
+  in
+  round (Array.make n 0)

@@ -33,6 +33,10 @@ val enc_stamped : Value.t option -> int -> Univ.t
 val write_prog : n:int -> q:Quorum.t -> Value.t -> (reg, unit) Machine.prog
 (** WRITE(v), lines 1-6 (a second write is a no-op). *)
 
+val write_nowait_prog : Value.t -> (reg, unit) Machine.prog
+(** The Section 7.1 ablation of WRITE: lines 1-2 without the lines 3-5
+    witness wait, so a READ after it completes may return ⊥. *)
+
 val read_prog :
   n:int -> q:Quorum.t -> pid:int -> ck:int ->
   (reg, Value.t option * int) Machine.prog
@@ -42,3 +46,10 @@ val read_prog :
 val help_prog : n:int -> q:Quorum.t -> pid:int -> (reg, unit) Machine.prog
 (** Help(), lines 23-40; never returns. Emits [Serving askers]/[Served]
     notes around each round that answers askers. *)
+
+val help_lax_prog : n:int -> pid:int -> (reg, unit) Machine.prog
+(** The Section 7.1 ablation of Help: Algorithm 1's lax witness policy.
+    Each round echoes, copies E_0 into R_pid while R_pid is ⊥, then
+    reads C_1..C_{n-1} and answers the askers from R_pid, or yields;
+    never returns, emits no notes. An equivocating writer can split the
+    correct witnesses between two values, and READs then stall. *)

@@ -143,6 +143,20 @@ let[@lnd.pure] verify_prog ~n ~(q : Quorum.t) ~pid ~ck (v : Value.t) :
   in
   round PidSet.empty PidSet.empty ck
 
+(* The Section 5.1 strawman VERIFY: "ask all processes whether they are
+   now willing to be witnesses of v" in one pass — read every R_j once —
+   and return TRUE on f+1 yes. It always terminates, but a later
+   strawman can answer FALSE after an earlier one answered TRUE: the
+   relay violation Algorithm 1's rounds prevent (test A1). *)
+let[@lnd.pure] strawman_verify_prog ~(q : Quorum.t) (v : Value.t) :
+    (reg, bool) prog =
+  let* rsets = read_all ~n:(Quorum.n q) (fun j -> R j) dec_vset in
+  ret
+    (Quorum.has_one_correct q
+       (Array.fold_left
+          (fun cnt s -> if VSet.mem v s then cnt + 1 else cnt)
+          0 rsets))
+
 (* ---------------- Help() — lines 25-36 ---------------- *)
 
 (* Runs forever (the program never returns); assists all ongoing VERIFY

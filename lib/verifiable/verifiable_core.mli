@@ -48,6 +48,10 @@ val verify_prog :
 (** VERIFY(v): lines 11-24. Returns (verdict, new round counter); the
     driver owns the reader's persistent [ck]. *)
 
+val strawman_verify_prog : q:Quorum.t -> Value.t -> (reg, bool) Machine.prog
+(** The Section 5.1 strawman VERIFY: read every R_j once, TRUE on f+1
+    yes. It always terminates but breaks relay (test A1). *)
+
 val help_prog : n:int -> q:Quorum.t -> pid:int -> (reg, unit) Machine.prog
 (** Help(): lines 25-36; never returns. Emits [Serving askers]/[Served]
     notes around each round that answers askers. *)

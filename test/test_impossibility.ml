@@ -2,11 +2,16 @@
    breaks the relay property of test-or-set at n = 3f, and is powerless at
    n = 3f + 1. *)
 
-module Imp = Lnd_testorset.Impossibility
+module Imp = Lnd_fuzz.Impossibility
 
+(* [relay_violated] is the verdict of the construction's plan judge on
+   the attack's history; it must say exactly what the two bits say. *)
 let attack ?(impl = Imp.Via_verifiable) ~n ~f ~seed () =
   let o = Imp.run_attack ~seed ~impl ~n ~f () in
   Alcotest.(check int) "TEST by p_a returns 1" 1 o.Imp.test_a;
+  Alcotest.(check bool) "the judge agrees with TEST(p_a), TEST'(p_b)"
+    (o.Imp.test_a = 1 && o.Imp.test_b = 0)
+    o.Imp.relay_violated;
   o
 
 (* At the impossibility bound (n = 3f) the attack flips TEST' to 0. *)

@@ -255,6 +255,28 @@ let test_fixture_scenarios_replay () =
 
 (* ---------------- Adversary synthesis -------------------------------- *)
 
+(* Searches that cannot run are refused up front: a preemption bound the
+   naive DFS would ignore, and a hill-climb of no round or of candidates
+   of no schedule, which would evaluate nothing and report that nothing
+   was found. *)
+let test_searches_refuse_bounds_they_ignore () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: ran" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "naive DFS with a preemption bound" (fun () ->
+      ignore
+        (M.explore ~mode:`Naive ~max_runs:1 ~max_preempts:0 M.default
+          : Explore.result));
+  List.iter
+    (fun (what, rounds, batch) ->
+      raises what (fun () ->
+          ignore
+            (Synth.hillclimb ~rounds ~batch ~seed:1 ~name:"x" M.weakened
+              : Synth.outcome)))
+    [ ("no round", 0, 6); ("negative rounds", -1, 6); ("no schedule", 50, 0) ]
+
 let test_synth_finds_violating_adversary () =
   (* honest genomes: the hill-climb has to mutate the scripts (and/or
      the seeds) before any run can violate *)
@@ -441,6 +463,8 @@ let tests =
       test_fixture_scenarios_replay;
     Alcotest.test_case "synthesis mutates an honest adversary into a violator"
       `Quick test_synth_finds_violating_adversary;
+    Alcotest.test_case "searches refuse bounds they would ignore" `Quick
+      test_searches_refuse_bounds_they_ignore;
     Alcotest.test_case "last_accesses reads the Space counters" `Quick
       test_last_accesses_counts;
     Alcotest.test_case "dpor exhausts n=4 f=1 under every named strategy"

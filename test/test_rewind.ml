@@ -140,9 +140,6 @@ let test_not_rewindable () =
   Sched.kill (List.hd s.Diff.sched.Sched.fibers);
   Alcotest.(check bool) "a kill" false (Sched.rewindable s.Diff.sched);
   let s = fresh () in
-  Sched.set_enabled s.Diff.sched (fun _ -> true);
-  Alcotest.(check bool) "a mask change" false (Sched.rewindable s.Diff.sched);
-  let s = fresh () in
   Obs.install { Obs.emit = ignore };
   Fun.protect ~finally:Obs.uninstall (fun () ->
       ignore (Sched.run ~max_steps:10 s.Diff.sched));

@@ -1,5 +1,6 @@
 (* Unit tests for the effects-based scheduler: atomic step semantics,
-   fairness, determinism, masks, kills, and the bounded explorer. *)
+   fairness, determinism, kills, policies that keep fibers asleep, and
+   the bounded explorer. *)
 
 open Lnd_support
 open Lnd_shm
@@ -194,7 +195,11 @@ let test_kill () =
   (* deliberate kills are not reported as failures *)
   Alcotest.(check int) "no failures" 0 (List.length (Sched.failures sched))
 
-let test_enabled_mask () =
+(* Policy.only keeps the fibers it rejects asleep: they never step, yet
+   they still count for quiescence, so a choice with none accepted is an
+   error rather than a step of a sleeper. Back under the plain policy
+   the sleeper runs. *)
+let test_policy_only () =
   let space, sched = mk_sys (Policy.round_robin ()) in
   let r = int_reg space ~owner:0 in
   let ran = Array.make 3 false in
@@ -204,13 +209,58 @@ let test_enabled_mask () =
            ignore (Sched.read r);
            ran.(pid) <- true))
   done;
-  Sched.set_enabled sched (fun f -> f.Sched.pid <> 1);
+  let rr = Policy.round_robin () in
+  Sched.set_choose sched (Policy.only (fun _ f -> f.Sched.pid <> 1) rr);
+  (match
+     Sched.run ~max_steps:1000 ~until:(fun _ -> ran.(0) && ran.(2)) sched
+   with
+  | Sched.Condition_met -> ()
+  | _ -> Alcotest.fail "expected p0 and p2 to finish");
+  Alcotest.(check bool) "p1 asleep" false ran.(1);
+  (match Sched.run ~max_steps:1000 sched with
+  | _ -> Alcotest.fail "no accepted fiber left, yet the policy chose"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "p1 still asleep" false ran.(1);
+  Sched.set_choose sched rr;
   (match Sched.run ~max_steps:1000 sched with
   | Sched.Quiescent -> ()
-  | _ -> Alcotest.fail "expected quiescence of enabled fibers");
-  Alcotest.(check bool) "p0 ran" true ran.(0);
-  Alcotest.(check bool) "p1 masked" false ran.(1);
-  Alcotest.(check bool) "p2 ran" true ran.(2)
+  | _ -> Alcotest.fail "expected quiescence");
+  Alcotest.(check bool) "p1 ran" true ran.(1)
+
+(* Under Policy.only a seeded random policy draws over the accepted
+   fibers alone: a run with sleepers steps the others in the order a run
+   without the sleepers does. *)
+let test_policy_only_draws () =
+  for seed = 1 to 20 do
+    let order sleepers =
+      let space, sched = mk_sys (Policy.random ~seed) in
+      let r = int_reg space ~owner:0 in
+      let steps = ref [] in
+      let body pid () =
+        for _ = 1 to 5 do
+          ignore (Sched.read r);
+          steps := pid :: !steps
+        done
+      in
+      List.iter
+        (fun pid ->
+          if pid <> 1 || sleepers then
+            ignore (Sched.spawn sched ~pid ~name:"p" (body pid)))
+        [ 0; 1; 2 ];
+      let base = Policy.random ~seed in
+      Sched.set_choose sched
+        (if sleepers then Policy.only (fun _ f -> f.Sched.pid <> 1) base
+         else base);
+      ignore
+        (Sched.run
+           ~until:(fun _ -> List.length (List.filter (( <> ) 1) !steps) = 10)
+           sched);
+      !steps
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: same draws" seed)
+      (order false) (order true)
+  done
 
 let test_exception_captured () =
   let _space, sched = mk_sys (Policy.round_robin ()) in
@@ -351,13 +401,12 @@ let test_swarm_sticky_uniqueness () =
 (* The ready-array oracle. [Sched.run] keeps its ready array from step
    to step and rebuilds it only when readiness can change; the recording
    policy below copies every array it is handed and compares it with a
-   from-scratch filter over [t.fibers] (Ready, accepted by the mask, not
-   parked, in spawn order), then lets a seeded random policy choose. *)
+   from-scratch filter over [t.fibers] (Ready, not parked, in spawn
+   order), then lets a seeded random policy choose. *)
 let reference_ready (t : Sched.t) =
   List.filter
     (fun (f : Sched.fiber) ->
       (match f.Sched.state with Sched.Ready _ -> true | Sched.Finished _ -> false)
-      && (match t.Sched.enabled with None -> true | Some mask -> mask f)
       && not (f.Sched.parked_at >= 0 && t.Sched.writes <= f.Sched.parked_at))
     t.Sched.fibers
 
@@ -421,7 +470,7 @@ let test_ready_oracle_spawn_finish () =
     check_oracle ~min_changes:6 "spawn/finish" o
   done
 
-let test_ready_oracle_kill_mask () =
+let test_ready_oracle_kill () =
   for seed = 1 to 20 do
     let o, space, sched = oracle_sys ~seed in
     let r = int_reg space ~owner:0 in
@@ -440,25 +489,17 @@ let test_ready_oracle_kill_mask () =
            done;
            (* a kill from inside a fiber takes effect at the next step *)
            Sched.kill c;
-           (* so does a mask change *)
-           Sched.set_enabled sched (fun f -> f.Sched.fid <> b.Sched.fid)));
+           ignore (Sched.read r)));
     let stop_after k = Sched.run ~until:(fun t -> Sched.steps t >= k) sched in
     ignore (stop_after 30);
-    (* kills and mask changes between runs *)
+    (* kills between runs *)
     Sched.kill a;
     ignore (stop_after 40);
-    Sched.set_enabled sched (fun _ -> true);
-    ignore (stop_after 50);
-    Sched.set_enabled sched (fun f -> f.Sched.pid = 0);
-    (match Sched.run sched with
-    | Sched.Quiescent -> ()
-    | _ -> Alcotest.fail "expected quiescence: every client left is masked");
     Sched.kill b;
-    Sched.set_enabled sched (fun _ -> true);
     (match Sched.run sched with
     | Sched.Quiescent -> ()
     | _ -> Alcotest.fail "expected quiescence once every client ended");
-    check_oracle ~min_changes:3 "kill/mask" o
+    check_oracle ~min_changes:3 "kill" o
   done
 
 let test_ready_oracle_park () =
@@ -549,7 +590,10 @@ let tests =
     Alcotest.test_case "watchdog: stalled agrees with a full scan" `Quick
       test_watchdog_oracle;
     Alcotest.test_case "kill" `Quick test_kill;
-    Alcotest.test_case "enabled mask" `Quick test_enabled_mask;
+    Alcotest.test_case "Policy.only keeps fibers asleep" `Quick
+      test_policy_only;
+    Alcotest.test_case "Policy.only draws over the accepted fibers" `Quick
+      test_policy_only_draws;
     Alcotest.test_case "exception captured" `Quick test_exception_captured;
     Alcotest.test_case "on_failure hook fires (not on kill)" `Quick
       test_on_failure_hook;
@@ -561,8 +605,7 @@ let tests =
       test_explore_race;
     Alcotest.test_case "ready oracle: spawns and finishing fibers" `Quick
       test_ready_oracle_spawn_finish;
-    Alcotest.test_case "ready oracle: kills and masks" `Quick
-      test_ready_oracle_kill_mask;
+    Alcotest.test_case "ready oracle: kills" `Quick test_ready_oracle_kill;
     Alcotest.test_case "ready oracle: park-on-yield and writes" `Quick
       test_ready_oracle_park;
     Alcotest.test_case "ready oracle: daemon-only quiescence" `Quick

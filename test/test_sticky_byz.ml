@@ -238,15 +238,7 @@ let test_writer_crash_mid_write ~seed () =
   let n = 4 and f = 1 in
   let q, t = make ~seed ~n ~f ~byzantine:[ 0 ] [] in
   (* the crasher runs the real protocol until it dies *)
-  ignore
-    (Sched.spawn_machine t.sched ~pid:0 ~name:"help0" ~daemon:true
-       ~note:(Lnd_runtime.Drive.help_note ()) ~at:t.regs ~data:()
-       (fun () ->
-         Sched.Job
-           ( Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0,
-             (fun () -> Sched.Done ()),
-             () ))
-      : unit -> unit);
+  t.daemon ~pid:0 ~name:"help0" (Lnd_sticky.Sticky_core.help_prog ~n ~q ~pid:0);
   t.client ~pid:0 ~name:"doomed-writer" [ Diff.write_sticky q "w" ];
   ignore
     (Sched.run ~max_steps:200_000

@@ -232,15 +232,8 @@ let test_reader_crash_mid_verify ~seed () =
   t.client ~pid:0 ~name:"writer" (write_sign "c");
   (* the crasher still RUNS the protocol (it is not malicious, just
      doomed): give it a help daemon and a verify it will never finish *)
-  ignore
-    (Sched.spawn_machine t.sched ~pid:3 ~name:"help3" ~daemon:true
-       ~note:(Lnd_runtime.Drive.help_note ()) ~at:t.regs ~data:()
-       (fun () ->
-         Sched.Job
-           ( Lnd_verifiable.Verifiable_core.help_prog ~n ~q ~pid:3,
-             (fun () -> Sched.Done ()),
-             () ))
-      : unit -> unit);
+  t.daemon ~pid:3 ~name:"help3"
+    (Lnd_verifiable.Verifiable_core.help_prog ~n ~q ~pid:3);
   t.client ~pid:3 ~name:"doomed" [ Diff.verify q ~pid:3 "c" ];
   (* let it take a few steps, then crash it *)
   ignore
