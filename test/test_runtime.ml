@@ -575,6 +575,136 @@ let test_ready_oracle_daemons () =
     check_oracle ~min_changes:2 "daemons" o
   done
 
+(* ---------------- Pinned schedules ---------------- *)
+
+(* A policy that appends each fiber it picks to [fids]. *)
+let recording fids inner t ready =
+  let i = inner t ready in
+  Buffer.add_string fids (string_of_int ready.(i).Sched.fid);
+  Buffer.add_char fids ' ';
+  i
+
+(* Every effect-fiber step goes back through the scheduler: 3,000,000
+   steps of eight yielding fibers must finish without growing the
+   stack, on the default stack limit. *)
+let test_many_effect_steps () =
+  let _, sched = mk_sys ~n:8 (Policy.random ~seed:3) in
+  for pid = 0 to 7 do
+    ignore
+      (Sched.spawn sched ~pid ~name:"yields" (fun () ->
+           for _ = 1 to 374_999 do
+             Sched.yield ()
+           done))
+  done;
+  (match Sched.run ~max_steps:4_000_000 sched with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "expected quiescence");
+  Alcotest.(check int) "steps" 3_000_000 (Sched.steps sched)
+
+exception Escape of string
+
+(* A policy, an [until] predicate and a failure hook that raise in the
+   middle of a run each end that run with their exception; the next
+   run goes on with the same fibers. The fibers picked over all four
+   runs are pinned. *)
+let test_raise_escapes_run () =
+  let space, sched = mk_sys ~n:4 (Policy.round_robin ()) in
+  let regs =
+    Array.init 4 (fun owner ->
+        Space.alloc space ~name:(Printf.sprintf "x%d" owner) ~owner
+          ~init:(Univ.inj Univ.int 0) ())
+  in
+  let fids = Buffer.create 256 in
+  let fired = ref [] in
+  let first what =
+    (not (List.mem what !fired))
+    && begin
+         fired := what :: !fired;
+         true
+       end
+  in
+  let inner = recording fids (Policy.random ~seed:5) in
+  Sched.set_choose sched (fun t ready ->
+      if Sched.steps t = 40 && first "policy" then raise (Escape "policy");
+      inner t ready);
+  let until t =
+    if Sched.steps t = 90 && first "until" then raise (Escape "until");
+    false
+  in
+  Sched.set_on_failure sched
+    (Some (fun _ _ -> if first "hook" then raise (Escape "hook")));
+  for pid = 0 to 3 do
+    ignore
+      (Sched.spawn sched ~pid ~name:"rw" (fun () ->
+           for k = 1 to 12 do
+             ignore (Sched.read regs.((pid + k) mod 4));
+             Sched.write regs.(pid) (Univ.inj Univ.int k);
+             if pid = 3 && k = 9 then failwith "boom";
+             Sched.yield ()
+           done))
+  done;
+  let escapes = ref [] in
+  let rec go () =
+    match Sched.run ~until sched with
+    | exception Escape what ->
+        escapes := Printf.sprintf "%s@%d" what (Sched.steps sched) :: !escapes;
+        go ()
+    | Sched.Quiescent -> ()
+    | _ -> Alcotest.fail "expected quiescence"
+  in
+  go ();
+  Alcotest.(check (list string)) "escapes, at step"
+    [ "policy@40"; "hook@64"; "until@90" ]
+    (List.rev !escapes);
+  Alcotest.(check string) "fids"
+    ("2 0 3 1 1 0 1 3 0 3 3 0 3 1 3 2 3 3 3 0 1 3 0 3 3 3 2 1 3 2 "
+     ^ "3 1 3 2 3 1 2 3 0 3 2 2 3 1 1 3 3 3 0 1 3 0 2 1 3 1 1 0 0 2 "
+     ^ "1 3 1 3 0 2 1 2 0 1 0 2 1 0 2 0 1 1 0 2 2 2 0 2 0 1 1 2 1 2 "
+     ^ "1 2 0 1 0 0 2 0 2 2 2 2 2 1 2 0 1 2 0 2 2 1 2 1 0 0 2 2 2 0 "
+     ^ "2 1 1 1 0 0 2 0 0 1 0 0 1 1 1 0 0 0 ")
+    (Buffer.contents fids);
+  Alcotest.(check int) "steps" 138 (Sched.steps sched);
+  Alcotest.(check int) "failures" 1 (List.length (Sched.failures sched))
+
+(* One run that mixes a session's machine fibers (help daemons, a
+   writer and a reader) with effect fibers spawned beside them, writing
+   and reading registers of their own. *)
+let test_session_with_effect_fibers () =
+  let module Diff = Lnd_parallel.Diff in
+  let q = Quorum.make ~n:4 ~f:1 in
+  let fids = Buffer.create 4096 in
+  let s =
+    Diff.session
+      (recording fids (Policy.random ~seed:11))
+      (Diff.sticky_plan q ~byzantine:[] ~scripts:[])
+  in
+  let extra =
+    Array.init 2 (fun i ->
+        Space.alloc s.space ~name:(Printf.sprintf "e%d" i) ~owner:(i + 2)
+          ~init:(Univ.inj Univ.int 0) ())
+  in
+  s.client ~pid:0 ~name:"writer" [ Diff.write_sticky q "v" ];
+  s.client ~pid:1 ~name:"reader" [ Diff.read_sticky q ~pid:1 ];
+  Array.iteri
+    (fun i reg ->
+      ignore
+        (Sched.spawn s.sched ~pid:(i + 2) ~name:"scribble" (fun () ->
+             for k = 1 to 12 do
+               Sched.write reg (Univ.inj Univ.int k);
+               ignore (Sched.read extra.(1 - i));
+               Sched.yield ()
+             done)))
+    extra;
+  (match Sched.run ~max_steps:200_000 s.sched with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "expected quiescence");
+  Alcotest.(check int) "steps" 293 (Sched.steps s.sched);
+  Alcotest.(check string) "first fids"
+    "5 1 5 0 4 6 4 2 6 2 0 5 3 3 1 0 6 4 5 6 0 5 6 5 6 6 6 2 5 6 6 6 7 0 2 7 7 2 3 4 "
+    (String.sub (Buffer.contents fids) 0 80);
+  Alcotest.(check string) "fids (md5)" "7034b3b51aa5a100b0ca20d23babc53f"
+    (Digest.to_hex (Digest.string (Buffer.contents fids)))
+
 let tests =
   [
     Alcotest.test_case "basic run" `Quick test_basic_run;
@@ -610,4 +740,13 @@ let tests =
       test_ready_oracle_park;
     Alcotest.test_case "ready oracle: daemon-only quiescence" `Quick
       test_ready_oracle_daemons;
+    Alcotest.test_case "3,000,000 effect-fiber steps on the default stack"
+      `Quick test_many_effect_steps;
+    Alcotest.test_case
+      "a raising policy, until and failure hook escape run; the next run \
+       resumes (pinned)"
+      `Quick test_raise_escapes_run;
+    Alcotest.test_case
+      "session machine fibers beside spawned effect fibers (pinned)" `Quick
+      test_session_with_effect_fibers;
   ]

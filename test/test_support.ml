@@ -38,6 +38,59 @@ let test_univ_distinct_keys () =
   Alcotest.(check (option int)) "own key" (Some 5) (Univ.prj k1 u);
   Alcotest.(check (option int)) "other key" None (Univ.prj k2 u)
 
+(* Keys with the same name and payload type are still different keys: a
+   value never projects under the other, the two never compare equal,
+   and a defensive projection falls back to its default. *)
+let test_univ_isolation () =
+  let k1 = Univ.key ~name:"k" ~pp:Format.pp_print_int ~equal:Int.equal in
+  let k2 = Univ.key ~name:"k" ~pp:Format.pp_print_int ~equal:Int.equal in
+  let a = Univ.inj k1 5 and b = Univ.inj k2 5 in
+  Alcotest.(check (option int)) "k1 value under k2" None (Univ.prj k2 a);
+  Alcotest.(check (option int)) "k2 value under k1" None (Univ.prj k1 b);
+  Alcotest.(check bool) "equal across keys" false (Univ.equal a b);
+  Alcotest.(check bool) "equal across keys, swapped" false (Univ.equal b a);
+  Alcotest.(check bool) "equal under one key" true
+    (Univ.equal a (Univ.inj k1 5));
+  Alcotest.(check int) "prj_default under the other key" 9
+    (Univ.prj_default k2 ~default:9 a);
+  Alcotest.(check int) "prj_default under its own key" 5
+    (Univ.prj_default k1 ~default:9 a);
+  Alcotest.(check string) "key name" "k" (Univ.key_name b);
+  Alcotest.(check string) "printed" "5" (Format.asprintf "%a" Univ.pp b)
+
+(* The SplitMix64 stream itself, not just its determinism: every seeded
+   scenario, schedule and fault plan replays from it. For each seed,
+   eight [int 1000] draws, then [bool], then the first output of a
+   [split] and of a [derive]. *)
+let test_rng_vectors () =
+  List.iter
+    (fun (seed, draws, coin, split, derive) ->
+      let r = Rng.create seed in
+      let what x = Printf.sprintf "seed %d: %s" seed x in
+      Alcotest.(check (list int)) (what "int 1000") draws
+        (List.init 8 (fun _ -> Rng.int r 1000));
+      Alcotest.(check bool) (what "bool") coin (Rng.bool r);
+      Alcotest.(check int64) (what "split") split (Rng.next64 (Rng.split r));
+      Alcotest.(check int64) (what "derive") derive
+        (Rng.next64 (Rng.derive r 7)))
+    [
+      ( 0,
+        [ 823; 796; 679; 732; 747; 186; 913; 228 ],
+        true,
+        -3137335966175786839L,
+        4775743972700868807L );
+      ( 1,
+        [ 657; 711; 878; 331; 857; 336; 333; 725 ],
+        false,
+        3159128151887096807L,
+        -4092994995771171473L );
+      ( 42,
+        [ 605; 291; 954; 860; 250; 350; 925; 196 ],
+        true,
+        3299762934642087680L,
+        -66385252989067990L );
+    ]
+
 let test_rng_determinism () =
   let a = Rng.create 123 and b = Rng.create 123 in
   for _ = 1 to 100 do
@@ -158,6 +211,9 @@ let tests =
     Alcotest.test_case "univ defensive default" `Quick test_univ_default;
     Alcotest.test_case "univ equality" `Quick test_univ_equal;
     Alcotest.test_case "univ distinct keys" `Quick test_univ_distinct_keys;
+    Alcotest.test_case "univ isolation across same-named keys" `Quick
+      test_univ_isolation;
+    Alcotest.test_case "rng output vectors pinned" `Quick test_rng_vectors;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
