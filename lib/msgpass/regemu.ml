@@ -107,7 +107,7 @@ let emsg_key : emsg Univ.key =
    bucketing. *)
 let[@lnd.pure] fp (v : Univ.t) : string = Format.asprintf "%a" Univ.pp v
 
-type meta = { owner : int; init : Univ.t }
+type meta = { owner : int; init : Univ.t; init_fp : string (* [fp init] *) }
 
 type replica = {
   (* reg -> current accepted (ts, fingerprint, value) *)
@@ -124,6 +124,9 @@ type replica = {
   mutable serving : bool;
       (* false while recovering: read requests are recorded (and
          journalled) but answered only once state transfer completes *)
+  outbox : (int, emsg list ref) Hashtbl.t;
+      (* dst -> the replies one pump pass batches for it, newest first;
+         emptied by every pass *)
 }
 
 type client = {
@@ -209,6 +212,7 @@ let replica_state t ~pid : replica =
           rep_accepted = Hashtbl.create 64;
           rep_last_rreq = Hashtbl.create 16;
           serving = true;
+          outbox = Hashtbl.create 8;
         }
       in
       t.replicas.(pid) <- Some r;
@@ -290,7 +294,7 @@ let rep_current t (r : replica) reg : int * string * Univ.t =
   | Some c -> c
   | None ->
       let m = meta t reg in
-      (0, fp m.init, m.init)
+      (0, m.init_fp, m.init)
 
 let rep_adopt t (r : replica) ~pid reg ts f_ v =
   let cts, cfp, _ = rep_current t r reg in
@@ -408,7 +412,10 @@ let pump t ~pid =
   let ep = endpoint t ~pid in
   let r = replica_state t ~pid in
   let c = client_state t ~pid in
-  let outbox : (int, emsg list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* the same table every pass, so the flush below visits its
+     destinations in the order a fresh table of this size would *)
+  let outbox = r.outbox in
+  Hashtbl.clear outbox;
   let out ~dst m =
     match Hashtbl.find_opt outbox dst with
     | Some l -> l := m :: !l
@@ -417,20 +424,25 @@ let pump t ~pid =
   (* Every decoded payload is recorded as a receiver-side [Obs.Claim]
      BEFORE it is acted on: the claim attributes what [src] said, so an
      auditor can cross-examine senders without trusting any receiver's
-     subsequent behaviour. *)
-  let claim ~src cl f_ =
-    if Obs.enabled () then Obs.emit ~pid (Obs.Claim { src; claim = cl; fp = f_ })
-  in
+     subsequent behaviour. A claim is built only while a sink records
+     it, and a value's fingerprint at most once per payload. *)
+  let claim ~src cl f_ = Obs.emit ~pid (Obs.Claim { src; claim = cl; fp = f_ }) in
   let rec handle ~src (m : emsg) =
     match m with
     | Wreq (reg, ts, v) ->
-        claim ~src (Obs.Cl_wreq { reg; ts }) (fp v);
-        if Hashtbl.mem t.metas reg && src = (meta t reg).owner then
-          rep_send_echo t r ep reg ts (fp v) v
+        let echo = Hashtbl.mem t.metas reg && src = (meta t reg).owner in
+        if echo || Obs.enabled () then begin
+          let f_ = fp v in
+          if Obs.enabled () then claim ~src (Obs.Cl_wreq { reg; ts }) f_;
+          if echo then rep_send_echo t r ep reg ts f_ v
+        end
     | Wecho (reg, ts, v) ->
-        claim ~src (Obs.Cl_wecho { reg; ts }) (fp v);
-        if Hashtbl.mem t.metas reg then
-          rep_note_echo t r ep reg ts (fp v) v ~from:src
+        let known = Hashtbl.mem t.metas reg in
+        if known || Obs.enabled () then begin
+          let f_ = fp v in
+          if Obs.enabled () then claim ~src (Obs.Cl_wecho { reg; ts }) f_;
+          if known then rep_note_echo t r ep reg ts f_ v ~from:src
+        end
     | Rreq (reg, rid) ->
         if Hashtbl.mem t.metas reg then begin
           (* remember the latest outstanding request per requester: a
@@ -444,7 +456,7 @@ let pump t ~pid =
           end
         end
     | Wack (reg, ts) ->
-        claim ~src (Obs.Cl_wack { reg; ts }) "";
+        if Obs.enabled () then claim ~src (Obs.Cl_wack { reg; ts }) "";
         cl_note_ack c reg ts ~src;
         if Obs.enabled () then begin
           let count =
@@ -455,7 +467,7 @@ let pump t ~pid =
           Obs.emit ~pid (Obs.Reg_reply { reg; rid = ts; src; count })
         end
     | Rrep (reg, rid, ts, v) ->
-        claim ~src (Obs.Cl_rrep { reg; rid; ts }) (fp v);
+        if Obs.enabled () then claim ~src (Obs.Cl_rrep { reg; rid; ts }) (fp v);
         cl_note_rep c rid ts v ~src;
         if Obs.enabled () then begin
           let count =
@@ -470,9 +482,10 @@ let pump t ~pid =
            whatever is ST-accepted so far, always genuine *)
         out ~dst:src (Srep (rid, rep_view t r))
     | Srep (rid, view) ->
-        List.iter
-          (fun (reg, ts, v) -> claim ~src (Obs.Cl_state { reg; ts }) (fp v))
-          view;
+        if Obs.enabled () then
+          List.iter
+            (fun (reg, ts, v) -> claim ~src (Obs.Cl_state { reg; ts }) (fp v))
+            view;
         cl_note_srep c rid view ~src
     | Batch l -> List.iter (handle ~src) l
   in
@@ -480,7 +493,7 @@ let pump t ~pid =
     (fun (src, payload) ->
       match Univ.prj emsg_key payload with
       | Some m -> handle ~src m
-      | None -> claim ~src Obs.Cl_garbage "")
+      | None -> if Obs.enabled () then claim ~src Obs.Cl_garbage "")
     (ep.Transport.poll_all ());
   (Hashtbl.iter
      (fun dst l ->
@@ -660,9 +673,10 @@ let allocator (t : t) : Cell.allocator =
   ignore single_reader (* readability not enforced by the emulation *);
   let reg = t.next_reg in
   t.next_reg <- reg + 1;
-  Hashtbl.replace t.metas reg { owner; init };
+  let init_fp = fp init in
+  Hashtbl.replace t.metas reg { owner; init; init_fp };
   if Obs.enabled () then
-    Obs.emit ~pid:owner (Obs.Reg_alloc { reg; owner; fp = fp init });
+    Obs.emit ~pid:owner (Obs.Reg_alloc { reg; owner; fp = init_fp });
   {
     Cell.cell_name = Printf.sprintf "emu:%s" name;
     cell_read = (fun () -> emu_read t reg);

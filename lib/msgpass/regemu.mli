@@ -67,7 +67,7 @@ type t = {
   mutable codec : ((Univ.t -> string) * (string -> Univ.t)) option;
 }
 
-and meta = { owner : int; init : Univ.t }
+and meta = { owner : int; init : Univ.t; init_fp : string  (** [fp init] *) }
 
 (** Per-process replica state (transparent for test introspection). *)
 and replica = {
@@ -82,6 +82,9 @@ and replica = {
   mutable serving : bool;
       (** [false] while recovering: read requests are recorded but
           answered only once state transfer completes *)
+  outbox : (int, emsg list ref) Hashtbl.t;
+      (** dst -> the replies one pump pass batches for it; kept from
+          pass to pass so a pass allocates no table *)
 }
 
 (** Per-process client state. *)

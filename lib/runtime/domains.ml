@@ -121,13 +121,15 @@ let daemon ~label ?(critical = true) ?(on_note = fun _ -> ()) ~cell prog =
    between. [parked] is the write version read when the machine's last
    turn started if that turn ended in a yield, and [-1] otherwise: the
    machine is skipped while the version still equals it. [label] is a
-   daemon's label and [""] for a job. *)
+   daemon's label and [""] for a job. [read] and [write] are its
+   register accesses ({!accesses}), built with the machine. *)
 type runnable =
   | Run : {
       label : string;
       critical : bool;
       mutable resume : unit -> ('reg, 'a) Machine.prog;
-      cell : 'reg -> Dcell.t;
+      read : 'reg -> Univ.t;
+      write : 'reg -> Univ.t -> unit;
       onote : Machine.note -> unit;
       mutable ospan : int;
       fin : 'a -> unit;
@@ -214,6 +216,32 @@ let bump (t : t) =
 let denied ~pid (c : Dcell.t) op =
   raise (Lnd_shm.Space.Permission_violation { pid; reg = c.name; op })
 
+(* One step against the domain's budget. *)
+let count t steps ~pid =
+  incr steps;
+  if !steps > t.step_budget then
+    raise (Abort (Printf.sprintf "p%d: domain step budget exhausted" pid))
+
+(* The register accesses of a machine of [pid] hosted by the domain
+   whose steps [steps] counts: each checked against the model's rules,
+   each read one step. Built once per machine, not on every turn. *)
+let accesses t ~steps ~pid (cell : 'reg -> Dcell.t) =
+  let read r =
+    let c = cell r in
+    if c.reader >= 0 && c.reader <> pid && c.owner <> pid then
+      denied ~pid c "read";
+    let v = Dcell.read c in
+    count t steps ~pid;
+    v
+  in
+  let write r u =
+    let c = cell r in
+    if c.owner <> pid then denied ~pid c "write";
+    Dcell.write c u;
+    bump t
+  in
+  (read, write)
+
 (* Advance one machine to its next Yield (one "turn"), answering reads
    inline: on the domains backend a register read never blocks, so the
    only preemption points *within* a domain are the cores' explicit
@@ -234,30 +262,13 @@ let turn (t : t) ~steps ~pid (Run m as machine) : [ `Yielded | `Done | `Dead ] =
        carries it across fiber switches: restore before stepping, save
        after (note callbacks may have pushed/popped HELP spans). *)
     if Obs.enabled () then Obs.set_ambient ~span:m.ospan ~pid;
-    let save () = if Obs.enabled () then m.ospan <- Obs.ambient () in
-    let count () =
-      incr steps;
-      if !steps > t.step_budget then
-        raise (Abort (Printf.sprintf "p%d: domain step budget exhausted" pid))
-    in
-    let read r =
-      let c = m.cell r in
-      if c.reader >= 0 && c.reader <> pid && c.owner <> pid then
-        denied ~pid c "read";
-      let v = Dcell.read c in
-      count ();
-      v
-    in
-    let write r u =
-      let c = m.cell r in
-      if c.owner <> pid then denied ~pid c "write";
-      Dcell.write c u;
-      bump t
-    in
     try
-      count ();
+      count t steps ~pid;
       let r =
-        match Machine.advance ~read ~write ~note:m.onote (m.resume ()) with
+        match
+          Machine.advance ~read:m.read ~write:m.write ~note:m.onote
+            (m.resume ())
+        with
         | Machine.Yield k ->
             m.resume <- k;
             m.parked <- snap;
@@ -269,13 +280,13 @@ let turn (t : t) ~steps ~pid (Run m as machine) : [ `Yielded | `Done | `Dead ] =
         | Machine.Read _ | Machine.Write _ | Machine.Note _ ->
             invalid_arg "Domains.turn: Machine.advance stopped short of a yield"
       in
-      save ();
+      if Obs.enabled () then m.ospan <- Obs.ambient ();
       r
     with
     | Abort _ as e -> raise e
     | e ->
         m.dead <- true;
-        save ();
+        if Obs.enabled () then m.ospan <- Obs.ambient ();
         if m.critical then
           raise
             (Abort
@@ -499,7 +510,7 @@ let run (t : t) : (int, string) result =
      process. Daemons stay at top level (parent 0), mirroring the
      simulator's daemon fibers — they are abandoned at teardown and
      their dangling spans are abort-closed by Trace.finish. *)
-  let host (p : proc) =
+  let host ~steps (p : proc) =
     let root =
       if Obs.enabled () then begin
         Obs.set_ambient ~span:0 ~pid:p.pid;
@@ -511,12 +522,14 @@ let run (t : t) : (int, string) result =
     let background =
       List.map
         (fun (Daemon d) ->
+          let read, write = accesses t ~steps ~pid:p.pid d.cell in
           Run
             {
               label = d.label;
               critical = d.critical;
               resume = (fun () -> d.prog);
-              cell = d.cell;
+              read;
+              write;
               onote = d.on_note;
               ospan = 0;
               fin = (fun () -> ());
@@ -527,7 +540,7 @@ let run (t : t) : (int, string) result =
     in
     { proc = p; queue = p.jobs; current = None; background; root }
   in
-  let start h (Job j) =
+  let start ~steps h (Job j) =
     let pid = h.proc.pid in
     let name, arg = j.span in
     (* The operation span must BRACKET the [inv, ret] interval: open
@@ -544,12 +557,14 @@ let run (t : t) : (int, string) result =
     in
     let inv = tick t.clock in
     let prog = j.prog () in
+    let read, write = accesses t ~steps ~pid j.cell in
     Run
       {
         label = "";
         critical = true;
         resume = (fun () -> prog);
-        cell = j.cell;
+        read;
+        write;
         onote = j.on_note;
         ospan;
         fin =
@@ -572,7 +587,7 @@ let run (t : t) : (int, string) result =
   in
   let body (group : proc list) () =
     let steps = ref 0 in
-    let hosts = List.map host group in
+    let hosts = List.map (host ~steps) group in
     let parked () =
       List.concat_map
         (fun h ->
@@ -601,7 +616,7 @@ let run (t : t) : (int, string) result =
              (match (h.current, h.queue) with
              | None, j :: rest ->
                  h.queue <- rest;
-                 h.current <- Some (start h j)
+                 h.current <- Some (start ~steps h j)
              | _ -> ());
              (match h.current with
              | Some r when runnable v r -> (

@@ -57,6 +57,8 @@ type ('reg, 'd) job =
   | Job : ('reg, 'a) Machine.prog * ('a -> ('reg, 'd) job) * 'd -> ('reg, 'd) job
   | Done of 'd
 
+type stop_reason = Quiescent | Budget_exhausted | Condition_met
+
 type fiber = {
   fid : int;
   pid : int;
@@ -145,6 +147,11 @@ and t = {
   mutable j_access : int array; (* 0: no access done; 1: a read; 2: a write *)
   mutable j_old : Univ.t array; (* a write's register value before it *)
   mutable rewound : int; (* steps rewound away over the system's life *)
+  (* The run in progress: its predicate and step budget, and why it
+     stopped, set by whichever step ends it. *)
+  mutable run_until : (t -> bool) option;
+  mutable run_budget : int;
+  mutable stop : stop_reason option;
 }
 
 let create ~space ~choose =
@@ -174,6 +181,9 @@ let create ~space ~choose =
       j_access = [||];
       j_old = [||];
       rewound = 0;
+      run_until = None;
+      run_budget = 0;
+      stop = None;
     }
   in
   (* Events carry scheduler time; the hook is a plain field read so it
@@ -234,94 +244,6 @@ let add t fiber state =
   fiber.state <- state;
   t.fibers <- t.fibers @ [ fiber ];
   t.stale <- true
-
-let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
-  let fiber = make_fiber t ~pid ~name ~daemon No_machine in
-  no_journal t;
-  let open Effect.Deep in
-  (* The handlers of the effects that are not scheduling points carry no
-     per-effect state, so each fiber builds them once instead of on every
-     perform: [Sched.now] runs before every channel poll. *)
-  let on_clock =
-    Some
-      (fun (k : (int, unit) continuation) ->
-        t.clock <- t.clock + 1;
-        continue k t.clock)
-  in
-  let on_now = Some (fun (k : (int, unit) continuation) -> continue k t.clock) in
-  let on_self =
-    Some (fun (k : (int, unit) continuation) -> continue k fiber.pid)
-  in
-  let start () =
-    match_with body ()
-      {
-        retc =
-          (fun () ->
-            fiber.state <- Finished Completed;
-            if Obs.enabled () then
-              Obs.emit ~pid
-                (Obs.Sched_exit { fid = fiber.fid; fname = name; failed = false }));
-        exnc =
-          (fun e ->
-            fiber.state <- Finished (Failed e);
-            if Obs.enabled () then
-              Obs.emit ~pid
-                (Obs.Sched_exit { fid = fiber.fid; fname = name; failed = true });
-            match e with
-            | Killed -> ()
-            | e -> Option.iter (fun h -> h fiber e) t.on_failure);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | E_read r ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_read r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match Space.read t.space ~by:fiber.pid r with
-                          | v -> continue k v
-                          | exception e -> discontinue k e))
-            | E_write (r, v) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_write r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match Space.write t.space ~by:fiber.pid r v with
-                          | () -> continue k ()
-                          | exception e -> discontinue k e))
-            | E_yield ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_none;
-                    if t.park_on_yield then fiber.parked_at <- t.writes;
-                    fiber.state <- Ready (fun () -> continue k ()))
-            | E_clock -> on_clock
-            | E_now -> on_now
-            | E_self -> on_self
-            | E_rmw (r, f) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_update r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match
-                            let old = Space.read t.space ~by:fiber.pid r in
-                            let v = f old in
-                            Space.write t.space ~by:fiber.pid r v;
-                            v
-                          with
-                          | v -> continue k v
-                          | exception e -> discontinue k e))
-            | _ -> None);
-      }
-  in
-  add t fiber (Ready start);
-  fiber
 
 (* ---------------- Machine fibers ---------------- *)
 
@@ -523,48 +445,6 @@ let runnable f = match f.state with Finished _ -> false | Ready _ -> true
 let parked t f = f.parked_at >= 0 && t.writes <= f.parked_at
 let is_ready t f = runnable f && not (parked t f)
 
-(* Run one step of one chosen fiber. Raises nothing: fiber exceptions are
-   captured in the fiber's outcome. *)
-let step_fiber t (f : fiber) : unit =
-  match f.state with
-  | Finished _ -> invalid_arg "Sched.step_fiber: fiber not ready"
-  | Ready go ->
-      if t.rewindable then record_step t f;
-      (* Mark an effect fiber running; [go] re-installs Ready on the next
-         effect. A machine step ends by setting the state itself. *)
-      (match f.machine with
-      | No_machine -> f.state <- Finished Completed
-      | Machine _ -> ());
-      f.parked_at <- -1;
-      (match f.next_access with
-      | A_write _ | A_update _ ->
-          t.writes <- t.writes + 1;
-          (* a write re-enables every parked fiber *)
-          if t.any_parked then t.stale <- true
-      | A_none | A_read _ -> ());
-      t.steps <- t.steps + 1;
-      t.clock <- t.clock + 1;
-      if Obs.enabled () then begin
-        no_journal t;
-        if t.last_fid <> f.fid then begin
-          t.last_fid <- f.fid;
-          Obs.emit ~pid:f.pid (Obs.Sched_switch { fid = f.fid; fname = f.fname })
-        end;
-        (* Make the fiber's saved span ambient for the duration of its
-           step, then stash whatever it left ambient. *)
-        Obs.set_ambient ~span:f.ospan ~pid:f.pid;
-        go ();
-        f.ospan <- Obs.ambient ();
-        Obs.set_ambient ~span:0 ~pid:(-1)
-      end
-      else go ();
-      (* the fiber left the ready set if it finished or parked *)
-      match f.state with
-      | Finished _ -> t.stale <- true
-      | Ready _ -> if f.parked_at >= 0 then t.stale <- true
-
-type stop_reason = Quiescent | Budget_exhausted | Condition_met
-
 (* Count the ready fibers in [fs] and note whether a client is still
    runnable and whether any runnable fiber is parked. *)
 let rec count_ready t fs n =
@@ -608,6 +488,177 @@ let refresh t =
   t.ready <- buf;
   t.stale <- false
 
+(* The end of [f]'s step — in [drive] for a machine fiber, in the
+   handler that ended it for an effect fiber: stash the span the step
+   left ambient, and mark the ready fibers stale if [f] finished or
+   parked. *)
+let end_step t f =
+  if Obs.enabled () then begin
+    f.ospan <- Obs.ambient ();
+    Obs.set_ambient ~span:0 ~pid:(-1)
+  end;
+  match f.state with
+  | Finished _ -> t.stale <- true
+  | Ready _ -> if f.parked_at >= 0 then t.stale <- true
+
+(* Take the run's next step, or record why it stops. A machine fiber
+   steps here and [drive] goes on; an effect fiber is resumed in tail
+   position, and the handler of its next effect (or of its end) takes
+   the step's last bookkeeping and calls [drive] in tail position
+   again. So the whole run is one chain of tail calls that returns to
+   [run] only once [stop] is set, and no step returns to a loop only
+   to be resumed from there. *)
+let rec drive t =
+  match t.run_until with
+  | Some until when until t -> t.stop <- Some Condition_met
+  | _ ->
+      if t.stale then refresh t;
+      if not t.client_left then t.stop <- Some Quiescent
+      else if Array.length t.ready = 0 || t.steps >= t.run_budget then
+        (* an empty ready set is a park-on-yield livelock: every
+           runnable fiber waits for a write that can never come.
+           Inconclusive, like a blown step budget. *)
+        t.stop <- Some Budget_exhausted
+      else begin
+        let f = t.ready.(t.choose t t.ready) in
+        match f.state with
+        | Finished _ -> invalid_arg "Sched.run: the policy picked a finished fiber"
+        | Ready go -> (
+            if t.rewindable then record_step t f;
+            f.parked_at <- -1;
+            (match f.next_access with
+            | A_write _ | A_update _ ->
+                t.writes <- t.writes + 1;
+                (* a write re-enables every parked fiber *)
+                if t.any_parked then t.stale <- true
+            | A_none | A_read _ -> ());
+            t.steps <- t.steps + 1;
+            t.clock <- t.clock + 1;
+            if Obs.enabled () then begin
+              no_journal t;
+              if t.last_fid <> f.fid then begin
+                t.last_fid <- f.fid;
+                Obs.emit ~pid:f.pid
+                  (Obs.Sched_switch { fid = f.fid; fname = f.fname })
+              end;
+              (* the fiber's saved span is ambient for its step *)
+              Obs.set_ambient ~span:f.ospan ~pid:f.pid
+            end;
+            match f.machine with
+            | Machine _ ->
+                (* the step ends by setting the fiber's state itself *)
+                go ();
+                end_step t f;
+                drive t
+            | No_machine ->
+                (* running: the handler that ends the step re-installs
+                   Ready *)
+                f.state <- Finished Completed;
+                go ())
+      end
+
+let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
+  let fiber = make_fiber t ~pid ~name ~daemon No_machine in
+  no_journal t;
+  let open Effect.Deep in
+  (* The handler of a scheduling point, or of the fiber's end, ends the
+     step and drives the run on (see [drive]). The handlers of the
+     effects that are not scheduling points carry no per-effect state,
+     so each fiber builds them once instead of on every perform:
+     [Sched.now] runs before every channel poll. *)
+  let on_clock =
+    Some
+      (fun (k : (int, unit) continuation) ->
+        t.clock <- t.clock + 1;
+        continue k t.clock)
+  in
+  let on_now = Some (fun (k : (int, unit) continuation) -> continue k t.clock) in
+  let on_self =
+    Some (fun (k : (int, unit) continuation) -> continue k fiber.pid)
+  in
+  let start () =
+    match_with body ()
+      {
+        retc =
+          (fun () ->
+            fiber.state <- Finished Completed;
+            if Obs.enabled () then
+              Obs.emit ~pid
+                (Obs.Sched_exit { fid = fiber.fid; fname = name; failed = false });
+            end_step t fiber;
+            drive t);
+        exnc =
+          (fun e ->
+            fiber.state <- Finished (Failed e);
+            if Obs.enabled () then
+              Obs.emit ~pid
+                (Obs.Sched_exit { fid = fiber.fid; fname = name; failed = true });
+            (match e with
+            | Killed -> ()
+            | e -> Option.iter (fun h -> h fiber e) t.on_failure);
+            end_step t fiber;
+            drive t);
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | E_read r ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    fiber.next_access <- A_read r;
+                    fiber.state <-
+                      Ready
+                        (fun () ->
+                          match Space.read t.space ~by:fiber.pid r with
+                          | v -> continue k v
+                          | exception e -> discontinue k e);
+                    end_step t fiber;
+                    drive t)
+            | E_write (r, v) ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    fiber.next_access <- A_write r;
+                    fiber.state <-
+                      Ready
+                        (fun () ->
+                          match Space.write t.space ~by:fiber.pid r v with
+                          | () -> continue k ()
+                          | exception e -> discontinue k e);
+                    end_step t fiber;
+                    drive t)
+            | E_yield ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    fiber.next_access <- A_none;
+                    if t.park_on_yield then fiber.parked_at <- t.writes;
+                    fiber.state <- Ready (fun () -> continue k ());
+                    end_step t fiber;
+                    drive t)
+            | E_clock -> on_clock
+            | E_now -> on_now
+            | E_self -> on_self
+            | E_rmw (r, f) ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    fiber.next_access <- A_update r;
+                    fiber.state <-
+                      Ready
+                        (fun () ->
+                          match
+                            let old = Space.read t.space ~by:fiber.pid r in
+                            let v = f old in
+                            Space.write t.space ~by:fiber.pid r v;
+                            v
+                          with
+                          | v -> continue k v
+                          | exception e -> discontinue k e);
+                    end_step t fiber;
+                    drive t)
+            | _ -> None);
+      }
+  in
+  add t fiber (Ready start);
+  fiber
+
 (* Run until every non-daemon fiber has finished, the predicate
    [until] holds, or the scheduler has taken [max_steps] steps in all.
    Daemons keep getting scheduled while clients run, but never keep the
@@ -616,24 +667,17 @@ let run ?(max_steps = 1_000_000) ?until (t : t) : stop_reason =
   (* a run that an exception ended (a raising failure hook or policy)
      may have left [ready] behind *)
   t.stale <- true;
-  let rec loop () =
-    match until with
-    | Some until when until t -> Condition_met
-    | _ ->
-        if t.stale then refresh t;
-        if not t.client_left then Quiescent
-        else if Array.length t.ready = 0 then
-          (* park-on-yield livelock: every runnable fiber waits for a
-             write that can never come. Inconclusive, like a blown step
-             budget. *)
-          Budget_exhausted
-        else if t.steps >= max_steps then Budget_exhausted
-        else begin
-          step_fiber t t.ready.(t.choose t t.ready);
-          loop ()
-        end
-  in
-  loop ()
+  t.run_until <- until;
+  t.run_budget <- max_steps;
+  t.stop <- None;
+  drive t;
+  t.run_until <- None;
+  match t.stop with
+  | Some reason -> reason
+  | None ->
+      (* a handler returned without driving on: the run would silently
+         end as if it were over *)
+      failwith "Sched.run: the steps returned without a stop reason"
 
 (* Fibers that terminated with an exception (other than deliberate kills). *)
 let failures t =

@@ -55,6 +55,9 @@ type ('reg, 'd) job =
 type machine
 (** A machine fiber's program and journal; absent from effect fibers. *)
 
+type stop_reason = Quiescent | Budget_exhausted | Condition_met
+(** Why {!run} returned. *)
+
 type fiber = private {
   fid : int;
   pid : int; (** the simulated process this fiber belongs to *)
@@ -121,6 +124,11 @@ and t = private {
   mutable j_old : Lnd_support.Univ.t array;
       (** and a write's register value before it *)
   mutable rewound : int;  (** steps rewound away, see {!executed} *)
+  mutable run_until : (t -> bool) option;
+      (** the predicate of the {!run} in progress, *)
+  mutable run_budget : int;  (** its [max_steps], *)
+  mutable stop : stop_reason option;
+      (** and why it stopped, once a step decided it *)
 }
 
 val create : space:Lnd_shm.Space.t -> choose:(t -> fiber array -> int) -> t
@@ -252,13 +260,6 @@ val kill : fiber -> unit
     predicate takes effect at once. The system can no longer
     {!rewind}. *)
 
-val step_fiber : t -> fiber -> unit
-(** Run one step of one ready fiber (exposed for custom drivers). It
-    marks the ready fibers for recomputation when the step finished or
-    parked its fiber, or wrote while another fiber was parked. *)
-
-type stop_reason = Quiescent | Budget_exhausted | Condition_met
-
 val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
 (** Run until every non-daemon fiber has finished ([Quiescent]),
     the predicate holds ([Condition_met]), or the scheduler has taken
@@ -282,7 +283,17 @@ val run : ?max_steps:int -> ?until:(t -> bool) -> t -> stop_reason
     step whose fiber finished or parked, or a write while some fiber was
     parked. Everything else a step does leaves
     readiness as it was, so a run takes the same decisions as one that
-    recomputed them before every step. *)
+    recomputed them before every step.
+
+    A machine fiber's step runs inside [run]'s driver. An effect
+    fiber is resumed in tail position, and the handler of the effect
+    that ends its step (or of its end) does the step's last
+    bookkeeping, checks [until], picks the next fiber and resumes it in
+    turn: a run is one chain of tail calls, whose stack does not grow
+    with its steps. A policy, an [until] or a failure hook that raises
+    ends the run with that exception; the fibers stay as they were,
+    and a later [run] goes on with them. Raises [Failure] if the chain
+    returns without having decided why the run stopped. *)
 
 val failures : t -> (fiber * exn) list
 (** Fibers that terminated with an exception (other than {!kill}). *)

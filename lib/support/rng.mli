@@ -2,7 +2,9 @@
 
     Every source of randomness in the simulator flows through one of
     these generators, so whole executions — including adversary behaviour
-    and scheduling — replay exactly from a seed. *)
+    and scheduling — replay exactly from a seed. A draw ({!int},
+    {!bool}, and through them {!pick}, {!pick_arr} and {!shuffle})
+    allocates nothing. *)
 
 type t
 

@@ -3,63 +3,44 @@
    Shared registers in this codebase carry [Univ.t] so that a Byzantine
    process can store arbitrary (even ill-typed) content in the registers it
    owns, while correct code projects values back defensively with
-   [prj]/[prj_default]. *)
+   [prj]/[prj_default].
 
-type t = {
-  key_id : int;
-  key_name : string;
-  payload : exn;
-  pp_payload : Format.formatter -> unit;
-  eq_payload : exn -> bool;
-}
+   A value is its key and its payload, one 3-word block; a key carries a
+   [Type.Id.t], and a projection asks it whether the value's key has the
+   wanted type. So [inj] builds no closure and [prj_default] allocates
+   nothing. *)
 
 type 'a key = {
-  id : int;
+  id : 'a Type.Id.t;
   name : string;
   pp : Format.formatter -> 'a -> unit;
   equal : 'a -> 'a -> bool;
-  wrap : 'a -> exn;
-  unwrap : exn -> 'a option;
 }
 
-let next_id = ref 0
+type t = U : 'a key * 'a -> t
 
-let key (type a) ~name ~(pp : Format.formatter -> a -> unit)
-    ~(equal : a -> a -> bool) : a key =
-  let exception E of a in
-  incr next_id;
-  {
-    id = !next_id;
-    name;
-    pp;
-    equal;
-    wrap = (fun x -> E x);
-    unwrap = (function E x -> Some x | _ -> None);
-  }
+let key ~name ~pp ~equal = { id = Type.Id.make (); name; pp; equal }
+let inj (k : 'a key) (x : 'a) : t = U (k, x)
 
-let inj (k : 'a key) (x : 'a) : t =
-  {
-    key_id = k.id;
-    key_name = k.name;
-    payload = k.wrap x;
-    pp_payload = (fun fmt -> k.pp fmt x);
-    eq_payload =
-      (fun e -> match k.unwrap e with Some y -> k.equal x y | None -> false);
-  }
-
-let prj (k : 'a key) (u : t) : 'a option =
-  if u.key_id = k.id then k.unwrap u.payload else None
+let prj (type a) (k : a key) (U (k', x) : t) : a option =
+  match Type.Id.provably_equal k.id k'.id with
+  | Some Type.Equal -> Some x
+  | None -> None
 
 (* Defensive projection: ill-typed content (e.g. garbage written by a
    Byzantine owner) is read as [default]. *)
-let prj_default (k : 'a key) ~(default : 'a) (u : t) : 'a =
-  match prj k u with Some x -> x | None -> default
+let prj_default (type a) (k : a key) ~(default : a) (U (k', x) : t) : a =
+  match Type.Id.provably_equal k.id k'.id with
+  | Some Type.Equal -> x
+  | None -> default
 
-let key_name (u : t) = u.key_name
-let pp fmt (u : t) = u.pp_payload fmt
+let key_name (U (k, _) : t) = k.name
+let pp fmt (U (k, x) : t) = k.pp fmt x
 
-let equal (a : t) (b : t) =
-  a.key_id = b.key_id && a.eq_payload b.payload
+let equal (U (ka, a) : t) (U (kb, b) : t) =
+  match Type.Id.provably_equal ka.id kb.id with
+  | Some Type.Equal -> ka.equal a b
+  | None -> false
 
 (* Ready-made keys for common payloads. *)
 

@@ -20,14 +20,14 @@ val key :
 (** [key ~name ~pp ~equal] mints a fresh key for type ['a]. *)
 
 val inj : 'a key -> 'a -> t
-(** Wrap a value under a key. *)
+(** Wrap a value under a key: one 3-word block. *)
 
 val prj : 'a key -> t -> 'a option
 (** Project a value back; [None] if it was injected under another key. *)
 
 val prj_default : 'a key -> default:'a -> t -> 'a
 (** Defensive projection: ill-typed content (e.g. garbage written by a
-    Byzantine owner) reads as [default]. *)
+    Byzantine owner) reads as [default]. Allocates nothing. *)
 
 val key_name : t -> string
 (** The name of the key a value was injected under. *)

@@ -586,9 +586,20 @@ let recording fids inner t ready =
 
 (* Every effect-fiber step goes back through the scheduler: 3,000,000
    steps of eight yielding fibers must finish without growing the
-   stack, on the default stack limit. *)
+   stack, on the default stack limit. The policy runs on the stack the
+   steps resume from, so the call stack it sees stays as deep as at the
+   first steps. *)
 let test_many_effect_steps () =
-  let _, sched = mk_sys ~n:8 (Policy.random ~seed:3) in
+  let depth () = Printexc.raw_backtrace_length (Printexc.get_callstack 10_000) in
+  let first = ref 0 and deepest = ref 0 in
+  let random = Policy.random ~seed:3 in
+  let _, sched =
+    mk_sys ~n:8 (fun t ready ->
+        let s = Sched.steps t in
+        if s = 100 then first := depth ()
+        else if s mod 100_000 = 0 then deepest := max !deepest (depth ());
+        random t ready)
+  in
   for pid = 0 to 7 do
     ignore
       (Sched.spawn sched ~pid ~name:"yields" (fun () ->
@@ -599,7 +610,9 @@ let test_many_effect_steps () =
   (match Sched.run ~max_steps:4_000_000 sched with
   | Sched.Quiescent -> ()
   | _ -> Alcotest.fail "expected quiescence");
-  Alcotest.(check int) "steps" 3_000_000 (Sched.steps sched)
+  Alcotest.(check int) "steps" 3_000_000 (Sched.steps sched);
+  if !deepest > !first then
+    Alcotest.failf "the stack grew from %d to %d frames" !first !deepest
 
 exception Escape of string
 

@@ -91,6 +91,32 @@ let test_rng_vectors () =
         -66385252989067990L );
     ]
 
+(* The words 10,000 calls of [f] allocate, per call. *)
+let words_per_call f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+(* A draw and a defensive projection allocate nothing; an injection
+   allocates its one 3-word block. *)
+let test_rng_univ_words () =
+  let r = Rng.create 3 in
+  let u = Univ.inj Univ.int 4 and g = Univ.inj Univ.garbage "x" in
+  let sink = ref 0 in
+  let check what limit f =
+    let w = words_per_call f in
+    if w > limit then Alcotest.failf "%s: %.2f words per call (> %g)" what w limit
+  in
+  check "Rng.int" 0.01 (fun () -> sink := !sink + Rng.int r 1000);
+  check "Rng.bool" 0.01 (fun () -> if Rng.bool r then incr sink);
+  check "Univ.prj_default" 0.01 (fun () ->
+      sink := !sink + Univ.prj_default Univ.int ~default:0 u
+              + Univ.prj_default Univ.int ~default:0 g);
+  check "Univ.inj" 3.01 (fun () ->
+      sink := !sink + Univ.prj_default Univ.int ~default:0 (Univ.inj Univ.int !sink))
+
 let test_rng_determinism () =
   let a = Rng.create 123 and b = Rng.create 123 in
   for _ = 1 to 100 do
@@ -214,6 +240,8 @@ let tests =
     Alcotest.test_case "univ isolation across same-named keys" `Quick
       test_univ_isolation;
     Alcotest.test_case "rng output vectors pinned" `Quick test_rng_vectors;
+    Alcotest.test_case "rng draws and univ projections allocate nothing"
+      `Quick test_rng_univ_words;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
