@@ -59,6 +59,19 @@ type ('reg, 'd) job =
 
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 
+(* What a paused effect fiber's next step does: the access its effect
+   asked for, then the resumption of its continuation with the result. *)
+type pending =
+  | No_pending
+  | P_read : Register.t * (Univ.t, unit) Effect.Deep.continuation -> pending
+  | P_write :
+      Register.t * Univ.t * (unit, unit) Effect.Deep.continuation
+      -> pending
+  | P_yield : (unit, unit) Effect.Deep.continuation -> pending
+  | P_rmw :
+      Register.t * (Univ.t -> Univ.t) * (Univ.t, unit) Effect.Deep.continuation
+      -> pending
+
 type fiber = {
   fid : int;
   pid : int;
@@ -78,6 +91,7 @@ type fiber = {
       (* ambient Obs span, saved/restored at fiber switches so spans
          follow fibers rather than the host call stack *)
   machine : machine; (* [No_machine] for an effect fiber *)
+  mutable pending : pending; (* an effect fiber's paused access *)
 }
 
 and state = Ready of (unit -> unit) | Finished of outcome
@@ -232,7 +246,7 @@ let make_fiber t ~pid ~name ~daemon machine =
   let fiber =
     { fid = t.next_fid; pid; fname = name; daemon; sched = t;
       state = Finished Completed; next_access = A_none; parked_at = -1;
-      ospan = 0; machine }
+      ospan = 0; machine; pending = No_pending }
   in
   t.next_fid <- t.next_fid + 1;
   if Obs.enabled () then
@@ -247,10 +261,11 @@ let add t fiber state =
 
 (* ---------------- Machine fibers ---------------- *)
 
-(* The footprint of reading ([kind] 0) or writing ([kind] 1) [r], made
-   once per register so a machine fiber pauses without allocating. *)
+(* The footprint of reading ([kind] 0), writing ([kind] 1) or updating
+   ([kind] 2) [r], made once per register so a fiber pauses without
+   allocating one. *)
 let footprint t (r : Register.t) kind =
-  let i = (2 * r.Register.id) + kind in
+  let i = (3 * r.Register.id) + kind in
   if i >= Array.length t.footprints then begin
     let bigger = Array.make (2 * (i + 1)) A_none in
     Array.blit t.footprints 0 bigger 0 (Array.length t.footprints);
@@ -258,7 +273,9 @@ let footprint t (r : Register.t) kind =
   end;
   match t.footprints.(i) with
   | A_none ->
-      let fp = if kind = 0 then A_read r else A_write r in
+      let fp =
+        match kind with 0 -> A_read r | 1 -> A_write r | _ -> A_update r
+      in
       t.footprints.(i) <- fp;
       fp
   | fp -> fp
@@ -557,15 +574,49 @@ let rec drive t =
                 go ())
       end
 
+(* An effect fiber's step: the access it paused at, then its
+   continuation, in tail position. *)
+let resume_pending t f =
+  let open Effect.Deep in
+  match f.pending with
+  | P_read (r, k) -> (
+      match Space.read t.space ~by:f.pid r with
+      | v -> continue k v
+      | exception e -> discontinue k e)
+  | P_write (r, v, k) -> (
+      match Space.write t.space ~by:f.pid r v with
+      | () -> continue k ()
+      | exception e -> discontinue k e)
+  | P_yield k -> continue k ()
+  | P_rmw (r, g, k) -> (
+      match
+        let v = g (Space.read t.space ~by:f.pid r) in
+        Space.write t.space ~by:f.pid r v;
+        v
+      with
+      | v -> continue k v
+      | exception e -> discontinue k e)
+  | No_pending -> invalid_arg "Sched: an effect fiber stepped with no access"
+
 let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
   let fiber = make_fiber t ~pid ~name ~daemon No_machine in
   no_journal t;
   let open Effect.Deep in
-  (* The handler of a scheduling point, or of the fiber's end, ends the
-     step and drives the run on (see [drive]). The handlers of the
-     effects that are not scheduling points carry no per-effect state,
-     so each fiber builds them once instead of on every perform:
-     [Sched.now] runs before every channel poll. *)
+  (* A scheduling point's handler pauses the fiber at its access, with
+     the fiber's one prebuilt [Ready] state; it, or the handler of the
+     fiber's end, then ends the step and drives the run on (see
+     [drive]). The handlers of the effects that are not scheduling
+     points carry no per-effect state, so each fiber builds them once
+     instead of on every perform: [Sched.now] runs before every channel
+     poll. *)
+  let resume = Ready (fun () -> resume_pending t fiber) in
+  let pause fp p =
+    fiber.next_access <- fp;
+    fiber.pending <- p;
+    fiber.state <- resume;
+    end_step t fiber;
+    drive t
+  in
   let on_clock =
     Some
       (fun (k : (int, unit) continuation) ->
@@ -604,55 +655,23 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
             | E_read r ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_read r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match Space.read t.space ~by:fiber.pid r with
-                          | v -> continue k v
-                          | exception e -> discontinue k e);
-                    end_step t fiber;
-                    drive t)
+                    pause (footprint t r 0) (P_read (r, k)))
             | E_write (r, v) ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_write r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match Space.write t.space ~by:fiber.pid r v with
-                          | () -> continue k ()
-                          | exception e -> discontinue k e);
-                    end_step t fiber;
-                    drive t)
+                    pause (footprint t r 1) (P_write (r, v, k)))
             | E_yield ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_none;
                     if t.park_on_yield then fiber.parked_at <- t.writes;
-                    fiber.state <- Ready (fun () -> continue k ());
-                    end_step t fiber;
-                    drive t)
+                    pause A_none (P_yield k))
             | E_clock -> on_clock
             | E_now -> on_now
             | E_self -> on_self
             | E_rmw (r, f) ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    fiber.next_access <- A_update r;
-                    fiber.state <-
-                      Ready
-                        (fun () ->
-                          match
-                            let old = Space.read t.space ~by:fiber.pid r in
-                            let v = f old in
-                            Space.write t.space ~by:fiber.pid r v;
-                            v
-                          with
-                          | v -> continue k v
-                          | exception e -> discontinue k e);
-                    end_step t fiber;
-                    drive t)
+                    pause (footprint t r 2) (P_rmw (r, f, k)))
             | _ -> None);
       }
   in

@@ -55,6 +55,9 @@ type ('reg, 'd) job =
 type machine
 (** A machine fiber's program and journal; absent from effect fibers. *)
 
+type pending
+(** An effect fiber's paused access and continuation. *)
+
 type stop_reason = Quiescent | Budget_exhausted | Condition_met
 (** Why {!run} returned. *)
 
@@ -79,6 +82,9 @@ type fiber = private {
   mutable ospan : int;
       (** ambient {!Lnd_obs.Obs} span, saved/restored at fiber switches *)
   machine : machine;
+  mutable pending : pending;
+      (** what an effect fiber's next step does; nothing for a machine
+          fiber *)
 }
 
 and state = Ready of (unit -> unit) | Finished of outcome
