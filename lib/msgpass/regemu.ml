@@ -125,8 +125,7 @@ type replica = {
       (* false while recovering: read requests are recorded (and
          journalled) but answered only once state transfer completes *)
   outbox : (int, emsg list ref) Hashtbl.t;
-      (* dst -> the replies one pump pass batches for it, newest first;
-         emptied by every pass *)
+      (* dst -> the replies one pump pass batches for it, newest first *)
 }
 
 type client = {
@@ -412,10 +411,11 @@ let pump t ~pid =
   let ep = endpoint t ~pid in
   let r = replica_state t ~pid in
   let c = client_state t ~pid in
-  (* the same table every pass, so the flush below visits its
-     destinations in the order a fresh table of this size would *)
+  (* one table for every pass: [reset] empties it in place, or shrinks
+     it back if a pass grew it, so the flush below visits destinations
+     in the order a fresh table would *)
   let outbox = r.outbox in
-  Hashtbl.clear outbox;
+  Hashtbl.reset outbox;
   let out ~dst m =
     match Hashtbl.find_opt outbox dst with
     | Some l -> l := m :: !l

@@ -523,8 +523,8 @@ let end_step t f =
    position, and the handler of its next effect (or of its end) takes
    the step's last bookkeeping and calls [drive] in tail position
    again. So the whole run is one chain of tail calls that returns to
-   [run] only once [stop] is set, and no step returns to a loop only
-   to be resumed from there. *)
+   [run] only once [stop] is set; each call in it must stay a tail
+   call, or the stack grows with every step. *)
 let rec drive t =
   match t.run_until with
   | Some until when until t -> t.stop <- Some Condition_met
