@@ -605,10 +605,10 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
   (* A scheduling point's handler pauses the fiber at its access, with
      the fiber's one prebuilt [Ready] state; it, or the handler of the
      fiber's end, then ends the step and drives the run on (see
-     [drive]). The handlers of the effects that are not scheduling
-     points carry no per-effect state, so each fiber builds them once
-     instead of on every perform: [Sched.now] runs before every channel
-     poll. *)
+     [drive]). The handlers that carry no per-effect state (a yield's,
+     and those of the effects that are not scheduling points) are built
+     once per fiber instead of on every perform: [Sched.now] runs before
+     every channel poll, and a waiting reader yields on every pass. *)
   let resume = Ready (fun () -> resume_pending t fiber) in
   let pause fp p =
     fiber.next_access <- fp;
@@ -616,6 +616,12 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
     fiber.state <- resume;
     end_step t fiber;
     drive t
+  in
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        if t.park_on_yield then fiber.parked_at <- t.writes;
+        pause A_none (P_yield k))
   in
   let on_clock =
     Some
@@ -660,11 +666,7 @@ let spawn t ~pid ~name ?(daemon = false) (body : unit -> unit) : fiber =
                 Some
                   (fun (k : (a, unit) continuation) ->
                     pause (footprint t r 1) (P_write (r, v, k)))
-            | E_yield ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    if t.park_on_yield then fiber.parked_at <- t.writes;
-                    pause A_none (P_yield k))
+            | E_yield -> on_yield
             | E_clock -> on_clock
             | E_now -> on_now
             | E_self -> on_self
