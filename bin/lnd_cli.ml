@@ -40,9 +40,40 @@ let seed_arg =
     value & opt int 42
     & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler randomness seed.")
 
+(* An integer of at least [lo]; anything less is a usage error (exit
+   124). *)
+let at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok c when c < lo ->
+        Error (`Msg (Printf.sprintf "need N >= %d, not %d" lo c))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* How many scenarios or seeds a sweep runs, or how many schedules a
+   search may: below 1 is a usage error, not an empty sweep reported as
+   a pass. *)
+let count_conv = at_least 1
+
+(* A file a command writes: a path in a missing directory, or one that
+   names a directory, is a usage error (exit 124) before the run, not a
+   Sys_error (exit 125) that loses the run's output after it. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "directory %s does not exist" dir))
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "%s is a directory" s))
+    else Ok s
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* A run of no step would only report its budget exhausted. *)
 let steps_arg =
   Arg.(
-    value & opt int 8_000_000
+    value & opt (at_least 1) 8_000_000
     & info [ "max-steps" ] ~docv:"STEPS" ~doc:"Scheduler step budget.")
 
 let trace_arg =
@@ -51,15 +82,31 @@ let trace_arg =
     & info [ "trace" ]
         ~doc:"Print the last 40 register accesses after the run.")
 
-let maybe_enable_trace space trace =
-  if trace then Space.set_trace space ~capacity:40
-
-let maybe_print_trace space trace =
-  if trace then begin
+(* Run [run] and, with [trace], list the last 40 register accesses it
+   made, numbered from 0 in the order they happened: a sink installed
+   around the run keeps the last 40 [Shm_access] events. *)
+let with_access_trace trace run =
+  if not trace then run ()
+  else begin
+    let last = Queue.create () and seen = ref 0 in
+    let keep (e : Obs.event) =
+      match e.kind with
+      | Obs.Shm_access { access; reg; value } ->
+          Queue.add (!seen, e.pid, access, reg, value) last;
+          incr seen;
+          if Queue.length last > 40 then ignore (Queue.take last)
+      | _ -> ()
+    in
+    Obs.install { Obs.emit = keep };
+    Fun.protect ~finally:Obs.uninstall run;
     pr "\nlast register accesses:\n";
-    List.iter
-      (fun a -> pr "  %s\n" (Format.asprintf "%a" Space.pp_access a))
-      (Space.trace space)
+    Queue.iter
+      (fun (i, pid, access, reg, value) ->
+        pr "  #%d p%d %s %s = %s\n" i pid
+          (match access with `Read -> "reads " | `Write -> "writes")
+          reg
+          (Format.asprintf "%a" Univ.pp value))
+      last
   end
 
 (* Sizes a scenario cannot be built at are usage errors (exit 124),
@@ -93,21 +140,6 @@ let check_sizes ~n ~f strategy run =
 let warn_bound ~alg ~n ~f =
   if n <= 3 * f then
     pr "warning: n <= 3f — outside Algorithm %d's requirement\n" alg
-
-(* An integer of at least [lo]; anything less is a usage error (exit
-   124). *)
-let at_least lo =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok c when c < lo ->
-        Error (`Msg (Printf.sprintf "need N >= %d, not %d" lo c))
-    | r -> r
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-(* How many scenarios or seeds a sweep runs: a negative count is a usage
-   error, not an empty sweep reported as a pass. *)
-let count_conv = at_least 0
 
 (* A protocol or backend named on the command line; an unknown name is a
    usage error (exit 124), like any other bad option value. *)
@@ -176,7 +208,6 @@ let verify_cmd_run n f seed max_steps adversary trace =
       (Diff.verifiable_plan q ~byzantine
          ~scripts:(scripts_of byzantine strategy))
   in
-  maybe_enable_trace s.space trace;
   if adversary <> "deny" then
     s.client ~pid:0 ~name:"writer"
       [ Diff.write_verifiable "the-lie"; Diff.sign "the-lie" ];
@@ -186,19 +217,20 @@ let verify_cmd_run n f seed max_steps adversary trace =
         ~name:(Printf.sprintf "verifier%d" pid)
         [ Diff.verify q ~pid "the-lie" ]
   done;
-  run_session s ~max_steps
-    ~byzlin:(fun ~correct h -> Byzlin.verifiable ~writer:0 ~correct h)
-    ~print:(fun
-        (e : (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) History.entry)
-      ->
-      match e.ret with
-      | Some (Spec.Verifiable_spec.Signed ok, _) ->
-          pr "p0: WRITE+SIGN \"the-lie\" -> %s\n"
-            (if ok then "SUCCESS" else "FAIL")
-      | Some (Spec.Verifiable_spec.Verified r, _) ->
-          pr "p%d: VERIFY(\"the-lie\") -> %b\n" e.pid r
-      | _ -> ());
-  maybe_print_trace s.space trace
+  with_access_trace trace (fun () ->
+      run_session s ~max_steps
+        ~byzlin:(fun ~correct h -> Byzlin.verifiable ~writer:0 ~correct h)
+        ~print:(fun
+            (e :
+              (Spec.Verifiable_spec.op, Spec.Verifiable_spec.res) History.entry)
+          ->
+          match e.ret with
+          | Some (Spec.Verifiable_spec.Signed ok, _) ->
+              pr "p0: WRITE+SIGN \"the-lie\" -> %s\n"
+                (if ok then "SUCCESS" else "FAIL")
+          | Some (Spec.Verifiable_spec.Verified r, _) ->
+              pr "p%d: VERIFY(\"the-lie\") -> %b\n" e.pid r
+          | _ -> ()))
 
 let verify_cmd =
   let adversary =
@@ -464,14 +496,14 @@ let trace_cmd =
   in
   let out =
     Arg.(
-      value & opt string "-"
+      value & opt out_file "-"
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the JSONL trace to $(docv) ('-' = stdout).")
   in
   let chrome =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "chrome" ] ~docv:"FILE"
           ~doc:
             "Also write a Chrome-trace JSON file (load in chrome://tracing \
@@ -552,14 +584,14 @@ let profile_cmd =
   in
   let out =
     Arg.(
-      value & opt string "-"
+      value & opt out_file "-"
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the folded stacks to $(docv) ('-' = stdout).")
   in
   let metrics_json =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
             "Also write the trace-derived metrics registry as a JSON \
@@ -735,7 +767,7 @@ let model_arg =
 let save_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "save" ] ~docv:"FILE"
         ~doc:"Serialise a found violation as an lnd-scenario file.")
 
@@ -788,8 +820,8 @@ let explore_cmd =
       & info [ "mode" ] ~docv:"MODE" ~doc:"dpor or naive (baseline DFS).")
   in
   (* Bounds that leave nothing to explore are usage errors: a run of no
-     steps, or one that cannot afford its first choice, would report a
-     space it never entered as exhausted. *)
+     steps, one that cannot afford its first choice, or a budget of no
+     run would report a space it never entered as exhausted. *)
   let max_steps =
     Arg.(
       value & opt (at_least 1) 600
@@ -803,7 +835,7 @@ let explore_cmd =
   let preempts =
     Arg.(
       value
-      & opt (some count_conv) None
+      & opt (some (at_least 0)) None
       & info [ "preempts" ] ~docv:"P"
           ~doc:
             "CHESS-style preemption bound (involuntary switches per run) of \
@@ -1030,7 +1062,7 @@ let diff_cmd =
   let write_golden =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "write-golden" ] ~docv:"FILE"
           ~doc:
             "Regenerate the committed sim-driver golden baselines (one \

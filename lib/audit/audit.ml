@@ -347,6 +347,11 @@ let on_claim t ev ~src (claim : Obs.claim) ~fp =
 
 (* ---------------- Shared-memory detectors ---------------- *)
 
+(* The appendix observations over each register write: C_k never falls
+   (Obs. 28/94), R_i only grows (Obs. 30), E_i and R_i keep their first
+   value (Obs. 92/93), R_{j,k} stamps increase; audit.mli maps each rule
+   to its observation. *)
+
 let is_prefixed ~prefix name =
   String.length name > String.length prefix
   && String.sub name 0 (String.length prefix) = prefix

@@ -35,9 +35,19 @@
     equivocation, forged-init, unjustified-vouch, write-equivocation,
     forged-wreq, unannounced-write, unjustified-wecho, unjustified-wack,
     unjustified-reply, unjustified-state, garbage, epoch-replay,
-    counter-regression, witness-retraction, sticky-overwrite,
-    mailbox-retraction, stale-stamp, ill-typed-write,
-    verify-without-sign. *)
+    verify-without-sign, and the register rules over [Shm_access]
+    writes. The register rules are the one statement of the appendix
+    observations that Theorems 14 and 19 rest on:
+    - counter-regression: a C_k counter falls (Observations 28, 94);
+    - witness-retraction: a witness set R_i loses a value
+      (Observation 30);
+    - sticky-overwrite: a sticky E_i or R_i changes, or goes back to ⊥,
+      once set (Observations 92, 93);
+    - stale-stamp: an R_{j,k} reply's stamp does not increase (a correct
+      helper answers each C_k round once);
+    - mailbox-retraction: an R_{j,k} row retracts its stamped witness set
+      (Observation 30) or its stamped sticky value (Observations 92, 93);
+    - ill-typed-write: a register gets a value of the wrong codec. *)
 
 type t
 

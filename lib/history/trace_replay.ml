@@ -80,19 +80,3 @@ let testorset_history evs =
       match op with
       | Set -> if result = "done" then Some Done else None
       | Test -> Option.map (fun b -> Bit b) (int_of_string_opt result))
-
-let accesses evs =
-  let seq = ref (-1) in
-  List.filter_map
-    (fun (e : Obs.event) ->
-      match e.kind with
-      | Shm_access { access; reg; value } ->
-          incr seq;
-          Some
-            { Lnd_shm.Space.acc_seq = !seq;
-              acc_pid = e.pid;
-              acc_kind = access;
-              acc_reg = reg;
-              acc_value = value }
-      | _ -> None)
-    evs

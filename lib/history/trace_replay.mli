@@ -1,11 +1,12 @@
-(** Reconstruct checker inputs from a recorded {!Lnd_obs} trace.
+(** Reconstruct operation histories from a recorded {!Lnd_obs} trace.
 
     Operation spans carry their argument at open and their result at
-    close, and shared-memory events carry the full register access, so a
-    trace is a complete substitute for the bespoke history plumbing: the
-    same {!Byzlin} and {!Trace_invariants} verdicts must come out of a
-    replayed trace as out of the directly recorded history (the
-    trace-driven checker test in [test_obs.ml] asserts exactly that).
+    close, so a trace is a complete substitute for the bespoke history
+    plumbing: the same {!Byzlin} verdict must come out of a replayed
+    trace as out of the directly recorded history (the trace-driven
+    checker tests in [test_obs.ml] assert exactly that). The trace's
+    [Shm_access] events need no fold: the auditor ([Lnd_audit.Audit])
+    judges them as they stream.
 
     Spans whose close is missing or marked [aborted] become incomplete
     history entries ([ret = None]) — the same treatment an in-flight
@@ -30,8 +31,3 @@ val testorset_history :
     spans of the underlying register construction nest inside them and
     are ignored here, so both Observation 25 constructions fold to the
     same spec-level history. *)
-
-val accesses : Lnd_obs.Obs.event list -> Lnd_shm.Space.access list
-(** The shared-memory access sequence, renumbered from 0 — identical to
-    {!Lnd_shm.Space.trace} output when the space's ring capacity was not
-    exceeded. *)

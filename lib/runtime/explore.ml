@@ -105,14 +105,15 @@ let resume ~(prev : Sched.t option) (sched : Sched.t) ~shared =
       0
 
 (* A bound that leaves nothing to explore is an error, not an exhausted
-   space: a run of no steps, or none affordable, ends at once and the
-   explorer would report a space it never entered as covered. *)
+   space: a run of no steps, none affordable or a budget of no run ends
+   at once, and the explorer would report a space it never entered as
+   covered. *)
 let check_bounds fn ~max_steps ~max_runs ~max_preempts =
   let bad what v need =
     invalid_arg (Printf.sprintf "Explore.%s: %s must be %s, not %d" fn what need v)
   in
   if max_steps < 1 then bad "max_steps" max_steps ">= 1";
-  if max_runs < 0 then bad "max_runs" max_runs ">= 0";
+  if max_runs < 1 then bad "max_runs" max_runs ">= 1";
   match max_preempts with
   | Some p when p < 0 -> bad "max_preempts" p ">= 0"
   | _ -> ()

@@ -12,6 +12,9 @@
     exploration). [exhausted = true] means every schedule of at most
     [max_steps] steps was covered — for {!dpor}, up to commutation of
     independent steps (see DESIGN.md §4i for the soundness argument).
+    {!exhaustive} and {!dpor} raise [Invalid_argument] on bounds that
+    leave nothing to explore: [max_steps] or [max_runs] below 1, or a
+    negative [max_preempts].
 
     {b The [make] protocol.} Every mode calls [make policy] exactly once
     per schedule, and [make] returns a system of the same program each

@@ -428,9 +428,8 @@ let undo t i =
       m.cur <- j;
       match j with
       | Job (Machine.Read (r, _), _, _) ->
-          let reg = m.at r in
-          if t.j_access.(i) = 1 then Space.unread t.space ~by:f.pid reg;
-          ready_at f m (footprint t reg 0)
+          if t.j_access.(i) = 1 then Space.unread t.space ~by:f.pid;
+          ready_at f m (footprint t (m.at r) 0)
       | Job (Machine.Write (r, _, _), _, _) ->
           let reg = m.at r in
           t.writes <- t.writes - 1;

@@ -17,8 +17,6 @@ type t = {
   readability : readability;
   init : Univ.t;
   mutable value : Univ.t;
-  mutable read_count : int;
-  mutable write_count : int;
 }
 
 let pp fmt (r : t) =

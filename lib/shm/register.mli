@@ -17,8 +17,6 @@ type t = {
   readability : readability;
   init : Univ.t; (** the initial value (the reset adversary's target) *)
   mutable value : Univ.t;
-  mutable read_count : int;
-  mutable write_count : int;
 }
 
 val pp : Format.formatter -> t -> unit

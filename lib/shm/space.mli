@@ -4,22 +4,15 @@
     model's only restriction on Byzantine processes: nobody — Byzantine
     or not — can access the write port of a register it does not own, and
     SWSR registers are readable only by their designated reader. Access
-    counters feed the benchmark cost tables. *)
+    counters feed the benchmark cost tables. Each individual access is
+    emitted as an [Lnd_obs.Obs.Shm_access] event while a sink is
+    installed: that stream is the one record of register accesses, read
+    by the auditor ([Lnd_audit.Audit]) and the trace exporter
+    ([Lnd_obs.Trace]). *)
 
 open Lnd_support
 
 exception Permission_violation of { pid : int; reg : string; op : string }
-
-(** One recorded access, for the optional execution trace. *)
-type access = {
-  acc_seq : int; (** global access sequence number *)
-  acc_pid : int;
-  acc_kind : [ `Read | `Write ];
-  acc_reg : string;
-  acc_value : Univ.t; (** value read, or value written *)
-}
-
-val pp_access : Format.formatter -> access -> unit
 
 type t
 
@@ -27,12 +20,6 @@ val create : n:int -> t
 (** A space for processes [0 .. n-1]. *)
 
 val n : t -> int
-
-val set_trace : t -> capacity:int -> unit
-(** Record the last [capacity] accesses (off by default). *)
-
-val trace : t -> access list
-(** The recorded accesses, oldest first; empty when tracing is off. *)
 
 val alloc :
   t ->
@@ -51,15 +38,15 @@ val read : t -> by:int -> Register.t -> Univ.t
 val write : t -> by:int -> Register.t -> Univ.t -> unit
 (** Raises {!Permission_violation} if [by] is not the owner. *)
 
-val unread : t -> by:int -> Register.t -> unit
-(** Undo the latest {!read} of the register by [by]: its counters and
-    the access trace go back by one. For rewinding a scheduler
-    ([Lnd_runtime.Sched.rewind]), newest access first. *)
+val unread : t -> by:int -> unit
+(** Undo the latest {!read} by [by]: its counters go back by one. For
+    rewinding a scheduler ([Lnd_runtime.Sched.rewind]), newest access
+    first. *)
 
 val unwrite : t -> by:int -> Register.t -> old:Univ.t -> unit
-(** Undo the latest {!write} of the register by [by], putting back the
-    value [old] it held before. A trace ring that wrapped since keeps
-    its overwritten entries lost. *)
+(** Undo the latest {!write} of the register by [by]: its counters go
+    back by one and the register gets back the value [old] it held
+    before. *)
 
 val owned : t -> pid:int -> Register.t list
 (** Registers owned by [pid]; the Theorem 23 "reset" adversary rewrites

@@ -255,7 +255,8 @@ let test_dpor_fiber_limit () =
 
 (* Bounds that leave nothing to explore are refused, not reported as an
    exhausted space: a run of no steps, or one that cannot afford its
-   first choice, would end at once with nothing left to backtrack to. *)
+   first choice, would end at once with nothing left to backtrack to,
+   and a budget of no run would still run one. *)
 let test_bounds_refused () =
   let check _sched = () in
   let refused what f =
@@ -268,10 +269,13 @@ let test_bounds_refused () =
       Explore.dpor ~make ~check ~max_preempts:(-1) ());
   refused "dpor, max_steps 0" (fun () -> Explore.dpor ~make ~check ~max_steps:0 ());
   refused "dpor, max_runs -1" (fun () -> Explore.dpor ~make ~check ~max_runs:(-1) ());
+  refused "dpor, max_runs 0" (fun () -> Explore.dpor ~make ~check ~max_runs:0 ());
   refused "exhaustive, max_steps -3" (fun () ->
       Explore.exhaustive ~make ~check ~max_steps:(-3) ());
   refused "exhaustive, max_runs -1" (fun () ->
-      Explore.exhaustive ~make ~check ~max_runs:(-1) ())
+      Explore.exhaustive ~make ~check ~max_runs:(-1) ());
+  refused "exhaustive, max_runs 0" (fun () ->
+      Explore.exhaustive ~make ~check ~max_runs:0 ())
 
 let tests =
   [

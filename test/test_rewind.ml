@@ -27,9 +27,7 @@ let snapshot (s : Diff.system) =
     List.concat_map (fun pid -> Space.owned space ~pid) (List.init n Fun.id)
     |> List.sort (fun (a : Register.t) b -> compare a.Register.id b.Register.id)
     |> List.map (fun (r : Register.t) ->
-           Format.asprintf "%s = %a (%d reads, %d writes)" r.Register.name
-             Univ.pp r.Register.value r.Register.read_count
-             r.Register.write_count)
+           Format.asprintf "%s = %a" r.Register.name Univ.pp r.Register.value)
   in
   let stats =
     Format.asprintf "space: %a" Space.pp_stats (Space.stats space)

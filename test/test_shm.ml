@@ -63,39 +63,9 @@ let test_bad_owner () =
     (fun () ->
       ignore (Space.alloc sp ~name:"x" ~owner:9 ~init:(Univ.inj Univ.int 0) ()))
 
-let test_trace_ring () =
-  let sp = mk () in
-  Space.set_trace sp ~capacity:3;
-  let r = Space.alloc sp ~name:"r" ~owner:0 ~init:(Univ.inj Univ.int 0) () in
-  Space.write sp ~by:0 r (Univ.inj Univ.int 1);
-  ignore (Space.read sp ~by:1 r);
-  Space.write sp ~by:0 r (Univ.inj Univ.int 2);
-  ignore (Space.read sp ~by:2 r);
-  (* capacity 3: the first access fell off the ring *)
-  let tr = Space.trace sp in
-  Alcotest.(check int) "ring keeps last 3" 3 (List.length tr);
-  (match tr with
-  | [ a; b; c ] ->
-      Alcotest.(check int) "oldest seq" 1 a.Space.acc_seq;
-      Alcotest.(check bool) "b is a write" true (b.Space.acc_kind = `Write);
-      Alcotest.(check int) "newest pid" 2 c.Space.acc_pid
-  | _ -> Alcotest.fail "unexpected trace shape");
-  (* pretty-printing does not raise *)
-  List.iter (fun a -> ignore (Format.asprintf "%a" Space.pp_access a)) tr
-
-let test_trace_disabled_by_default () =
-  let sp = mk () in
-  let r = Space.alloc sp ~name:"r" ~owner:0 ~init:(Univ.inj Univ.int 0) () in
-  Space.write sp ~by:0 r (Univ.inj Univ.int 1);
-  Alcotest.(check int) "no trace unless enabled" 0
-    (List.length (Space.trace sp))
-
 let tests =
   [
     Alcotest.test_case "read/write" `Quick test_read_write;
-    Alcotest.test_case "trace ring" `Quick test_trace_ring;
-    Alcotest.test_case "trace disabled by default" `Quick
-      test_trace_disabled_by_default;
     Alcotest.test_case "write port enforced" `Quick test_write_port_enforced;
     Alcotest.test_case "SWSR readability" `Quick test_swsr_readability;
     Alcotest.test_case "access counters" `Quick test_counters;
